@@ -16,13 +16,26 @@ every tree at its root:
   one node per round, so a parent serves its children one per round; this is
   why the paper bounds Phase II time by the tree *size* rather than height.
 
+All three tree passes (the convergecast and both broadcasts) sweep one
+:class:`~repro.core.forest.TreeSchedule`, built lazily once per Phase I
+result (:attr:`~repro.core.drr.DRRResult.schedule`) and shared by every
+backend:
+
+* the depth layers of the convergecast senders (alive non-roots) and of
+  the broadcast receivers (known children), ascending id inside a layer;
+  both are mask filters of one stable sort of the non-roots by depth;
+* each known child's sibling rank, its 1-based slot in its parent's
+  ascending-id service order;
+* the convergecast *send schedule* (below), walked bottom-up over the
+  sender layers.
+
 :func:`run_convergecast` and :func:`run_broadcast` are the entry points; the
-``backend`` argument selects the substrate kernel.  The vectorized kernel
-sweeps the forest one depth layer at a time (all of a layer's upward or
-downward transmissions are one batch); the engine kernel runs the
+``backend`` argument selects the substrate kernel.  The columnar kernels
+deliver one schedule layer per batch (all of a layer's upward or downward
+transmissions at once); the engine kernel runs the
 :class:`ConvergecastNode` / :class:`BroadcastNode` state machines at message
-granularity.  On a reliable network both produce identical aggregates,
-rounds, and message counts for the same seed.
+granularity, timed by the same send schedule.  On a reliable network both
+produce identical aggregates, rounds, and message counts for the same seed.
 
 Semantics under failures (both backends):
 
@@ -86,10 +99,21 @@ class ConvergecastResult:
     metrics: MetricsCollector
 
     def value_vector(self, roots: np.ndarray) -> np.ndarray:
-        return np.array([self.local_value[int(r)] for r in roots], dtype=float)
+        return _gather(self.local_value, roots)
 
     def weight_vector(self, roots: np.ndarray) -> np.ndarray:
-        return np.array([self.local_weight[int(r)] for r in roots], dtype=float)
+        return _gather(self.local_weight, roots)
+
+
+def _gather(by_root: dict, roots: np.ndarray) -> np.ndarray:
+    """``by_root``'s values at ``roots``, in order, as a float vector."""
+    keys = np.asarray(roots).tolist()
+    return np.fromiter(map(by_root.__getitem__, keys), dtype=float, count=len(keys))
+
+
+def _by_root(roots: np.ndarray, values: np.ndarray) -> dict:
+    """``{root: values[root]}`` with Python scalars, built in C passes."""
+    return dict(zip(roots.tolist(), values[roots].tolist()))
 
 
 @dataclass
@@ -125,37 +149,6 @@ def _alive_of(drr: DRRResult) -> np.ndarray:
     return alive if alive is not None else np.ones(drr.forest.n, dtype=bool)
 
 
-def _send_schedule(drr: DRRResult, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The structure-determined convergecast send schedule (see module docstring).
-
-    Returns ``(send_round, last_child_round)``: ``send_round[i]`` is the
-    1-based round in which alive non-root ``i`` transmits its accumulated
-    aggregate to its parent (leaves in round 1, a parent one round after its
-    last *known* child's scheduled send); ``last_child_round[p]`` is the
-    latest scheduled send over ``p``'s known alive children (0 for childless
-    nodes), i.e. the round after which a root's aggregate is final.  Computed
-    without touching the RNG, in the shared preamble, so both backends run
-    the identical schedule.
-    """
-    forest = drr.forest
-    n = forest.n
-    known = drr.known_child_mask
-    depth = forest.depth
-    has_parent = forest.parent >= 0
-    send_round = np.zeros(n, dtype=np.int64)
-    last_child_round = np.zeros(n, dtype=np.int64)
-    max_depth = int(depth[alive].max()) if alive.any() else 0
-    for d in range(max_depth, 0, -1):
-        layer = np.flatnonzero(alive & has_parent & (depth == d))
-        if layer.size == 0:
-            continue
-        send_round[layer] = 1 + last_child_round[layer]
-        waiting = layer[known[layer]]
-        if waiting.size:
-            np.maximum.at(last_child_round, forest.parent[waiting], send_round[waiting])
-    return send_round, last_child_round
-
-
 # --------------------------------------------------------------------------- #
 # convergecast
 # --------------------------------------------------------------------------- #
@@ -181,15 +174,14 @@ def run_convergecast(
     metrics = metrics if metrics is not None else MetricsCollector(n=n)
     metrics.begin_phase("convergecast")
     oracle = LossOracle.for_run(failure_model, rng)
-    schedule = _send_schedule(drr, _alive_of(drr))
 
     return run_on(
         backend,
         vectorized=lambda kernel: _convergecast_vectorized(
-            kernel, drr, values, op, oracle, rng, metrics, schedule
+            kernel, drr, values, op, oracle, rng, metrics
         ),
         engine=lambda kernel: _convergecast_engine(
-            kernel, drr, values, op, failure_model, oracle, rng, metrics, schedule
+            kernel, drr, values, op, failure_model, oracle, rng, metrics
         ),
     )
 
@@ -202,14 +194,13 @@ def _convergecast_vectorized(
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
-    schedule: tuple[np.ndarray, np.ndarray],
 ) -> ConvergecastResult:
     forest = drr.forest
     n = forest.n
     alive = _alive_of(drr)
     known = drr.known_child_mask  # child side: my parent knows me
-    depth = forest.depth
-    send_round, _ = schedule
+    schedule = drr.schedule
+    send_round = schedule.send_round
     payload_words = 1 if op in ("max", "min") else 2
     alive_arg = None if alive.all() else alive
 
@@ -218,25 +209,12 @@ def _convergecast_vectorized(
     acc_weight = np.ones(n, dtype=np.int64)
     acc_weight[~alive] = 0
 
-    has_parent = forest.parent >= 0
-    # Partition the senders into depth layers with ONE radix sort instead
-    # of one full-array scan per depth (stable sort keeps each layer in
-    # ascending id order, exactly the order `flatnonzero` produced).
-    members = np.flatnonzero(alive & has_parent)
-    # int32 keys halve the radix passes of the stable sort (depths are tiny)
-    order = members[np.argsort(depth[members].astype(np.int32), kind="stable")]
-    layer_depths = depth[order]
-    max_depth = int(layer_depths[-1]) if order.size else 0
-    bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
     # Sweep the forest bottom-up, one depth layer per batch: a layer's
     # upward transmissions are charged, lossed, and folded as arrays.  The
     # loss oracle keys each transmission by its scheduled send round, so
     # batching by depth instead of by round changes nothing.
     with current_telemetry().span("substrate.convergecast_layers"):
-        for d in range(max_depth, 0, -1):
-            layer = order[bounds[d]:bounds[d + 1]]
-            if layer.size == 0:
-                continue
+        for layer in schedule.up_layers():
             parents = forest.parent[layer]
             delivered = kernel.deliver(
                 metrics,
@@ -258,15 +236,14 @@ def _convergecast_vectorized(
                 np.minimum.at(acc_value, dst, acc_value[src])
             np.add.at(acc_weight, dst, acc_weight[src])
 
-    alive_roots = [int(r) for r in forest.roots if alive[r]]
-    local_value = {r: float(acc_value[r]) for r in alive_roots}
-    local_weight = {r: int(acc_weight[r]) for r in alive_roots}
-    rounds = int(send_round[alive & has_parent].max(initial=0))
+    alive_roots = forest.roots[alive[forest.roots]]
+    # only alive non-roots have a non-zero send round
+    rounds = int(send_round.max(initial=0))
     metrics.record_round(rounds)
     return ConvergecastResult(
         op=op,
-        local_value=local_value,
-        local_weight=local_weight,
+        local_value=_by_root(alive_roots, acc_value),
+        local_weight=_by_root(alive_roots, acc_weight),
         rounds=rounds,
         metrics=metrics,
     )
@@ -275,10 +252,11 @@ def _convergecast_vectorized(
 class ConvergecastNode(ProtocolNode):
     """Per-node convergecast state machine (Algorithms 2 and 3).
 
-    Transmissions follow the precomputed send schedule (see
-    :func:`_send_schedule`): the node sends in round ``send_at`` whether or
-    not every known child's message arrived — a lost message means a missing
-    contribution, never a delay, matching the vectorized backend exactly.
+    Transmissions follow the shared send schedule (see
+    :class:`~repro.core.forest.TreeSchedule`): the node sends in round
+    ``send_at`` whether or not every known child's message arrived — a lost
+    message means a missing contribution, never a delay, matching the
+    vectorized backend exactly.
     """
 
     def __init__(
@@ -350,13 +328,13 @@ def _convergecast_engine(
     oracle: LossOracle,
     rng: np.random.Generator,
     metrics: MetricsCollector,
-    schedule: tuple[np.ndarray, np.ndarray],
 ) -> ConvergecastResult:
     forest = drr.forest
     n = forest.n
     alive = _alive_of(drr)
     known = drr.known_children
-    send_round, last_child_round = schedule
+    send_round = drr.schedule.send_round
+    last_child_round = drr.schedule.last_child_round
     nodes = [
         ConvergecastNode(
             node_id=i,
@@ -381,7 +359,7 @@ def _convergecast_engine(
         strict=False,
     )
 
-    alive_roots = [int(r) for r in forest.roots if alive[r]]
+    alive_roots = forest.roots[alive[forest.roots]].tolist()
     local_value = {r: float(nodes[r].value) for r in alive_roots}
     local_weight = {r: int(nodes[r].weight) for r in alive_roots}
     return ConvergecastResult(
@@ -412,9 +390,10 @@ def run_broadcast(
     metrics = metrics if metrics is not None else MetricsCollector(n=forest.n)
     metrics.begin_phase(phase_name)
     oracle = LossOracle.for_run(failure_model, rng)
-    for root in root_payload:
-        if not forest.is_root(int(root)):
-            raise ValueError(f"node {int(root)} is not a root")
+    keys = np.fromiter(root_payload, dtype=np.int64, count=len(root_payload))
+    not_root = forest.parent[keys] >= 0
+    if not_root.any():
+        raise ValueError(f"node {int(keys[np.argmax(not_root)])} is not a root")
 
     return run_on(
         backend,
@@ -438,74 +417,50 @@ def _broadcast_vectorized(
     forest = drr.forest
     n = forest.n
     alive = _alive_of(drr)
-    depth = forest.depth
+    schedule = drr.schedule
+    sibling_rank = schedule.sibling_rank
     alive_arg = None if alive.all() else alive
 
     received = np.zeros(n, dtype=bool)
     payload = np.full(n, np.nan, dtype=float)
     receive_round = np.full(n, -1, dtype=np.int64)
 
-    for root, value in root_payload.items():
-        root = int(root)
-        if not alive[root]:
-            continue
-        received[root] = True
-        payload[root] = float(value)
-        receive_round[root] = 0
+    roots = np.fromiter(root_payload, dtype=np.int64, count=len(root_payload))
+    values = np.fromiter(root_payload.values(), dtype=float, count=len(root_payload))
+    seeded = alive[roots]
+    roots = roots[seeded]
+    received[roots] = True
+    payload[roots] = values[seeded]
+    receive_round[roots] = 0
 
-    # A parent serves its known children one per round in ascending id
-    # order; precompute each child's 1-based position in that service order.
-    # Children are served whether or not they are still alive: a parent has
-    # no way to learn that a child died after tree construction (mid-run
-    # churn), so it wastes that round -- the transmission is charged and
-    # swallowed, exactly as the message-level engine does.  Under the
-    # initial-crash model every known child is alive, so this filter change
-    # is invisible there.
-    serveable = drr.known_child_mask
-    kids = np.flatnonzero(serveable)
-    parent_keys = forest.parent[kids]
-    if n <= 2**31 - 1:
-        parent_keys = parent_keys.astype(np.int32)  # halves the radix passes
-    order = kids[np.argsort(parent_keys, kind="stable")]
-    sibling_rank = np.zeros(n, dtype=np.int64)
-    if order.size:
-        parents_sorted = forest.parent[order]
-        new_group = np.r_[True, parents_sorted[1:] != parents_sorted[:-1]]
-        group_start = np.maximum.accumulate(np.where(new_group, np.arange(order.size), 0))
-        sibling_rank[order] = np.arange(order.size) - group_start + 1
-
-    # Partition the serveable children into depth layers with one radix
-    # sort (stable: ascending id within a layer) instead of a full-array
-    # scan per depth.
-    by_depth = kids[np.argsort(depth[kids].astype(np.int32), kind="stable")]
-    layer_depths = depth[by_depth]
-    max_depth = int(layer_depths[-1]) if by_depth.size else 0
-    bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
-
-    # Sweep the trees top-down one depth layer per batch; a child's arrival
-    # round is its parent's receive round plus its service position, and the
-    # transmission is charged whether or not it survives.
+    # Sweep the trees top-down one depth layer per batch.  A parent serves
+    # its known children one per round in ascending id order, so a child's
+    # arrival round is its parent's receive round plus its sibling rank, and
+    # the transmission is charged whether or not it survives.  Children are
+    # served whether or not they are still alive: a parent has no way to
+    # learn that a child died after tree construction (mid-run churn), so
+    # it wastes that round -- the transmission is charged and swallowed,
+    # exactly as the message-level engine does.
     max_round = 0
     with current_telemetry().span("substrate.broadcast_layers"):
-        for d in range(1, max_depth + 1):
-            layer = by_depth[bounds[d]:bounds[d + 1]]
-            if layer.size == 0:
+        for layer in schedule.down_layers():
+            parents = forest.parent[layer]
+            served = received[parents]
+            if not served.any():
                 continue
-            layer = layer[received[forest.parent[layer]]]
-            if layer.size == 0:
-                continue
-            arrival = receive_round[forest.parent[layer]] + sibling_rank[layer]
+            layer, parents = layer[served], parents[served]
+            arrival = receive_round[parents] + sibling_rank[layer]
             max_round = max(max_round, int(arrival.max()))
             # A transmission to a depth-d child is sent in the round before
             # its arrival (its parent's serving round), which is the round
             # the engine stamps on the same message.
             delivered = kernel.deliver(
                 metrics, oracle, MessageKind.BROADCAST, layer,
-                senders=forest.parent[layer], round_index=arrival - 1, alive=alive_arg,
+                senders=parents, round_index=arrival - 1, alive=alive_arg,
             )
             got = layer[delivered]
             received[got] = True
-            payload[got] = payload[forest.parent[got]]
+            payload[got] = payload[parents[delivered]]
             receive_round[got] = arrival[delivered]
 
     metrics.record_round(max_round)

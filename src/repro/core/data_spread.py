@@ -49,10 +49,11 @@ def run_data_spread(
     roots = np.asarray(roots, dtype=np.int64)
     if not np.isfinite(value):
         raise ValueError("Data-spread requires a finite value to spread")
-    if spreader not in set(int(r) for r in roots):
+    is_spreader = roots == spreader
+    if not is_spreader.any():
         raise ValueError(f"spreader {spreader} is not one of the roots")
     initial = np.full(roots.shape, -np.inf, dtype=float)
-    initial[np.flatnonzero(roots == spreader)[0]] = float(value)
+    initial[np.argmax(is_spreader)] = float(value)
     return run_gossip_max(
         roots=roots,
         root_values=initial,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from ..simulator.metrics import MetricsCollector
 from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
 from ..substrate import EngineKernel, VectorizedKernel, run_on
-from .forest import Forest
+from .forest import Forest, TreeSchedule, build_tree_schedule
 
 __all__ = ["DRRResult", "DRRNode", "run_drr", "default_probe_budget"]
 
@@ -84,6 +85,15 @@ class DRRResult:
     def known_child_mask(self) -> np.ndarray:
         """``mask[i]`` is True when node ``i`` is a child its parent knows about."""
         return (self.forest.parent >= 0) & self.connect_delivered
+
+    @cached_property
+    def schedule(self) -> TreeSchedule:
+        """The tree schedule every Phase II / final-Broadcast pass sweeps.
+
+        Built on first use and shared by the convergecast and both
+        broadcasts on every backend, so no phase re-derives it.
+        """
+        return build_tree_schedule(self.forest, self.known_child_mask)
 
     @property
     def known_children(self) -> tuple[tuple[int, ...], ...]:

@@ -200,8 +200,8 @@ def _pipeline_churn(
 
 
 def _alive_roots(drr: DRRResult) -> np.ndarray:
-    alive = _alive_mask(drr)
-    return np.array([int(r) for r in drr.forest.roots if alive[r]], dtype=np.int64)
+    roots = drr.forest.roots
+    return roots[_alive_mask(drr)[roots]]
 
 
 def broadcast_root_addresses(
@@ -219,7 +219,8 @@ def broadcast_root_addresses(
     convergence studies) need the same forwarding table the full DRR-gossip
     pipelines build internally.
     """
-    payload = {int(r): float(r) for r in roots}
+    roots = np.asarray(roots, dtype=np.int64)
+    payload = dict(zip(roots.tolist(), roots.astype(float).tolist()))
     outcome = run_broadcast(
         drr,
         payload,
@@ -422,7 +423,7 @@ def _identify_largest_root(
     # root whose own encoding equals the consensus knows it is the largest.
     consensus = max(outcome.estimates.values())
     winner = int(round(consensus)) % (n + 1)
-    if winner not in set(int(r) for r in roots):
+    if not (roots == winner).any():
         # Extremely lossy runs can garble the consensus; fall back to the
         # true largest tree so the pipeline still returns an answer (the
         # error shows up in the accuracy metrics, not as a crash).

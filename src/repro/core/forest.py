@@ -12,6 +12,9 @@ validates the structural invariants that the analysis of Theorems 2-4 and
 * tree ids partition the node set.
 
 The convergecast, broadcast, and gossip phases all consume a ``Forest``.
+The tree phases read it through one :class:`TreeSchedule` (depth layers,
+sibling service order, convergecast send rounds), which
+:func:`build_tree_schedule` derives once per Phase I result.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Forest", "ForestInvariantError"]
+from ..observability.telemetry import instrumented
+from ..substrate import occurrence_index
+
+__all__ = ["Forest", "ForestInvariantError", "TreeSchedule", "build_tree_schedule"]
 
 NO_PARENT = -1
 
@@ -92,25 +98,6 @@ class Forest:
             if par != NO_PARENT:
                 kids[par].append(child)
         return tuple(tuple(c) for c in kids)
-
-    @cached_property
-    def child_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar children view: ``(children_sorted, child_start)``.
-
-        ``children_sorted`` holds all non-root node ids grouped by parent
-        (ascending parent, ascending child id within a parent);
-        ``child_start`` has length ``n + 1`` and delimits each parent's
-        slice CSR-style: the children of ``p`` are
-        ``children_sorted[child_start[p]:child_start[p + 1]]``.  This is the
-        representation the vectorized substrate uses; :attr:`children` stays
-        available for per-node (engine) code and small-n tests.
-        """
-        non_roots = np.flatnonzero(self.parent != NO_PARENT)
-        order = non_roots[np.argsort(self.parent[non_roots], kind="stable")]
-        counts = np.bincount(self.parent[non_roots], minlength=self.n)
-        start = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
-        return order.astype(np.int64), start
 
     def is_leaf(self, node_id: int) -> bool:
         return self.parent[node_id] != NO_PARENT and not self.children[node_id]
@@ -290,3 +277,104 @@ class Forest:
             f"Forest(n={self.n}, roots={self.root_count}, "
             f"max_size={self.max_tree_size}, max_height={self.max_tree_height})"
         )
+
+
+# --------------------------------------------------------------------------- #
+# the shared schedule of the tree phases
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class TreeSchedule:
+    """The forest structure every tree phase sweeps, derived once.
+
+    ``up_order`` lists the convergecast senders (alive non-roots) and
+    ``down_order`` the broadcast receivers (children their parent knows).
+    Both are grouped by depth with ascending ids inside a layer; the
+    depth-``d`` layer is ``order[bounds[d]:bounds[d + 1]]``.
+    ``sibling_rank[c]`` is known child ``c``'s 1-based position in its
+    parent's service order (ascending id), 0 for every other node.
+    ``send_round[i]`` is the 1-based round in which alive non-root ``i``
+    sends its convergecast aggregate (leaves in round 1, a parent one round
+    after its last known child's scheduled send), 0 otherwise;
+    ``last_child_round[p]`` is the latest scheduled send over ``p``'s known
+    alive children (0 for childless nodes), i.e. the round after which a
+    root's aggregate is final.
+    """
+
+    up_order: np.ndarray
+    up_bounds: np.ndarray
+    down_order: np.ndarray
+    down_bounds: np.ndarray
+    sibling_rank: np.ndarray
+    send_round: np.ndarray
+    last_child_round: np.ndarray
+
+    def up_layers(self) -> Iterator[np.ndarray]:
+        """Non-empty convergecast sender layers, deepest first."""
+        bounds = self.up_bounds
+        for d in range(bounds.size - 2, 0, -1):
+            if bounds[d] < bounds[d + 1]:
+                yield self.up_order[bounds[d]:bounds[d + 1]]
+
+    def down_layers(self) -> Iterator[np.ndarray]:
+        """Non-empty broadcast receiver layers, shallowest first."""
+        bounds = self.down_bounds
+        for d in range(1, bounds.size - 1):
+            if bounds[d] < bounds[d + 1]:
+                yield self.down_order[bounds[d]:bounds[d + 1]]
+
+
+def _layer_bounds(order_depths: np.ndarray) -> np.ndarray:
+    """Layer offsets of a depth-sorted order: layer ``d`` is ``[b[d], b[d + 1])``."""
+    top = int(order_depths[-1]) if order_depths.size else 0
+    return np.searchsorted(order_depths, np.arange(top + 2))
+
+
+@instrumented("core.tree_schedule")
+def build_tree_schedule(forest: Forest, known_child_mask: np.ndarray) -> TreeSchedule:
+    """Derive the :class:`TreeSchedule` of ``forest`` in O(n).
+
+    ``known_child_mask[i]`` is True when node ``i``'s parent learned of it
+    (its CONNECT message arrived).  The schedule is a pure function of the
+    forest and that mask and consumes no randomness, so every backend runs
+    the identical one.
+    """
+    n = forest.n
+    parent = forest.parent
+    depth = forest.depth
+    non_roots = np.flatnonzero(parent != NO_PARENT)
+    keys = depth[non_roots]
+    max_depth = int(keys.max()) if keys.size else 0
+    # One stable sort by depth.  numpy's stable sort is a radix sort only
+    # for integer keys of at most 16 bits (wider keys take timsort), and
+    # DRR depths are O(log n) (Theorem 3), so the narrowest key type that
+    # holds them makes this a linear pass.
+    if max_depth <= np.iinfo(np.uint8).max:
+        keys = keys.astype(np.uint8)
+    elif max_depth <= np.iinfo(np.uint16).max:
+        keys = keys.astype(np.uint16)
+    by_depth = non_roots[np.argsort(keys, kind="stable")]
+    # Both orders are mask filters of that one sort; filtering keeps it
+    # stable, so every layer stays in ascending id order.
+    up_order = by_depth if forest.alive is None else by_depth[forest.alive[by_depth]]
+    down_order = by_depth[known_child_mask[by_depth]]
+    up_bounds = _layer_bounds(depth[up_order])
+    down_bounds = _layer_bounds(depth[down_order])
+
+    # A parent serves its known children in ascending id order, so a
+    # child's service position is its occurrence rank among equal parents.
+    kids = np.flatnonzero(known_child_mask)
+    sibling_rank = np.zeros(n, dtype=np.int64)
+    sibling_rank[kids] = occurrence_index(parent[kids]) + 1
+
+    send_round = np.zeros(n, dtype=np.int64)
+    last_child_round = np.zeros(n, dtype=np.int64)
+    schedule = TreeSchedule(
+        up_order, up_bounds, down_order, down_bounds, sibling_rank, send_round, last_child_round
+    )
+    # Fill the send schedule bottom-up: a layer's senders are final once
+    # every deeper layer has reported to its parents.
+    for layer in schedule.up_layers():
+        send_round[layer] = 1 + last_child_round[layer]
+        waiting = layer[known_child_mask[layer]]
+        np.maximum.at(last_child_round, parent[waiting], send_round[waiting])
+    return schedule

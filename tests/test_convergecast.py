@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import run_broadcast, run_convergecast, run_drr
+import repro.core.drr as drr_module
+from repro.core import (
+    DRRGossipConfig,
+    drr_gossip_average,
+    run_broadcast,
+    run_convergecast,
+    run_drr,
+    run_local_drr,
+)
+from repro.core.forest import TreeSchedule
 from repro.simulator import FailureModel
+from repro.topology.graphs import ring_graph
 
 
 @pytest.fixture
@@ -153,3 +165,173 @@ class TestEngineParity:
             backend="engine",
         )
         assert sum(engine.local_weight.values()) <= 128
+
+
+# --------------------------------------------------------------------------- #
+# the shared tree schedule
+# --------------------------------------------------------------------------- #
+def _reference_orders(drr):
+    """The argsort-based derivation each tree phase used to repeat.
+
+    Copied from the convergecast / broadcast bodies that ``TreeSchedule``
+    replaced: int32 stable sorts by depth for the two layer orders and a
+    stable sort by parent for the sibling ranks.
+    """
+    forest = drr.forest
+    n = forest.n
+    alive = forest.alive if forest.alive is not None else np.ones(n, dtype=bool)
+    depth = forest.depth
+    has_parent = forest.parent >= 0
+
+    members = np.flatnonzero(alive & has_parent)
+    up_order = members[np.argsort(depth[members].astype(np.int32), kind="stable")]
+    layer_depths = depth[up_order]
+    max_depth = int(layer_depths[-1]) if up_order.size else 0
+    up_bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
+
+    kids = np.flatnonzero(drr.known_child_mask)
+    order = kids[np.argsort(forest.parent[kids].astype(np.int32), kind="stable")]
+    sibling_rank = np.zeros(n, dtype=np.int64)
+    if order.size:
+        parents_sorted = forest.parent[order]
+        new_group = np.r_[True, parents_sorted[1:] != parents_sorted[:-1]]
+        group_start = np.maximum.accumulate(np.where(new_group, np.arange(order.size), 0))
+        sibling_rank[order] = np.arange(order.size) - group_start + 1
+
+    down_order = kids[np.argsort(depth[kids].astype(np.int32), kind="stable")]
+    layer_depths = depth[down_order]
+    max_depth = int(layer_depths[-1]) if down_order.size else 0
+    down_bounds = np.searchsorted(layer_depths, np.arange(max_depth + 2))
+    return {
+        "up_order": up_order,
+        "up_bounds": up_bounds,
+        "down_order": down_order,
+        "down_bounds": down_bounds,
+        "sibling_rank": sibling_rank,
+    }
+
+
+def _reference_send_schedule(drr):
+    """The per-depth full-array scan that computed the send schedule before."""
+    forest = drr.forest
+    n = forest.n
+    alive = forest.alive if forest.alive is not None else np.ones(n, dtype=bool)
+    known = drr.known_child_mask
+    depth = forest.depth
+    has_parent = forest.parent >= 0
+    send_round = np.zeros(n, dtype=np.int64)
+    last_child_round = np.zeros(n, dtype=np.int64)
+    max_depth = int(depth[alive].max()) if alive.any() else 0
+    for d in range(max_depth, 0, -1):
+        layer = np.flatnonzero(alive & has_parent & (depth == d))
+        if layer.size == 0:
+            continue
+        send_round[layer] = 1 + last_child_round[layer]
+        waiting = layer[known[layer]]
+        if waiting.size:
+            np.maximum.at(last_child_round, forest.parent[waiting], send_round[waiting])
+    return {"send_round": send_round, "last_child_round": last_child_round}
+
+
+def _assert_fields_equal(schedule: TreeSchedule, expected: dict) -> None:
+    for name, want in expected.items():
+        got = getattr(schedule, name)
+        assert np.array_equal(got, want), f"TreeSchedule.{name} differs from the reference"
+
+
+def _ring_chain(n: int):
+    """Local-DRR on a ring with increasing ranks: a chain of depth n - 2.
+
+    Node ``i`` attaches to ``i + 1`` up to the root ``n - 1``, except node 0,
+    whose best neighbour is the root itself.
+    """
+    return run_local_drr(ring_graph(n), rng=0, ranks=np.arange(n, dtype=float))
+
+
+SCHEDULE_CASES = [
+    pytest.param(n, seed, failures, id=f"n{n}-seed{seed}-{label}")
+    for n in (1, 2, 37, 1000, 5000)
+    for seed in (0, 1, 2)
+    for label, failures in (
+        ("reliable", FailureModel()),
+        ("loss0.3", FailureModel(loss_probability=0.3)),
+        ("crash0.2", FailureModel(crash_fraction=0.2)),
+    )
+]
+
+
+class TestTreeSchedule:
+    @pytest.mark.parametrize("n,seed,failures", SCHEDULE_CASES)
+    def test_matches_the_argsort_reference_on_drr_forests(self, n, seed, failures):
+        drr = run_drr(n, rng=seed, failure_model=failures)
+        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
+
+    def test_dead_non_roots_neither_send_nor_count(self):
+        # DRR leaves crashed nodes as isolated roots; a forest built
+        # elsewhere may mark non-roots dead, and those must not send.
+        drr = run_drr(1000, rng=6)
+        dead = np.random.default_rng(6).random(1000) < 0.2
+        assert (dead & (drr.forest.parent >= 0)).any()
+        forest = dataclasses.replace(drr.forest, alive=~dead)
+        drr = dataclasses.replace(drr, forest=forest)
+        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
+
+    @pytest.mark.parametrize("connect_loss", [0.0, 0.3])
+    def test_uint16_depth_keys_on_a_deep_local_drr_chain(self, connect_loss):
+        drr = _ring_chain(600)
+        assert 255 < int(drr.forest.depth.max()) <= np.iinfo(np.uint16).max
+        # Lossy rank announcements would break the chain, so drop CONNECT
+        # messages on the finished chain instead.
+        lost = np.random.default_rng(3).random(600) < connect_loss
+        drr = dataclasses.replace(drr, connect_delivered=drr.connect_delivered & ~lost)
+        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
+
+    def test_int64_depth_keys_on_a_70k_chain(self):
+        drr = _ring_chain(70_000)
+        depth = drr.forest.depth
+        max_depth = int(depth.max())
+        assert max_depth > np.iinfo(np.uint16).max
+        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        # The per-depth scan reference is quadratic on a chain, so walk the
+        # senders one node at a time instead, deepest first: every child
+        # has reported before its parent's send round is fixed.
+        parent = drr.forest.parent.tolist()
+        known = drr.known_child_mask.tolist()
+        send_round = [0] * drr.forest.n
+        last_child_round = [0] * drr.forest.n
+        senders = [i for i in range(drr.forest.n) if parent[i] >= 0]
+        for i in sorted(senders, key=depth.tolist().__getitem__, reverse=True):
+            send_round[i] = 1 + last_child_round[i]
+            if known[i]:
+                last_child_round[parent[i]] = max(last_child_round[parent[i]], send_round[i])
+        assert max(send_round) == max_depth
+        _assert_fields_equal(
+            drr.schedule,
+            {"send_round": np.array(send_round), "last_child_round": np.array(last_child_round)},
+        )
+
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_an_average_run_builds_the_schedule_once(self, backend, monkeypatch):
+        calls = []
+        build = drr_module.build_tree_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(drr_module, "build_tree_schedule", counting)
+        values = np.random.default_rng(0).uniform(0.0, 1.0, size=256)
+        result = drr_gossip_average(values, rng=5, config=DRRGossipConfig(backend=backend))
+        assert result.coverage == 1.0
+        assert len(calls) == 1
+
+    def test_broadcast_names_the_offending_non_root(self, drr_256):
+        forest = drr_256.forest
+        non_root = int(np.flatnonzero(forest.parent >= 0)[-1])
+        payload = {int(r): 1.0 for r in forest.roots}
+        payload[non_root] = 2.0
+        with pytest.raises(ValueError, match=rf"^node {non_root} is not a root$"):
+            run_broadcast(drr_256, payload, rng=1)

@@ -238,6 +238,21 @@ class TestTelemetry:
         assert "sharded.inline.small_batch" in text
         assert format_telemetry({}) == "(no telemetry recorded)"
 
+    @pytest.mark.parametrize("aggregate", ["average", "max"])
+    def test_tree_schedule_span_once_per_drr_gossip_run(self, aggregate):
+        spec = RunSpec(
+            protocol="drr-gossip",
+            params={"n": 2000, "aggregate": aggregate},
+            backend="vectorized",
+            seed=3,
+            telemetry=True,
+        )
+        spans = repro.run(spec).telemetry["spans"]
+        # the convergecast and both broadcasts share one schedule build
+        assert spans["core.tree_schedule"]["count"] == 1
+        assert spans["substrate.convergecast_layers"]["count"] == 1
+        assert spans["substrate.broadcast_layers"]["count"] == 2
+
 
 # --------------------------------------------------------------------------- #
 # neutrality: telemetry never changes outcomes or identities
