@@ -10,29 +10,20 @@ Two uses:
   engine by at least ``--min-speedup`` (default 5x) on uniform gossip *and*
   on Local-DRR over a random regular graph at ``--n`` (default 10^5)
   nodes; a batch of Chord lookups must complete on both backends with
-  identical owners; the ``sharded`` backend must reproduce the vectorized
-  run *exactly* (rounds, messages incl. per-phase, estimates) at
-  ``--sharded-n`` with ``--shards`` workers and finish inside
-  ``--sharded-budget`` seconds; with ``--scale`` a full
-  ``drr_gossip_average`` run at 10^6 nodes plus a vectorized Local-DRR
-  over a 10^6-node sparse random graph must finish; and with
-  ``--scale-large`` the 10^7-node ``drr_gossip_average`` tier runs:
-  ``vectorized`` must complete within ``--large-budget`` seconds and
-  ``sharded`` (P = ``--large-shards``, default 4) must be >= 3x faster —
-  the ratio is *enforced* when the host has at least ``--large-shards``
-  CPU cores and reported otherwise (a single-core runner cannot exhibit a
-  multiprocessing speedup, and pretending it failed would only teach
-  people to delete the check).
+  identical owners; with ``--scale`` a full ``drr_gossip_average`` run at
+  10^6 nodes plus a vectorized Local-DRR over a 10^6-node sparse random
+  graph must finish; and with ``--scale-large`` a 10^7-node
+  ``drr_gossip_average`` run on ``vectorized`` must complete within
+  ``--large-budget`` seconds.
 
-  The compiled tiers follow the same honesty rule: ``--compiled-only``
-  (the ``bench-compiled`` CI job) asserts bit-equivalence at
-  ``--compiled-n`` and requires the jitted probe exchange to beat the
-  vectorized one by ``--compiled-min-ratio`` (default 2x) — enforced only
-  under real numba, reported in python-fallback mode.  ``--scale-xl``
-  runs ``drr_gossip_average`` at 10^8 nodes on the compiled backend
-  inside ``--xl-budget`` seconds.  ``--sharded-lossy`` proves the lossy
-  Phase III relay runs fully pooled (zero ``sharded.inline.*`` telemetry
-  counters) while matching the vectorized run bit-for-bit.
+  ``--compiled-only`` (the ``bench-compiled`` CI job) asserts
+  bit-equivalence at ``--compiled-n`` and requires the jitted probe
+  exchange to beat the vectorized one by ``--compiled-min-ratio``
+  (default 2x) — enforced only under real numba and reported in
+  python-fallback mode, where there are no jitted loops to win with
+  (pretending that failed would only teach people to delete the check).
+  ``--scale-xl`` runs ``drr_gossip_average`` at 10^8 nodes on the
+  compiled backend inside ``--xl-budget`` seconds.
 
   The telemetry overhead gate (``smoke_telemetry_overhead``) patches the
   instrumented substrate primitives back to their ``__wrapped__``
@@ -43,7 +34,7 @@ Two uses:
   run bit-for-bit.
 
   Every measured run appends a machine-readable row (protocol, n,
-  backend, shards, wall time, git SHA) to ``BENCH_substrate.json`` — the
+  backend, wall time, git SHA) to ``BENCH_substrate.json`` — the
   persisted perf trajectory that ``drr-gossip results --bench`` prints —
   unless ``--no-json`` is given.  Exit status is non-zero when any
   enforced bar is missed.
@@ -52,7 +43,6 @@ Two uses:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -62,8 +52,7 @@ from repro.baselines import push_sum
 from repro.core import DRRGossipConfig, drr_gossip_average, run_drr, run_local_drr
 from repro.harness import make_values
 from repro.harness.benchlog import DEFAULT_BENCH_FILE, append_bench_rows
-from repro.substrate import run_chord_lookups, shutdown_pools
-from repro.substrate import sharded as sharded_backend
+from repro.substrate import run_chord_lookups
 from repro.topology import ChordNetwork, random_regular_graph
 
 #: rows accumulated by the smoke checks, flushed to BENCH_substrate.json
@@ -71,15 +60,13 @@ BENCH_ROWS: list[dict] = []
 
 
 def record(bench: str, *, protocol: str, n: int, backend: str, wall_s: float,
-           shards: int | None = None, messages: int | None = None,
-           rounds: int | None = None) -> None:
+           messages: int | None = None, rounds: int | None = None) -> None:
     BENCH_ROWS.append(
         {
             "bench": bench,
             "protocol": protocol,
             "n": int(n),
             "backend": backend,
-            "shards": shards,
             "wall_s": float(wall_s),
             "messages": messages,
             "rounds": rounds,
@@ -229,50 +216,6 @@ def smoke_chord_batch(n: int) -> bool:
     return True
 
 
-def smoke_sharded(n: int, shards: int, budget_s: float = 60.0) -> bool:
-    """The sharded backend reproduces the vectorized run exactly, at speed.
-
-    Runs ``drr_gossip_average`` at ``n`` on both backends (the sharded one
-    on a real worker pool: ``min_batch=0`` forces every batch through the
-    shards) and asserts identical rounds, total/per-phase message counts,
-    and estimates to 1e-12 — plus completion within ``budget_s``.
-    """
-    values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
-    start = time.perf_counter()
-    reference = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="vectorized"))
-    vectorized_s = time.perf_counter() - start
-    sharded_backend.configure(shards=shards, min_batch=0)
-    try:
-        start = time.perf_counter()
-        result = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="sharded"))
-        sharded_s = time.perf_counter() - start
-    finally:
-        sharded_backend.configure(min_batch=sharded_backend.DEFAULT_MIN_BATCH)
-        shutdown_pools()
-    record("sharded-smoke", protocol="drr-gossip-average", n=n, backend="vectorized",
-           wall_s=vectorized_s, messages=reference.messages, rounds=reference.rounds)
-    record("sharded-smoke", protocol="drr-gossip-average", n=n, backend="sharded",
-           shards=shards, wall_s=sharded_s, messages=result.messages, rounds=result.rounds)
-    print(
-        f"sharded smoke, n={n}, P={shards}: vectorized {vectorized_s:.2f}s, "
-        f"sharded {sharded_s:.2f}s"
-    )
-    if result.rounds != reference.rounds or result.messages != reference.messages:
-        print("FAIL: sharded backend diverged from vectorized (rounds/messages)")
-        return False
-    if result.metrics.messages_by_phase() != reference.metrics.messages_by_phase():
-        print("FAIL: sharded backend diverged from vectorized (per-phase messages)")
-        return False
-    if not np.allclose(result.estimates, reference.estimates, rtol=1e-12, equal_nan=True):
-        print("FAIL: sharded backend estimates diverged beyond 1e-12")
-        return False
-    if sharded_s > budget_s:
-        print(f"FAIL: sharded run took {sharded_s:.1f}s (> {budget_s:g}s budget)")
-        return False
-    print(f"OK: sharded backend is equivalent and completed in {sharded_s:.1f}s (< {budget_s:g}s)")
-    return True
-
-
 def smoke_telemetry_overhead(
     n: int, max_overhead_pct: float = 2.0, repeats: int = 5
 ) -> bool:
@@ -411,14 +354,8 @@ def smoke_scale(n: int) -> bool:
     return True
 
 
-def smoke_scale_large(n: int, shards: int, vectorized_budget_s: float, min_ratio: float) -> bool:
-    """The n=10^7 tier: vectorized completes; sharded (P shards) is >= 3x.
-
-    The speedup ratio is enforced only when the host has at least
-    ``shards`` CPU cores — a single-core runner cannot exhibit a
-    multiprocessing speedup, so there the ratio is measured and reported
-    but does not fail the run (equivalence is still asserted).
-    """
+def smoke_scale_large(n: int, vectorized_budget_s: float) -> bool:
+    """The n=10^7 tier: vectorized completes inside its budget and converges."""
     values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
     start = time.perf_counter()
     reference = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="vectorized"))
@@ -437,94 +374,8 @@ def smoke_scale_large(n: int, shards: int, vectorized_budget_s: float, min_ratio
     if not (reference.coverage == 1.0 and reference.max_relative_error < 1e-3):
         print("FAIL: large-scale vectorized run did not converge")
         ok = False
-
-    sharded_backend.configure(shards=shards)
-    try:
-        start = time.perf_counter()
-        result = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="sharded"))
-        sharded_s = time.perf_counter() - start
-    finally:
-        shutdown_pools()
-    record("pipeline-scale-large", protocol="drr-gossip-average", n=n, backend="sharded",
-           shards=shards, wall_s=sharded_s, messages=result.messages, rounds=result.rounds)
-    ratio = vectorized_s / max(sharded_s, 1e-9)
-    print(f"drr_gossip_average, n={n}: sharded(P={shards}) {sharded_s:.1f}s -> {ratio:.2f}x vectorized")
-    if result.messages != reference.messages or result.rounds != reference.rounds:
-        print("FAIL: sharded large-scale run diverged from vectorized (rounds/messages)")
-        ok = False
-    if not np.allclose(result.estimates, reference.estimates, rtol=1e-12, equal_nan=True):
-        print("FAIL: sharded large-scale estimates diverged beyond 1e-12")
-        ok = False
-    cores = os.cpu_count() or 1
-    if cores >= shards:
-        if ratio < min_ratio:
-            print(f"FAIL: sharded speedup {ratio:.2f}x below the required {min_ratio:g}x")
-            ok = False
-        else:
-            print(f"OK: sharded backend wins by >= {min_ratio:g}x at n={n}")
-    else:
-        print(
-            f"NOTE: host has {cores} CPU core(s) < P={shards}; the {min_ratio:g}x "
-            "ratio is reported, not enforced (no parallel hardware to win on)"
-        )
-    return ok
-
-
-def smoke_sharded_lossy(n: int, shards: int) -> bool:
-    """Lossy Phase III relays run *sharded*: zero ``sharded.inline.*`` counters.
-
-    PR 5 shipped the lossy relay as an inline fallback (cross-shard
-    occurrence nonces were unsolved); the cross-shard rank merge removed
-    it.  This smoke proves the removal end-to-end: a lossy run with
-    ``min_batch=0`` must push every relay through the pool (telemetry
-    counts any inline detour) while staying bit-equivalent to vectorized.
-    """
-    from repro.observability import Telemetry, use_telemetry
-    from repro.simulator.failures import FailureModel
-
-    values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
-    lossy = FailureModel(loss_probability=0.05)
-    reference = drr_gossip_average(
-        values, rng=1, config=DRRGossipConfig(failure_model=lossy, backend="vectorized")
-    )
-    sharded_backend.configure(shards=shards, min_batch=0)
-    tel = Telemetry()
-    try:
-        start = time.perf_counter()
-        with use_telemetry(tel):
-            result = drr_gossip_average(
-                values, rng=1, config=DRRGossipConfig(failure_model=lossy, backend="sharded")
-            )
-        sharded_s = time.perf_counter() - start
-    finally:
-        sharded_backend.configure(min_batch=sharded_backend.DEFAULT_MIN_BATCH)
-        shutdown_pools()
-    tel.finish()
-    doc = tel.as_dict()
-    inline = sorted(
-        name for name in doc.get("counters", {}) if name.startswith("sharded.inline.")
-    )
-    record("sharded-lossy-smoke", protocol="drr-gossip-average", n=n, backend="sharded",
-           shards=shards, wall_s=sharded_s, messages=result.messages, rounds=result.rounds)
-    print(
-        f"sharded lossy smoke, n={n}, P={shards}, delta=0.05: {sharded_s:.2f}s, "
-        f"rounds={result.rounds}, messages={result.messages}"
-    )
-    ok = True
-    if inline:
-        print(f"FAIL: lossy relays fell back inline (counters: {', '.join(inline)})")
-        ok = False
-    if result.messages != reference.messages or result.rounds != reference.rounds:
-        print("FAIL: pooled lossy run diverged from vectorized (rounds/messages)")
-        ok = False
-    if result.metrics.messages_by_phase() != reference.metrics.messages_by_phase():
-        print("FAIL: pooled lossy run diverged from vectorized (per-phase messages)")
-        ok = False
-    if not np.allclose(result.estimates, reference.estimates, rtol=1e-12, equal_nan=True):
-        print("FAIL: pooled lossy estimates diverged beyond 1e-12")
-        ok = False
     if ok:
-        print("OK: lossy relays run fully pooled (no sharded.inline.* counters)")
+        print(f"OK: vectorized completes n={n} in {vectorized_s:.1f}s (< {vectorized_budget_s:g}s)")
     return ok
 
 
@@ -551,45 +402,42 @@ def smoke_churn_equivalence(n: int) -> bool:
         "churn_schedule": [[3, [2, 7, 11], "crash"], [9, [2], "join"]],
     }
     ok = True
-    try:
-        for protocol, params in (
-            ("push-sum", {"n": n, "workload": "uniform"}),
-            ("epoch-gossip-ave", {"n": n, "workload": "uniform", "epochs": 3}),
-        ):
-            results = {}
-            for backend in sorted(BACKENDS):
-                spec = RunSpec(
-                    protocol=protocol, params=params, seed=7,
-                    backend=backend, failures=failures,
-                )
-                start = time.perf_counter()
-                results[backend] = run(spec)
-                elapsed = time.perf_counter() - start
-                record("churn-equivalence", protocol=protocol, n=n, backend=backend,
-                       wall_s=elapsed, messages=results[backend].messages,
-                       rounds=results[backend].rounds)
-            reference = results["vectorized"]
-            print(
-                f"churn equivalence, {protocol}, n={n}: " + ", ".join(
-                    f"{b}={r.rounds}r/{r.messages}m" for b, r in sorted(results.items())
-                )
+    for protocol, params in (
+        ("push-sum", {"n": n, "workload": "uniform"}),
+        ("epoch-gossip-ave", {"n": n, "workload": "uniform", "epochs": 3}),
+    ):
+        results = {}
+        for backend in sorted(BACKENDS):
+            spec = RunSpec(
+                protocol=protocol, params=params, seed=7,
+                backend=backend, failures=failures,
             )
-            degradation_ref = _json.dumps(reference.degradation, sort_keys=True)
-            for backend, result in sorted(results.items()):
-                if not result.same_outcome(reference):
-                    print(f"FAIL: {protocol} on {backend} diverged from vectorized under churn")
-                    ok = False
-                if _json.dumps(result.degradation, sort_keys=True) != degradation_ref:
-                    print(f"FAIL: {protocol} on {backend} degradation metrics diverged")
-                    ok = False
-            if reference.degradation is None:
-                print(f"FAIL: {protocol} churn run carried no degradation section")
+            start = time.perf_counter()
+            results[backend] = run(spec)
+            elapsed = time.perf_counter() - start
+            record("churn-equivalence", protocol=protocol, n=n, backend=backend,
+                   wall_s=elapsed, messages=results[backend].messages,
+                   rounds=results[backend].rounds)
+        reference = results["vectorized"]
+        print(
+            f"churn equivalence, {protocol}, n={n}: " + ", ".join(
+                f"{b}={r.rounds}r/{r.messages}m" for b, r in sorted(results.items())
+            )
+        )
+        degradation_ref = _json.dumps(reference.degradation, sort_keys=True)
+        for backend, result in sorted(results.items()):
+            if not result.same_outcome(reference):
+                print(f"FAIL: {protocol} on {backend} diverged from vectorized under churn")
                 ok = False
-            elif not reference.degradation.get("messages_to_dead", 0):
-                print(f"FAIL: {protocol} churn run charged no messages to dead recipients")
+            if _json.dumps(result.degradation, sort_keys=True) != degradation_ref:
+                print(f"FAIL: {protocol} on {backend} degradation metrics diverged")
                 ok = False
-    finally:
-        shutdown_pools()
+        if reference.degradation is None:
+            print(f"FAIL: {protocol} churn run carried no degradation section")
+            ok = False
+        elif not reference.degradation.get("messages_to_dead", 0):
+            print(f"FAIL: {protocol} churn run charged no messages to dead recipients")
+            ok = False
     if ok:
         print(
             f"OK: churn scenario identical across {len(BACKENDS)} backend(s) "
@@ -682,8 +530,7 @@ def smoke_compiled(n: int, min_ratio: float) -> bool:
     primitive) on both kernels.  The >= ``min_ratio`` speedup is enforced
     only under real numba — in python-fallback mode (``REPRO_COMPILED_PYTHON``)
     the compiled kernel routes through the same NumPy loops, so the ratio
-    is reported, not enforced (same honesty rule as the cores guard in the
-    sharded tier).
+    is reported, not enforced.
     """
     from repro.simulator.failures import FailureModel, LossOracle
     from repro.simulator.metrics import MetricsCollector
@@ -736,12 +583,10 @@ def smoke_compiled(n: int, min_ratio: float) -> bool:
             senders=senders, ranks=ranks, round_index=3, alive=None,
         )
 
-    probe(kernel._inline_probe_exchange)  # numba compile / warm-up
+    probe(kernel.probe_exchange)  # numba compile / warm-up
     vec_s = min(_time(lambda: probe(VectorizedKernel.probe_exchange)) for _ in range(3))
-    comp_s = min(_time(lambda: probe(kernel._inline_probe_exchange)) for _ in range(3))
-    if not np.array_equal(
-        probe(VectorizedKernel.probe_exchange), probe(kernel._inline_probe_exchange)
-    ):
+    comp_s = min(_time(lambda: probe(kernel.probe_exchange)) for _ in range(3))
+    if not np.array_equal(probe(VectorizedKernel.probe_exchange), probe(kernel.probe_exchange)):
         print("FAIL: compiled probe exchange disagrees with vectorized")
         ok = False
     ratio = vec_s / max(comp_s, 1e-9)
@@ -820,16 +665,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale-n", type=int, default=1_000_000)
     parser.add_argument(
         "--scale-large", action="store_true",
-        help="also run the 10^7-node tier: vectorized completion + sharded >= 3x "
-        "(ratio enforced only on hosts with enough cores)",
+        help="also run the 10^7-node vectorized completion check",
     )
     parser.add_argument("--scale-large-n", type=int, default=10_000_000)
-    parser.add_argument("--large-shards", type=int, default=4, help="P for the 10^7 sharded tier")
     parser.add_argument(
         "--large-budget", type=float, default=540.0,
         help="vectorized wall-clock budget (s) for the 10^7 run (single-digit minutes)",
     )
-    parser.add_argument("--large-min-ratio", type=float, default=3.0)
     parser.add_argument(
         "--scale-xl", action="store_true",
         help="also run the 10^8-node compiled tier (single-digit-minutes budget; "
@@ -853,17 +695,7 @@ def main(argv: list[str] | None = None) -> int:
         "--compiled-min-ratio", type=float, default=2.0,
         help="required vectorized->compiled speedup on the probe-exchange micro-bench",
     )
-    parser.add_argument(
-        "--sharded-lossy", action="store_true",
-        help="also run the lossy pooled-relay smoke (zero sharded.inline.* counters "
-        "at --sharded-lossy-n with --shards workers)",
-    )
-    parser.add_argument("--sharded-lossy-n", type=int, default=1_000_000)
     parser.add_argument("--chord-n", type=int, default=4096, help="nodes/lookups for the Chord batch check")
-    parser.add_argument("--sharded-n", type=int, default=100_000, help="nodes for the sharded equivalence smoke")
-    parser.add_argument("--shards", type=int, default=2, help="worker processes for the sharded smoke")
-    parser.add_argument("--sharded-budget", type=float, default=60.0)
-    parser.add_argument("--skip-sharded", action="store_true", help="skip the sharded smoke")
     parser.add_argument(
         "--telemetry-n", type=int, default=None,
         help="nodes for the disabled-telemetry overhead gate (default: --n)",
@@ -874,10 +706,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-telemetry", action="store_true", help="skip the telemetry overhead gate",
-    )
-    parser.add_argument(
-        "--sharded-only", action="store_true",
-        help="run only the sharded equivalence smoke (the dedicated CI job)",
     )
     parser.add_argument(
         "--churn-only", action="store_true",
@@ -902,20 +730,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-json", action="store_true", help="do not write the trajectory file")
     args = parser.parse_args(argv)
 
-    if args.sharded_only and args.skip_sharded:
-        parser.error("--sharded-only and --skip-sharded contradict each other")
-    if args.sharded_only:
-        ok = smoke_sharded(args.sharded_n, args.shards, args.sharded_budget)
-        if args.sharded_lossy:
-            ok = smoke_sharded_lossy(args.sharded_lossy_n, args.shards) and ok
-        if args.scale_large:
-            ok = smoke_scale_large(
-                args.scale_large_n, args.large_shards, args.large_budget, args.large_min_ratio
-            ) and ok
-        if not args.no_json and BENCH_ROWS:
-            path = append_bench_rows(BENCH_ROWS, args.json)
-            print(f"recorded {len(BENCH_ROWS)} benchmark row(s) in {path}")
-        return 0 if ok else 1
     if args.churn_only:
         ok = smoke_churn_equivalence(args.churn_n)
         ok = smoke_churn_overhead(args.churn_overhead_n, args.max_churn_overhead) and ok
@@ -939,10 +753,6 @@ def main(argv: list[str] | None = None) -> int:
             args.telemetry_n if args.telemetry_n is not None else args.n,
             args.max_telemetry_overhead,
         ) and ok
-    if not args.skip_sharded:
-        ok = smoke_sharded(args.sharded_n, args.shards, args.sharded_budget) and ok
-    if args.sharded_lossy:
-        ok = smoke_sharded_lossy(args.sharded_lossy_n, args.shards) and ok
     from repro.substrate import BACKENDS as _backends
 
     if "compiled" in _backends:
@@ -951,9 +761,7 @@ def main(argv: list[str] | None = None) -> int:
         ok = smoke_scale(args.scale_n) and ok
         ok = smoke_local_drr_scale(args.scale_n) and ok
     if args.scale_large:
-        ok = smoke_scale_large(
-            args.scale_large_n, args.large_shards, args.large_budget, args.large_min_ratio
-        ) and ok
+        ok = smoke_scale_large(args.scale_large_n, args.large_budget) and ok
     if args.scale_xl:
         ok = smoke_scale_xl(args.scale_xl_n, args.xl_budget) and ok
     if not args.no_json and BENCH_ROWS:

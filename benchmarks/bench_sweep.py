@@ -15,7 +15,8 @@ The distributed path must reach ``--min-ratio`` (default 1.8) times the
 serial cells/sec — enforced only when the host has at least 2 CPU cores;
 a single-core runner cannot exhibit a multiprocessing speedup, so there
 the ratio is measured and reported but does not fail the run (the same
-honesty rule as ``bench_substrate.py``'s sharded gates).  Queue-path
+honesty rule as ``bench_substrate.py``'s compiled gate, which enforces its
+ratio only under real numba).  Queue-path
 integrity is always asserted: every queue row terminal ``done``, every
 cell claimed exactly once, and result rows identical in number to the
 local baseline's.

@@ -19,26 +19,16 @@ when they are expressed as specs.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Iterable, Mapping
 
 from ..observability.telemetry import NullTelemetry, Telemetry, use_telemetry
 from ..simulator.rng import make_rng
-from ..substrate import get_kernel
 from .protocols import RunContext, get_protocol
 from .result import RunResult
 from .spec import RunSpec
 
 __all__ = ["run", "run_many"]
-
-
-def _backend_context(spec: RunSpec):
-    """Apply the spec's backend options (e.g. sharded shard count) for the run."""
-    if not spec.backend_options:
-        return contextlib.nullcontext()
-    kernel = get_kernel(spec.backend)
-    return kernel.options(**spec.backend_options)
 
 
 def run(spec: RunSpec | Mapping, *, telemetry: NullTelemetry | None = None) -> RunResult:
@@ -66,13 +56,12 @@ def run(spec: RunSpec | Mapping, *, telemetry: NullTelemetry | None = None) -> R
         backend=spec.backend,
         topology=topology,
     )
-    with _backend_context(spec):
-        if tel is not None and tel.enabled:
-            with use_telemetry(tel):
-                output = protocol.run(ctx, spec.params)
-            tel.finish()
-        else:
+    if tel is not None and tel.enabled:
+        with use_telemetry(tel):
             output = protocol.run(ctx, spec.params)
+        tel.finish()
+    else:
+        output = protocol.run(ctx, spec.params)
     wall_time = time.perf_counter() - start
     metrics = output.metrics
     return RunResult(

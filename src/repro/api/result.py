@@ -46,9 +46,9 @@ class RunResult:
         The underlying protocol result object; None after deserialisation.
     telemetry:
         The run's telemetry document (phase/primitive timing spans, peak
-        RSS, counters, sharded-pool utilization), or None when telemetry
-        was disabled.  An observation about the execution, not part of the
-        outcome: excluded from :meth:`same_outcome` like ``wall_time_s``.
+        RSS, counters), or None when telemetry was disabled.  An
+        observation about the execution, not part of the outcome: excluded
+        from :meth:`same_outcome` like ``wall_time_s``.
     degradation:
         Fault-degradation section for churn runs (survivor counts, the
         survivor-relative error, messages wasted on dead recipients, and —

@@ -174,60 +174,9 @@ class TopologySpec:
         return make_graph(self.family, self.n, rng)
 
 
-#: Options each backend accepts in ``RunSpec.backend_options`` (everything
-#: is coerced to int; unknown keys and options for backends that take none
-#: are rejected at spec-construction time).
-BACKEND_OPTION_KEYS: dict[str, frozenset[str]] = {
-    "sharded": frozenset({"shards", "min_batch"}),
-    "compiled": frozenset({"shards", "min_batch"}),
-}
-
-
-def _validate_backend_options(backend: str, options: Any) -> dict[str, int]:
-    if options is None:
-        return {}
-    if not isinstance(options, Mapping):
-        raise SpecValidationError(
-            f"'backend_options' must be a table/object, got {options!r}"
-        )
-    options = dict(options)
-    if not options:
-        return {}
-    allowed = BACKEND_OPTION_KEYS.get(backend, frozenset())
-    unknown = set(options) - allowed
-    if unknown:
-        if not allowed:
-            raise SpecValidationError(
-                f"backend {backend!r} takes no backend_options, got {sorted(options)}"
-            )
-        raise SpecValidationError(
-            f"backend {backend!r} does not accept backend_options "
-            f"{sorted(unknown)} (valid: {sorted(allowed)})"
-        )
-    normalised = {
-        key: _coerce_int(value, f"backend option {key!r}") for key, value in options.items()
-    }
-    if normalised.get("shards", 1) < 1:
-        raise SpecValidationError(
-            f"backend option 'shards' must be >= 1, got {normalised['shards']}"
-        )
-    if normalised.get("min_batch", 0) < 0:
-        raise SpecValidationError(
-            f"backend option 'min_batch' must be >= 0, got {normalised['min_batch']}"
-        )
-    return normalised
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One protocol run, fully described by serialisable values.
-
-    ``backend_options`` carries backend-specific execution knobs (today:
-    ``{"shards": P, "min_batch": B}`` for the ``sharded`` backend).  They
-    are part of the spec — a sweep cell pins them, a remote worker applies
-    them — but an *empty* options table serialises to nothing, so specs
-    written before the field existed keep their hashes (store resume is
-    unaffected).
 
     Examples
     --------
@@ -244,7 +193,6 @@ class RunSpec:
     failures: FailureModel = field(default_factory=FailureModel)
     backend: str = DEFAULT_BACKEND
     seed: int = DEFAULT_SPEC_SEED
-    backend_options: Mapping[str, int] = field(default_factory=dict)
     #: Record telemetry for this run (``RunResult.telemetry``).  An
     #: execution knob, not an identity: serialised only when set (so the
     #: toggle travels to sweep workers) but excluded from
@@ -260,9 +208,6 @@ class RunSpec:
         except Exception as exc:
             raise SpecValidationError(str(exc)) from exc
         object.__setattr__(self, "seed", _coerce_int(self.seed, "'seed'"))
-        object.__setattr__(
-            self, "backend_options", _validate_backend_options(self.backend, self.backend_options)
-        )
         object.__setattr__(self, "telemetry", bool(self.telemetry))
         if isinstance(self.topology, Mapping):
             object.__setattr__(self, "topology", TopologySpec.from_dict(self.topology))
@@ -288,7 +233,6 @@ class RunSpec:
                 self.failures,
                 self.backend,
                 self.seed,
-                _freeze(dict(self.backend_options)),
                 self.telemetry,
             )
         )
@@ -307,17 +251,7 @@ class RunSpec:
         return self.replace(telemetry=bool(enabled))
 
     def with_backend(self, backend: str) -> "RunSpec":
-        """A copy on ``backend``, keeping only the options that backend takes.
-
-        (Silently dropping now-inapplicable options is what a sweep-wide
-        ``--backend`` override wants: a spec file pinned to
-        ``sharded[shards=4]`` re-targeted at ``engine`` should run, not
-        fail validation.)
-        """
-        name = normalize_backend(backend)
-        allowed = BACKEND_OPTION_KEYS.get(name, frozenset())
-        options = {k: v for k, v in dict(self.backend_options).items() if k in allowed}
-        return self.replace(backend=name, backend_options=options)
+        return self.replace(backend=backend)
 
     # ------------------------------------------------------------------ #
     # serialisation
@@ -330,10 +264,6 @@ class RunSpec:
             "backend": self.backend,
             "seed": self.seed,
         }
-        if self.backend_options:
-            # Only serialised when non-empty so pre-existing specs (and the
-            # store rows hashed from them) keep their identities.
-            doc["backend_options"] = dict(self.backend_options)
         if self.telemetry:
             # Serialised so the toggle reaches sweep workers, but popped
             # again by spec_hash/param_hash: telemetry is never identity.
@@ -355,7 +285,6 @@ class RunSpec:
             "failures",
             "backend",
             "seed",
-            "backend_options",
             "telemetry",
         }
         unknown = set(doc) - known
@@ -373,7 +302,6 @@ class RunSpec:
             failures=doc.get("failures", FailureModel()),
             backend=str(doc.get("backend", DEFAULT_BACKEND)),
             seed=doc.get("seed", DEFAULT_SPEC_SEED),
-            backend_options=doc.get("backend_options", {}),
             telemetry=bool(doc.get("telemetry", False)),
         )
 
@@ -417,13 +345,10 @@ class RunSpec:
     def describe(self) -> str:
         binding = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         topo = f" on {self.topology.family}(n={self.topology.n})" if self.topology else ""
-        options = ""
-        if self.backend_options:
-            options = "[" + ",".join(f"{k}={v}" for k, v in sorted(self.backend_options.items())) + "]"
         telemetry = " +telemetry" if self.telemetry else ""
         return (
             f"{self.protocol}({binding}){topo} "
-            f"backend={self.backend}{options} seed={self.seed}{telemetry}"
+            f"backend={self.backend} seed={self.seed}{telemetry}"
         )
 
 

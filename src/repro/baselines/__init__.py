@@ -1,8 +1,8 @@
 """Baseline protocols the paper compares DRR-gossip against.
 
 Every baseline runs on the backend-selectable execution substrate: pass
-``backend="vectorized"`` (default, columnar batches), ``backend="sharded"``
-(columnar batches over a shared-memory worker pool), or ``backend="engine"``
+``backend="vectorized"`` (default, columnar batches), ``backend="compiled"``
+(columnar batches with numba-jitted primitives), or ``backend="engine"``
 (message-level simulation) to any of the entry points.
 """
 

@@ -209,13 +209,11 @@ def _epoch_gossip_vectorized(
         for k in range(epoch_rounds):
             r = base + k
             if churn is not None:
-                died, joined = churn.step(r, alive)
+                _, joined = churn.step(r, alive)
                 if joined.size:
                     # A joiner re-seeds immediately and plays out the epoch.
                     s[joined] = values[joined]
                     w[joined] = 1.0
-                if died.size or joined.size:
-                    kernel.refresh_alive(alive)
             metrics.record_round()
             if topology is not None:
                 senders = np.flatnonzero(alive & (deg > 0))

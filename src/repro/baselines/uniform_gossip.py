@@ -148,7 +148,6 @@ def _push_sum_vectorized(
                 w[joined] = 1.0
             if died.size or joined.size:
                 alive_idx = np.flatnonzero(alive)
-                kernel.refresh_alive(alive)
         metrics.record_round()
         senders = alive_idx
         targets = kernel.sample_uniform(rng, n, senders.size)
@@ -356,7 +355,6 @@ def _push_max_vectorized(
                 current[joined] = values[joined]
             if died.size or joined.size:
                 alive_idx = np.flatnonzero(alive)
-                kernel.refresh_alive(alive)
         metrics.record_round()
         executed += 1
         targets = kernel.sample_uniform(rng, n, alive_idx.size)

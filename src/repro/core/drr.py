@@ -137,7 +137,7 @@ def run_drr(
         Optional externally drawn ranks (used by ablation experiments that
         compare the [0,1] rank domain against the [1, n^3] integer domain).
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"sharded"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
     tracer:
         Optional :class:`~repro.simulator.trace.Tracer` recording
         per-message events; engine-only (the columnar backends reject an

@@ -129,7 +129,7 @@ def run_gossip_ave(
         ``churn_base_round`` offsets this procedure's rounds in the oracle's
         identity space.  The ``alive`` mask is evolved in place.
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"sharded"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
     """
     roots = np.asarray(roots, dtype=np.int64)
     local_sums = np.asarray(local_sums, dtype=float)
@@ -219,9 +219,7 @@ def _gossip_ave_vectorized(
 
     for r in range(total_rounds):
         if churn is not None:
-            died, joined = churn.step(churn_base_round + r, alive)
-            if died.size or joined.size:
-                kernel.refresh_alive(alive)
+            churn.step(churn_base_round + r, alive)
             send_pos = np.flatnonzero(alive[roots])
         else:
             send_pos = None

@@ -154,7 +154,7 @@ def run_gossip_max(
         procedure's rounds in the oracle's identity space (the pipeline runs
         several procedures under one churn clock).
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"sharded"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
     """
     roots = np.asarray(roots, dtype=np.int64)
     root_values = np.asarray(root_values, dtype=float)
@@ -235,9 +235,7 @@ def _gossip_max_vectorized(
     # ------------------------------------------------------------------ #
     for r in range(g_rounds):
         if churn is not None:
-            died, joined = churn.step(churn_base_round + r, alive)
-            if died.size or joined.size:
-                kernel.refresh_alive(alive)
+            churn.step(churn_base_round + r, alive)
             send_pos = np.flatnonzero(alive[roots])
         else:
             send_pos = None
@@ -265,9 +263,7 @@ def _gossip_max_vectorized(
     for t in range(s_rounds):
         r = g_rounds + t
         if churn is not None:
-            died, joined = churn.step(churn_base_round + r, alive)
-            if died.size or joined.size:
-                kernel.refresh_alive(alive)
+            churn.step(churn_base_round + r, alive)
             send_pos = np.flatnonzero(alive[roots])
         else:
             send_pos = None

@@ -1,9 +1,9 @@
 """Persisted benchmark trajectory: ``BENCH_substrate.json``.
 
 The substrate benchmarks (``benchmarks/bench_substrate.py``) append one
-machine-readable row per measured run — protocol, ``n``, backend, shard
-count, wall time, message/round counts — stamped with the git SHA and a
-UTC timestamp.  The file is an append-only JSON list, so the repository
+machine-readable row per measured run — protocol, ``n``, backend, wall
+time, message/round counts — stamped with the git SHA and a UTC
+timestamp.  The file is an append-only JSON list, so the repository
 accumulates a perf trajectory across commits (the py_experimenter-style
 "keep the measurements, not just the pass/fail" discipline), and
 ``drr-gossip results --bench`` prints it as a table.
@@ -29,7 +29,7 @@ __all__ = [
 DEFAULT_BENCH_FILE = "BENCH_substrate.json"
 
 #: columns printed by :func:`format_bench_table`, in order
-_COLUMNS = ("bench", "protocol", "n", "backend", "shards", "wall_s", "messages", "git_sha", "timestamp")
+_COLUMNS = ("bench", "protocol", "n", "backend", "wall_s", "messages", "git_sha", "timestamp")
 
 
 def current_git_sha(cwd: str | Path | None = None) -> str | None:

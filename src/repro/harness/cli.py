@@ -33,10 +33,10 @@ immediate re-run skips all completed cells)::
     drr-gossip sweep --experiments table1 forest --ns 256 512 --reps 3 --jobs 4
     drr-gossip sweep --config sweeps/quick.toml --jobs 4
 
-Record where the wall clock goes (phase/primitive/worker telemetry), with a
-live heartbeat line and a JSONL event export::
+Record where the wall clock goes (phase/primitive telemetry), with a live
+heartbeat line and a JSONL event export::
 
-    drr-gossip run --n 100000 --backend sharded --telemetry events.jsonl --heartbeat 5
+    drr-gossip run --n 100000 --telemetry events.jsonl --heartbeat 5
 
 Inspect and export what the store holds::
 
@@ -143,27 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(available_backends()),
         default="vectorized",
-        help="execution substrate: columnar batches (vectorized), multiprocessing "
-        "shards over shared memory (sharded), numba-jitted primitives (compiled; "
-        "needs the numba extra), or message-level simulation (engine)",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="P",
-        help="worker processes for the sharded/compiled backends (sharded default: "
-        "REPRO_SHARDS or min(4, cpu count); compiled default: 1, i.e. inline jitted "
-        "loops; rejected by backends without a configure() seam)",
-    )
-    run.add_argument(
-        "--min-batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sharded/compiled backends: batches smaller than K run inline in the "
-        "parent (0 forces every batch through the pool; rejected by backends "
-        "without a configure() seam)",
+        help="execution substrate: columnar batches (vectorized), numba-jitted "
+        "primitives (compiled; needs the numba extra), or message-level "
+        "simulation (engine)",
     )
     run.add_argument(
         "--telemetry",
@@ -171,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="FILE",
-        help="record phase/primitive/worker telemetry and print a summary; with "
+        help="record phase/primitive telemetry and print a summary; with "
         "FILE, also export the events as JSONL (one event per line)",
     )
     run.add_argument(
@@ -499,23 +481,6 @@ def _export_events(telemetry_doc: dict, target: str, append: bool) -> None:
 
 
 def _run_single(args: argparse.Namespace) -> int:
-    if args.shards is not None or args.min_batch is not None:
-        from ..substrate import BACKENDS
-
-        # Any backend exposing a configure() seam takes the sharding knobs
-        # (today: sharded and compiled).
-        configure = getattr(BACKENDS.get(args.backend), "configure", None)
-        if configure is None:
-            print(
-                f"error: backend {args.backend!r} takes no --shards/--min-batch",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            configure(shards=args.shards, min_batch=args.min_batch)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     want_telemetry = args.telemetry is not None
     if args.spec is not None:
         try:

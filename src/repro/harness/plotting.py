@@ -162,11 +162,10 @@ def plan_bench_figures(rows: Sequence[dict]) -> list[dict]:
 
     ``rows`` is the ``BENCH_substrate.json`` list (file order = append
     order = commit order).  One figure per ``(bench, protocol)``, one line
-    per backend (sharded lines are split by shard count), wall seconds
-    against commit position; x ticks carry the short git SHAs.  Rows
-    without a ``wall_s`` (e.g. pure gate rows) are skipped, and repeated
-    measurements of the same commit average, matching
-    :func:`collect_series`.
+    per backend and ``n``, wall seconds against commit position; x ticks
+    carry the short git SHAs.  Rows without a ``wall_s`` (e.g. pure gate
+    rows) are skipped, and repeated measurements of the same commit
+    average, matching :func:`collect_series`.
     """
     shas: list[str] = []
     positions: dict[str, int] = {}
@@ -186,8 +185,6 @@ def plan_bench_figures(rows: Sequence[dict]) -> list[dict]:
             continue
         figure = (str(row.get("bench", "bench")), str(row.get("protocol", "?")))
         label = str(row.get("backend", "?"))
-        if row.get("shards"):
-            label = f"{label}[{row['shards']}]"
         if row.get("n"):
             label = f"{label} n={row['n']}"
         buckets[figure][label][positions[str(row.get("git_sha") or "?")]].append(wall)

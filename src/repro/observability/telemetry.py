@@ -1,12 +1,12 @@
-"""Run telemetry: phase/round wall-time spans, counters, and pool utilization.
+"""Run telemetry: phase/round wall-time spans, counters, and gauges.
 
 :class:`MetricsCollector` measures *counts* — rounds, messages, words — which
 is what the paper's complexity claims are stated in.  This module measures
-*time*: where a run's wall clock went, phase by phase, primitive by
-primitive, worker by worker.  The two are deliberately separate objects:
-metrics are part of a run's outcome (bit-identical across backends, hashed,
-compared), telemetry is an observation *about* an execution and must never
-influence it.
+*time*: where a run's wall clock went, phase by phase and primitive by
+primitive.  The two are deliberately separate objects: metrics are part of
+a run's outcome (bit-identical across backends, hashed, compared),
+telemetry is an observation *about* an execution and must never influence
+it.
 
 Design rules
 ------------
@@ -20,7 +20,7 @@ Design rules
   and counters — it never touches the RNG stream, the loss oracle, or the
   metrics collector, so same-seed results are bit-identical with telemetry
   on or off (``tests/test_observability.py`` asserts this for every
-  protocol on all three backends).
+  protocol on the ``vectorized`` and ``engine`` backends).
 * **Bounded memory.**  Per-round duration samples go through a decimating
   reservoir (:class:`RoundSampler`): once ``cap`` samples are held, every
   other one is dropped and the sampling stride doubles, so arbitrarily long
@@ -39,7 +39,7 @@ import functools
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "NullTelemetry",
@@ -147,9 +147,6 @@ class NullTelemetry:
     def gauge_max(self, name: str, value: float) -> None:
         pass
 
-    def record_pool_round(self, busy_s: Sequence[float], wall_s: float) -> None:
-        pass
-
     def finish(self) -> None:
         pass
 
@@ -166,17 +163,15 @@ NULL_TELEMETRY = NullTelemetry()
 class Telemetry(NullTelemetry):
     """One run's time-domain observations.
 
-    Feeds from three kinds of hooks:
+    Feeds from two kinds of hooks:
 
     * the :class:`~repro.simulator.metrics.MetricsCollector` phase/round
       hooks (every backend's round loop already reports through the
       collector, so phase wall times and per-round durations come for free
-      on ``engine``, ``vectorized``, and ``sharded`` alike);
+      on every backend);
     * the instrumented substrate primitives (`substrate.deliver`,
       `substrate.probe_exchange`, `substrate.relay`, ...), which record
-      per-primitive spans;
-    * the sharded pool, which reports per-worker busy seconds, per-round
-      barrier waits, inline-fallback counts, and shm arena sizes.
+      per-primitive spans.
     """
 
     enabled = True
@@ -193,10 +188,6 @@ class Telemetry(NullTelemetry):
         self._spans: dict[str, list] = {}  # name -> [count, total, min, max]
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
-        self._worker_busy: dict[int, float] = {}
-        self._worker_wait: dict[int, float] = {}
-        self._pool_rounds = 0
-        self._pool_overhead = 0.0
         self._wall: float | None = None
         self._peak_rss: int | None = None
 
@@ -265,24 +256,6 @@ class Telemetry(NullTelemetry):
             self._gauges[name] = value
 
     # ------------------------------------------------------------------ #
-    # sharded pool utilization
-    # ------------------------------------------------------------------ #
-    def record_pool_round(self, busy_s: Sequence[float], wall_s: float) -> None:
-        """One pool barrier: per-worker busy seconds and the parent's wall.
-
-        A worker's barrier wait for the round is the slowest worker's busy
-        time minus its own (everyone leaves the barrier together); the
-        remainder of the parent's wall — staging, IPC, the joins — is
-        accumulated as pool overhead.
-        """
-        slowest = max(busy_s) if busy_s else 0.0
-        for index, busy in enumerate(busy_s):
-            self._worker_busy[index] = self._worker_busy.get(index, 0.0) + float(busy)
-            self._worker_wait[index] = self._worker_wait.get(index, 0.0) + (slowest - float(busy))
-        self._pool_rounds += 1
-        self._pool_overhead += max(0.0, float(wall_s) - slowest)
-
-    # ------------------------------------------------------------------ #
     # lifecycle / export
     # ------------------------------------------------------------------ #
     def finish(self) -> None:
@@ -330,18 +303,6 @@ class Telemetry(NullTelemetry):
             doc["counters"] = dict(sorted(self._counters.items()))
         if self._gauges:
             doc["gauges"] = dict(sorted(self._gauges.items()))
-        if self._pool_rounds:
-            doc["sharded"] = {
-                "pool_rounds": self._pool_rounds,
-                "parent_overhead_s": self._pool_overhead,
-                "workers": {
-                    str(index): {
-                        "busy_s": self._worker_busy[index],
-                        "barrier_wait_s": self._worker_wait.get(index, 0.0),
-                    }
-                    for index in sorted(self._worker_busy)
-                },
-            }
         return doc
 
 
@@ -403,7 +364,7 @@ def events_from_telemetry(doc: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
     Operates on the serialised document (not the live object) so events can
     be exported from a fresh run, a ``RunResult``, or a stored
     ``telemetry_json`` row alike.  Event types: ``run``, ``phase``,
-    ``round_samples``, ``span``, ``counter``, ``gauge``, ``worker``.
+    ``round_samples``, ``span``, ``counter``, ``gauge``.
     """
     run_event: dict[str, Any] = {"event": "run", "wall_s": doc.get("wall_s")}
     if "peak_rss_bytes" in doc:
@@ -434,16 +395,6 @@ def events_from_telemetry(doc: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
         yield {"event": "counter", "name": name, "value": value}
     for name, value in doc.get("gauges", {}).items():
         yield {"event": "gauge", "name": name, "value": value}
-    sharded = doc.get("sharded")
-    if sharded:
-        for index, worker in sharded.get("workers", {}).items():
-            yield {
-                "event": "worker",
-                "index": int(index),
-                "busy_s": worker.get("busy_s"),
-                "barrier_wait_s": worker.get("barrier_wait_s"),
-                "pool_rounds": sharded.get("pool_rounds"),
-            }
 
 
 def write_events_jsonl(doc: Mapping[str, Any], path: str | Path, append: bool = False) -> Path:
@@ -483,15 +434,4 @@ def format_telemetry(doc: Mapping[str, Any]) -> str:
         lines.append(f"  count {name:<28} {value}")
     for name, value in doc.get("gauges", {}).items():
         lines.append(f"  gauge {name:<28} {value:g}")
-    sharded = doc.get("sharded")
-    if sharded:
-        lines.append(
-            f"  pool  rounds={sharded.get('pool_rounds', 0)} "
-            f"parent_overhead={sharded.get('parent_overhead_s', 0.0):.3f}s"
-        )
-        for index, worker in sharded.get("workers", {}).items():
-            lines.append(
-                f"    worker {index}: busy {worker.get('busy_s', 0.0):.3f}s, "
-                f"barrier wait {worker.get('barrier_wait_s', 0.0):.3f}s"
-            )
     return "\n".join(lines)

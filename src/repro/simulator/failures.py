@@ -504,10 +504,10 @@ class ChurnOracle:
 
     Like :class:`LossOracle`, churn fates are a pure function of identity —
     ``hash(run_key, round, node) < rate`` — never of the shared RNG stream,
-    so every backend (and every shard count, and every batching order)
-    computes the same fates for the same seed.  The run key is derived from
-    the generator *state* with a ``"churn"`` domain tag, so churn fates are
-    disjoint from loss fates even for the same round and node id.
+    so every backend (and every batching order) computes the same fates
+    for the same seed.  The run key is derived from the generator *state*
+    with a ``"churn"`` domain tag, so churn fates are disjoint from loss
+    fates even for the same round and node id.
 
     ``step`` is the single shared implementation all backends call: it
     mutates the ``alive`` mask in place at the top of a round and reports

@@ -1,19 +1,13 @@
 """Backend-selectable execution substrate.
 
-One simulation kernel, four interchangeable backends:
+One simulation kernel, three interchangeable backends:
 
 * ``vectorized`` — columnar NumPy execution; an entire round's calls and
   replies are batched as arrays.  Scales to millions of nodes.
-* ``sharded`` — the columnar kernel fanned out over a pool of worker
-  processes on ``multiprocessing.shared_memory`` arrays (one barrier per
-  round).  Targets ``n >= 10^7``; configure the shard count via
-  :func:`repro.substrate.sharded.configure`, ``REPRO_SHARDS``, or
-  ``RunSpec.backend_options``.
 * ``compiled`` — the columnar kernel with numba-jitted hot primitives
   (:mod:`repro.substrate.compiled`).  Targets ``n`` up to ``10^8``;
   requires the optional numba extra (``pip install .[compiled]``) and
   deregisters itself with an explanatory error when numba is missing.
-  Composes with sharding via ``backend_options={"shards": P}``.
 * ``engine`` — per-node message-level execution on the
   :class:`~repro.simulator.engine.SynchronousEngine`.  The fidelity
   reference.
@@ -27,8 +21,7 @@ and batched Chord lookups — go through the topology kernel
 :mod:`repro.substrate.kernel` for the contract between the backends and
 ``tests/test_substrate.py`` for the equivalence guarantees, which hold on
 reliable *and* lossy networks (loss fates are identity-keyed through
-:class:`~repro.simulator.failures.LossOracle`, never draw-order-dependent,
-and never shard-boundary-dependent).
+:class:`~repro.simulator.failures.LossOracle`, never draw-order-dependent).
 """
 
 from .delivery import (
@@ -58,7 +51,6 @@ from .kernel import (
     normalize_backend,
     run_on,
 )
-from .sharded import ShardedKernel, shutdown_pools
 from .compiled import NUMBA_AVAILABLE, CompiledKernel
 from . import tuning
 
@@ -71,7 +63,6 @@ __all__ = [
     "EngineKernel",
     "Kernel",
     "NUMBA_AVAILABLE",
-    "ShardedKernel",
     "UNAVAILABLE_BACKENDS",
     "VectorizedKernel",
     "available_backends",
@@ -87,6 +78,5 @@ __all__ = [
     "run_chord_lookups",
     "run_on",
     "sample_uniform",
-    "shutdown_pools",
     "tuning",
 ]

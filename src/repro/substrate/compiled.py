@@ -1,8 +1,7 @@
 """The ``compiled`` kernel: numba-jitted hot primitives for n up to 10^8.
 
-Fourth execution substrate (ROADMAP: "a compiled variant of the columnar
-kernel").  A :class:`~repro.substrate.sharded.ShardedKernel` subclass whose
-hot primitives — delivery-fate hashing, the fused PROBE -> RANK exchange,
+A :class:`~repro.substrate.kernel.VectorizedKernel` subclass whose hot
+primitives — delivery-fate hashing, the fused PROBE -> RANK exchange,
 the two-hop Phase III relay, ``occurrence_index``, DRR frontier compaction,
 and the gossip-ave scatter-adds — are ``@njit(cache=True, parallel=True)``
 kernels over pre-allocated scratch buffers.  Protocols reach it through the
@@ -22,8 +21,8 @@ The jitted kernels compute the *same pure functions* as the NumPy paths:
   order) and only the final fold across positions runs in parallel, so
   fixed-seed estimates are bit-identical, not merely close.
 
-``tests/test_substrate.py`` extends the backend-equivalence matrix to four
-backends wherever numba is importable.
+``tests/test_substrate.py`` extends the backend-equivalence matrix to
+``compiled`` wherever numba is importable.
 
 Optional dependency
 -------------------
@@ -33,8 +32,8 @@ backend deregisters itself: ``BACKENDS`` has no ``"compiled"`` entry and
 ``ConfigurationError`` that says how to install it.  Setting the
 ``REPRO_COMPILED_PYTHON`` environment variable (or using the
 :func:`python_fallback` test helper) registers the kernel with pure-NumPy
-fallbacks instead, which exercises the registration / options /
-orchestration layers without numba.
+fallbacks instead, which exercises the registration and orchestration
+layers without numba.
 
 First use pays numba's compile cost once per primitive signature;
 ``cache=True`` persists the machine code on disk, so subsequent processes
@@ -42,12 +41,6 @@ start warm.  The kernel auto-enables the lossless half of the
 :mod:`repro.substrate.tuning` narrowing pass (index arrays only — ids are
 still *drawn* at full width, so the RNG stream and every result are
 unchanged); accumulators always stay ``float64``.
-
-Composing with ``sharded``: ``backend_options={"shards": P}`` fans batches
-out over the worker pool exactly like the sharded kernel (the two
-optimisations stack — workers import this module, so their per-slice fate
-hashing goes through the jitted batch hasher installed into
-:mod:`repro.simulator.failures`).
 """
 
 from __future__ import annotations
@@ -69,8 +62,7 @@ from .delivery import (
     relay_to_roots,
     sample_uniform,
 )
-from .kernel import BACKENDS, UNAVAILABLE_BACKENDS
-from .sharded import ShardedKernel
+from .kernel import BACKENDS, UNAVAILABLE_BACKENDS, VectorizedKernel
 from .tuning import get_tuning, tuned
 
 __all__ = [
@@ -384,15 +376,15 @@ def _churn_mask(key, salt, round_index, ids, threshold):
 # --------------------------------------------------------------------------- #
 # the kernel
 # --------------------------------------------------------------------------- #
-class CompiledKernel(ShardedKernel):
+class CompiledKernel(VectorizedKernel):
     """Columnar execution with numba-compiled hot primitives.
 
-    Subclasses :class:`ShardedKernel` so ``backend_options={"shards": P}``
-    composes the jitted slice work with the shared-memory pool; with the
-    default single shard everything runs inline through the jitted loops.
-    Scratch buffers (occurrence counts, fold partials) are pre-allocated
-    per kernel and grown monotonically; :meth:`release_scratch` frees them
-    after an exceptionally large run.
+    Each override runs its jitted loop (parallel through numba ``prange``)
+    and falls back to the NumPy primitive of the vectorized kernel without
+    numba or where that primitive has a fast path.  Scratch buffers
+    (occurrence counts, fold partials) are pre-allocated per kernel and
+    grown monotonically; :meth:`release_scratch` frees them after an
+    exceptionally large run.
     """
 
     name = "compiled"
@@ -402,23 +394,7 @@ class CompiledKernel(ShardedKernel):
     auto_narrow_ids: bool = True
 
     def __init__(self) -> None:
-        super().__init__()
         self._scratch: dict[str, np.ndarray] = {}
-
-    # -- configuration -------------------------------------------------- #
-    @property
-    def shards(self) -> int:
-        # Unlike ``sharded`` (which defaults to the machine's cores), the
-        # compiled kernel is single-process unless shards are requested:
-        # its parallelism comes from the jitted loops themselves.
-        return self._shards if self._shards is not None else 1
-
-    def _pool_for(self, count: int):
-        if self.shards <= 1 and self._min_batch > 0:
-            # Inline compiled execution *is* the design here, not a
-            # fallback — no ``sharded.inline.*`` counter fires.
-            return None
-        return super()._pool_for(count)
 
     # -- scratch management --------------------------------------------- #
     def _scratch_for(self, name: str, size: int, dtype) -> np.ndarray:
@@ -440,9 +416,9 @@ class CompiledKernel(ShardedKernel):
         return sample_uniform(rng, n, size, exclude)
 
     @instrumented("compiled.deliver")
-    def _inline_deliver(self, metrics, oracle, kind, targets, *, senders,
-                        round_index, alive=None, payload_words=1, nonces=None,
-                        dead_targets=False):
+    def deliver(self, metrics, oracle, kind, targets, *, senders,
+                round_index, alive=None, payload_words=1, nonces=None,
+                dead_targets=False):
         targets = np.asarray(targets)
         count = int(targets.size)
         if not NUMBA_AVAILABLE or oracle.reliable or count == 0:
@@ -471,8 +447,8 @@ class CompiledKernel(ShardedKernel):
         return out
 
     @instrumented("compiled.probe_exchange")
-    def _inline_probe_exchange(self, metrics, oracle, targets, *, senders,
-                               ranks, round_index, alive=None):
+    def probe_exchange(self, metrics, oracle, targets, *, senders,
+                       ranks, round_index, alive=None):
         targets = np.asarray(targets)
         count = int(targets.size)
         if not NUMBA_AVAILABLE or count == 0:
@@ -499,9 +475,9 @@ class CompiledKernel(ShardedKernel):
         return out
 
     @instrumented("compiled.relay")
-    def _inline_relay_to_roots(self, metrics, oracle, targets, *, senders,
-                               round_index, kind, position, root_of,
-                               alive=None, payload_words=1, dead_targets=False):
+    def relay_to_roots(self, metrics, oracle, targets, *, senders,
+                       round_index, kind, position, root_of,
+                       alive=None, payload_words=1, dead_targets=False):
         targets = np.asarray(targets)
         count = int(targets.size)
         if not NUMBA_AVAILABLE or (oracle.reliable and alive is None) or count == 0:
@@ -596,10 +572,10 @@ def register(force_python: bool = False) -> bool:
 
     With numba importable the backend registers and installs the jitted
     batch hasher into :mod:`repro.simulator.failures` (shared by every
-    backend — the engine's chunked path and the sharded workers hash
-    through it too).  Without numba the backend deregisters and leaves a
-    reason in ``UNAVAILABLE_BACKENDS`` unless python fallbacks were
-    explicitly requested (``force_python`` or ``REPRO_COMPILED_PYTHON``).
+    backend — the engine's chunked path hashes through it too).  Without
+    numba the backend deregisters and leaves a reason in
+    ``UNAVAILABLE_BACKENDS`` unless python fallbacks were explicitly
+    requested (``force_python`` or ``REPRO_COMPILED_PYTHON``).
     """
     if NUMBA_AVAILABLE or force_python or _forced_python():
         BACKENDS.setdefault(CompiledKernel.name, CompiledKernel())
@@ -625,9 +601,9 @@ def python_fallback():
     """Temporarily register ``compiled`` with pure-NumPy fallbacks.
 
     For tests on numba-less machines: exercises registration, spec
-    round-trips, options, scratch and orchestration — the jitted loops
-    themselves are bypassed (they are covered by the four-way equivalence
-    matrix wherever numba is installed, e.g. the ``bench-compiled`` CI job).
+    round-trips, scratch and orchestration — the jitted loops themselves
+    are bypassed (they are covered by the three-way equivalence matrix
+    wherever numba is installed, e.g. the ``bench-compiled`` CI job).
     """
     was_registered = CompiledKernel.name in BACKENDS
     register(force_python=True)

@@ -239,9 +239,9 @@ def probe_exchange(
 
     The fusion exists for the backends' benefit: the whole round is one
     mask-then-compare pass over the batch (no ``senders[mask]``
-    compactions between the two deliveries), and a sharded kernel can run
-    it slice-local because every per-message fate and the rank comparison
-    depend only on that message's own identity.
+    compactions between the two deliveries), which the compiled kernel
+    runs as one parallel loop because every per-message fate and the rank
+    comparison depend only on that message's own identity.
     """
     targets = np.asarray(targets)
     count = int(targets.size)

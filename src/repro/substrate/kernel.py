@@ -12,12 +12,11 @@ with a ``backend`` parameter; the function body dispatches through
     metrics charge.  This is the single-process hot path and scales to
     ``n`` in the millions.
 
-``sharded`` (:class:`~repro.substrate.sharded.ShardedKernel`)
-    The columnar kernel fanned out over a pool of worker processes on
-    ``multiprocessing.shared_memory`` arrays (one barrier per round, only
-    message index arrays move between processes).  Targets ``n >= 10^7``;
-    a subclass of the vectorized kernel, so protocols pick it up through
-    the same dispatch with zero call-site changes.
+``compiled`` (:class:`~repro.substrate.compiled.CompiledKernel`)
+    The columnar kernel with numba-jitted hot primitives.  A subclass of
+    the vectorized kernel, so protocols pick it up through the same
+    dispatch with zero call-site changes; registered only where numba is
+    installed.
 
 ``engine`` (:class:`EngineKernel`)
     The message-level kernel.  Protocols run as per-node
@@ -29,10 +28,10 @@ with a ``backend`` parameter; the function body dispatches through
 The kernels are engineered to be *equivalent*, not merely similar: they
 consume the shared RNG stream in the same order (a NumPy generator produces
 identical variates for one ``size=k`` batch draw and ``k`` sequential scalar
-draws, and the sharded kernel draws in the parent), decide per-message loss
-through the identity-keyed :class:`~repro.simulator.failures.LossOracle`
-(so fates are independent of batching order *and* of shard boundaries), and
-charge messages through the same accounting conventions.  They therefore
+draws), decide per-message loss through the identity-keyed
+:class:`~repro.simulator.failures.LossOracle` (so fates are independent of
+batching order), and charge messages through the same accounting
+conventions.  They therefore
 produce identical round counts, message counts (total, per kind, per phase,
 lost), and estimates for the same seed — on reliable *and* lossy networks.
 ``tests/test_substrate.py`` asserts this for every protocol.
@@ -112,14 +111,6 @@ class VectorizedKernel(Kernel):
     #: fused scatter-add folding a gossip round's pushes into the accumulators
     fold_pushes = staticmethod(fold_pushes)
 
-    def refresh_alive(self, alive: np.ndarray) -> None:
-        """Hook called after a churn step mutates the ``alive`` mask in place.
-
-        The single-process kernel reads the caller's array directly, so
-        there is nothing to do; the sharded kernel overrides this to rewrite
-        the shared-memory mirror its workers read.
-        """
-
 
 class EngineKernel(Kernel):
     """Message-level execution on the :class:`SynchronousEngine`."""
@@ -196,12 +187,17 @@ BACKENDS: dict[str, Kernel] = {
 
 DEFAULT_BACKEND = VectorizedKernel.name
 
-#: backends that exist but could not register in this environment, mapped to
-#: the human-readable reason (e.g. ``compiled`` without numba installed).
-#: :func:`normalize_backend` turns the reason into the error message, so a
-#: user selecting an uninstalled backend learns how to get it rather than
-#: being told it does not exist.
-UNAVAILABLE_BACKENDS: dict[str, str] = {}
+#: backends that are known but cannot run here, mapped to the human-readable
+#: reason (``compiled`` without numba installed, or a removed backend that
+#: stored specs may still name).  :func:`normalize_backend` turns the reason
+#: into the error message, so a user selecting one learns what to pick
+#: instead rather than being told it does not exist.
+UNAVAILABLE_BACKENDS: dict[str, str] = {
+    "sharded": (
+        "it was removed because it never ran faster than 'vectorized' when "
+        "measured; use 'vectorized', or 'compiled' for numba-jitted primitives"
+    ),
+}
 
 
 def available_backends() -> tuple[str, ...]:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import RunSpec, SpecValidationError, TopologySpec
-from repro.api import get_protocol, protocol_names
+from repro.api import get_protocol, load_specs, protocol_names
 from repro.orchestration import ResultStore, cells_from_run_specs
 from repro.orchestration.runner import _execute_cell
 from repro.orchestration.store import param_hash
@@ -249,6 +250,28 @@ class TestCanonicalHashing:
         other = spec.with_seed(5)
         assert other.param_hash() == spec.param_hash()
         assert other.spec_hash() != spec.spec_hash()
+
+    def test_example_spec_hashes_are_pinned(self):
+        """Store rows are keyed by these hashes, so editing the ``RunSpec``
+        schema must leave the ``(spec_hash, param_hash)`` of every example
+        spec exactly as recorded here."""
+        pinned = {
+            "average.toml": [("0f917ea75e7e67eb", "9ec29a9e72d0255b")],
+            "baseline_suite.toml": [
+                ("3cab0c01e4afdada", "07f5338786721c5a"),
+                ("1d95e53bdd7b6071", "746be1aae0aed26c"),
+                ("f954f0719cfaaa64", "3f9e6f75f003457f"),
+                ("e0a1ceed422f92c8", "05ec99d25e1d5b8b"),
+            ],
+            "chord_lookups.json": [("f3c06a4535945411", "813de2389638d6bf")],
+            "local_drr_ring.toml": [("04a0c982d80b3910", "e441665a0de2452b")],
+        }
+        specs_dir = Path(__file__).resolve().parent.parent / "examples" / "specs"
+        actual = {
+            name: [(spec.spec_hash(), spec.param_hash()) for spec in load_specs(specs_dir / name)]
+            for name in pinned
+        }
+        assert actual == pinned
 
 
 class TestSpecTransport:

@@ -1,10 +1,9 @@
-"""Backend registry round-trips and ``RunSpec.backend_options``.
+"""Backend registry round-trips and inputs naming a removed backend.
 
-Covers the seams the sharded backend threads through: every registered
-backend name must survive ``RunSpec`` validation, JSON serialisation, and
-``drr-gossip spec validate``; ``backend_options`` must validate, serialise
-only when present (so pre-existing spec hashes are stable), and actually
-configure the kernel during dispatch.  Also covers the opt-in dtype
+Every registered backend name must survive ``RunSpec`` validation, JSON
+serialisation, and ``drr-gossip spec validate``; specs, spec files and
+pipeline configs written for a removed backend must fail with the reason
+instead of running on something else.  Also covers the opt-in dtype
 narrowing flags of :mod:`repro.substrate.tuning`.
 """
 
@@ -13,17 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro
-from repro.api import RunSpec, SpecValidationError
-from repro.core import run_drr
+from repro.api import RunSpec, SpecValidationError, load_specs
+from repro.core import DRRGossipConfig, run_drr
 from repro.harness.cli import main as cli_main
-from repro.substrate import BACKENDS, sample_uniform, shutdown_pools, tuning
-
-
-@pytest.fixture(autouse=True)
-def close_pools():
-    yield
-    shutdown_pools()
+from repro.simulator.errors import ConfigurationError
+from repro.substrate import BACKENDS, sample_uniform, tuning
 
 
 # --------------------------------------------------------------------------- #
@@ -58,71 +51,37 @@ class TestBackendRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# backend_options validation + serialisation
+# inputs written for the removed ``sharded`` backend fail loudly
 # --------------------------------------------------------------------------- #
-class TestBackendOptions:
-    def test_sharded_options_validate_and_round_trip(self):
-        spec = RunSpec(
-            protocol="drr",
-            params={"n": 64},
-            backend="sharded",
-            backend_options={"shards": 2, "min_batch": 0},
+class TestRemovedBackend:
+    def test_stored_spec_naming_it_is_rejected_with_the_reason(self):
+        doc = {"protocol": "drr", "params": {"n": 64}, "backend": "sharded", "seed": 1}
+        with pytest.raises(SpecValidationError, match="was removed") as excinfo:
+            RunSpec.from_dict(doc)
+        assert "'vectorized'" in str(excinfo.value)
+        assert "'compiled'" in str(excinfo.value)
+
+    def test_spec_file_naming_it_is_rejected(self, tmp_path):
+        path = tmp_path / "old.toml"
+        path.write_text(
+            '[[run]]\nprotocol = "drr"\nbackend = "sharded"\n[run.params]\nn = 64\n'
         )
-        assert spec.backend_options == {"shards": 2, "min_batch": 0}
-        rebuilt = RunSpec.from_json(spec.to_json())
-        assert rebuilt == spec
-        assert "backend_options" in spec.to_dict()
-        assert "shards=2" in spec.describe()
+        with pytest.raises(SpecValidationError, match="was removed"):
+            load_specs(path)
 
-    def test_empty_options_keep_legacy_spec_identity(self):
-        spec = RunSpec(protocol="drr", params={"n": 64}, backend="sharded")
-        assert "backend_options" not in spec.to_dict()
-        # a legacy document without the field parses to the same identity
-        legacy = RunSpec.from_dict(
-            {"protocol": "drr", "params": {"n": 64}, "backend": "sharded", "seed": 1}
-        )
-        assert legacy.spec_hash() == spec.spec_hash()
-        assert legacy.param_hash() == spec.param_hash()
+    def test_pipeline_config_naming_it_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="was removed"):
+            DRRGossipConfig(backend="sharded")
 
-    def test_options_rejected_for_backends_that_take_none(self):
-        with pytest.raises(SpecValidationError, match="takes no backend_options"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="vectorized",
-                    backend_options={"shards": 2})
-
-    def test_unknown_and_invalid_option_values_rejected(self):
-        with pytest.raises(SpecValidationError, match="does not accept"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"warp": 9})
-        with pytest.raises(SpecValidationError, match="'shards' must be >= 1"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"shards": 0})
-        with pytest.raises(SpecValidationError, match="must be an integer"):
-            RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                    backend_options={"shards": "many"})
-
-    def test_with_backend_drops_inapplicable_options(self):
-        spec = RunSpec(protocol="drr", params={"n": 64}, backend="sharded",
-                       backend_options={"shards": 4})
-        engine = spec.with_backend("engine")
-        assert engine.backend == "engine"
-        assert engine.backend_options == {}
-        back = engine.with_backend("sharded")
-        assert back.backend_options == {}
-
-    def test_dispatch_applies_options_and_matches_vectorized(self):
-        spec = RunSpec(
-            protocol="drr",
-            params={"n": 512},
-            backend="sharded",
-            backend_options={"shards": 2, "min_batch": 0},
-            seed=11,
-        )
-        sharded_result = repro.run(spec)
-        vectorized_result = repro.run(spec.with_backend("vectorized"))
-        assert sharded_result.same_outcome(vectorized_result)
-        # options are scoped to the run: the kernel's defaults are restored
-        kernel = BACKENDS["sharded"]
-        assert kernel.min_batch != 0
+    def test_spec_document_with_backend_options_is_rejected(self):
+        doc = {
+            "protocol": "drr",
+            "params": {"n": 64},
+            "backend": "vectorized",
+            "backend_options": {"shards": 2},
+        }
+        with pytest.raises(SpecValidationError, match=r"unknown keys \['backend_options'\]"):
+            RunSpec.from_dict(doc)
 
 
 # --------------------------------------------------------------------------- #
@@ -180,15 +139,15 @@ class TestBenchTrajectory:
             path,
         )
         append_bench_rows(
-            [{"bench": "smoke", "protocol": "drr", "n": 10, "backend": "sharded",
-              "shards": 2, "wall_s": 0.25}],
+            [{"bench": "smoke", "protocol": "drr", "n": 10, "backend": "engine",
+              "wall_s": 0.25}],
             path,
         )
         rows = load_bench_rows(path)
         assert len(rows) == 2
         assert all("timestamp" in row for row in rows)
         table = format_bench_table(rows)
-        assert "vectorized" in table and "sharded" in table
+        assert "vectorized" in table and "engine" in table
 
     def test_results_bench_cli(self, tmp_path, capsys):
         from repro.harness.benchlog import append_bench_rows

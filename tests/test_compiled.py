@@ -1,6 +1,6 @@
 """The ``compiled`` backend: registration, fallbacks, and primitive contracts.
 
-The jitted loops themselves are exercised by the four-way equivalence
+The jitted loops themselves are exercised by the three-way equivalence
 matrix in ``tests/test_substrate.py`` wherever numba is installed (the
 ``bench-compiled`` CI job); this file covers everything that must hold on
 *every* machine:
@@ -118,8 +118,9 @@ class TestRegistration:
             assert "compiled" not in UNAVAILABLE_BACKENDS
             assert normalize_backend("compiled") == "compiled"
             assert kernel.name == "compiled"
-            assert kernel.shards == 1  # inline jitted loops by default
             assert type(kernel).__name__ == "CompiledKernel"
+            # a columnar kernel: run_on routes it down the vectorized path
+            assert isinstance(kernel, VectorizedKernel)
         assert ("compiled" in BACKENDS) == before
         if not before:
             assert UNAVAILABLE_BACKENDS["compiled"] == NUMBA_REQUIREMENT
@@ -144,27 +145,13 @@ class TestRegistration:
 # spec round-trips
 # --------------------------------------------------------------------------- #
 class TestSpecRoundTrip:
-    def test_runspec_roundtrips_with_backend_options(self):
+    def test_runspec_roundtrips_compiled_backend(self):
         with python_fallback():
-            spec = RunSpec(
-                protocol="drr", params={"n": 64}, seed=3,
-                backend="compiled", backend_options={"shards": 2, "min_batch": 0},
-            )
+            spec = RunSpec(protocol="drr", params={"n": 64}, seed=3, backend="compiled")
             doc = spec.to_dict()
             assert doc["backend"] == "compiled"
-            assert doc["backend_options"] == {"shards": 2, "min_batch": 0}
             assert RunSpec.from_dict(doc) == spec
             assert RunSpec.from_json(spec.to_json()) == spec
-
-    def test_runspec_rejects_unknown_compiled_options(self):
-        from repro.api.spec import SpecValidationError
-
-        with python_fallback():
-            with pytest.raises(SpecValidationError):
-                RunSpec(
-                    protocol="drr", params={"n": 64},
-                    backend="compiled", backend_options={"threads": 8},
-                )
 
     def test_runspec_rejects_compiled_when_unregistered(self):
         if NUMBA_AVAILABLE:
@@ -175,7 +162,7 @@ class TestSpecRoundTrip:
     def test_dispatch_runs_compiled_spec(self):
         with python_fallback():
             spec = RunSpec(protocol="drr", params={"n": 128}, seed=5, backend="compiled")
-            reference = repro.run(spec.replace(backend="vectorized", backend_options={}))
+            reference = repro.run(spec.replace(backend="vectorized"))
             result = repro.run(spec)
             assert result.rounds == reference.rounds
             assert result.messages == reference.messages
@@ -396,20 +383,10 @@ class TestBatchHasherSeam:
 # CLI integration
 # --------------------------------------------------------------------------- #
 class TestCli:
-    def test_run_accepts_compiled_backend_and_knobs(self, capsys):
+    def test_run_accepts_compiled_backend(self, capsys):
         from repro.harness.cli import main
 
         with python_fallback():
-            code = main([
-                "run", "--n", "256", "--backend", "compiled",
-                "--shards", "1", "--min-batch", "65536", "--seed", "3",
-            ])
+            code = main(["run", "--n", "256", "--backend", "compiled", "--seed", "3"])
         assert code == 0
         assert "aggregate" in capsys.readouterr().out
-
-    def test_run_rejects_knobs_for_unconfigurable_backends(self, capsys):
-        from repro.harness.cli import main
-
-        code = main(["run", "--n", "64", "--backend", "vectorized", "--shards", "2"])
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err

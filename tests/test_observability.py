@@ -2,8 +2,8 @@
 
 The headline guarantee under test: telemetry *observes* execution without
 influencing it.  Same-seed runs are bit-identical with telemetry on or off
-for every registered protocol on all three backends, on reliable and lossy
-networks; spec/param hashes ignore the toggle (so store resume is
+for every registered protocol on the ``vectorized`` and ``engine``
+backends, on reliable and lossy networks; spec/param hashes ignore the toggle (so store resume is
 untouched); and ``RunResult.same_outcome`` never looks at the telemetry
 section.
 """
@@ -16,13 +16,12 @@ import logging
 import sqlite3
 import time
 
-import numpy as np
 import pytest
 
 import repro
 from repro import RunSpec
 from repro.api import RunResult
-from repro.core import DRRGossipConfig, drr_gossip_average, run_drr
+from repro.core import run_drr
 from repro.observability import (
     NULL_TELEMETRY,
     Heartbeat,
@@ -42,15 +41,8 @@ from repro.orchestration import ResultStore, SweepRunner, cells_from_run_specs
 from repro.simulator import FailureModel
 from repro.simulator.errors import ConfigurationError
 from repro.simulator.trace import Tracer
-from repro.substrate import BACKENDS, shutdown_pools
 
 from test_api import FAILURE_MODELS, PROTOCOL_SPECS
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _shutdown_pools_after_module():
-    yield
-    shutdown_pools()
 
 
 def _spec_for(
@@ -61,18 +53,12 @@ def _spec_for(
     telemetry: bool = False,
 ) -> RunSpec:
     base = PROTOCOL_SPECS[protocol]
-    backend_options = {}
-    if backend == "sharded":
-        # Small specs run inline below min_batch; the pool path is covered
-        # by TestShardedTelemetry (min_batch=0 forces every batch through).
-        backend_options = {"shards": 2}
     return RunSpec(
         protocol=protocol,
         params=base.get("params", {}),
         topology=base.get("topology"),
         failures=failures,
         backend=backend,
-        backend_options=backend_options,
         seed=seed,
         telemetry=telemetry,
     )
@@ -187,20 +173,6 @@ class TestTelemetry:
         assert snap["rounds"] == 1
         assert snap["elapsed_s"] >= 0.0
 
-    def test_record_pool_round_accounting(self):
-        tel = Telemetry()
-        tel.record_pool_round([0.2, 0.5], wall_s=0.6)
-        tel.record_pool_round([0.3, 0.1], wall_s=0.35)
-        doc = tel.as_dict()["sharded"]
-        assert doc["pool_rounds"] == 2
-        workers = doc["workers"]
-        assert workers["0"]["busy_s"] == pytest.approx(0.5)
-        assert workers["1"]["busy_s"] == pytest.approx(0.6)
-        # barrier wait = slowest - own, accumulated
-        assert workers["0"]["barrier_wait_s"] == pytest.approx(0.3)
-        assert workers["1"]["barrier_wait_s"] == pytest.approx(0.2)
-        assert doc["parent_overhead_s"] == pytest.approx(0.15)
-
     def test_use_telemetry_installs_and_restores(self):
         assert current_telemetry() is NULL_TELEMETRY
         tel = Telemetry()
@@ -231,11 +203,11 @@ class TestTelemetry:
     def test_format_telemetry_summary(self):
         tel = Telemetry()
         tel.phase_begin("drr")
-        tel.count("sharded.inline.small_batch", 4)
+        tel.count("worker.cells", 4)
         text = format_telemetry(tel.as_dict())
         assert "telemetry" in text
         assert "phase drr" in text
-        assert "sharded.inline.small_batch" in text
+        assert "worker.cells" in text
         assert format_telemetry({}) == "(no telemetry recorded)"
 
     @pytest.mark.parametrize("aggregate", ["average", "max"])
@@ -259,7 +231,7 @@ class TestTelemetry:
 # --------------------------------------------------------------------------- #
 class TestTelemetryNeutrality:
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded", "engine"])
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
     @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
     def test_same_seed_outcome_identical_with_telemetry_on(self, protocol, backend, failures):
         plain = repro.run(_spec_for(protocol, backend, failures))
@@ -301,66 +273,12 @@ class TestTelemetryNeutrality:
 
 
 # --------------------------------------------------------------------------- #
-# sharded pool telemetry
-# --------------------------------------------------------------------------- #
-class TestShardedTelemetry:
-    def _run(self, failure_model=None, telemetry=True):
-        kernel = BACKENDS["sharded"]
-        tel = Telemetry() if telemetry else None
-        config = DRRGossipConfig(backend="sharded", failure_model=failure_model)
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=2000)
-        with kernel.options(shards=2, min_batch=0):
-            if tel is not None:
-                with use_telemetry(tel):
-                    result = drr_gossip_average(values, rng=1, config=config)
-            else:
-                result = drr_gossip_average(values, rng=1, config=config)
-        return result, (tel.as_dict() if tel is not None else None)
-
-    def test_pool_run_reports_worker_busy_and_barrier_wait(self):
-        result, doc = self._run()
-        sharded = doc["sharded"]
-        assert sharded["pool_rounds"] > 0
-        assert set(sharded["workers"]) == {"0", "1"}
-        for worker in sharded["workers"].values():
-            assert worker["busy_s"] >= 0.0
-            assert worker["barrier_wait_s"] >= 0.0
-        assert sharded["parent_overhead_s"] >= 0.0
-        assert doc["counters"]["sharded.mirror_bytes"] > 0
-        assert doc["gauges"]["sharded.arena_bytes"] > 0
-        # telemetry through the pool is outcome-neutral too
-        plain, _ = self._run(telemetry=False)
-        assert result.rounds == plain.rounds
-        assert result.messages == plain.messages
-        assert np.array_equal(result.estimates, plain.estimates)
-
-    def test_lossy_relay_runs_pooled_with_no_inline_counters(self):
-        # The lossy Phase III relay shards (two barriers, cross-shard
-        # occurrence-rank merge): with min_batch=0 nothing falls back
-        # inline, so no ``sharded.inline.*`` counter may fire.
-        result, doc = self._run(failure_model=FailureModel(loss_probability=0.05))
-        inline = [name for name in doc["counters"] if name.startswith("sharded.inline.")]
-        assert inline == []
-        assert doc["sharded"]["pool_rounds"] > 0
-
-    def test_small_batches_are_counted_when_min_batch_gates(self):
-        kernel = BACKENDS["sharded"]
-        tel = Telemetry()
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=500)
-        with kernel.options(shards=2, min_batch=10_000):
-            with use_telemetry(tel):
-                drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="sharded"))
-        assert tel.as_dict()["counters"]["sharded.inline.small_batch"] > 0
-
-
-# --------------------------------------------------------------------------- #
 # tracing stays engine-only
 # --------------------------------------------------------------------------- #
 class TestTracerEngineOnly:
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
-    def test_columnar_backends_reject_an_enabled_tracer(self, backend):
+    def test_columnar_backends_reject_an_enabled_tracer(self):
         with pytest.raises(ConfigurationError, match="tracing is engine-only") as excinfo:
-            run_drr(64, rng=1, backend=backend, tracer=Tracer())
+            run_drr(64, rng=1, backend="vectorized", tracer=Tracer())
         # the error points at telemetry as the columnar alternative
         assert "telemetry" in str(excinfo.value)
 
@@ -386,7 +304,6 @@ EVENT_REQUIRED_KEYS = {
     "span": {"name", "count", "total_s"},
     "counter": {"name", "value"},
     "gauge": {"name", "value"},
-    "worker": {"index", "busy_s", "barrier_wait_s"},
 }
 
 
@@ -409,14 +326,6 @@ class TestJsonlExport:
             assert event["event"] in EVENT_REQUIRED_KEYS
             missing = EVENT_REQUIRED_KEYS[event["event"]] - event.keys()
             assert not missing, f"{event['event']} event missing {missing}"
-
-    def test_worker_events_from_a_pool_document(self):
-        tel = Telemetry()
-        tel.record_pool_round([0.1, 0.2], wall_s=0.25)
-        events = list(events_from_telemetry(tel.as_dict()))
-        workers = [e for e in events if e["event"] == "worker"]
-        assert [w["index"] for w in workers] == [0, 1]
-        assert all(w["pool_rounds"] == 1 for w in workers)
 
     def test_write_and_append_jsonl(self, tmp_path):
         doc = self._doc()
@@ -702,7 +611,7 @@ class TestBenchFigures:
          "wall_s": 1.0, "git_sha": "aaa"},
         {"bench": "smoke", "protocol": "p", "backend": "vectorized", "n": 100,
          "wall_s": 3.0, "git_sha": "aaa"},
-        {"bench": "smoke", "protocol": "p", "backend": "sharded", "shards": 2,
+        {"bench": "smoke", "protocol": "p", "backend": "engine",
          "n": 100, "wall_s": 0.5, "git_sha": "bbb"},
         {"bench": "smoke", "protocol": "q", "backend": "vectorized", "n": 100,
          "wall_s": 2.0, "git_sha": "bbb"},
@@ -717,9 +626,9 @@ class TestBenchFigures:
         assert [(p["bench"], p["protocol"]) for p in plans] == [("smoke", "p"), ("smoke", "q")]
         p_plan = plans[0]
         assert p_plan["xticks"] == ["aaa", "bbb"]
-        # same-commit repetitions average; sharded series is labelled with P
+        # same-commit repetitions average; one series per backend and n
         assert p_plan["series"]["vectorized n=100"] == ([0.0], [2.0])
-        assert p_plan["series"]["sharded[2] n=100"] == ([1.0], [0.5])
+        assert p_plan["series"]["engine n=100"] == ([1.0], [0.5])
 
     def test_plan_empty_rows(self):
         from repro.harness.plotting import plan_bench_figures

@@ -13,6 +13,7 @@ from repro.simulator.failures import (
     kind_salt,
     paper_delta_range,
 )
+from repro.substrate import available_backends
 
 
 class TestValidation:
@@ -164,11 +165,11 @@ class TestChurnOracle:
         oracle = ChurnOracle(0.3, join_rate=0.0, key=99)
         ids = np.arange(10_000, dtype=np.int64)
         whole = oracle._fates(5, ids, oracle._crash_salt, oracle._crash_threshold)
-        # sharded: any contiguous split concatenates to the same fates
-        for shards in (2, 3, 7):
+        # chunked: any contiguous split concatenates to the same fates
+        for chunks in (2, 3, 7):
             parts = [
                 oracle._fates(5, chunk, oracle._crash_salt, oracle._crash_threshold)
-                for chunk in np.array_split(ids, shards)
+                for chunk in np.array_split(ids, chunks)
             ]
             assert np.array_equal(np.concatenate(parts), whole)
         # batch order: a permuted batch gets the permuted fates
@@ -256,9 +257,10 @@ class TestChurnOracle:
 
 
 class TestChurnBackendIndependence:
-    """Run-level property: fates survive backend and shard-count changes."""
+    """Run-level property: fates, outcomes and degradation survive a backend change."""
 
-    def test_push_sum_identical_across_shard_counts(self):
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_push_sum_identical_across_backends(self, backend):
         from repro.api import RunSpec, run
 
         doc = dict(
@@ -272,12 +274,9 @@ class TestChurnBackendIndependence:
             },
         )
         baseline = run(RunSpec(**doc, backend="vectorized"))
-        for shards in (1, 2, 5):
-            sharded = run(
-                RunSpec(**doc, backend="sharded", backend_options={"shards": shards})
-            )
-            assert sharded.same_outcome(baseline), f"shards={shards} diverged"
-            assert sharded.degradation == baseline.degradation
+        other = run(RunSpec(**doc, backend=backend))
+        assert other.same_outcome(baseline), f"{backend} diverged from vectorized"
+        assert other.degradation == baseline.degradation
 
 
 class TestDerivedQuantities:

@@ -1,19 +1,14 @@
 """Backend-equivalence guarantees of the execution substrate.
 
 The substrate's contract (see ``repro/substrate/kernel.py``): the columnar
-``vectorized`` kernel, the multiprocessing ``sharded`` kernel, and the
-message-level ``engine`` kernel consume the shared RNG stream in the same
-order, decide per-transmission loss through the identity-keyed loss oracle,
+``vectorized`` kernel, the numba-jitted ``compiled`` kernel (where numba is
+installed), and the message-level ``engine`` kernel consume the shared RNG
+stream in the same order, decide per-transmission loss through the identity-keyed loss oracle,
 and charge messages through the same accounting conventions.  For every
 protocol the backends must therefore produce **identical** rounds, message
 counts (total, per kind, per phase, lost), and estimates for the same seed —
 on reliable *and* lossy networks (``FailureModel`` with loss probability
 > 0), with and without initial crashes.
-
-The ``sharded`` backend runs these tests with ``min_batch=0`` and two
-workers (the :func:`sharded_workers` fixture), so every delivery, probe
-exchange, and reliable relay actually crosses the shared-memory worker
-pool rather than falling back to the inline path.
 
 Float caveat: protocols that *sum* floats (convergecast-sum, gossip-ave,
 push-sum mass arriving over two hops) may fold concurrent contributions in
@@ -59,11 +54,9 @@ from repro.substrate import (
     get_kernel,
     normalize_backend,
     occurrence_index,
-    probe_exchange,
     run_chord_lookups,
     run_on,
 )
-from repro.substrate.sharded import ShardedKernel, shutdown_pools
 from repro.topology import ChordNetwork, grid_graph, make_graph
 
 #: The failure models every equivalence assertion runs under: reliable,
@@ -100,7 +93,7 @@ CRASH_ONLY_CHURN = FailureModel(
 
 #: The backends measured against the ``engine`` fidelity reference.  With
 #: numba installed, ``compiled`` registers itself and the matrix is
-#: four-way; without it the backend appears in the *parametrized* tests as
+#: three-way; without it the backend appears in the *parametrized* tests as
 #: an explicitly skipped param, so the gap is visible in the test report
 #: rather than silent.  (In-test loops iterate FAST_BACKENDS, which only
 #: ever holds registered names.)
@@ -112,15 +105,6 @@ if "compiled" not in FAST_BACKENDS:
     FAST_BACKEND_PARAMS.append(
         pytest.param("compiled", marks=pytest.mark.skip(reason=NUMBA_REQUIREMENT))
     )
-
-
-@pytest.fixture(scope="module")
-def sharded_workers():
-    """Force every sharded batch through a real two-worker pool."""
-    kernel = BACKENDS["sharded"]
-    with kernel.options(shards=2, min_batch=0):
-        yield kernel
-    shutdown_pools()
 
 
 def assert_metrics_identical(a: MetricsCollector, b: MetricsCollector) -> None:
@@ -141,17 +125,15 @@ class TestBackendRegistry:
     def test_available_backends(self):
         from repro.substrate import NUMBA_AVAILABLE
 
-        expected = ("vectorized", "engine", "sharded")
+        expected = ("vectorized", "engine")
         if NUMBA_AVAILABLE:
-            expected = ("vectorized", "compiled", "engine", "sharded")
+            expected = ("vectorized", "compiled", "engine")
         assert available_backends() == expected
 
     def test_normalize_accepts_names_and_kernels(self):
         assert normalize_backend(None) == "vectorized"
         assert normalize_backend("ENGINE ".strip().upper().lower()) == "engine"
         assert normalize_backend(get_kernel("engine")) == "engine"
-        assert normalize_backend("sharded") == "sharded"
-        assert isinstance(get_kernel("sharded"), ShardedKernel)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(Exception, match="unknown substrate backend"):
@@ -169,13 +151,9 @@ class TestBackendRegistry:
         assert picked == "engine"
         picked = run_on(None, vectorized=lambda k: k.name, engine=lambda k: k.name)
         assert picked == "vectorized"
-        # sharded is a VectorizedKernel subclass: it takes the columnar path
-        picked = run_on("sharded", vectorized=lambda k: k.name, engine=lambda k: k.name)
-        assert picked == "sharded"
 
     def test_config_normalises_backend(self):
         assert DRRGossipConfig(backend="engine").backend == "engine"
-        assert DRRGossipConfig(backend="sharded").backend == "sharded"
         with pytest.raises(Exception):
             DRRGossipConfig(backend="nope")
 
@@ -308,83 +286,6 @@ class TestDeliveryParity:
 
 
 # --------------------------------------------------------------------------- #
-# the sharded worker pool vs the inline primitives
-# --------------------------------------------------------------------------- #
-class TestShardedPrimitives:
-    """The pooled ops must reproduce the inline primitives bit-for-bit."""
-
-    @pytest.mark.parametrize("delta", [0.0, 0.3], ids=["reliable", "lossy"])
-    def test_pooled_deliver_matches_inline(self, sharded_workers, delta):
-        oracle = LossOracle(delta, key=777)
-        rng = np.random.default_rng(3)
-        n = 300
-        targets = rng.integers(0, n, size=n)
-        senders = rng.integers(0, n, size=n)
-        alive = rng.random(n) > 0.2
-        inline_metrics = MetricsCollector(n=n)
-        inline = deliver_batch(
-            inline_metrics, oracle, "data", targets,
-            senders=senders, round_index=5, alive=alive,
-        )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.deliver(
-            pooled_metrics, oracle, "data", targets,
-            senders=senders, round_index=5, alive=alive,
-        )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
-
-    @pytest.mark.parametrize("delta", [0.0, 0.3], ids=["reliable", "lossy"])
-    def test_pooled_probe_exchange_matches_inline(self, sharded_workers, delta):
-        oracle = LossOracle(delta, key=55)
-        rng = np.random.default_rng(4)
-        n = 400
-        senders = np.arange(n, dtype=np.int64)
-        targets = rng.integers(0, n, size=n)
-        ranks = rng.random(n)
-        alive = rng.random(n) > 0.1
-        inline_metrics = MetricsCollector(n=n)
-        inline = probe_exchange(
-            inline_metrics, oracle, targets,
-            senders=senders, ranks=ranks, round_index=2, alive=alive,
-        )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.probe_exchange(
-            pooled_metrics, oracle, targets,
-            senders=senders, ranks=ranks, round_index=2, alive=alive,
-        )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
-
-    @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
-    def test_pooled_relay_matches_inline(self, sharded_workers, crashes):
-        from repro.substrate.delivery import relay_to_roots
-
-        oracle = LossOracle(0.0)
-        rng = np.random.default_rng(5)
-        n, m = 500, 40
-        roots = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
-        position = np.full(n, -1, dtype=np.int64)
-        position[roots] = np.arange(m)
-        root_of = roots[rng.integers(0, m, size=n)]
-        root_of[rng.random(n) < 0.1] = -1
-        alive = (rng.random(n) > 0.15) if crashes else None
-        targets = rng.integers(0, n, size=m)
-        inline_metrics = MetricsCollector(n=n)
-        inline = relay_to_roots(
-            inline_metrics, oracle, targets, senders=roots, round_index=1,
-            kind="gossip", position=position, root_of=root_of, alive=alive,
-        )
-        pooled_metrics = MetricsCollector(n=n)
-        pooled = sharded_workers.relay_to_roots(
-            pooled_metrics, oracle, targets, senders=roots, round_index=1,
-            kind="gossip", position=position, root_of=root_of, alive=alive,
-        )
-        assert np.array_equal(inline, pooled)
-        assert_metrics_identical(inline_metrics, pooled_metrics)
-
-
-# --------------------------------------------------------------------------- #
 # per-phase equivalence
 # --------------------------------------------------------------------------- #
 def make_forest_inputs(fm: FailureModel):
@@ -409,7 +310,7 @@ class TestPhaseEquivalence:
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_drr_identical(self, seed, fm, backend, sharded_workers):
+    def test_drr_identical(self, seed, fm, backend):
         fast = run_drr(256, rng=seed, failure_model=fm, backend=backend)
         engine = run_drr(256, rng=seed, failure_model=fm, backend="engine")
         assert np.array_equal(fast.forest.parent, engine.forest.parent)
@@ -421,7 +322,7 @@ class TestPhaseEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
-    def test_convergecast_identical(self, forest_inputs, op, backend, sharded_workers):
+    def test_convergecast_identical(self, forest_inputs, op, backend):
         fm, drr, values, _ = forest_inputs
         fast = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend=backend)
         engine = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend="engine")
@@ -433,7 +334,7 @@ class TestPhaseEquivalence:
         assert_metrics_identical(fast.metrics, engine.metrics)
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
-    def test_broadcast_identical(self, forest_inputs, backend, sharded_workers):
+    def test_broadcast_identical(self, forest_inputs, backend):
         fm, drr, _, _ = forest_inputs
         alive = drr.forest.alive
         payload = {int(r): float(r) * 3.0 for r in drr.forest.roots if alive[r]}
@@ -444,7 +345,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_gossip_max_identical(self, forest_inputs, sharded_workers):
+    def test_gossip_max_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -465,7 +366,7 @@ class TestPhaseEquivalence:
             )
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
-    def test_gossip_ave_identical(self, forest_inputs, sharded_workers):
+    def test_gossip_ave_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -494,7 +395,7 @@ class TestPhaseEquivalence:
             assert np.allclose(fast.history, engine.history, rtol=1e-9, equal_nan=True)
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
-    def test_data_spread_identical(self, forest_inputs, sharded_workers):
+    def test_data_spread_identical(self, forest_inputs):
         fm, drr, _, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
@@ -519,7 +420,7 @@ class TestTopologyKernelEquivalence:
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("family", ["grid", "regular4"])
-    def test_local_drr_identical(self, family, fm, backend, sharded_workers):
+    def test_local_drr_identical(self, family, fm, backend):
         topo = make_graph(family, 144, np.random.default_rng(1))
         fast = run_local_drr(topo, rng=7, failure_model=fm, backend=backend)
         engine = run_local_drr(topo, rng=7, failure_model=fm, backend="engine")
@@ -539,7 +440,7 @@ class TestTopologyKernelEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
-    def test_chord_lookups_identical(self, delta, backend, sharded_workers):
+    def test_chord_lookups_identical(self, delta, backend):
         fm = FailureModel(loss_probability=delta)
         rng = np.random.default_rng(3)
         chord = ChordNetwork(128, rng)
@@ -642,9 +543,7 @@ class TestPipelineEquivalence:
         "aggregate",
         [Aggregate.MAX, Aggregate.MIN, Aggregate.AVERAGE, Aggregate.SUM, Aggregate.COUNT, Aggregate.RANK],
     )
-    def test_every_aggregate_identical_across_backends(
-        self, aggregate, small_values, sharded_workers
-    ):
+    def test_every_aggregate_identical_across_backends(self, aggregate, small_values):
         runs = {
             backend: drr_gossip(
                 small_values,
@@ -660,9 +559,7 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("fm", FAILURE_MODELS[1:], ids=FM_IDS[1:])
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE])
-    def test_pipeline_identical_under_failures(
-        self, aggregate, fm, small_values, sharded_workers
-    ):
+    def test_pipeline_identical_under_failures(self, aggregate, fm, small_values):
         runs = {
             backend: drr_gossip(
                 small_values, aggregate, rng=23,
@@ -673,7 +570,7 @@ class TestPipelineEquivalence:
         for backend in FAST_BACKENDS:
             self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
 
-    def test_pipeline_identical_under_crashes(self, small_values, sharded_workers):
+    def test_pipeline_identical_under_crashes(self, small_values):
         fm = FailureModel(crash_fraction=0.15)
         runs = {
             backend: drr_gossip(
@@ -692,7 +589,7 @@ class TestPipelineEquivalence:
 @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
 @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
 class TestBaselineEquivalence:
-    def test_push_sum_identical(self, fm, backend, sharded_workers):
+    def test_push_sum_identical(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
         engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
@@ -700,7 +597,7 @@ class TestBaselineEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_push_max_identical_including_oracle_stop(self, fm, backend, sharded_workers):
+    def test_push_max_identical_including_oracle_stop(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         for stop in (False, True):
             fast = push_max(values, rng=6, failure_model=fm, stop_when_converged=stop, backend=backend)
@@ -709,7 +606,7 @@ class TestBaselineEquivalence:
             assert fast.rounds == engine.rounds
             assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_rumor_protocols_identical(self, fm, backend, sharded_workers):
+    def test_rumor_protocols_identical(self, fm, backend):
         if fm.crash_fraction:
             pytest.skip("rumor protocols ignore initial crashes by design")
         for fn in (push_rumor, push_pull_rumor):
@@ -719,7 +616,7 @@ class TestBaselineEquivalence:
             assert fast.rounds == engine.rounds
             assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_flooding_identical(self, fm, backend, sharded_workers):
+    def test_flooding_identical(self, fm, backend):
         if fm.crash_fraction:
             pytest.skip("flooding ignores initial crashes by design")
         topology = grid_graph(144)
@@ -730,7 +627,7 @@ class TestBaselineEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    def test_efficient_gossip_identical(self, fm, backend, sharded_workers):
+    def test_efficient_gossip_identical(self, fm, backend):
         for aggregate in (Aggregate.AVERAGE, Aggregate.MAX):
             values = np.random.default_rng(3).uniform(0, 10, size=400)
             fast = efficient_gossip(values, aggregate, rng=12, failure_model=fm, backend=backend)
@@ -757,7 +654,7 @@ class TestChurnEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_sum_four_way(self, fm, backend, sharded_workers):
+    def test_push_sum_four_way(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
         engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
@@ -772,7 +669,7 @@ class TestChurnEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_max_four_way(self, fm, backend, sharded_workers):
+    def test_push_max_four_way(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
         fast = push_max(values, rng=6, failure_model=fm, backend=backend)
         engine = push_max(values, rng=6, failure_model=fm, backend="engine")
@@ -783,7 +680,7 @@ class TestChurnEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_four_way(self, fm, backend, sharded_workers):
+    def test_epoch_gossip_four_way(self, fm, backend):
         from repro.baselines import epoch_gossip_ave
 
         values = np.random.default_rng(5).normal(8.0, 3.0, size=300)
@@ -802,7 +699,7 @@ class TestChurnEquivalence:
 
     @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_graph_four_way(self, fm, backend, sharded_workers):
+    def test_epoch_gossip_graph_four_way(self, fm, backend):
         from repro.baselines import epoch_gossip_ave
 
         topology = grid_graph(144)
@@ -821,7 +718,7 @@ class TestChurnEquivalence:
         assert_metrics_identical(fast.metrics, engine.metrics)
 
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE, Aggregate.COUNT])
-    def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values, sharded_workers):
+    def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values):
         """The full pipeline (crash-only churn) agrees across all backends."""
         runs = {
             backend: drr_gossip(
