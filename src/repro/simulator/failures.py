@@ -339,7 +339,7 @@ def _as_u64(value) -> np.ndarray:
 #: optional compiled batch hasher installed by :mod:`repro.substrate.compiled`
 #: when numba is importable.  Signature matches :meth:`LossOracle._mix` plus
 #: the leading run key; must be bit-identical to the NumPy chain below (the
-#: backend-equivalence suite enforces this wherever numba is present).
+#: test suite checks this, the loop jitted or, without numba, interpreted).
 _BATCH_HASHER = None
 
 #: batches below this stay on the NumPy chain — the jitted call's fixed

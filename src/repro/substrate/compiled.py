@@ -21,8 +21,10 @@ The jitted kernels compute the *same pure functions* as the NumPy paths:
   order) and only the final fold across positions runs in parallel, so
   fixed-seed estimates are bit-identical, not merely close.
 
-``tests/test_substrate.py`` extends the backend-equivalence matrix to
-``compiled`` wherever numba is importable.
+``tests/test_substrate.py`` runs the backend-equivalence matrix on
+``compiled`` everywhere: without numba the test fixtures run the loops
+below as plain Python (``njit`` is then the identity and ``prange`` is
+``range``), so their bodies are checked even where they cannot be jitted.
 
 Optional dependency
 -------------------
@@ -84,9 +86,9 @@ except ImportError:
     def njit(*args, **kwargs):
         """Identity decorator standing in for numba.njit when it is absent.
 
-        The decorated loops are only ever *called* when numba compiled
-        them — the kernel methods below delegate to the NumPy paths in
-        python-fallback mode — but they must stay importable either way.
+        In python-fallback mode the kernel methods below delegate to the
+        NumPy paths; the loops stay plain, runnable Python because the
+        test suite calls them undecorated where numba is missing.
         """
         if args and callable(args[0]):
             return args[0]
@@ -601,9 +603,9 @@ def python_fallback():
     """Temporarily register ``compiled`` with pure-NumPy fallbacks.
 
     For tests on numba-less machines: exercises registration, spec
-    round-trips, scratch and orchestration — the jitted loops themselves
-    are bypassed (they are covered by the three-way equivalence matrix
-    wherever numba is installed, e.g. the ``bench-compiled`` CI job).
+    round-trips, scratch and orchestration — the loops themselves are
+    bypassed (the three-way equivalence matrix covers them, jitted where
+    numba is installed and interpreted where it is not).
     """
     was_registered = CompiledKernel.name in BACKENDS
     register(force_python=True)

@@ -20,10 +20,14 @@ from repro.substrate import BACKENDS, sample_uniform, tuning
 
 
 # --------------------------------------------------------------------------- #
-# every registered backend round-trips through spec machinery
+# every backend round-trips through spec machinery (``compiled`` is
+# registered by the ``backend`` fixture where numba is missing)
 # --------------------------------------------------------------------------- #
+EVERY_BACKEND = sorted({*BACKENDS, "compiled"})
+
+
 class TestBackendRoundTrip:
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", EVERY_BACKEND, indirect=True)
     def test_runspec_accepts_and_serialises_every_backend(self, backend):
         spec = RunSpec(protocol="drr", params={"n": 64}, backend=backend, seed=5)
         assert spec.backend == backend
@@ -31,7 +35,7 @@ class TestBackendRoundTrip:
         assert rebuilt == spec
         assert rebuilt.spec_hash() == spec.spec_hash()
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", EVERY_BACKEND, indirect=True)
     def test_spec_validate_cli_accepts_every_backend(self, backend, tmp_path, capsys):
         path = tmp_path / f"{backend}.toml"
         path.write_text(

@@ -1,10 +1,11 @@
 """The ``compiled`` backend: registration, fallbacks, and primitive contracts.
 
-The jitted loops themselves are exercised by the three-way equivalence
-matrix in ``tests/test_substrate.py`` wherever numba is installed (the
-``bench-compiled`` CI job); this file covers everything that must hold on
-*every* machine:
+Everything here holds on *every* machine; where numba is missing the
+``compiled_kernel`` fixture runs the kernel's loops as plain Python:
 
+* each loop-backed override against the NumPy primitive it replaces —
+  outputs, fates and message accounting (also run through the three-way
+  equivalence matrix in ``tests/test_substrate.py``);
 * dynamic registration — ``BACKENDS`` grows/shrinks with numba's
   availability, ``normalize_backend`` explains how to install the extra,
   and specs referencing ``backend="compiled"`` round-trip whenever the
@@ -19,6 +20,7 @@ matrix in ``tests/test_substrate.py`` wherever numba is installed (the
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 
 import numpy as np
@@ -29,8 +31,9 @@ from hypothesis import strategies as st
 import repro
 from repro.api import RunSpec
 from repro.core import DRRGossipConfig, drr_gossip_average, run_drr
+from repro.simulator import MetricsCollector, failures
 from repro.simulator.errors import ConfigurationError
-from repro.simulator.failures import FailureModel, LossOracle, kind_salt
+from repro.simulator.failures import ChurnOracle, FailureModel, LossOracle, kind_salt
 from repro.simulator.message import MessageKind
 from repro.substrate import (
     BACKENDS,
@@ -39,10 +42,13 @@ from repro.substrate import (
     VectorizedKernel,
     available_backends,
     compact_frontier,
+    deliver_batch,
     fold_pushes,
     get_kernel,
     normalize_backend,
     occurrence_index,
+    probe_exchange,
+    relay_to_roots,
 )
 from repro.substrate import compiled as compiled_mod
 from repro.substrate.compiled import (
@@ -335,12 +341,213 @@ class TestNewPrimitives:
 
 
 # --------------------------------------------------------------------------- #
+# the loops: every loop-backed override against the NumPy primitive
+# --------------------------------------------------------------------------- #
+LOOP_N = 600
+LOSSY = LossOracle(0.3, key=0x5EED)
+RELIABLE = LossOracle(0.0)
+
+#: occurrence_index key sets dense enough for the counting loop
+OCCURRENCE_KEYS = {
+    "relay-shaped": np.random.default_rng(4).integers(0, 500, size=3000),
+    "negative-base": np.random.default_rng(5).integers(-300, 300, size=2000),
+    "all-equal": np.full(1000, 7, dtype=np.int64),
+}
+
+
+def _accounting(metrics: MetricsCollector) -> tuple:
+    return (
+        metrics.total_messages,
+        metrics.total_messages_lost,
+        metrics.total_messages_to_dead,
+        metrics.total_words,
+        dict(metrics.messages_by_kind()),
+    )
+
+
+def _alive(rng, crashes: bool):
+    return rng.random(LOOP_N) > 0.2 if crashes else None
+
+
+@contextlib.contextmanager
+def _numpy_hashers():
+    """Take the installed loss and churn hashers out for a reference run."""
+    batch, churn = failures._BATCH_HASHER, failures._CHURN_HASHER
+    failures.set_batch_hasher(None)
+    failures.set_churn_hasher(None)
+    try:
+        yield
+    finally:
+        failures.set_batch_hasher(batch)
+        failures.set_churn_hasher(churn)
+
+
+class TestLoopsMatchNumpy:
+    """Each loop of the kernel computes exactly its NumPy counterpart.
+
+    The ``compiled_kernel`` fixture runs the loops jitted where numba is
+    installed and interpreted where it is not, so fates, outputs and
+    message accounting of every loop are checked on every machine.
+    """
+
+    @pytest.mark.parametrize("identity", ["shared", "per-message"])
+    @pytest.mark.parametrize("dead_targets", [False, True], ids=["no-to-dead", "to-dead"])
+    @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
+    def test_deliver(self, compiled_kernel, crashes, dead_targets, identity):
+        rng = np.random.default_rng(1)
+        targets = rng.integers(0, LOOP_N, size=2000)
+        alive = _alive(rng, crashes)
+        if identity == "shared":
+            ident = {"senders": 17, "round_index": 5}
+        else:
+            ident = {
+                "senders": rng.integers(0, LOOP_N, size=2000),
+                "round_index": rng.integers(0, 30, size=2000),
+                "nonces": rng.integers(0, 3, size=2000),
+            }
+        got_m, ref_m = MetricsCollector(n=LOOP_N), MetricsCollector(n=LOOP_N)
+        got = compiled_kernel.deliver(
+            got_m, LOSSY, MessageKind.GOSSIP, targets, alive=alive,
+            payload_words=2, dead_targets=dead_targets, **ident,
+        )
+        ref = deliver_batch(
+            ref_m, LOSSY, MessageKind.GOSSIP, targets, alive=alive,
+            payload_words=2, dead_targets=dead_targets, **ident,
+        )
+        assert np.array_equal(got, ref)
+        assert _accounting(got_m) == _accounting(ref_m)
+
+    @pytest.mark.parametrize("crashes", [False, True], ids=["all-alive", "crashes"])
+    @pytest.mark.parametrize("oracle", [RELIABLE, LOSSY], ids=["reliable", "lossy"])
+    def test_probe_exchange(self, compiled_kernel, oracle, crashes):
+        rng = np.random.default_rng(2)
+        senders = rng.permutation(LOOP_N)[:400]
+        targets = rng.integers(0, LOOP_N, size=400)
+        ranks = rng.random(LOOP_N)
+        alive = _alive(rng, crashes)
+        got_m, ref_m = MetricsCollector(n=LOOP_N), MetricsCollector(n=LOOP_N)
+        got = compiled_kernel.probe_exchange(
+            got_m, oracle, targets, senders=senders, ranks=ranks, round_index=3, alive=alive
+        )
+        ref = probe_exchange(
+            ref_m, oracle, targets, senders=senders, ranks=ranks, round_index=3, alive=alive
+        )
+        assert np.array_equal(got, ref)
+        assert _accounting(got_m) == _accounting(ref_m)
+
+    @pytest.mark.parametrize("dead_targets", [False, True], ids=["no-to-dead", "to-dead"])
+    @pytest.mark.parametrize("case", ["lossy", "lossy+crashes", "reliable+crashes"])
+    def test_relay_to_roots(self, compiled_kernel, case, dead_targets):
+        rng = np.random.default_rng(3)
+        roots = rng.choice(LOOP_N, size=40, replace=False)
+        position = np.full(LOOP_N, -1, dtype=np.int64)
+        position[roots] = np.arange(roots.size)
+        root_of = roots[rng.integers(0, roots.size, size=LOOP_N)]
+        root_of[rng.random(LOOP_N) < 0.1] = -1  # Phase II broadcast lost: no forward
+        # ~5 pushes per forwarder, so the FORWARD nonces (send ranks) matter
+        senders = roots[rng.integers(0, roots.size, size=3000)]
+        targets = rng.integers(0, LOOP_N, size=3000)
+        oracle = RELIABLE if case.startswith("reliable") else LOSSY
+        alive = _alive(rng, "crashes" in case)
+        kwargs = dict(
+            senders=senders, round_index=4, kind=MessageKind.GOSSIP, position=position,
+            root_of=root_of, alive=alive, payload_words=2, dead_targets=dead_targets,
+        )
+        got_m, ref_m = MetricsCollector(n=LOOP_N), MetricsCollector(n=LOOP_N)
+        got = compiled_kernel.relay_to_roots(got_m, oracle, targets, **kwargs)
+        ref = relay_to_roots(ref_m, oracle, targets, **kwargs)
+        assert np.array_equal(got, ref)
+        assert _accounting(got_m) == _accounting(ref_m)
+        assert (got >= 0).any() and (got < 0).any()
+
+    @pytest.mark.parametrize("name", sorted(OCCURRENCE_KEYS))
+    def test_occurrence_index(self, compiled_kernel, name):
+        keys = OCCURRENCE_KEYS[name]
+        assert np.array_equal(compiled_kernel.occurrence_index(keys), naive_occurrence_index(keys))
+        # the counts scratch is handed back all-zero for the next call
+        assert not compiled_kernel._scratch["occurrence_counts"].any()
+
+    @pytest.mark.parametrize(
+        "drop_rate", [0.0, 0.4, 1.0], ids=["keep-all", "drop-some", "drop-all"]
+    )
+    def test_compact_frontier(self, compiled_kernel, drop_rate):
+        rng = np.random.default_rng(6)
+        active = rng.permutation(5000)[:3000]
+        drop = rng.random(3000) < drop_rate
+        got = compiled_kernel.compact_frontier(active, drop)
+        assert got.dtype == active.dtype
+        assert np.array_equal(got, compact_frontier(active, drop))
+
+    @pytest.mark.parametrize("drop_rate", [0.3, 1.0], ids=["some-dropped", "all-dropped"])
+    def test_fold_pushes(self, compiled_kernel, drop_rate):
+        rng = np.random.default_rng(7)
+        m, batch = 257, 4096
+        receiver = rng.integers(0, m, size=batch)
+        receiver[rng.random(batch) < drop_rate] = -1
+        send_s, send_g = rng.random(batch), rng.random(batch)
+        s, g = rng.random(m), rng.random(m)
+        s_ref, g_ref = s.copy(), g.copy()
+        compiled_kernel.fold_pushes(receiver, send_s, send_g, s, g)
+        fold_pushes(receiver, send_s, send_g, s_ref, g_ref)
+        # bitwise: the loop keeps bincount's per-position summation order
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("identity", ["shared", "per-message"])
+    def test_loss_batch_hasher(self, compiled_kernel, identity):
+        assert failures._BATCH_HASHER is compiled_mod._batch_hash
+        rng = np.random.default_rng(8)
+        size = 5000  # above the threshold at which the oracle calls the hasher
+        recipients = rng.integers(0, LOOP_N, size=size)
+        if identity == "shared":
+            args = (9, MessageKind.GOSSIP, 3, recipients)
+        else:
+            args = (
+                rng.integers(0, 40, size=size), MessageKind.FORWARD,
+                rng.integers(0, LOOP_N, size=size), recipients, rng.integers(0, 4, size=size),
+            )
+        got = LOSSY.sample(*args)
+        with _numpy_hashers():
+            ref = LOSSY.sample(*args)
+        assert np.array_equal(got, ref)
+
+    def test_loss_batch_hasher_mixed_kinds(self, compiled_kernel):
+        rng = np.random.default_rng(9)
+        size = 5000
+        salts = np.array(
+            [kind_salt(k) for k in (MessageKind.GOSSIP, MessageKind.FORWARD, MessageKind.PROBE)],
+            dtype=np.uint64,
+        )[rng.integers(0, 3, size=size)]
+        args = (
+            rng.integers(0, 40, size=size), salts,
+            rng.integers(0, LOOP_N, size=size), rng.integers(0, LOOP_N, size=size),
+        )
+        got = LOSSY.sample_salted(*args)
+        with _numpy_hashers():
+            ref = LOSSY.sample_salted(*args)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("rates", [(0.2, 0.0), (0.05, 0.1)], ids=["crash-only", "crash+join"])
+    def test_churn_hasher(self, compiled_kernel, rates):
+        assert failures._CHURN_HASHER is compiled_mod._churn_mask
+        oracle = ChurnOracle(*rates, key=0xC0FFEE)
+        # both the alive and the dead set exceed the hasher's batch threshold
+        start = np.random.default_rng(10).random(10_000) < 0.5
+        got_alive, ref_alive = start.copy(), start.copy()
+        got = oracle.step(7, got_alive)
+        with _numpy_hashers():
+            ref = oracle.step(7, ref_alive)
+        assert np.array_equal(got_alive, ref_alive)
+        for got_ids, ref_ids in zip(got, ref):
+            assert np.array_equal(got_ids, ref_ids)
+        assert got[0].size > 0
+
+
+# --------------------------------------------------------------------------- #
 # the LossOracle batch-hasher seam
 # --------------------------------------------------------------------------- #
 class TestBatchHasherSeam:
     def test_hook_is_used_for_large_batches_only(self):
-        from repro.simulator import failures
-
         calls = []
         oracle = LossOracle(0.25, key=99)
 

@@ -259,7 +259,8 @@ class TestChurnOracle:
 class TestChurnBackendIndependence:
     """Run-level property: fates, outcomes and degradation survive a backend change."""
 
-    @pytest.mark.parametrize("backend", available_backends())
+    # ``compiled`` joins even without numba: the fixture interprets its loops
+    @pytest.mark.parametrize("backend", sorted({*available_backends(), "compiled"}), indirect=True)
     def test_push_sum_identical_across_backends(self, backend):
         from repro.api import RunSpec, run
 

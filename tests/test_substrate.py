@@ -91,20 +91,13 @@ CRASH_ONLY_CHURN = FailureModel(
     churn_schedule=((5, (3, 9), "crash"),),
 )
 
-#: The backends measured against the ``engine`` fidelity reference.  With
-#: numba installed, ``compiled`` registers itself and the matrix is
-#: three-way; without it the backend appears in the *parametrized* tests as
-#: an explicitly skipped param, so the gap is visible in the test report
-#: rather than silent.  (In-test loops iterate FAST_BACKENDS, which only
-#: ever holds registered names.)
-FAST_BACKENDS = [name for name in available_backends() if name != "engine"]
-FAST_BACKEND_PARAMS: list = list(FAST_BACKENDS)
-if "compiled" not in FAST_BACKENDS:
-    from repro.substrate.compiled import NUMBA_REQUIREMENT
-
-    FAST_BACKEND_PARAMS.append(
-        pytest.param("compiled", marks=pytest.mark.skip(reason=NUMBA_REQUIREMENT))
-    )
+#: The backends measured against the ``engine`` fidelity reference.
+#: ``compiled`` runs on every machine: jitted with numba installed, its loops
+#: interpreted as plain Python without it.  Parametrized tests get it through
+#: the indirect ``backend`` fixture, tests that loop over ALL_BACKENDS through
+#: the ``compiled_kernel`` fixture (both in ``tests/conftest.py``).
+FAST_BACKENDS = ["vectorized", "compiled"]
+ALL_BACKENDS = ["engine", *FAST_BACKENDS]
 
 
 def assert_metrics_identical(a: MetricsCollector, b: MetricsCollector) -> None:
@@ -307,7 +300,7 @@ def forest_inputs(request):
 
 
 class TestPhaseEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_drr_identical(self, seed, fm, backend):
@@ -320,7 +313,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
     def test_convergecast_identical(self, forest_inputs, op, backend):
         fm, drr, values, _ = forest_inputs
@@ -333,7 +326,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     def test_broadcast_identical(self, forest_inputs, backend):
         fm, drr, _, _ = forest_inputs
         alive = drr.forest.alive
@@ -345,13 +338,14 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_max_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
         cov = run_convergecast(drr, values, op="max", failure_model=fm, rng=1)
         results, collectors = {}, {}
-        for backend in available_backends():
+        for backend in ALL_BACKENDS:
             metrics = MetricsCollector(n=256)
             results[backend] = run_gossip_max(
                 roots, cov.value_vector(roots), root_of, 256,
@@ -366,6 +360,7 @@ class TestPhaseEquivalence:
             )
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_ave_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
@@ -373,7 +368,7 @@ class TestPhaseEquivalence:
         cov = run_convergecast(drr, values, op="sum", failure_model=fm, rng=1)
         largest = drr.forest.largest_root()
         results, collectors = {}, {}
-        for backend in available_backends():
+        for backend in ALL_BACKENDS:
             metrics = MetricsCollector(n=256)
             results[backend] = run_gossip_ave(
                 roots,
@@ -395,13 +390,14 @@ class TestPhaseEquivalence:
             assert np.allclose(fast.history, engine.history, rtol=1e-9, equal_nan=True)
             assert_metrics_identical(collectors[backend], collectors["engine"])
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_data_spread_identical(self, forest_inputs):
         fm, drr, _, root_of = forest_inputs
         alive = drr.forest.alive
         roots = np.array([r for r in drr.forest.roots if alive[r]], dtype=np.int64)
         spreader = int(drr.forest.largest_root())
         results, collectors = {}, {}
-        for backend in available_backends():
+        for backend in ALL_BACKENDS:
             metrics = MetricsCollector(n=256)
             results[backend] = run_data_spread(
                 roots, spreader, 42.5, root_of, 256,
@@ -417,7 +413,7 @@ class TestPhaseEquivalence:
 # the topology kernel: Local-DRR and Chord lookups
 # --------------------------------------------------------------------------- #
 class TestTopologyKernelEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("family", ["grid", "regular4"])
     def test_local_drr_identical(self, family, fm, backend):
@@ -438,7 +434,7 @@ class TestTopologyKernelEquivalence:
         engine = run_local_drr(topo, rng=5, ranks=ranks, backend="engine")
         assert np.array_equal(fast.forest.parent, engine.forest.parent)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
     def test_chord_lookups_identical(self, delta, backend):
         fm = FailureModel(loss_probability=delta)
@@ -476,6 +472,7 @@ class TestTopologyKernelEquivalence:
         assert batch.rounds == int(batch.hops.max())
         assert batch.messages == int(batch.hops.sum())
 
+    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
     def test_chord_reply_batching_identical(self, delta):
         """count_reply charges the reply leg identically on every backend."""
@@ -489,7 +486,7 @@ class TestTopologyKernelEquivalence:
                 chord, sources, targets, failure_model=fm, rng=11,
                 backend=backend, count_reply=True,
             )
-            for backend in available_backends()
+            for backend in ALL_BACKENDS
         }
         engine = runs["engine"]
         for backend in FAST_BACKENDS:
@@ -539,6 +536,7 @@ class TestPipelineEquivalence:
             assert np.allclose(fast.estimates, engine.estimates, rtol=1e-9, equal_nan=True)
         assert_metrics_identical(fast.metrics, engine.metrics)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize(
         "aggregate",
         [Aggregate.MAX, Aggregate.MIN, Aggregate.AVERAGE, Aggregate.SUM, Aggregate.COUNT, Aggregate.RANK],
@@ -552,11 +550,12 @@ class TestPipelineEquivalence:
                 config=DRRGossipConfig(backend=backend),
                 query=float(np.median(small_values)),
             )
-            for backend in available_backends()
+            for backend in ALL_BACKENDS
         }
         for backend in FAST_BACKENDS:
             self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize("fm", FAILURE_MODELS[1:], ids=FM_IDS[1:])
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE])
     def test_pipeline_identical_under_failures(self, aggregate, fm, small_values):
@@ -565,11 +564,12 @@ class TestPipelineEquivalence:
                 small_values, aggregate, rng=23,
                 config=DRRGossipConfig(failure_model=fm, backend=backend),
             )
-            for backend in available_backends()
+            for backend in ALL_BACKENDS
         }
         for backend in FAST_BACKENDS:
             self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_pipeline_identical_under_crashes(self, small_values):
         fm = FailureModel(crash_fraction=0.15)
         runs = {
@@ -577,7 +577,7 @@ class TestPipelineEquivalence:
                 small_values, Aggregate.MAX, rng=23,
                 config=DRRGossipConfig(failure_model=fm, backend=backend),
             )
-            for backend in available_backends()
+            for backend in ALL_BACKENDS
         }
         for backend in FAST_BACKENDS:
             self.assert_pipeline_matches(runs[backend], runs["engine"], Aggregate.MAX)
@@ -586,7 +586,7 @@ class TestPipelineEquivalence:
 # --------------------------------------------------------------------------- #
 # baselines
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+@pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
 @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
 class TestBaselineEquivalence:
     def test_push_sum_identical(self, fm, backend):
@@ -652,7 +652,7 @@ class TestChurnEquivalence:
     mask — and everything downstream of it — is the same on every backend.
     """
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
     def test_push_sum_four_way(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
@@ -667,7 +667,7 @@ class TestChurnEquivalence:
         else:
             assert fast.metrics.total_messages_to_dead == 0
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
     def test_push_max_four_way(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=300)
@@ -678,7 +678,7 @@ class TestChurnEquivalence:
         assert fast.rounds == engine.rounds
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
     def test_epoch_gossip_four_way(self, fm, backend):
         from repro.baselines import epoch_gossip_ave
@@ -697,7 +697,7 @@ class TestChurnEquivalence:
         assert fast.epoch_survivors == engine.epoch_survivors
         assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.parametrize("backend", FAST_BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
     def test_epoch_gossip_graph_four_way(self, fm, backend):
         from repro.baselines import epoch_gossip_ave
@@ -717,6 +717,7 @@ class TestChurnEquivalence:
         assert fast.epoch_survivors == engine.epoch_survivors
         assert_metrics_identical(fast.metrics, engine.metrics)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE, Aggregate.COUNT])
     def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values):
         """The full pipeline (crash-only churn) agrees across all backends."""
@@ -725,7 +726,7 @@ class TestChurnEquivalence:
                 small_values, aggregate, rng=29,
                 config=DRRGossipConfig(failure_model=CRASH_ONLY_CHURN, backend=backend),
             )
-            for backend in available_backends()
+            for backend in ALL_BACKENDS
         }
         engine = runs["engine"]
         exact_cls = TestPipelineEquivalence()
@@ -755,9 +756,10 @@ class TestChurnEquivalence:
 # lossy networks: determinism and cross-delta common random numbers
 # --------------------------------------------------------------------------- #
 class TestLossyBehaviour:
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_each_backend_deterministic_under_loss(self):
         fm = FailureModel(loss_probability=0.1)
-        for backend in available_backends():
+        for backend in ALL_BACKENDS:
             a = run_drr(128, rng=5, failure_model=fm, backend=backend)
             b = run_drr(128, rng=5, failure_model=fm, backend=backend)
             assert np.array_equal(a.forest.parent, b.forest.parent)
