@@ -2,10 +2,10 @@
 
 Unlike the E1-E12 benchmarks this one measures the *platform*, not the
 protocols: the same multi-experiment grid is executed through the sweep
-runner with one worker and with several, and the speedup plus the cost of a
-skip-completed resume pass are reported.  Cells are deliberately sized so
-per-cell work dominates process-pool overhead at ``--full-sweep`` scale
-while the default stays CI-friendly.
+runner with one in-process queue drain and with several forked drains, and
+the speedup plus the cost of a skip-completed resume pass are reported.
+Cells are deliberately sized so per-cell work dominates the cost of forking
+the drains at ``--full-sweep`` scale while the default stays CI-friendly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.orchestration import (
     expand_cells,
 )
 
-#: at least 2 so the ProcessPoolExecutor path is always exercised, even on
+#: at least 2 so the forked queue drains are always exercised, even on
 #: single-core CI runners where the speedup itself degenerates to ~1x.
 PARALLEL_JOBS = max(2, min(4, os.cpu_count() or 1))
 
@@ -95,8 +95,8 @@ def test_parallel_speedup_and_resume(full_sweep, tmp_path):
     print(f"parallel : {parallel_s:.2f}s ({cells / parallel_s:.1f} cells/s, "
           f"{serial_s / parallel_s:.2f}x speedup)")
     print(f"resume   : {resume_s * 1000:.0f}ms for {cells} cached cells")
-    # The pool must never be pathologically slower than serial (generous
-    # bound: tiny CI cells are dominated by fork overhead).
+    # The forked drains must never be pathologically slower than serial
+    # (generous bound: tiny CI cells are dominated by fork overhead).
     assert parallel_s < 5.0 * serial_s + 5.0
     # resume never recomputes, so it must be far cheaper than the sweep
     assert resume_s < max(0.5 * serial_s, 1.0)

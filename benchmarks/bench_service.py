@@ -44,7 +44,6 @@ def record(bench: str, *, protocol: str, n: int, backend: str, wall_s: float,
             "protocol": protocol,
             "n": int(n),
             "backend": backend,
-            "shards": None,
             "wall_s": float(wall_s),
             "messages": messages,
             "rounds": rounds,

@@ -1,11 +1,13 @@
-"""Sweep-throughput benchmark: local pool vs distributed queue workers.
+"""Sweep-throughput benchmark: the sweep's own drains vs external queue workers.
 
 As a script (``python benchmarks/bench_sweep.py``) it measures cells/sec
-for the same cell workload on three execution paths and appends one
-``sweep_throughput`` row per path to ``BENCH_substrate.json``:
+for the same cell workload in three ways of draining the store's work
+queue and appends one ``sweep_throughput`` row per way to
+``BENCH_substrate.json``:
 
-* ``local-P1`` — the serial in-process baseline;
-* ``local-P4`` — the ``ProcessPoolExecutor`` fan-out;
+* ``local-P1`` — ``SweepRunner(jobs=1)``, the serial in-process drain;
+* ``local-P4`` — ``SweepRunner(jobs=4)``, four drains forked from the
+  sweep process;
 * ``queue-2`` — two real ``python -m repro worker`` processes pulling
   claims from a shared store (workers are pre-started against an empty
   queue with ``--linger`` so the measured window covers *draining*, not
@@ -41,15 +43,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_ROWS: list[dict] = []
 
 
-def record(variant: str, *, n: int, cells: int, wall_s: float,
-           shards: int | None = None) -> None:
+def record(variant: str, *, n: int, cells: int, wall_s: float) -> None:
     BENCH_ROWS.append(
         {
             "bench": "sweep_throughput",
             "protocol": "drr-gossip",
             "n": int(n),
             "backend": variant,
-            "shards": shards,
             "wall_s": float(wall_s),
             "messages": None,
             "rounds": int(cells),  # cells drained in the measured window
@@ -135,13 +135,13 @@ def smoke_throughput(cell_count: int, cell_n: int, workers: int,
     record("local-P1", n=cell_n, cells=cell_count, wall_s=serial_s)
     print(f"local-P1: {cell_count} cells in {serial_s:.2f}s -> {serial_rate:.2f} cells/s")
 
-    pool_s = run_local(cells, workdir / "local-p4.sqlite", jobs=4)
-    record("local-P4", n=cell_n, cells=cell_count, wall_s=pool_s, shards=4)
-    print(f"local-P4: {cell_count} cells in {pool_s:.2f}s -> {cell_count / pool_s:.2f} cells/s")
+    forked_s = run_local(cells, workdir / "local-p4.sqlite", jobs=4)
+    record("local-P4", n=cell_n, cells=cell_count, wall_s=forked_s)
+    print(f"local-P4: {cell_count} cells in {forked_s:.2f}s -> {cell_count / forked_s:.2f} cells/s")
 
     queue_s = run_queue(cells, workdir / "queue.sqlite", workers=workers)
     queue_rate = cell_count / queue_s
-    record(f"queue-{workers}", n=cell_n, cells=cell_count, wall_s=queue_s, shards=workers)
+    record(f"queue-{workers}", n=cell_n, cells=cell_count, wall_s=queue_s)
     ratio = queue_rate / serial_rate
     print(
         f"queue-{workers}: {cell_count} cells in {queue_s:.2f}s -> "

@@ -73,7 +73,6 @@ from ..observability import (
 )
 from ..substrate import available_backends
 from ..orchestration import (
-    EXECUTION_BACKENDS,
     QueueWorker,
     ResultStore,
     SweepDefinition,
@@ -101,6 +100,18 @@ DEFAULT_STORE = "results/results.sqlite"
 #: Kept as a plain mapping for backwards compatibility with callers that did
 #: ``from repro.harness.cli import EXPERIMENTS``.
 EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
+
+
+def _add_claim_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
+    """``--lease`` and ``--max-attempts``: the claim policy of every queue drain."""
+    parser.add_argument(
+        "--lease", type=float, default=DEFAULT_LEASE_S, metavar="SECS",
+        help=f"{scope}heartbeat silence after which a claim is reclaimed",
+    )
+    parser.add_argument(
+        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
+        help=f"{scope}claims per cell before it is marked failed",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ns", type=int, nargs="+", default=None, help="network-size vector for experiments that take one")
     sweep.add_argument("--reps", type=int, default=None, help="repetitions (seeds) per grid point")
     sweep.add_argument("--seed", type=int, default=None, help="master seed (per-cell seeds derive from it)")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1 = run in-process)")
+    sweep.add_argument(
+        "--jobs", type=int, default=1, help="queue drains forked from this process (1 = drain in-process)"
+    )
     sweep.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
     sweep.add_argument(
         "--backend",
@@ -221,35 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute cells even when the store already has their results",
     )
     sweep.add_argument(
-        "--exec",
-        dest="exec_backend",
-        choices=list(EXECUTION_BACKENDS),
-        default="local",
-        help="execution backend: 'local' fans cells over this host's process pool; "
-        "'queue' enqueues them in the store's claimable work queue and drains it "
-        "with --jobs workers (plus any `drr-gossip worker` processes on hosts "
-        "sharing the store)",
-    )
-    sweep.add_argument(
         "--enqueue-only",
         action="store_true",
-        help="with --exec queue: enqueue the cells and exit without draining "
+        help="enqueue the cells and exit without draining "
         "(start `drr-gossip worker` processes to execute them)",
     )
-    sweep.add_argument(
-        "--lease",
-        type=float,
-        default=DEFAULT_LEASE_S,
-        metavar="SECS",
-        help="queue backend: heartbeat silence after which a claim is reclaimed",
-    )
-    sweep.add_argument(
-        "--max-attempts",
-        type=int,
-        default=DEFAULT_MAX_ATTEMPTS,
-        metavar="N",
-        help="queue backend: claims per cell before it is marked failed",
-    )
+    _add_claim_options(sweep)
 
     worker = sub.add_parser(
         "worker",
@@ -262,20 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="claim owner label recorded in the queue (default: host:pid)",
     )
-    worker.add_argument(
-        "--lease",
-        type=float,
-        default=DEFAULT_LEASE_S,
-        metavar="SECS",
-        help="heartbeat silence after which another worker's claim is reclaimed",
-    )
-    worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=DEFAULT_MAX_ATTEMPTS,
-        metavar="N",
-        help="claims per cell before it is marked failed instead of reclaimed",
-    )
+    _add_claim_options(worker)
     worker.add_argument(
         "--poll",
         type=float,
@@ -337,20 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also spawn N queue-worker subprocesses draining the served store "
         "(0 = serve only; point `drr-gossip worker --store` at the same path instead)",
     )
-    serve.add_argument(
-        "--lease",
-        type=float,
-        default=DEFAULT_LEASE_S,
-        metavar="SECS",
-        help="worker pool: heartbeat silence after which a claim is reclaimed",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=DEFAULT_MAX_ATTEMPTS,
-        metavar="N",
-        help="worker pool: claims per cell before it is marked failed",
-    )
+    _add_claim_options(serve, "worker pool: ")
     serve.add_argument(
         "--poll",
         type=float,
@@ -594,28 +558,60 @@ def _apply_backend(definition: SweepDefinition, backend: str) -> SweepDefinition
     return dataclasses.replace(definition, plans=tuple(plans))
 
 
-def _enqueue_cells(args: argparse.Namespace, cells, name: str) -> int:
-    """``sweep --exec queue --enqueue-only``: fill the queue, let workers drain it."""
-    with ResultStore(args.store) as store:
-        done = store.completed_cells() if not args.no_skip else set()
-        entries: list[tuple[str, str, int, str]] = []
-        seen: set[str] = set()
-        completed = 0
-        for cell in cells:
-            if cell.key in done:
-                completed += 1
-                continue
-            spec = cell.spec_json()
-            if spec in seen:
-                continue
-            seen.add(spec)
-            entries.append((cell.experiment, cell.param_hash, cell.seed, spec))
-        enqueued = store.enqueue_cells(entries)
-        depth = store.queue_depth()
-    duplicates = len(cells) - completed - len(entries)
+def _sweep_cells(args: argparse.Namespace) -> tuple[list, str]:
+    """The sweep's cells and name, from ``--spec``, ``--config`` or the flags."""
+    if args.spec:
+        if args.config or args.experiments or args.ns or args.seed is not None:
+            raise ValueError(
+                "--spec cannot be combined with --config/--experiments/--ns/--seed; "
+                "each run spec carries its own seed (--reps derives extra seeds from it)"
+            )
+        specs = load_specs(args.spec)
+        if args.backend is not None:
+            specs = [spec.with_backend(args.backend) for spec in specs]
+        cells = cells_from_run_specs(specs, repetitions=args.reps if args.reps is not None else 1)
+        return cells, Path(args.spec).stem
+    if args.config:
+        if args.experiments or args.ns:
+            raise ValueError(
+                "--config cannot be combined with --experiments/--ns; "
+                "put the grid in the sweep file (--seed/--reps do override it)"
+            )
+        definition = load_sweep(args.config)
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.reps is not None:
+            # --reps wins over BOTH the sweep-level default and any
+            # per-experiment repetitions in the file.
+            overrides["repetitions"] = args.reps
+            overrides["plans"] = tuple(
+                dataclasses.replace(plan, repetitions=None) for plan in definition.plans
+            )
+        if overrides:
+            definition = dataclasses.replace(definition, **overrides)
+    else:
+        names = args.experiments or [spec.name for spec in load_builtin_experiments()]
+        grid = {"ns": tuple(args.ns)} if args.ns else {}
+        definition = SweepDefinition.from_experiments(
+            names,
+            grid=grid,
+            seed=args.seed if args.seed is not None else 1,
+            repetitions=args.reps if args.reps is not None else 1,
+        )
+    if args.backend is not None:
+        definition = _apply_backend(definition, args.backend)
+    return expand_cells(definition), definition.name  # validates names and grids up front
+
+
+def _enqueue_only(args: argparse.Namespace, runner: SweepRunner, cells, name: str) -> int:
+    """``sweep --enqueue-only``: fill the queue, let ``drr-gossip worker`` processes drain it."""
+    report, todo, enqueued = runner.enqueue(cells, name)
+    depth = runner.store.queue_depth()
+    duplicates = len(cells) - report.skipped - len(todo)
     print(
         f"sweep {name!r}: enqueued {enqueued} of {len(cells)} cell(s) "
-        f"({completed} already completed, {duplicates} duplicate specs)"
+        f"({report.skipped} already completed, {duplicates} duplicate specs)"
     )
     print(
         f"queue: {depth['pending']} pending, {depth['claimed']} claimed, "
@@ -629,67 +625,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.enqueue_only and args.exec_backend != "queue":
-            raise ValueError("--enqueue-only requires --exec queue")
-        if args.spec:
-            if args.config or args.experiments or args.ns or args.seed is not None:
-                raise ValueError(
-                    "--spec cannot be combined with --config/--experiments/--ns/--seed; "
-                    "each run spec carries its own seed (--reps derives extra seeds from it)"
-                )
-            specs = load_specs(args.spec)
-            if args.backend is not None:
-                specs = [spec.with_backend(args.backend) for spec in specs]
-            cells = cells_from_run_specs(specs, repetitions=args.reps if args.reps is not None else 1)
-            if args.enqueue_only:
-                return _enqueue_cells(args, cells, Path(args.spec).stem)
-            with ResultStore(args.store) as store:
-                runner = SweepRunner(
-                    store,
-                    jobs=args.jobs,
-                    backend=args.exec_backend,
-                    skip_completed=not args.no_skip,
-                    lease_s=args.lease,
-                    max_attempts=args.max_attempts,
-                    progress=print_progress,
-                )
-                report = runner.run_cells(cells, name=Path(args.spec).stem)
-            print(report.summary())
-            print(f"store: {args.store}")
-            return 0 if report.failed == 0 else 1
-        if args.config:
-            if args.experiments or args.ns:
-                raise ValueError(
-                    "--config cannot be combined with --experiments/--ns; "
-                    "put the grid in the sweep file (--seed/--reps do override it)"
-                )
-            definition = load_sweep(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.reps is not None:
-                # --reps wins over BOTH the sweep-level default and any
-                # per-experiment repetitions in the file.
-                overrides["repetitions"] = args.reps
-                overrides["plans"] = tuple(
-                    dataclasses.replace(plan, repetitions=None) for plan in definition.plans
-                )
-            if overrides:
-                definition = dataclasses.replace(definition, **overrides)
-        else:
-            names = args.experiments or [spec.name for spec in load_builtin_experiments()]
-            grid = {"ns": tuple(args.ns)} if args.ns else {}
-            definition = SweepDefinition.from_experiments(
-                names,
-                grid=grid,
-                seed=args.seed if args.seed is not None else 1,
-                repetitions=args.reps if args.reps is not None else 1,
-            )
-        if args.backend is not None:
-            definition = _apply_backend(definition, args.backend)
-        cells = expand_cells(definition)  # validate experiment names and grids up front
-        if args.enqueue_only:
-            return _enqueue_cells(args, cells, definition.name)
+        cells, name = _sweep_cells(args)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -698,13 +634,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         runner = SweepRunner(
             store,
             jobs=args.jobs,
-            backend=args.exec_backend,
             skip_completed=not args.no_skip,
             lease_s=args.lease,
             max_attempts=args.max_attempts,
             progress=print_progress,
         )
-        report = runner.run_cells(cells, name=definition.name)
+        if args.enqueue_only:
+            return _enqueue_only(args, runner, cells, name)
+        report = runner.run_cells(cells, name=name)
     print(report.summary())
     print(f"store: {args.store}")
     return 0 if report.failed == 0 else 1
@@ -714,7 +651,7 @@ def _run_worker(args: argparse.Namespace) -> int:
     if args.store != ":memory:" and not Path(args.store).exists():
         print(
             f"no result store at {args.store} "
-            "(enqueue cells with `drr-gossip sweep --exec queue --enqueue-only` first)",
+            "(enqueue cells with `drr-gossip sweep --enqueue-only` first)",
             file=sys.stderr,
         )
         return 1
@@ -808,7 +745,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: float) -> None:
     counts = store.queue_counts(experiment)
     if not counts:
-        print("queue: empty (enqueue cells with `drr-gossip sweep --exec queue --enqueue-only`)")
+        print("queue: empty (enqueue cells with `drr-gossip sweep --enqueue-only`)")
         return
     print(f"{'experiment':<20} {'pending':>8} {'claimed':>8} {'done':>6} {'failed':>6}")
     for row in counts:

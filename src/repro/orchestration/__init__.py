@@ -6,9 +6,13 @@ This subsystem turns the reproduction harness into an experiment platform:
   registry (drivers register by name; grids validate and expand against
   typed parameter specs).
 * :mod:`~repro.orchestration.store` — the SQLite result store, keyed by
-  ``(experiment, canonical param hash, seed)`` with resume semantics.
-* :mod:`~repro.orchestration.runner` — the parallel sweep runner
-  (process-pool fan-out, per-cell crash capture, deterministic seeds).
+  ``(experiment, canonical param hash, seed)`` with resume semantics, and
+  the work queue every sweep runs through.
+* :mod:`~repro.orchestration.runner` — the sweep runner (enqueue, then
+  drain in-process or in forked drains; per-cell crash capture,
+  deterministic seeds).
+* :mod:`~repro.orchestration.worker` — the queue drain loop, also run by
+  ``drr-gossip worker`` on any host sharing the store.
 * :mod:`~repro.orchestration.config` — TOML/JSON sweep definitions.
 
 Typical use::
@@ -23,7 +27,6 @@ Typical use::
     print(report.summary())
 """
 
-from .backends import QUEUE_STATES, QueuedCell, StoreBackend
 from .config import ExperimentPlan, SweepDefinition, load_sweep
 from .registry import (
     DEFAULT_REGISTRY,
@@ -36,7 +39,6 @@ from .registry import (
     register_experiment,
 )
 from .runner import (
-    EXECUTION_BACKENDS,
     CellOutcome,
     SweepCell,
     SweepReport,
@@ -46,6 +48,8 @@ from .runner import (
     print_progress,
 )
 from .store import (
+    QUEUE_STATES,
+    QueuedCell,
     ResultStore,
     StoredRun,
     canonical_params,
@@ -66,8 +70,6 @@ from .worker import (
 __all__ = [
     "QUEUE_STATES",
     "QueuedCell",
-    "StoreBackend",
-    "EXECUTION_BACKENDS",
     "QueueWorker",
     "WorkerReport",
     "WorkerShutdown",

@@ -1,9 +1,10 @@
-"""Parallel sweep execution over a process pool.
+"""Sweep execution: every cell goes through the store's work queue.
 
 The runner expands a :class:`~repro.orchestration.config.SweepDefinition`
 into independent cells — one ``(experiment, params, seed)`` triple per grid
-point and repetition — and fans them out over
-:class:`concurrent.futures.ProcessPoolExecutor`.  Design invariants:
+point and repetition — enqueues them as pending rows in the store's work
+queue, and drains the queue: in this process with ``jobs == 1``, in
+``jobs`` forked drains otherwise.  Design invariants:
 
 * **Determinism.** Every cell's seed is derived in the parent from the
   sweep's master seed via the existing :class:`~repro.simulator.rng.RngStream`
@@ -13,55 +14,48 @@ point and repetition — and fans them out over
   produce bit-identical stores.
 * **Isolation.** A crashed cell records a ``failed`` row (with traceback)
   in the store instead of killing the sweep; failed cells are retried on
-  the next invocation.
+  the next invocation.  A cell that kills the process running it is
+  retried by a fresh drain until its attempt budget runs out, and then
+  recorded as failed.
 * **Resume.** With ``skip_completed`` (the default), cells whose key
   already has a successful row in the store are skipped without executing,
   so re-running a finished sweep executes zero cells.
 
-Workers receive every cell as one *serialised spec string* — either an
-experiment cell (``{"experiment", "params", "seed"}``) resolved by name
-through the default registry, or a protocol :class:`~repro.api.RunSpec`
-document executed through :func:`repro.run`.  Nothing but that string
-crosses the process boundary, which is what makes the runner's execution
-backends pure transport choices:
-
-* ``local`` — fan the cells over a :class:`ProcessPoolExecutor` on this
-  host (the default, and the only option before the queue existed).
-* ``queue`` — enqueue the cells as pending rows in the store's work
-  queue and let pull-based workers (this process, and any number of
-  ``drr-gossip worker`` processes on hosts sharing the store) claim and
-  execute them; see :mod:`~repro.orchestration.worker`.
+Every cell travels as one *serialised spec string* — either an experiment
+cell (``{"experiment", "params", "seed"}``) resolved by name through the
+default registry, or a protocol :class:`~repro.api.RunSpec` document
+executed through :func:`repro.run`.  Nothing but that string sits in the
+queue, so any ``drr-gossip worker`` process on a host sharing the store
+can claim and execute a sweep's cells right alongside the runner's own
+drains; see :mod:`~repro.orchestration.worker`.
 
 Identical cells are *content-addressed*: cells whose serialised spec
 strings are equal collapse onto one execution, and the duplicates are
-reported as ``cached`` — on the queue backend a claim additionally
-checks the store for an already-recorded result before executing, so
-re-submitted specs are served from cache across sweeps too.
+reported as ``cached``; a claim additionally checks the store for an
+already-recorded result before executing, so re-submitted specs are served
+from cache across sweeps too.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-import subprocess
-import sys
+import multiprocessing
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Mapping, Sequence
 
 from ..observability.logs import get_logger
 from ..simulator.rng import RngStream, derive_seed
 from .config import SweepDefinition
 from .registry import ExperimentRegistry, load_builtin_experiments
-from .store import ResultStore, cell_spec_hash, cell_spec_json, param_hash
+from .store import QueuedCell, ResultStore, cell_spec_hash, cell_spec_json, param_hash
 
 _logger = get_logger("orchestration.runner")
 
 __all__ = [
-    "EXECUTION_BACKENDS",
     "SweepCell",
     "CellOutcome",
     "SweepReport",
@@ -70,14 +64,15 @@ __all__ = [
     "cells_from_run_specs",
 ]
 
-#: how a sweep's cells reach their executors: a process pool on this host,
-#: or the store's claimable work queue (any number of hosts)
-EXECUTION_BACKENDS = ("local", "queue")
-
 #: largest estimate vector persisted inside a stored RunResult envelope;
 #: beyond this the vector is dropped (marked ``estimates_omitted``) so a
 #: single n=10^8 cell cannot bloat the store or the service's responses
 MAX_ENVELOPE_ESTIMATES = 65536
+
+#: idle poll of the runner's own drains: a drain that runs out of pending
+#: cells waits on its siblings' last claims, and the default 0.5 s poll
+#: would hold the sweep that long after the last row landed
+DRAIN_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -241,12 +236,13 @@ def cells_from_run_specs(specs: Sequence, repetitions: int = 1) -> list[SweepCel
 def _execute_cell(spec_json: str) -> dict[str, Any]:
     """Run one serialised cell; never raises (crashes become a failure payload).
 
-    Module-level so the process pool can pickle it.  The single string
-    argument is the whole contract between the fan-out and a worker: a
-    ``{"protocol": ...}`` document dispatches through :func:`repro.run`,
-    a ``{"experiment": ...}`` document resolves the registered driver by
-    name (parameters re-validated through the registry schema, which
-    restores tuples/enums the JSON transport flattened).
+    The single string argument is the whole contract between the queue and
+    a worker: a ``{"protocol": ...}`` document dispatches through
+    :func:`repro.run`, a ``{"experiment": ...}`` document resolves the
+    registered driver by name (parameters re-validated through the registry
+    schema, which restores tuples/enums the JSON transport flattened).  The
+    run's telemetry document and RunResult envelope come back already
+    encoded (``telemetry_json``/``result_json``), ready for the store.
     """
     start = time.perf_counter()
     try:
@@ -274,9 +270,9 @@ def _execute_cell(spec_json: str) -> dict[str, Any]:
             result = spec.driver(seed=int(payload["seed"]), **params)
         out = {"ok": True, "result": result, "duration_s": time.perf_counter() - start}
         if telemetry_doc is not None:
-            out["telemetry"] = telemetry_doc
+            out["telemetry_json"] = json.dumps(telemetry_doc, sort_keys=True)
         if envelope_doc is not None:
-            out["envelope"] = envelope_doc
+            out["result_json"] = json.dumps(envelope_doc, sort_keys=True)
         return out
     except Exception:  # KeyboardInterrupt/SystemExit propagate: a sweep must stay interruptible
         return {
@@ -286,38 +282,18 @@ def _execute_cell(spec_json: str) -> dict[str, Any]:
         }
 
 
-def _execute_cell_isolated(cell: "SweepCell") -> dict[str, Any]:
-    """Run one cell in a dedicated single-worker pool.
-
-    Used for cells caught in a pool breakage twice: in isolation, a worker
-    death can only be this cell's own doing, so the failure row it records
-    names the true culprit instead of an innocent batchmate.
-    """
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(_execute_cell, cell.spec_json())
-        try:
-            return future.result()
-        except BrokenExecutor:
-            return {
-                "ok": False,
-                "error": "worker process died (pool broken) while executing this cell in isolation",
-                "duration_s": 0.0,
-            }
-        except Exception:
-            return {"ok": False, "error": traceback.format_exc(), "duration_s": 0.0}
-
-
 class SweepRunner:
-    """Fan a sweep's cells out to an execution backend and persist every outcome.
+    """Run a sweep's cells through the store's work queue and report every outcome.
 
-    ``backend="local"`` executes on this host's process pool (``jobs``
-    workers).  ``backend="queue"`` enqueues the cells into the store's
-    claimable work queue and drains it: with ``jobs == 1`` the runner
-    itself works the queue in-process, with ``jobs > 1`` it launches that
-    many ``python -m repro worker`` processes — and in both cases any
-    *additional* workers pointed at the same store (other hosts sharing
-    the filesystem) claim cells right alongside, shrinking the wall
-    clock without any coordination beyond the store itself.
+    :meth:`run_cells` skips cells the store already completed, collapses
+    content-identical twins, enqueues the rest, and drains the queue: in
+    this process with ``jobs == 1``, otherwise in ``jobs`` drains forked
+    from it, each on its own store connection.  The parent emits each
+    cell's outcome as its row lands, and when a drain dies it hands that
+    drain's claims back to the queue and forks a replacement, so a cell
+    that keeps killing its drain ends as a ``gave up`` failure once its
+    attempt budget is spent.  Any ``drr-gossip worker`` pointed at the
+    same store claims cells right alongside the runner's drains.
     """
 
     def __init__(
@@ -325,41 +301,29 @@ class SweepRunner:
         store: ResultStore,
         *,
         jobs: int = 1,
-        backend: str = "local",
         skip_completed: bool = True,
         registry: ExperimentRegistry | None = None,
         progress: Callable[[CellOutcome, int, int], None] | None = None,
-        heartbeat_interval_s: float = 15.0,
         lease_s: float = 60.0,
         max_attempts: int = 3,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if backend not in EXECUTION_BACKENDS:
-            known = ", ".join(EXECUTION_BACKENDS)
-            raise ValueError(f"unknown execution backend {backend!r} (choose from: {known})")
-        if heartbeat_interval_s <= 0:
-            raise ValueError(f"heartbeat_interval_s must be positive, got {heartbeat_interval_s}")
         if lease_s <= 0:
             raise ValueError(f"lease_s must be positive, got {lease_s}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.store = store
         self.jobs = jobs
-        self.backend = backend
         self.skip_completed = skip_completed
         self.registry = registry
         self.progress = progress
-        #: how often in-flight cells refresh their store heartbeat while no
-        #: cell finishes — both the local pool's liveness signal and the
-        #: lease the queue backend reclaims stale claims on
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        #: queue backend: seconds of heartbeat silence before a claim is stale
+        #: seconds of heartbeat silence before a claim is stale
         self.lease_s = float(lease_s)
-        #: queue backend: claims per cell before it is marked failed
+        #: claims per cell before it is marked failed
         self.max_attempts = int(max_attempts)
         #: duplicate cells (identical serialised spec) keyed by the spec of
-        #: their executed representative; rebuilt on every run_cells call
+        #: their executed representative; rebuilt on every enqueue call
         self._dupes: dict[str, list[SweepCell]] = {}
 
     def run(self, definition: SweepDefinition) -> SweepReport:
@@ -367,6 +331,29 @@ class SweepRunner:
 
     def run_cells(self, cells: Sequence[SweepCell], name: str = "cells") -> SweepReport:
         """Execute an explicit cell list (sweep definitions and spec files both land here)."""
+        if self.jobs > 1 and str(self.store.path) == ":memory:":
+            raise ValueError(
+                "jobs > 1 forks queue drains that open the store by path, so it "
+                "needs a file-backed store, not ':memory:'"
+            )
+        report, todo, _ = self.enqueue(cells, name)
+        for index, outcome in enumerate(report.outcomes, start=1):
+            self._emit(outcome, index, len(cells))
+        if todo:
+            self._drain(report, todo, len(cells))
+        return report
+
+    def enqueue(
+        self, cells: Sequence[SweepCell], name: str = "cells"
+    ) -> tuple[SweepReport, list[SweepCell], int]:
+        """Plan a sweep and put it in the queue, without executing anything.
+
+        Cells the store already completed become ``skipped`` outcomes of
+        the returned report; of the rest, one representative per distinct
+        serialised spec is enqueued (its twins get its result).  Returns the
+        report, the representatives, and how many queue rows became pending
+        (rows already in flight stay as they are).
+        """
         report = SweepReport(sweep=name)
         done_keys = self.store.completed_cells() if self.skip_completed else set()
         todo: list[SweepCell] = []
@@ -383,187 +370,136 @@ class SweepRunner:
             else:
                 self._dupes[spec] = []
                 todo.append(cell)
-
-        for index, outcome in enumerate(report.outcomes, start=1):
-            self._emit(outcome, index, len(cells))
-
-        if todo:
-            if self.backend == "queue":
-                self._run_queue(report, todo, len(cells))
-            elif self.jobs == 1:
-                for cell in todo:
-                    self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
-                    payload = _execute_cell(cell.spec_json())
-                    self._record(report, cell, payload, len(cells))
-            else:
-                self._run_pool(report, todo, len(cells))
-        return report
-
-    def _run_pool(self, report: SweepReport, todo: Sequence[SweepCell], total: int) -> None:
-        # Load driver registrations before forking so workers inherit them
-        # and the fallback in-worker import only matters under spawn.
-        load_builtin_experiments()
-        queue = list(todo)
-        retried: set[tuple[str, str, int]] = set()
-        while queue:
-            # A dead worker (OOM-kill, segfault) breaks the whole pool: every
-            # in-flight future raises BrokenExecutor even though its cell never
-            # ran.  Those cells are requeued into a fresh pool once; a cell
-            # whose retry also breaks the pool is recorded as the culprit.
-            broken: list[SweepCell] = []
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(queue))) as pool:
-                pending = {
-                    pool.submit(_execute_cell, cell.spec_json()): cell for cell in queue
-                }
-                for cell in queue:
-                    self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
-                queue = []
-                while pending:
-                    finished, _ = wait(
-                        pending,
-                        timeout=self.heartbeat_interval_s,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not finished:
-                        # Nothing completed within the interval: refresh the
-                        # in-flight claims so their heartbeats stay fresh.
-                        for cell in pending.values():
-                            self.store.mark_heartbeat(cell.experiment, cell.params, cell.seed)
-                        continue
-                    for future in finished:
-                        cell = pending.pop(future)
-                        try:
-                            payload = future.result()
-                        except BrokenExecutor:
-                            broken.append(cell)
-                            continue
-                        except Exception:
-                            payload = {
-                                "ok": False,
-                                "error": traceback.format_exc(),
-                                "duration_s": 0.0,
-                            }
-                        self._record(report, cell, payload, total)
-            for cell in broken:
-                if cell.key in retried:
-                    # Broken twice: run it alone in a single-worker pool so a
-                    # poison cell can only take itself down, never a batchmate.
-                    self._record(report, cell, _execute_cell_isolated(cell), total)
-                else:
-                    retried.add(cell.key)
-                    queue.append(cell)
-
-    def _run_queue(self, report: SweepReport, todo: Sequence[SweepCell], total: int) -> None:
-        """Enqueue the cells into the store's work queue and drain it."""
-        store = self.store
-        if str(store.path) == ":memory:" and self.jobs > 1:
-            raise ValueError(
-                "the queue backend with jobs > 1 launches worker processes and "
-                "needs a file-backed store, not ':memory:'"
-            )
-        store.enqueue_cells(
+        enqueued = self.store.enqueue_cells(
             (cell.experiment, cell.param_hash, cell.seed, cell.spec_json()) for cell in todo
         )
-        if self.jobs == 1:
-            from .worker import QueueWorker  # local import: worker imports this module
+        return report, todo, enqueued
 
-            QueueWorker(
-                store,
-                lease_s=self.lease_s,
-                max_attempts=self.max_attempts,
-                heartbeat_interval_s=self.heartbeat_interval_s,
-                skip_completed=self.skip_completed,
-            ).drain()
-        else:
-            self._drain_with_worker_processes()
-        # The queue decoupled execution from this process (other workers may
-        # have run some cells), so outcomes are synthesised from what
-        # actually landed in the store — looked up by content address, the
-        # same key the workers' cache checks and the service use — in cell
-        # order.
+    def _worker(self, store: ResultStore, progress: Callable, worker_id: str | None = None):
+        from .worker import QueueWorker  # local import: worker imports this module
+
+        return QueueWorker(
+            store,
+            worker_id=worker_id,
+            lease_s=self.lease_s,
+            max_attempts=self.max_attempts,
+            poll_interval_s=DRAIN_POLL_S,
+            skip_completed=self.skip_completed,
+            progress=progress,
+        )
+
+    def _drain(self, report: SweepReport, todo: Sequence[SweepCell], total: int) -> None:
+        """Drain the queue, recording each of ``todo``'s outcomes as its row lands."""
+        # keyed like the queue rows; cells differing only in their telemetry
+        # toggle share one key, hence one row
+        waiting: dict[tuple[str, str, int], list[SweepCell]] = {}
         for cell in todo:
-            run = store.get_by_spec_hash(cell_spec_hash(cell.spec_json()))
-            if run is None:
-                payload: dict[str, Any] = {
-                    "ok": False,
-                    "error": (
-                        "cell never executed: the queue drain ended without a stored "
-                        "result (all workers died?); re-run the sweep to retry it"
-                    ),
-                    "duration_s": 0.0,
-                    "already_recorded": True,
-                }
-            elif run.ok:
-                payload = {"ok": True, "duration_s": run.duration_s or 0.0, "already_recorded": True}
-            else:
-                payload = {
-                    "ok": False,
-                    "error": run.error or "unknown failure",
-                    "duration_s": run.duration_s or 0.0,
-                    "already_recorded": True,
-                }
-            self._record(report, cell, payload, total)
+            waiting.setdefault(cell.key, []).append(cell)
 
-    def _drain_with_worker_processes(self) -> None:
-        """Launch ``self.jobs`` queue workers as subprocesses and wait them out."""
-        import repro
+        def landed(claim: QueuedCell, status: str, duration_s: float) -> None:
+            for cell in waiting.pop(claim.key, ()):  # drains also run other submitters' cells
+                self._record(report, cell, status, duration_s, total)
 
-        env = dict(os.environ)
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
-        command = [
-            sys.executable, "-m", "repro", "worker",
-            "--store", str(self.store.path),
-            "--lease", str(self.lease_s),
-            "--max-attempts", str(self.max_attempts),
-            "--heartbeat", str(self.heartbeat_interval_s),
-        ]
-        if not self.skip_completed:
-            command.append("--no-skip")
-        workers = [
-            subprocess.Popen(command + ["--worker-id", f"{os.getpid()}:w{index}"], env=env)
-            for index in range(self.jobs)
-        ]
-        for proc in workers:
-            code = proc.wait()
-            if code not in (0, 1):  # 1 = drained but some cells failed; rows say which
-                _logger.warning("queue worker %s exited with code %d", proc.args[-1], code)
-
-    def _record(self, report: SweepReport, cell: SweepCell, payload: Mapping[str, Any], total: int) -> None:
-        duration = float(payload.get("duration_s", 0.0))
-        if payload["ok"]:
-            if not payload.get("already_recorded"):
-                telemetry = payload.get("telemetry")
-                envelope = payload.get("envelope")
-                self.store.record_result(
-                    cell.experiment, cell.params, cell.seed, payload["result"], duration,
-                    spec_json=cell.spec_json(),
-                    telemetry_json=(
-                        json.dumps(telemetry, sort_keys=True) if telemetry is not None else None
-                    ),
-                    result_json=(
-                        json.dumps(envelope, sort_keys=True) if envelope is not None else None
-                    ),
-                )
-            outcome = CellOutcome(cell=cell, status="ok", duration_s=duration)
+        if self.jobs == 1:
+            self._worker(self.store, landed).drain()
         else:
-            if not payload.get("already_recorded"):
-                _logger.warning("cell %s failed:\n%s", cell.describe(), payload["error"])
-                self.store.record_failure(
-                    cell.experiment, cell.params, cell.seed, payload["error"], duration,
-                    spec_json=cell.spec_json(),
+            self._drain_forked(min(self.jobs, len(todo)), landed)
+        # What is left ran on other workers sharing the store, or nowhere.
+        for cell in itertools.chain.from_iterable(waiting.values()):
+            self._record(report, cell, None, 0.0, total)
+
+    def _drain_forked(self, count: int, landed: Callable[[QueuedCell, str, float], None]) -> None:
+        """Fork ``count`` drains and supervise them until every one has exited.
+
+        Each drain reports its claims' outcomes to ``landed`` through its
+        own pipe.  A drain that exits non-zero died mid-sweep: its claims
+        go back to pending at once (no lease has to expire), and if it held
+        any — the cell it ran may be what killed it — a replacement is
+        forked; the attempt budget bounds how often that can happen.
+        """
+        from .worker import default_worker_id, signal_shutdown
+
+        # Load driver registrations before forking so every drain inherits them.
+        load_builtin_experiments()
+        context = multiprocessing.get_context("fork")
+        drains: dict[Connection, tuple[multiprocessing.process.BaseProcess, str]] = {}
+        indices = itertools.count()
+
+        def run_drain(worker_id: str, events: Connection) -> None:
+            with ResultStore(self.store.path) as store, signal_shutdown():
+                self._worker(store, lambda *event: events.send(event), worker_id).drain()
+
+        def fork() -> None:
+            worker_id = f"{default_worker_id()}:drain{next(indices)}"
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=run_drain, args=(worker_id, writer), daemon=True)
+            process.start()
+            writer.close()
+            drains[reader] = (process, worker_id)
+
+        for _ in range(count):
+            fork()
+        try:
+            while drains:
+                for reader in wait(list(drains)):
+                    try:
+                        landed(*reader.recv())
+                        continue
+                    except EOFError:  # the drain exited
+                        process, worker_id = drains.pop(reader)
+                    reader.close()
+                    process.join()
+                    if process.exitcode != 0:
+                        released = self.store.release_claims(worker_id)
+                        _logger.warning(
+                            "queue drain %s died (exit code %s) holding %d claim(s)",
+                            worker_id, process.exitcode, len(released),
+                        )
+                        if released:
+                            fork()
+        finally:
+            # Interrupted: stop the drains; each hands its claim back.
+            for process, _ in drains.values():
+                process.terminate()
+            for reader, (process, _) in drains.items():
+                process.join()
+                reader.close()
+
+    def _record(
+        self, report: SweepReport, cell: SweepCell, status: str | None, duration_s: float, total: int
+    ) -> None:
+        """Append ``cell``'s outcome (and its twins') to the report and emit it.
+
+        ``status`` is what the drain reported for the claim; anything but
+        ``ok`` (and a cell no drain of this runner reported) is read back
+        from the row that landed in the store.
+        """
+        if status == "ok":
+            outcome = CellOutcome(cell=cell, status="ok", duration_s=duration_s)
+        else:
+            run = self.store.get_by_spec_hash(cell_spec_hash(cell.spec_json()))
+            if run is None:
+                outcome = CellOutcome(
+                    cell=cell, status="failed",
+                    error="cell never executed: the queue drain ended without a stored "
+                    "result (all workers died?); re-run the sweep to retry it",
                 )
-            outcome = CellOutcome(cell=cell, status="failed", duration_s=duration, error=payload["error"])
+            elif run.ok:
+                outcome = CellOutcome(cell=cell, status="ok", duration_s=run.duration_s or 0.0)
+            else:
+                outcome = CellOutcome(
+                    cell=cell, status="failed", duration_s=run.duration_s or 0.0,
+                    error=run.error or "unknown failure",
+                )
         report.outcomes.append(outcome)
         self._emit(outcome, len(report.outcomes), total)
         # Fan the executed result out to content-identical duplicates: same
         # spec string means same store row, so nothing else is recorded.
         for twin in self._dupes.get(cell.spec_json(), ()):
-            if payload["ok"]:
+            if outcome.status == "ok":
                 twin_outcome = CellOutcome(cell=twin, status="cached")
             else:
-                twin_outcome = CellOutcome(cell=twin, status="failed", error=payload["error"])
+                twin_outcome = CellOutcome(cell=twin, status="failed", error=outcome.error)
             report.outcomes.append(twin_outcome)
             self._emit(twin_outcome, len(report.outcomes), total)
 

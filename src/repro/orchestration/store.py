@@ -1,4 +1,4 @@
-"""SQLite-backed persistence for experiment results.
+"""SQLite-backed persistence for experiment results, and the sweep work queue.
 
 Every sweep cell — one ``(experiment, canonical parameter hash, seed)``
 triple — maps to exactly one row.  Rows, headers, and metadata of the
@@ -7,16 +7,34 @@ the store needs no schema migration when a driver adds a column; the
 UNIQUE key gives the sweep runner its skip-completed resume semantics and
 makes re-running a crashed cell an upsert rather than a duplicate.
 
-The store is written concurrently: the local sweep parent, any number of
-``drr-gossip worker`` processes on hosts sharing the filesystem, and the
-heartbeat threads they run all hold their own connections.  WAL mode plus
-a configurable ``busy_timeout`` make concurrent writers queue instead of
-crash, every write retries on ``SQLITE_BUSY``, and the work-queue claim
-(:meth:`ResultStore.claim_cell`) takes the write lock up front with
-``BEGIN IMMEDIATE`` so a pending row is handed to exactly one claimant.
-The queue/claim surface is pinned down by
-:class:`~repro.orchestration.backends.StoreBackend` so a server-grade
-database can replace SQLite without touching the runner or workers.
+The store is written concurrently: the sweep runner's queue drains, any
+number of ``drr-gossip worker`` processes on hosts sharing the filesystem,
+and the lease-heartbeat threads they run all hold their own connections.
+WAL mode plus a configurable ``busy_timeout`` make concurrent writers
+queue instead of crash, every write retries on ``SQLITE_BUSY``, and the
+work-queue claim (:meth:`ResultStore.claim_cell`) takes the write lock up
+front with ``BEGIN IMMEDIATE`` so a pending row is handed to exactly one
+claimant.
+
+Queue lifecycle
+---------------
+Every queued cell is one row keyed by ``(experiment, param_hash, seed)``
+— the same identity the result rows use — and moves through::
+
+    pending --claim--> claimed --record--> done | failed
+       ^                  |
+       +---reclaim(stale)-+          (attempt += 1 on every claim)
+
+* **claim** is atomic: exactly one worker wins a pending row, and the
+  same transaction stamps the claim's heartbeat row.
+* **claimed** rows carry ``owner`` and ``claim_time`` and are kept alive
+  by the worker's heartbeat row; a claim whose liveness signal is older
+  than the lease is *stale* and goes back to pending (the worker died).
+* **record**: a cell's result or failure row and its queue row's
+  terminal state commit in one transaction.
+* **fail_exhausted** stops a poison cell that keeps killing its workers:
+  once a pending row has been claimed ``max_attempts`` times without a
+  recorded result, it is marked failed instead of looping forever.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ import json
 import sqlite3
 import time
 import warnings
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass, fields, replace as dataclass_replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -34,9 +52,10 @@ import numpy as np
 from ..observability.logs import get_logger
 from ..serialization import canonical_json, canonical_value, stable_digest
 from ..substrate import DEFAULT_BACKEND
-from .backends import QueuedCell, StoreBackend
 
 __all__ = [
+    "QUEUE_STATES",
+    "QueuedCell",
     "ResultStore",
     "StoredRun",
     "canonical_params",
@@ -52,6 +71,9 @@ DEFAULT_BUSY_TIMEOUT_S = 30.0
 _BUSY_RETRIES = 5
 
 _logger = get_logger("orchestration.store")
+
+#: the four states a queue row moves through
+QUEUE_STATES = ("pending", "claimed", "done", "failed")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -163,10 +185,10 @@ def param_hash(params: Mapping[str, Any]) -> str:
 def cell_spec_json(experiment: str, params: Mapping[str, Any], seed: int) -> str:
     """Canonical serialised form of one sweep cell.
 
-    This string is the *transport* format of a cell: the sweep runner ships
-    it to workers (local today, remote hosts tomorrow) and the store
-    persists it alongside the row, so a stored run can be replayed from
-    its row alone.
+    This string is the *transport* format of a cell: the sweep runner puts
+    it in the work queue, any worker sharing the store executes it, and the
+    store persists it alongside the row, so a stored run can be replayed
+    from its row alone.
     """
     return canonical_json(
         {"experiment": str(experiment), "params": canonical_params(params), "seed": int(seed)}
@@ -188,6 +210,31 @@ def cell_spec_hash(spec_json: str) -> str:
         doc = dict(doc)
         doc.pop("telemetry", None)
     return stable_digest(doc)
+
+
+@dataclass(frozen=True)
+class QueuedCell:
+    """One row of the work queue."""
+
+    experiment: str
+    param_hash: str
+    seed: int
+    #: the cell's whole transport form (``SweepCell.spec_json()``) — a
+    #: worker needs nothing else to execute it
+    spec_json: str
+    state: str
+    owner: str | None = None
+    claim_time: str | None = None
+    #: how many times this cell has been claimed (capped by the worker's
+    #: ``max_attempts``)
+    attempt: int = 0
+    #: content address of ``spec_json`` (``cell_spec_hash``) — the id the
+    #: simulation service hands out; None on rows from pre-service stores
+    spec_hash: str | None = None
+
+    @property
+    def key(self) -> tuple[str, str, int]:
+        return (self.experiment, self.param_hash, int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -268,7 +315,7 @@ class StoredRun:
         )
 
 
-class ResultStore(StoreBackend):
+class ResultStore:
     """SQLite store keyed by ``(experiment, param_hash, seed)``.
 
     ``busy_timeout_s`` is how long any single statement waits for a
@@ -373,18 +420,27 @@ class ResultStore(StoreBackend):
     # ------------------------------------------------------------------ #
     # write plumbing: SQLITE_BUSY retries on top of the busy timeout
     # ------------------------------------------------------------------ #
-    def _write_retry(self, what: str, txn: Callable[[], Any]) -> Any:
-        """Run one complete write transaction, retrying on SQLITE_BUSY.
+    def _write(self, what: str, body: Callable[[], Any]) -> Any:
+        """Run ``body`` as one write transaction, retrying it on SQLITE_BUSY.
 
-        ``txn`` must be a full transaction (its own commit): a busy error
-        can surface mid-transaction (lock upgrade at commit), so the
-        retry rolls back whatever partial state is open and replays the
-        whole thing.  Non-lock errors propagate immediately.
+        The transaction takes the write lock up front (``BEGIN IMMEDIATE``),
+        which is what makes the guarded claim UPDATE race-free across
+        processes, and commits when ``body`` returns.  A busy error can
+        surface mid-transaction (lock upgrade at commit), so a retry rolls
+        back whatever is open and replays the whole body.  A transaction an
+        interrupt left open (a store call cut short by a signal) is rolled
+        back before the new one starts.  Non-lock errors propagate
+        immediately.
         """
         delay = 0.05
         for attempt in range(_BUSY_RETRIES + 1):
             try:
-                return txn()
+                if self._conn.in_transaction:
+                    self._conn.rollback()
+                self._begin_immediate()
+                result = body()
+                self._conn.commit()
+                return result
             except sqlite3.OperationalError as exc:
                 message = str(exc).lower()
                 if "locked" not in message and "busy" not in message:
@@ -403,12 +459,7 @@ class ResultStore(StoreBackend):
                 delay = min(delay * 2, 1.0)
 
     def _begin_immediate(self) -> None:
-        """Open an immediate (write-locked) transaction.
-
-        All write methods commit before returning, so no transaction is
-        open here; taking the write lock up front is what makes the
-        guarded claim UPDATE race-free across processes.
-        """
+        """Open an immediate (write-locked) transaction."""
         self._conn.execute("BEGIN IMMEDIATE")
 
     # ------------------------------------------------------------------ #
@@ -435,8 +486,9 @@ class ResultStore(StoreBackend):
         protocol cells (what the simulation service's result endpoint
         returns).  The row's ``spec_hash`` is the content address derived
         from ``spec_json``, its ``heartbeat_at`` is stamped — recording a
-        result is the cell's final liveness signal — and any in-flight
-        heartbeat claim is released.
+        result is the cell's final liveness signal — and, in the same
+        transaction, the cell's heartbeat row is released and a claimed
+        queue row moves to ``done``.
         """
         canon = canonical_params(params)
         digest = param_hash(canon)
@@ -444,7 +496,7 @@ class ResultStore(StoreBackend):
             spec_json = cell_spec_json(experiment, canon, seed)
         spec_digest = cell_spec_hash(spec_json)
 
-        def txn() -> None:
+        def body() -> None:
             self._conn.execute(
                 """
             INSERT INTO runs (experiment, param_hash, seed, status, params, backend, spec_json,
@@ -479,10 +531,9 @@ class ResultStore(StoreBackend):
                     result_json,
                 ),
             )
-            self._release_heartbeat(experiment, digest, seed)
-            self._conn.commit()
+            self._end_claim((experiment, digest, int(seed)), "done")
 
-        self._write_retry("record_result", txn)
+        self._write("record_result", body)
         return digest
 
     def record_failure(
@@ -494,14 +545,18 @@ class ResultStore(StoreBackend):
         duration_s: float | None = None,
         spec_json: str | None = None,
     ) -> str:
-        """Upsert a failed cell (crash traceback in ``error``)."""
+        """Upsert a failed cell (crash traceback in ``error``).
+
+        Like :meth:`record_result`, it ends the cell's claim in the same
+        transaction; a claimed queue row moves to ``failed``.
+        """
         canon = canonical_params(params)
         digest = param_hash(canon)
         if spec_json is None:
             spec_json = cell_spec_json(experiment, canon, seed)
         spec_digest = cell_spec_hash(spec_json)
 
-        def txn() -> None:
+        def body() -> None:
             self._conn.execute(
                 """
             INSERT INTO runs (experiment, param_hash, seed, status, params, backend, spec_json,
@@ -528,19 +583,38 @@ class ResultStore(StoreBackend):
                     duration_s,
                 ),
             )
-            self._release_heartbeat(experiment, digest, seed)
-            self._conn.commit()
+            self._end_claim((experiment, digest, int(seed)), "failed")
 
-        self._write_retry("record_failure", txn)
+        self._write("record_failure", body)
         return digest
 
     # ------------------------------------------------------------------ #
-    # liveness (the heartbeat primitive the multi-host backend reclaims on)
+    # liveness (the heartbeat rows stale claims are reclaimed on)
     # ------------------------------------------------------------------ #
     def _release_heartbeat(self, experiment: str, digest: str, seed: int) -> None:
         self._conn.execute(
             "DELETE FROM heartbeats WHERE experiment = ? AND param_hash = ? AND seed = ?",
             (experiment, digest, int(seed)),
+        )
+
+    def _end_claim(self, key: tuple[str, str, int], state: str) -> None:
+        """Release a cell's heartbeat row and move its claimed queue row to ``state``."""
+        self._release_heartbeat(*key)
+        self._conn.execute(
+            "UPDATE queue SET state = ? "
+            "WHERE experiment = ? AND param_hash = ? AND seed = ? AND state = 'claimed'",
+            (state, *key),
+        )
+
+    def _stamp_heartbeat(self, key: tuple[str, str, int], worker: str) -> None:
+        """Create (first mark) or refresh a cell's heartbeat row."""
+        self._conn.execute(
+            """
+            INSERT INTO heartbeats (experiment, param_hash, seed, worker) VALUES (?, ?, ?, ?)
+            ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
+                worker = excluded.worker, heartbeat_at = datetime('now')
+            """,
+            (*key, worker),
         )
 
     def mark_heartbeat(
@@ -553,30 +627,22 @@ class ResultStore(StoreBackend):
         the cell's result or failure is recorded.
         """
         digest = param_hash(params)
-        self.mark_heartbeat_key((experiment, digest, int(seed)), worker)
+        key = (experiment, digest, int(seed))
+        self._write("mark_heartbeat", lambda: self._stamp_heartbeat(key, worker))
         return digest
 
-    def mark_heartbeat_key(self, key: tuple[str, str, int], worker: str = "") -> None:
-        """:meth:`mark_heartbeat` for callers that already hold the param hash.
+    def renew_lease(self, key: tuple[str, str, int], worker: str) -> None:
+        """Refresh the heartbeat row of a claim ``worker`` still holds.
 
-        This is the lease-renewal path of queue workers: the claimed row
-        carries the hash, so no parameter decode is needed to stay alive.
+        This is the lease-renewal path of queue workers.  It only updates
+        the row :meth:`claim_cell` stamped, so a renewal that races the
+        release of its claim finds no row and cannot bring the claim back.
         """
-        experiment, digest, seed = key
-
-        def txn() -> None:
-            self._conn.execute(
-                """
-                INSERT INTO heartbeats (experiment, param_hash, seed, worker)
-                VALUES (?, ?, ?, ?)
-                ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
-                    worker = excluded.worker, heartbeat_at = datetime('now')
-                """,
-                (experiment, digest, int(seed), worker),
-            )
-            self._conn.commit()
-
-        self._write_retry("mark_heartbeat", txn)
+        self._write("renew_lease", lambda: self._conn.execute(
+            "UPDATE heartbeats SET heartbeat_at = datetime('now') "
+            "WHERE experiment = ? AND param_hash = ? AND seed = ? AND worker = ?",
+            (*key, worker),
+        ))
 
     def clear_heartbeat(self, experiment: str, params: Mapping[str, Any], seed: int) -> None:
         """Release a claim without recording a row (e.g. an aborted sweep)."""
@@ -598,29 +664,25 @@ class ResultStore(StoreBackend):
         return [dict(row) for row in rows]
 
     # ------------------------------------------------------------------ #
-    # work queue (the StoreBackend claim surface distributed sweeps drain)
+    # work queue (what sweep drains and ``drr-gossip worker`` claim from)
     # ------------------------------------------------------------------ #
     def _decode_queue_row(self, row: sqlite3.Row) -> QueuedCell:
-        return QueuedCell(
-            experiment=row["experiment"],
-            param_hash=row["param_hash"],
-            seed=int(row["seed"]),
-            spec_json=row["spec_json"],
-            state=row["state"],
-            owner=row["owner"],
-            claim_time=row["claim_time"],
-            attempt=int(row["attempt"]),
-            spec_hash=row["spec_hash"],
-        )
+        return QueuedCell(**{f.name: row[f.name] for f in fields(QueuedCell)})
 
     def enqueue_cells(self, entries: Iterable[tuple[str, str, int, str]]) -> int:
+        """Insert ``(experiment, param_hash, seed, spec_json)`` rows as pending.
+
+        Rows already queued stay untouched while in flight (pending or
+        claimed — another submitter got there first); ``done``/``failed``
+        rows are reset to pending with a fresh attempt budget, so failed
+        cells retry on the next invocation.  Returns how many rows became
+        pending.
+        """
         entries = list(entries)
 
-        def txn() -> int:
-            self._begin_immediate()
-            pending = 0
-            for experiment, digest, seed, spec_json in entries:
-                pending += self._conn.execute(
+        def body() -> int:
+            return sum(
+                self._conn.execute(
                     """
                     INSERT INTO queue (experiment, param_hash, seed, spec_json, spec_hash)
                     VALUES (?, ?, ?, ?, ?)
@@ -632,90 +694,102 @@ class ResultStore(StoreBackend):
                     """,
                     (experiment, digest, int(seed), str(spec_json), cell_spec_hash(spec_json)),
                 ).rowcount
-            self._conn.commit()
-            return pending
+                for experiment, digest, seed, spec_json in entries
+            )
 
-        return self._write_retry("enqueue_cells", txn)
+        return self._write("enqueue_cells", body)
 
-    def claim_cell(self, owner: str = "") -> QueuedCell | None:
-        def txn() -> QueuedCell | None:
-            # BEGIN IMMEDIATE holds the write lock for the whole
-            # select-then-update, so the guarded `WHERE state = 'pending'`
-            # can never lose a race: one claimant per row, full stop.
-            self._begin_immediate()
+    def claim_cell(self, owner: str = "", max_attempts: int | None = None) -> QueuedCell | None:
+        """Atomically claim the oldest pending row, or None when none is claimable.
+
+        The winning row moves to ``claimed`` with ``owner``/``claim_time``
+        set and ``attempt`` incremented, and the same transaction stamps
+        the claim's heartbeat row.  With ``max_attempts``, rows already
+        claimed that many times are passed over; :meth:`fail_exhausted`
+        retires them.
+        """
+        budget = "" if max_attempts is None else f" AND attempt < {int(max_attempts)}"
+
+        def body() -> QueuedCell | None:
+            # The write lock is held for the whole select-then-update, so
+            # the claim can never lose a race: one claimant per row.
             row = self._conn.execute(
-                "SELECT id FROM queue WHERE state = 'pending' ORDER BY id LIMIT 1"
+                f"SELECT id FROM queue WHERE state = 'pending'{budget} ORDER BY id LIMIT 1"
             ).fetchone()
             if row is None:
-                self._conn.commit()
                 return None
-            updated = self._conn.execute(
+            self._conn.execute(
                 "UPDATE queue SET state = 'claimed', owner = ?, "
-                "claim_time = datetime('now'), attempt = attempt + 1 "
-                "WHERE id = ? AND state = 'pending'",
+                "claim_time = datetime('now'), attempt = attempt + 1 WHERE id = ?",
                 (owner, row["id"]),
-            ).rowcount
-            claimed = self._conn.execute(
-                "SELECT * FROM queue WHERE id = ?", (row["id"],)
-            ).fetchone()
-            self._conn.commit()
-            if updated != 1:  # pragma: no cover - unreachable under the write lock
-                return None
-            return self._decode_queue_row(claimed)
+            )
+            claim = self._decode_queue_row(
+                self._conn.execute("SELECT * FROM queue WHERE id = ?", (row["id"],)).fetchone()
+            )
+            self._release_heartbeat(*claim.key)  # a fresh row: started_at is this claim's
+            self._stamp_heartbeat(claim.key, owner)
+            return claim
 
-        return self._write_retry("claim_cell", txn)
+        return self._write("claim_cell", body)
 
     def finish_cell(self, key: tuple[str, str, int], state: str) -> None:
+        """Move a queue row to its terminal state (``done`` or ``failed``).
+
+        Releases the cell's heartbeat row too: the claim is over.
+        """
         if state not in ("done", "failed"):
             raise ValueError(f"terminal queue state must be 'done' or 'failed', got {state!r}")
-        experiment, digest, seed = key
 
-        def txn() -> None:
+        def body() -> None:
             self._conn.execute(
                 "UPDATE queue SET state = ? WHERE experiment = ? AND param_hash = ? AND seed = ?",
-                (state, experiment, digest, int(seed)),
+                (state, *key),
             )
-            self._conn.commit()
+            self._release_heartbeat(*key)
 
-        self._write_retry("finish_cell", txn)
+        self._write("finish_cell", body)
 
-    def requeue_cell(self, key: tuple[str, str, int]) -> None:
-        experiment, digest, seed = key
+    def _requeue(self, where: str, args: tuple) -> list[tuple[str, str, int]]:
+        """Move the claimed rows matching ``where`` back to pending; returns their keys.
 
-        def txn() -> None:
+        Their heartbeat rows go too.  ``attempt`` is left alone: it counts
+        claims, so a cell that keeps killing its worker still runs out of
+        budget.
+        """
+        rows = self._conn.execute(
+            "SELECT q.id, q.experiment, q.param_hash, q.seed "
+            + _CLAIM_JOIN_SQL
+            + f"WHERE q.state = 'claimed' AND {where}",
+            args,
+        ).fetchall()
+        for row in rows:
             self._conn.execute(
-                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL "
-                "WHERE experiment = ? AND param_hash = ? AND seed = ? AND state = 'claimed'",
-                (experiment, digest, int(seed)),
+                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL WHERE id = ?",
+                (row["id"],),
             )
-            self._release_heartbeat(experiment, digest, seed)
-            self._conn.commit()
+            self._release_heartbeat(row["experiment"], row["param_hash"], row["seed"])
+        return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
 
-        self._write_retry("requeue_cell", txn)
+    def release_claims(self, owner: str) -> list[tuple[str, str, int]]:
+        """Hand every claim ``owner`` holds back to pending; returns their keys.
+
+        Workers call this when they are interrupted, and the sweep runner
+        when one of its drains dies.
+        """
+        return self._write("release_claims", lambda: self._requeue("q.owner = ?", (owner,)))
 
     def reclaim_stale(self, lease_s: float) -> list[tuple[str, str, int]]:
+        """Return stale claims to pending; returns the reclaimed keys.
+
+        A claim is stale when its last liveness signal — the heartbeat row
+        its worker refreshes, or ``claim_time`` if the worker never got
+        that far — is older than ``lease_s`` seconds.
+        """
         if lease_s < 0:
             raise ValueError(f"lease_s must be >= 0, got {lease_s}")
-
-        def txn() -> list[tuple[str, str, int]]:
-            self._begin_immediate()
-            rows = self._conn.execute(
-                "SELECT q.id, q.experiment, q.param_hash, q.seed "
-                + _CLAIM_JOIN_SQL
-                + f"WHERE q.state = 'claimed' AND {_CLAIM_AGE_SQL} > ?",
-                (float(lease_s),),
-            ).fetchall()
-            for row in rows:
-                self._conn.execute(
-                    "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL "
-                    "WHERE id = ?",
-                    (row["id"],),
-                )
-                self._release_heartbeat(row["experiment"], row["param_hash"], row["seed"])
-            self._conn.commit()
-            return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
-
-        reclaimed = self._write_retry("reclaim_stale", txn)
+        reclaimed = self._write(
+            "reclaim_stale", lambda: self._requeue(f"{_CLAIM_AGE_SQL} > ?", (float(lease_s),))
+        )
         if reclaimed:
             _logger.info(
                 "store %s: reclaimed %d stale claim(s) older than %.1fs",
@@ -724,23 +798,25 @@ class ResultStore(StoreBackend):
         return reclaimed
 
     def fail_exhausted(self, max_attempts: int) -> list[QueuedCell]:
+        """Mark pending rows already claimed ``max_attempts`` times as failed.
+
+        Returns the rows so the caller can record a failure row per cell;
+        this is the cap that turns a worker-killing poison cell into a
+        recorded failure instead of an infinite reclaim loop.
+        """
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
 
-        def txn() -> list[QueuedCell]:
-            self._begin_immediate()
+        def body() -> list[QueuedCell]:
             rows = self._conn.execute(
                 "SELECT * FROM queue WHERE state = 'pending' AND attempt >= ? ORDER BY id",
                 (int(max_attempts),),
             ).fetchall()
             for row in rows:
-                self._conn.execute(
-                    "UPDATE queue SET state = 'failed' WHERE id = ?", (row["id"],)
-                )
-            self._conn.commit()
+                self._conn.execute("UPDATE queue SET state = 'failed' WHERE id = ?", (row["id"],))
             return [self._decode_queue_row(row) for row in rows]
 
-        failed = self._write_retry("fail_exhausted", txn)
+        failed = self._write("fail_exhausted", body)
         return [dataclass_replace(cell, state="failed") for cell in failed]
 
     def retry_cell(self, spec_hash: str) -> QueuedCell | None:
@@ -754,15 +830,13 @@ class ResultStore(StoreBackend):
         budget a full fresh allowance.
         """
 
-        def txn() -> QueuedCell | None:
-            self._begin_immediate()
+        def body() -> QueuedCell | None:
             row = self._conn.execute(
                 "SELECT id FROM queue WHERE spec_hash = ? AND state = 'failed' "
                 "ORDER BY id LIMIT 1",
                 (str(spec_hash),),
             ).fetchone()
             if row is None:
-                self._conn.commit()
                 return None
             self._conn.execute(
                 "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL, "
@@ -772,12 +846,12 @@ class ResultStore(StoreBackend):
             updated = self._conn.execute(
                 "SELECT * FROM queue WHERE id = ?", (row["id"],)
             ).fetchone()
-            self._conn.commit()
             return self._decode_queue_row(updated)
 
-        return self._write_retry("retry_cell", txn)
+        return self._write("retry_cell", body)
 
     def queue_counts(self, experiment: str | None = None) -> list[dict[str, Any]]:
+        """Per-experiment ``{experiment, pending, claimed, done, failed}`` rows."""
         sql = (
             "SELECT experiment, "
             "SUM(state = 'pending') AS pending, SUM(state = 'claimed') AS claimed, "
@@ -792,13 +866,15 @@ class ResultStore(StoreBackend):
         return [dict(row) for row in rows]
 
     def queue_depth(self) -> dict[str, int]:
+        """Whole-queue state counts ``{pending, claimed, done, failed}``."""
         row = self._conn.execute(
             "SELECT SUM(state = 'pending') AS pending, SUM(state = 'claimed') AS claimed, "
             "SUM(state = 'done') AS done, SUM(state = 'failed') AS failed FROM queue"
         ).fetchone()
-        return {state: int(row[state] or 0) for state in ("pending", "claimed", "done", "failed")}
+        return {state: int(row[state] or 0) for state in QUEUE_STATES}
 
     def queue_cells(self, state: str | None = None) -> list[QueuedCell]:
+        """Queue rows (optionally one state), oldest first."""
         sql = "SELECT * FROM queue"
         args: tuple = ()
         if state is not None:
@@ -808,6 +884,7 @@ class ResultStore(StoreBackend):
         return [self._decode_queue_row(row) for row in rows]
 
     def stale_claims(self, lease_s: float) -> list[dict[str, Any]]:
+        """Read-only view of claims whose liveness age exceeds ``lease_s``."""
         rows = self._conn.execute(
             "SELECT q.experiment, q.param_hash, q.seed, q.owner, q.attempt, q.claim_time, "
             + f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
@@ -832,9 +909,9 @@ class ResultStore(StoreBackend):
         """Content-addressed lookup: the stored run for one spec digest.
 
         This is the shared cache check: queue workers consult it before
-        executing a claim, the sweep runner synthesises queue-backend
-        outcomes from it, and the simulation service resolves run ids
-        through it.  Returns the row whatever its status — callers decide
+        executing a claim, the sweep runner reads the outcome of cells its
+        own drains did not report from it, and the simulation service
+        resolves run ids through it.  Returns the row whatever its status — callers decide
         whether a ``failed`` row counts as a hit.
         """
         row = self._conn.execute(

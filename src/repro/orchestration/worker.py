@@ -1,25 +1,27 @@
 """Pull-based queue worker: claim cells from a shared store, run, write back.
 
-This is the other half of the ``queue`` execution backend: a sweep (or
-``drr-gossip sweep --exec queue --enqueue-only``) fills the store's queue
-table with pending cells, and any number of :class:`QueueWorker` loops —
-started with ``drr-gossip worker --store PATH`` on any hosts that share
-the store — drain it.  Each iteration:
+A sweep (or ``drr-gossip sweep --enqueue-only``) fills the store's queue
+table with pending cells, and :class:`QueueWorker` loops drain it: the
+sweep runner's own drains, and any number of ``drr-gossip worker``
+processes on hosts that share the store.  Each iteration:
 
-1. **reclaim** stale claims (a dead worker's lease expired) back to
-   pending, and mark cells that exhausted their attempt budget as failed;
-2. **claim** the oldest pending cell atomically (exactly one worker wins);
-3. **cache check**: if the cell's result is already in the store
+1. **claim** the oldest pending cell atomically (exactly one worker wins)
+   and, in the same transaction, stamp its heartbeat row;
+2. **cache check**: if the cell's result is already in the store
    (a re-submitted identical spec), finish it without executing;
-4. **execute** the cell's serialised spec via the same ``_execute_cell``
-   entry point the local process pool uses, refreshing the claim's
-   heartbeat row from a side thread so long cells keep their lease;
-5. **write back** the result/failure row and move the queue row to its
-   terminal state.
+3. **execute** the cell's serialised spec via the runner's
+   ``_execute_cell``, while the drain's lease-heartbeat thread refreshes
+   the claim so long cells keep their lease;
+4. **write back** the result/failure row, which moves the queue row to its
+   terminal state in the same transaction.
 
-The loop exits when the queue is drained — no pending *and* no claimed
-rows — or, with ``linger_s``, after the queue has stayed drained that
-long (so operators can start workers before submitting work).
+Only when a claim comes back empty does the loop look further: it
+reclaims stale claims (a dead worker's lease expired) back to pending,
+marks cells that exhausted their attempt budget as failed, and exits once
+the queue is drained — no pending *and* no claimed rows — or, with
+``linger_s``, after the queue has stayed drained that long (so operators
+can start workers before submitting work).  An interrupt anywhere in the
+loop hands this worker's claims back to pending.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 import random
 import signal
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -37,9 +40,8 @@ from typing import Any, Callable, Iterator, Mapping
 
 from ..observability.logs import get_logger
 from ..observability.telemetry import NULL_TELEMETRY, NullTelemetry
-from .backends import QueuedCell
-from .runner import _execute_cell
-from .store import ResultStore, cell_spec_hash
+from . import runner
+from .store import QueuedCell, ResultStore, cell_spec_hash
 
 _logger = get_logger("orchestration.worker")
 
@@ -65,6 +67,9 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: idle backoff ceiling as a multiple of ``poll_interval_s``
 BACKOFF_CAP_FACTOR = 8.0
 
+#: how soon a shutdown is raised again while the drain has not caught it
+SHUTDOWN_REDELIVERY_S = 0.5
+
 
 def default_worker_id() -> str:
     """``host:pid`` — unique across the hosts sharing a store."""
@@ -84,6 +89,8 @@ class WorkerShutdown(BaseException):
     def __init__(self, signum: int) -> None:
         super().__init__(signum)
         self.signum = int(signum)
+        #: set by the code that catches the shutdown; ends its re-delivery
+        self.caught = False
 
     @property
     def signal_name(self) -> str:
@@ -97,20 +104,38 @@ class WorkerShutdown(BaseException):
 def signal_shutdown(signals: tuple[int, ...] = (signal.SIGTERM, signal.SIGINT)) -> Iterator[None]:
     """Convert SIGTERM/SIGINT into :class:`WorkerShutdown` while active.
 
-    Installed by the ``drr-gossip worker`` CLI (and the serve-spawned
-    pool) around :meth:`QueueWorker.drain` so a terminated worker
-    releases its claim instead of dying mid-cell.  Only the main thread
+    Installed by the ``drr-gossip worker`` CLI (and so the serve-spawned
+    pool) and by the sweep runner's forked drains around
+    :meth:`QueueWorker.drain`, so a terminated worker releases its claim
+    instead of dying mid-cell.  Only the main thread
     of a process may install signal handlers, so library callers that
     embed :class:`QueueWorker` elsewhere simply don't use this.
+
+    An exception raised from a signal handler can vanish: C code that is
+    running a Python callback when the handler fires may clear it, and the
+    cell then runs on.  So every raise arms a ``SIGALRM`` that raises the
+    shutdown again after ``SHUTDOWN_REDELIVERY_S``, until it is marked
+    ``caught`` (:meth:`QueueWorker.drain` does that before releasing its
+    claim) or the block ends.  The block owns ``SIGALRM`` while active.
     """
+    raised: list[WorkerShutdown] = []
 
     def raise_shutdown(signum: int, frame: object) -> None:
-        raise WorkerShutdown(signum)
+        if not raised:
+            raised.append(WorkerShutdown(signum))
+        shutdown = raised[0]
+        # a re-delivery is moot once the shutdown is caught or being handled
+        if shutdown.caught or sys.exc_info()[1] is shutdown:
+            return
+        signal.setitimer(signal.ITIMER_REAL, SHUTDOWN_REDELIVERY_S)
+        raise shutdown
 
-    previous = {s: signal.signal(s, raise_shutdown) for s in signals}
+    previous = {s: signal.signal(s, raise_shutdown) for s in (*signals, signal.SIGALRM)}
     try:
         yield
     finally:
+        if raised:
+            signal.setitimer(signal.ITIMER_REAL, 0)
         for s, handler in previous.items():
             signal.signal(s, handler)
 
@@ -121,8 +146,8 @@ def row_identity(spec_json: str) -> tuple[str, dict[str, Any], int]:
     Returns ``(experiment, params, seed)`` such that
     ``param_hash(params)`` reproduces the hash the cell was queued under
     — the exact inverse of how ``SweepCell``/``cells_from_run_specs``
-    built the spec string, so a worker's result rows collide (upsert)
-    with the local backend's rather than duplicating them.
+    built the spec string, so a worker's result rows land on the rows
+    the sweep's cells are keyed by (an upsert, never a duplicate).
     """
     payload = json.loads(spec_json)
     if "protocol" in payload:
@@ -164,18 +189,22 @@ class WorkerReport:
 
 
 class _LeaseHeartbeat:
-    """Daemon thread refreshing one claim's heartbeat on its own connection.
+    """Daemon thread renewing the lease of whichever claim its drain holds.
 
-    The worker executes cells in its own process, so lease renewal must
-    come from a thread; SQLite connections are not shared across threads,
-    so the thread opens (and closes) its own.  In-memory stores get no
-    thread — a second connection would see a different database — which
-    is fine: they cannot be shared across processes anyway.
+    One thread per drain: the drain sets :attr:`key` when it claims a cell
+    and clears it when the claim ends, and every ``interval_s`` the thread
+    renews the current claim on its own connection (SQLite connections are
+    not shared across threads).  A renewal only updates an existing
+    heartbeat row, so one that races the end of its claim cannot bring the
+    claim back.  In-memory stores get no thread — a second connection would
+    see a different database — which is fine: they cannot be shared across
+    processes anyway.
     """
 
-    def __init__(self, store_path: str, key: tuple[str, str, int], worker: str, interval_s: float) -> None:
+    def __init__(self, store_path: str, worker: str, interval_s: float) -> None:
+        #: the claim to keep alive; None between claims
+        self.key: tuple[str, str, int] | None = None
         self._path = store_path
-        self._key = key
         self._worker = worker
         self._interval = float(interval_s)
         self._stop = threading.Event()
@@ -185,7 +214,9 @@ class _LeaseHeartbeat:
         store = ResultStore(self._path)
         try:
             while not self._stop.wait(self._interval):
-                store.mark_heartbeat_key(self._key, self._worker)
+                key = self.key
+                if key is not None:
+                    store.renew_lease(key, self._worker)
         finally:
             store.close()
 
@@ -266,52 +297,68 @@ class QueueWorker:
     def drain(self) -> WorkerReport:
         """Work the queue until it drains (plus ``linger_s``); returns the tally.
 
-        A :class:`WorkerShutdown` raised into the loop (SIGTERM/SIGINT
-        under :func:`signal_shutdown`) ends it gracefully: the in-flight
-        claim — if any — was already requeued by the claim handler, and
-        the report comes back with ``stopped`` set instead of the
-        exception propagating.
+        Any exception that escapes the loop first hands this worker's
+        claims back to pending, wherever it struck, from the claim's commit
+        to its write-back.  A :class:`WorkerShutdown` (SIGTERM/SIGINT under
+        :func:`signal_shutdown`) then ends the drain gracefully: the report
+        comes back with ``stopped`` set instead of the exception
+        propagating.
         """
         report = WorkerReport(worker=self.worker_id)
-        telemetry = self.telemetry
         start = time.perf_counter()
-        drained_since: float | None = None
-        empty_polls = 0
         try:
-            while self.max_cells is None or report.cells < self.max_cells:
-                report.reclaimed += len(self.store.reclaim_stale(self.lease_s))
-                for cell in self.store.fail_exhausted(self.max_attempts):
-                    self._record_exhausted(cell, report)
-                with telemetry.span("worker.claim"):
-                    claim = self.store.claim_cell(self.worker_id)
-                depth = self.store.queue_depth()
-                telemetry.gauge_max("queue.pending", depth["pending"])
-                telemetry.gauge_max("queue.claimed", depth["claimed"])
-                if claim is None:
-                    # Nothing pending.  Claimed rows owned by others may still
-                    # fail and come back via reclaim, so wait on those; a fully
-                    # drained queue ends the loop once any linger grace is up.
-                    if depth["pending"] == 0 and depth["claimed"] == 0:
-                        now = time.perf_counter()
-                        if drained_since is None:
-                            drained_since = now
-                        if now - drained_since >= self.linger_s:
-                            break
-                    time.sleep(self.idle_backoff_s(empty_polls))
-                    empty_polls += 1
-                    continue
-                drained_since = None
-                empty_polls = 0
-                self._run_claim(claim, report)
-        except WorkerShutdown as shutdown:
-            report.stopped = shutdown.signal_name
+            with _LeaseHeartbeat(
+                str(self.store.path), self.worker_id, self.heartbeat_interval_s
+            ) as lease:
+                self._drain(report, lease)
+        except BaseException as exc:
+            if isinstance(exc, WorkerShutdown):
+                exc.caught = True
+            self.store.release_claims(self.worker_id)
+            if not isinstance(exc, WorkerShutdown):
+                raise
+            report.stopped = exc.signal_name
             _logger.info(
                 "worker %s: %s received, claim released, stopping",
-                self.worker_id, shutdown.signal_name,
+                self.worker_id, exc.signal_name,
             )
         report.wall_s = time.perf_counter() - start
         _logger.info("%s", report.summary())
         return report
+
+    def _drain(self, report: WorkerReport, lease: _LeaseHeartbeat) -> None:
+        telemetry = self.telemetry
+        drained_since: float | None = None
+        empty_polls = 0
+        while self.max_cells is None or report.cells < self.max_cells:
+            with telemetry.span("worker.claim"):
+                claim = self.store.claim_cell(self.worker_id, self.max_attempts)
+            if claim is not None:
+                drained_since = None
+                empty_polls = 0
+                lease.key = claim.key
+                self._run_claim(claim, report)
+                lease.key = None
+                continue
+            report.reclaimed += len(self.store.reclaim_stale(self.lease_s))
+            for cell in self.store.fail_exhausted(self.max_attempts):
+                self._record_exhausted(cell, report)
+            depth = self.store.queue_depth()
+            telemetry.gauge_max("queue.pending", depth["pending"])
+            telemetry.gauge_max("queue.claimed", depth["claimed"])
+            if depth["pending"]:
+                continue  # reclaimed or newly enqueued cells: claim them now
+            # Nothing pending.  Claimed rows owned by others may still fail
+            # and come back via reclaim, so wait on those; a fully drained
+            # queue ends the loop once any linger grace is up.
+            if depth["claimed"] == 0:
+                now = time.perf_counter()
+                if drained_since is None:
+                    drained_since = now
+                if now - drained_since >= self.linger_s:
+                    return
+            time.sleep(self.idle_backoff_s(empty_polls))
+            empty_polls += 1
 
     def _record_exhausted(self, cell: QueuedCell, report: WorkerReport) -> None:
         experiment, params, seed = row_identity(cell.spec_json)
@@ -337,35 +384,23 @@ class QueueWorker:
                 report.cached += 1
                 self._emit(claim, "cached", 0.0)
                 return
-        self.store.mark_heartbeat_key(claim.key, self.worker_id)
-        try:
-            with _LeaseHeartbeat(
-                str(self.store.path), claim.key, self.worker_id, self.heartbeat_interval_s
-            ):
-                with telemetry.span("worker.execute"):
-                    payload = _execute_cell(claim.spec_json)
-        except BaseException:
-            # Interrupted mid-cell (KeyboardInterrupt/SystemExit): hand the
-            # claim back so another worker picks the cell up immediately
-            # instead of waiting out the lease.
-            self.store.requeue_cell(claim.key)
-            raise
+        with telemetry.span("worker.execute"):
+            # looked up at call time, so a patched runner._execute_cell runs
+            payload = runner._execute_cell(claim.spec_json)
         self._write_back(claim, payload, report)
 
     def _write_back(self, claim: QueuedCell, payload: Mapping[str, Any], report: WorkerReport) -> None:
+        """Record the cell's row; the same transaction ends its claim."""
         experiment, params, seed = row_identity(claim.spec_json)
         duration = float(payload.get("duration_s", 0.0))
         with self.telemetry.span("worker.write"):
             if payload["ok"]:
-                doc = payload.get("telemetry")
-                envelope = payload.get("envelope")
                 self.store.record_result(
                     experiment, params, seed, payload["result"], duration,
                     spec_json=claim.spec_json,
-                    telemetry_json=json.dumps(doc, sort_keys=True) if doc is not None else None,
-                    result_json=json.dumps(envelope, sort_keys=True) if envelope is not None else None,
+                    telemetry_json=payload.get("telemetry_json"),
+                    result_json=payload.get("result_json"),
                 )
-                self.store.finish_cell(claim.key, "done")
             else:
                 _logger.warning(
                     "cell %s (hash=%s seed=%d) failed:\n%s",
@@ -375,7 +410,6 @@ class QueueWorker:
                     experiment, params, seed, payload["error"], duration,
                     spec_json=claim.spec_json,
                 )
-                self.store.finish_cell(claim.key, "failed")
         self.telemetry.count("worker.cells")
         if payload["ok"]:
             report.executed += 1

@@ -1,10 +1,11 @@
-"""Distributed queue backend: claim atomicity, leases, dedup, worker parity.
+"""The store's work queue: claim atomicity, leases, dedup, worker parity.
 
-Covers the pull-based work-stealing layer end to end:
+Covers the pull-based work-stealing layer every sweep runs through:
 
-* the store's queue table (enqueue/claim/finish/requeue/reclaim semantics),
+* the store's queue table (enqueue/claim/finish/release/reclaim semantics),
 * :class:`~repro.orchestration.worker.QueueWorker` drain loops,
-* ``SweepRunner(backend="queue")`` parity with the local backend,
+* ``SweepRunner`` draining in-process and in forked drains, including a
+  cell that kills the drain running it,
 * two *real* worker processes sharing one store — zero duplicate
   executions, and recovery from a SIGKILL mid-cell via lease reclaim.
 """
@@ -30,11 +31,13 @@ from repro.orchestration import (
     ResultStore,
     SweepDefinition,
     SweepRunner,
+    cell_spec_hash,
     cells_from_run_specs,
     expand_cells,
     row_identity,
 )
-from repro.orchestration.worker import WorkerReport
+from repro.orchestration import runner as runner_module
+from repro.orchestration.worker import WorkerReport, WorkerShutdown
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,7 +124,7 @@ class TestQueueStore:
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
             claim = store.claim_cell("w1")
-            store.requeue_cell(claim.key)
+            assert store.release_claims("w1") == [claim.key]
             (row,) = store.queue_cells()
             assert row.state == "pending"
             assert row.owner is None
@@ -151,17 +154,44 @@ class TestQueueStore:
             # a live heartbeat renews the lease even when claim_time is old;
             # lease 1.4 splits the two ages even with datetime('now')'s
             # 1-second truncation (claim age >= 1.6, heartbeat age <= 1.0)
-            store.mark_heartbeat_key(claim.key, "w1")
+            store.renew_lease(claim.key, "w1")
             assert store.reclaim_stale(lease_s=1.4) == []
             assert store.queue_cells()[0].state == "claimed"
+
+    def test_claim_stamps_heartbeat_and_renewal_never_outlives_release(self, tmp_path):
+        cells = expand_cells(_tiny_definition(reps=1))[:1]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            claim = store.claim_cell("w1")
+            (beat,) = store.heartbeats()
+            assert (beat["experiment"], beat["param_hash"], beat["seed"]) == claim.key
+            assert beat["worker"] == "w1"
+            experiment, params, seed = row_identity(claim.spec_json)
+            store.record_failure(experiment, params, seed, "boom", spec_json=claim.spec_json)
+            # the failure row and the queue row's terminal state land together
+            assert store.queue_cells()[0].state == "failed"
+            assert store.heartbeats() == []
+            # a lease renewal racing the release finds no row to refresh
+            store.renew_lease(claim.key, "w1")
+            assert store.heartbeats() == []
+
+    def test_claim_passes_over_rows_whose_budget_is_spent(self, tmp_path):
+        cells = expand_cells(_tiny_definition(reps=1))[:2]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            store.claim_cell("w1")
+            store.release_claims("w1")
+            claim = store.claim_cell("w1", max_attempts=1)
+            assert claim.key == cells[1].key  # the oldest row has had its one claim
+            assert store.claim_cell("w1", max_attempts=1) is None
 
     def test_fail_exhausted_respects_attempt_budget(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
             for _ in range(2):  # burn two claims
-                claim = store.claim_cell("w1")
-                store.requeue_cell(claim.key)
+                store.claim_cell("w1")
+                store.release_claims("w1")
             assert store.fail_exhausted(max_attempts=3) == []  # budget not spent yet
             (cell,) = store.fail_exhausted(max_attempts=2)
             assert cell.state == "failed"
@@ -285,8 +315,8 @@ class TestQueueWorker:
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
-            claim = store.claim_cell("crashy")
-            store.requeue_cell(claim.key)  # attempt budget now spent for cap=1
+            store.claim_cell("crashy")
+            store.release_claims("crashy")  # attempt budget now spent for cap=1
             report = QueueWorker(
                 store, worker_id="w1", max_attempts=1, poll_interval_s=0.05
             ).drain()
@@ -295,6 +325,55 @@ class TestQueueWorker:
             assert store.queue_cells()[0].state == "failed"
             (failure,) = store.query(status="failed")
             assert "gave up after 1 claim(s)" in failure.error
+
+    def test_shutdown_before_execution_releases_claim(self, tmp_path, monkeypatch):
+        """The claim is guarded from its commit on, not from execution on."""
+        cells = expand_cells(_tiny_definition(reps=1))[:1]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+
+            def interrupted_cache_check(spec_hash):
+                raise WorkerShutdown(signal.SIGTERM)
+
+            monkeypatch.setattr(store, "get_by_spec_hash", interrupted_cache_check)
+            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            assert report.stopped == "SIGTERM"
+            (row,) = store.queue_cells()
+            assert row.state == "pending"
+            assert row.owner is None
+            assert row.attempt == 1
+            assert store.heartbeats() == []
+
+    def test_shutdown_lost_by_a_callback_is_delivered_again(self):
+        """C code can clear a signal handler's exception; the signal comes back."""
+        from repro.orchestration import signal_shutdown
+
+        start = time.monotonic()
+        with pytest.raises(WorkerShutdown) as caught:
+            with signal_shutdown():
+                try:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    time.sleep(5)  # the handler raises in here
+                except WorkerShutdown:
+                    pass  # what a callback that clears the error does to it
+                while time.monotonic() - start < 10:
+                    time.sleep(0.01)  # the re-delivered signal raises in here
+        assert caught.value.signal_name == "SIGTERM"
+        assert time.monotonic() - start < 5
+
+    def test_drain_commits_two_write_transactions_per_cell(self, tmp_path):
+        specs = [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in range(8)]
+        cells = cells_from_run_specs(specs)
+        statements: list[str] = []
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            store._conn.set_trace_callback(statements.append)
+            report = SweepRunner(store, jobs=1).run_cells(cells)
+            store._conn.set_trace_callback(None)
+        assert report.executed == len(cells)
+        commits = [sql for sql in statements if sql.strip().upper().startswith("COMMIT")]
+        # per cell: the claim and the write-back; plus the enqueue and the
+        # empty claim, reclaim and exhaustion pass that end the drain
+        assert len(commits) <= 2 * len(cells) + 4
 
     def test_worker_report_summary_mentions_counts(self):
         report = WorkerReport(worker="w1", executed=3, failed=1, cached=2, wall_s=1.0)
@@ -369,35 +448,100 @@ class TestQueueWorker:
 # SweepRunner queue backend
 # --------------------------------------------------------------------------- #
 class TestQueueBackendRunner:
-    def test_queue_backend_matches_local_store_bit_for_bit(self, tmp_path):
+    def test_forked_drains_match_in_process_store_bit_for_bit(self, tmp_path):
         definition = _tiny_definition()
-        with ResultStore(tmp_path / "local.sqlite") as store:
-            local_report = SweepRunner(store, jobs=1).run(definition)
-            local = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
-        with ResultStore(tmp_path / "queue.sqlite") as store:
-            queue_report = SweepRunner(store, jobs=1, backend="queue").run(definition)
-            queued = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
-            assert store.queue_depth()["done"] == queue_report.executed
-        assert queue_report.failed == 0
-        assert queue_report.executed == local_report.executed
-        assert local.keys() == queued.keys()
-        for key, run in local.items():
-            other = queued[key]
+        with ResultStore(tmp_path / "serial.sqlite") as store:
+            serial_report = SweepRunner(store, jobs=1).run(definition)
+            serial = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
+            assert store.queue_depth()["done"] == serial_report.executed
+        with ResultStore(tmp_path / "forked.sqlite") as store:
+            forked_report = SweepRunner(store, jobs=2).run(definition)
+            forked = {(r.experiment, r.param_hash, r.seed): r for r in store.query()}
+            assert store.queue_depth()["done"] == forked_report.executed
+            assert all(row.attempt == 1 for row in store.queue_cells())
+        assert forked_report.failed == 0
+        assert forked_report.executed == serial_report.executed
+        assert serial.keys() == forked.keys()
+        for key, run in serial.items():
+            other = forked[key]
             assert run.rows == other.rows, f"rows differ for {key}"
             assert run.headers == other.headers
             assert run.params == other.params
             assert run.notes == other.notes
 
-    def test_queue_backend_resume_report_matches_local(self, tmp_path):
+    def test_resume_report_is_the_same_for_any_jobs(self, tmp_path):
         definition = _tiny_definition()
-        with ResultStore(tmp_path / "local.sqlite") as store:
+        with ResultStore(tmp_path / "serial.sqlite") as store:
             SweepRunner(store, jobs=1).run(definition)
-            local_resume = SweepRunner(store, jobs=1).run(definition)
-        with ResultStore(tmp_path / "queue.sqlite") as store:
-            SweepRunner(store, jobs=1, backend="queue").run(definition)
-            queue_resume = SweepRunner(store, jobs=1, backend="queue").run(definition)
-        assert queue_resume.skipped == queue_resume.total > 0
-        assert queue_resume.summary() == local_resume.summary()
+            serial_resume = SweepRunner(store, jobs=1).run(definition)
+        with ResultStore(tmp_path / "forked.sqlite") as store:
+            SweepRunner(store, jobs=2).run(definition)
+            forked_resume = SweepRunner(store, jobs=2).run(definition)
+        assert forked_resume.skipped == forked_resume.total > 0
+        assert forked_resume.summary() == serial_resume.summary()
+
+    def test_forked_drains_report_each_cell_as_its_row_lands(self, tmp_path, monkeypatch):
+        """Later cells wait for the parent to report the first: no batch at the end."""
+        cells = cells_from_run_specs(
+            [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in range(3)]
+        )
+        first = cells[0].spec_json()
+        reported = tmp_path / "first-reported"
+        execute = runner_module._execute_cell
+
+        def gated(spec_json):
+            deadline = time.monotonic() + 30
+            while spec_json != first and not reported.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return execute(spec_json)
+
+        monkeypatch.setattr(runner_module, "_execute_cell", gated)
+        seen = []
+
+        def progress(outcome, index, total):
+            seen.append(outcome.cell.key)
+            reported.touch()
+
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            start = time.monotonic()
+            report = SweepRunner(store, jobs=2, progress=progress).run_cells(cells)
+            elapsed = time.monotonic() - start
+        assert report.executed == len(cells)
+        assert seen[0] == cells[0].key
+        assert elapsed < 20  # no drain sat out the gate's deadline
+
+    def test_cell_that_kills_its_drain_gives_up_after_the_attempt_budget(
+        self, tmp_path, monkeypatch
+    ):
+        cells = cells_from_run_specs(
+            [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in range(6)]
+        )
+        poison = cells[2]
+        sweep_pid = os.getpid()
+        execute = runner_module._execute_cell
+
+        def poisoned(spec_json):
+            if spec_json == poison.spec_json() and os.getpid() != sweep_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(spec_json)
+
+        monkeypatch.setattr(runner_module, "_execute_cell", poisoned)
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            start = time.monotonic()
+            report = SweepRunner(store, jobs=2).run_cells(cells)  # default 60 s lease
+            elapsed = time.monotonic() - start
+            outcomes = {outcome.cell.key: outcome for outcome in report.outcomes}
+            assert len(outcomes) == len(cells)
+            for cell in cells:
+                if cell is not poison:
+                    assert outcomes[cell.key].status == "ok"
+            assert outcomes[poison.key].status == "failed"
+            assert "gave up after 3 claim(s)" in outcomes[poison.key].error
+            (failure,) = store.query(status="failed")
+            assert "gave up after 3 claim(s)" in failure.error
+            assert store.queue_cell_by_spec_hash(cell_spec_hash(poison.spec_json())).state == "failed"
+            assert store.heartbeats() == []
+        assert elapsed < 30
 
     def test_duplicate_specs_collapse_to_one_execution(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -430,33 +574,24 @@ class TestQueueBackendRunner:
             twin = report.outcomes[-1]
             assert twin.error is not None and "ValueError" in twin.error
 
-    def test_queue_backend_dedups_before_enqueueing(self, tmp_path):
+    def test_twins_dedup_before_enqueueing(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
-            report = SweepRunner(store, jobs=1, backend="queue").run_cells(
-                cells + [cells[0]]
-            )
+            report = SweepRunner(store, jobs=1).run_cells(cells + [cells[0]])
             assert report.executed == 1
             assert report.cached == 1
             assert store.queue_depth()["done"] == 1
 
     def test_memory_store_rejected_for_multiprocess_queue(self):
         with ResultStore(":memory:") as store:
-            runner = SweepRunner(store, jobs=2, backend="queue")
+            runner = SweepRunner(store, jobs=2)
             with pytest.raises(ValueError, match="file-backed"):
                 runner.run(_tiny_definition(reps=1))
 
     def test_memory_store_fine_for_inprocess_queue(self):
         with ResultStore(":memory:") as store:
-            report = SweepRunner(store, jobs=1, backend="queue").run(
-                _tiny_definition(reps=1)
-            )
+            report = SweepRunner(store, jobs=1).run(_tiny_definition(reps=1))
             assert report.executed == report.total > 0
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite") as store:
-            with pytest.raises(ValueError, match="unknown execution backend"):
-                SweepRunner(store, backend="slurm")
 
     def test_invalid_queue_knobs_rejected(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
@@ -505,9 +640,18 @@ class TestDistributedWorkers:
         no owner, heartbeat row deleted) and the process exits 0.
         """
         path = tmp_path / "r.sqlite"
-        # ~1.4s of engine simulation: a window wide enough to SIGTERM into
-        spec = RunSpec(protocol="drr-gossip", params={"n": 4096}, backend="engine", seed=7)
-        cells = cells_from_run_specs([spec])
+        # Millions of small DRR runs: hours of work, so the SIGTERM lands
+        # mid-cell however late this test sees the claim (a cell that could
+        # finish first would leave the signal nothing to interrupt).
+        endless = SweepDefinition(
+            name="endless",
+            seed=7,
+            repetitions=1,
+            plans=(
+                ExperimentPlan(experiment="ablation", grid={"n": 64, "repetitions": 10**7}),
+            ),
+        )
+        cells = expand_cells(endless)
         with ResultStore(path) as store:
             _enqueue(store, cells)
         victim = subprocess.Popen(
@@ -654,7 +798,7 @@ class TestQueueCLI:
         store = str(tmp_path / "r.sqlite")
         sweep_argv = [
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
-            "--seed", "11", "--store", store, "--exec", "queue", "--enqueue-only",
+            "--seed", "11", "--store", store, "--enqueue-only",
         ]
         assert main(sweep_argv) == 0
         out = capsys.readouterr().out
@@ -668,19 +812,9 @@ class TestQueueCLI:
         assert "ablation" in out
         assert "stale" not in out  # nothing claimed, nothing stale
         # a re-submitted sweep skips everything without touching the queue
-        assert main(sweep_argv[:-1]) == 0  # drop --enqueue-only: full queue run
+        assert main(sweep_argv[:-1]) == 0  # drop --enqueue-only: enqueue and drain
         out = capsys.readouterr().out
         assert "0 executed, 2 skipped, 0 failed" in out
-
-    def test_enqueue_only_requires_queue_exec(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        code = main([
-            "sweep", "--experiments", "ablation", "--ns", "64",
-            "--store", str(tmp_path / "r.sqlite"), "--enqueue-only",
-        ])
-        assert code == 2
-        assert "--enqueue-only requires --exec queue" in capsys.readouterr().err
 
     def test_worker_without_store_errors(self, tmp_path, capsys):
         from repro.harness.cli import main
@@ -702,13 +836,13 @@ class TestQueueCLI:
         assert "stale claims" in out
         assert "dead-worker" in out
 
-    def test_sweep_exec_queue_with_worker_processes(self, tmp_path, capsys):
+    def test_sweep_with_forked_drains(self, tmp_path, capsys):
         from repro.harness.cli import main
 
         store = str(tmp_path / "r.sqlite")
         assert main([
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
-            "--seed", "11", "--store", store, "--exec", "queue", "--jobs", "2",
+            "--seed", "11", "--store", store, "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "2 executed, 0 skipped, 0 failed" in out
@@ -723,7 +857,7 @@ class TestQueueCLI:
         events = tmp_path / "events.jsonl"
         assert main([
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "1",
-            "--seed", "3", "--store", store, "--exec", "queue", "--enqueue-only",
+            "--seed", "3", "--store", store, "--enqueue-only",
         ]) == 0
         capsys.readouterr()
         assert main([

@@ -187,7 +187,7 @@ class TestServiceManager:
             assert status == 409
             assert body["state"] == "claimed"
             with ResultStore(path) as store:
-                store.requeue_cell(store.queue_cell_by_spec_hash(run_id).key)
+                store.release_claims("w1")
             _drain(path)
             status, body = manager.retry(run_id)
             assert status == 409
