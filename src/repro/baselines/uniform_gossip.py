@@ -22,6 +22,21 @@ message-level engine (:class:`PushSumNode` / :class:`PushMaxNode`, used by
 fidelity and failure-injection tests).  The per-round convergence history is
 only tracked by the vectorized backend (it is an observer quantity, not part
 of the protocol).
+
+The columnar push-sum keeps each node's ``(s, w)`` as one ``complex128``
+entry (``s`` the real part, ``w`` the imaginary part), so one
+``np.add.at`` folds a round's pushes into both.  The fold gives the same
+bits as two float folds: complex addition is two independent float64
+additions, and ``add.at`` applies its updates in batch order, so each
+component receives exactly the sequence of additions the engine's nodes
+apply in arrival order.  Halving runs on the interleaved float64 view
+(``x * 0.5`` is ``x / 2.0`` for every float; a complex product would turn
+an infinite part into NaN).  When every node is alive the round halves and
+subtracts on whole arrays instead of gathering through the alive ids, and
+on a reliable, crash-free run it folds the whole batch instead of
+compacting it by an all-True delivered mask.  Like :mod:`delivery
+<repro.substrate.delivery>`'s fast paths, these change no accounting and
+consume no RNG: they skip work whose outcome is known.
 """
 
 from __future__ import annotations
@@ -92,7 +107,18 @@ def push_sum(
     metrics: MetricsCollector | None = None,
     backend: str = "vectorized",
 ) -> UniformGossipResult:
-    """Kempe et al. push-sum for the Average aggregate."""
+    """Kempe et al. push-sum for the Average aggregate.
+
+    The columnar backend stores ``(s, w)`` as one ``complex128`` array and
+    folds each round's pushes with a single ``np.add.at``; both components
+    see the same float64 additions in the same order as separate folds, so
+    estimates match the engine's bit for bit.  Rounds in which every node is
+    alive skip the alive-id gathers, and reliable, crash-free rounds skip
+    the delivered-mask compaction: fast paths that change no accounting and
+    consume no RNG.  ``convergence`` holds each round's maximum relative
+    error ``|s/w - exact| / max(1e-300, |exact|)`` over alive nodes (the
+    absolute error when ``exact == 0``), ignoring nodes with ``w == 0``.
+    """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
@@ -129,15 +155,26 @@ def _push_sum_vectorized(
     metrics: MetricsCollector,
     churn: ChurnOracle | None = None,
 ) -> UniformGossipResult:
-    s = np.where(alive, values, 0.0).astype(float)
-    w = alive.astype(float).copy()
+    # (s, w) per node as one complex entry: one fold updates both.
+    sw = np.empty(n, dtype=np.complex128)
+    s, w = sw.real, sw.imag
+    s[:] = np.where(alive, values, 0.0)
+    w[:] = alive
     # Convergence is tracked against the membership at start; the result's
     # ``exact`` is recomputed over the final survivors under churn.
     exact = float(values[alive].mean())
+    scale = max(1e-300, abs(exact))
     convergence: list[float] = []
     alive_idx = np.flatnonzero(alive)
     alive_arg = alive if churn is not None else (None if alive.all() else alive)
     dead_targets = churn is not None
+    # Reliable and crash-free: deliver() returns an all-True mask, so the
+    # fold can skip compacting by it.
+    unmasked = oracle.reliable and alive_arg is None
+    # Per-run buffers, rewritten every round.
+    send_buffer = np.empty(n, dtype=np.complex128)
+    est = np.empty(n)
+    positive = np.empty(n, dtype=bool)
 
     for r in range(total_rounds):
         if churn is not None:
@@ -150,27 +187,35 @@ def _push_sum_vectorized(
                 alive_idx = np.flatnonzero(alive)
         metrics.record_round()
         senders = alive_idx
+        everyone = senders.size == n
         targets = kernel.sample_uniform(rng, n, senders.size)
-        send_s = s[senders] / 2.0
-        send_w = w[senders] / 2.0
-        s[senders] -= send_s
-        w[senders] -= send_w
+        send = send_buffer[: senders.size]
+        # Halve on the float64 view: x * 0.5 == x / 2.0 for every float.
+        halves = send.view(np.float64)
+        if everyone:
+            np.multiply(sw.view(np.float64), 0.5, out=halves)
+            sw -= send
+        else:
+            np.take(sw, senders, out=send)
+            halves *= 0.5
+            sw[senders] -= send
         delivered = kernel.deliver(
             metrics, oracle, MessageKind.PUSH, targets,
             senders=senders, round_index=r, alive=alive_arg, payload_words=2,
             dead_targets=dead_targets,
         )
-        np.add.at(s, targets[delivered], send_s[delivered])
-        np.add.at(w, targets[delivered], send_w[delivered])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            est = np.where(w > 0, s / np.where(w > 0, w, 1.0), np.nan)
-        err = np.nanmax(np.abs(est[alive] - exact) / max(1e-300, abs(exact))) if exact != 0 else np.nanmax(np.abs(est[alive]))
-        convergence.append(float(err))
+        if unmasked:
+            np.add.at(sw, targets, send)
+        else:
+            np.add.at(sw, targets[delivered], send[delivered])
+        # Free this round's batch before the next round draws its own.
+        del targets, delivered
+        _estimate(s, w, est, positive)
+        convergence.append(_max_error(est if everyone else est[alive_idx], exact, scale))
 
     if churn is not None:
         exact = float(values[alive].mean())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        estimates = np.where(w > 0, s / np.where(w > 0, w, 1.0), np.nan)
+    estimates = _estimate(s, w, np.empty(n), positive)
     estimates[~alive] = np.nan
     return UniformGossipResult(
         estimates=estimates,
@@ -180,6 +225,30 @@ def _push_sum_vectorized(
         metrics=metrics,
         convergence=convergence,
     )
+
+
+def _estimate(s: np.ndarray, w: np.ndarray, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """``s / w`` where ``w > 0``, else NaN, written into ``out``."""
+    np.greater(w, 0.0, out=positive)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(s, w, out=out)
+    if not positive.all():
+        out[~positive] = np.nan
+    return out
+
+
+def _max_error(est: np.ndarray, exact: float, scale: float) -> float:
+    """Largest ``|est - exact| / scale`` ignoring NaN (``|est|`` when ``exact == 0``).
+
+    Overwrites ``est``.
+    """
+    if exact != 0:
+        np.subtract(est, exact, out=est)
+        np.abs(est, out=est)
+        np.divide(est, scale, out=est)
+    else:
+        np.abs(est, out=est)
+    return float(np.nanmax(est))
 
 
 class PushSumNode(ProtocolNode):
