@@ -21,6 +21,17 @@ from .spec import RunSpec
 __all__ = ["RunResult"]
 
 
+def _same_degradation(a: Mapping[str, Any] | None, b: Mapping[str, Any] | None) -> bool:
+    """Entry-by-entry equality of two degradation sections, NaN == NaN."""
+    if a is None or b is None:
+        return a is b
+    return a.keys() == b.keys() and all(
+        np.array_equal(np.asarray(a[key], dtype=float), np.asarray(b[key], dtype=float),
+                       equal_nan=True)
+        for key in a
+    )
+
+
 class RunResult:
     """Outcome of one spec-dispatched protocol run.
 
@@ -55,9 +66,8 @@ class RunResult:
         for epoch-restarted protocols — the per-epoch error curve), or
         None when the spec's failure model has no mid-run churn.  Values
         may legitimately be NaN (e.g. the error curve of an epoch whose
-        survivors all hold NaN), so the section is excluded from
-        :meth:`same_outcome`; the churn equivalence tests compare it
-        explicitly instead.
+        survivors all hold NaN), so :meth:`same_outcome` compares the
+        section entry by entry with NaN equal to NaN.
     """
 
     __slots__ = (
@@ -143,10 +153,10 @@ class RunResult:
         """True when two runs produced *identical* results.
 
         Compares rounds, every message counter (total, lost, per kind, per
-        phase), the summary scalars, and the estimate vectors element-wise
-        (NaN == NaN); wall time and the ``raw`` object are excluded.  This
-        is the equality the serialisation round-trip guarantee is stated
-        in.
+        phase), the summary scalars, and element-wise (NaN == NaN) the
+        degradation section's scalars and lists and the estimate vectors;
+        wall time, telemetry and the ``raw`` object are excluded.  This is
+        the equality the serialisation round-trip guarantee is stated in.
         """
         if (
             self.rounds != other.rounds
@@ -156,6 +166,7 @@ class RunResult:
             or dict(self.messages_by_phase) != dict(other.messages_by_phase)
             or dict(self.rounds_by_phase) != dict(other.rounds_by_phase)
             or dict(self.summary) != dict(other.summary)
+            or not _same_degradation(self.degradation, other.degradation)
         ):
             return False
         if (self.estimates is None) != (other.estimates is None):

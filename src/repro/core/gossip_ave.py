@@ -40,7 +40,7 @@ from ..simulator.message import Message, MessageKind, Send
 from ..simulator.metrics import MetricsCollector
 from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
-from ..substrate import EngineKernel, VectorizedKernel, run_on, tuning
+from ..substrate import EngineKernel, VectorizedKernel, run_on
 from .gossip_max import RootForwarderNode
 
 __all__ = ["GossipAveResult", "GossipAveRootNode", "default_ave_rounds", "run_gossip_ave"]
@@ -207,10 +207,9 @@ def _gossip_ave_vectorized(
     position[roots] = np.arange(m)
     alive_arg = alive if churn is not None else (None if alive.all() else alive)
     dead_targets = churn is not None
-    estimate_dtype = tuning.get_tuning().estimate_dtype()
 
-    s = local_sums.astype(estimate_dtype)
-    g = local_weights.astype(estimate_dtype)
+    s = local_sums.astype(np.float64)
+    g = local_weights.astype(np.float64)
     history: list[float] = []
     trace_pos = int(position[trace_root]) if trace_root is not None else None
 
@@ -266,8 +265,8 @@ def _gossip_ave_vectorized(
         ratio = np.where(g > 0, s / g, np.float64(np.nan))
     root_ids = roots.tolist()
     estimates = dict(zip(root_ids, ratio.tolist()))
-    sums = dict(zip(root_ids, np.asarray(s, dtype=np.float64).tolist()))
-    weights = dict(zip(root_ids, np.asarray(g, dtype=np.float64).tolist()))
+    sums = dict(zip(root_ids, s.tolist()))
+    weights = dict(zip(root_ids, g.tolist()))
     return GossipAveResult(
         estimates=estimates,
         sums=sums,

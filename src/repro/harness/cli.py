@@ -102,15 +102,15 @@ DEFAULT_STORE = "results/results.sqlite"
 EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
 
 
-def _add_claim_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
+def _add_claim_options(parser: argparse.ArgumentParser) -> None:
     """``--lease`` and ``--max-attempts``: the claim policy of every queue drain."""
     parser.add_argument(
         "--lease", type=float, default=DEFAULT_LEASE_S, metavar="SECS",
-        help=f"{scope}heartbeat silence after which a claim is reclaimed",
+        help="heartbeat silence after which a claim is reclaimed",
     )
     parser.add_argument(
         "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-        help=f"{scope}claims per cell before it is marked failed",
+        help="claims per cell before it is marked failed",
     )
 
 
@@ -296,47 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="record per-claim/execute/write spans and queue-depth gauges; with "
         "FILE, also export the events as JSONL",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve the simulation job API over HTTP: submit specs, poll status, "
-        "fetch cached results (see repro.service)",
-    )
-    serve.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
-    serve.add_argument("--host", type=str, default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=8642, help="bind port (0 = ephemeral)")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also spawn N queue-worker subprocesses draining the served store "
-        "(0 = serve only; point `drr-gossip worker --store` at the same path instead)",
-    )
-    _add_claim_options(serve, "worker pool: ")
-    serve.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECS",
-        help="worker pool: idle sleep between claim attempts",
-    )
-    serve.add_argument(
-        "--heartbeat",
-        type=float,
-        default=15.0,
-        metavar="SECS",
-        help="worker pool: how often an executing cell refreshes its heartbeat",
-    )
-    serve.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="FILE",
-        help="record request counts and per-route latency spans, printed at "
-        "shutdown; with FILE, also export the events as JSONL",
     )
 
     plot = sub.add_parser(
@@ -689,59 +648,6 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0 if report.failed == 0 and report.exhausted == 0 else 1
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    from ..service import ServiceServer, WorkerPool
-
-    if args.workers < 0:
-        print(f"error: --workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    want_telemetry = args.telemetry is not None
-    tel = Telemetry() if want_telemetry else None
-    try:
-        server = ServiceServer(args.store, host=args.host, port=args.port, telemetry=tel)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
-    pool = None
-    if args.workers:
-        pool = WorkerPool(
-            args.store,
-            args.workers,
-            lease_s=args.lease,
-            max_attempts=args.max_attempts,
-            poll_s=args.poll,
-            heartbeat_s=args.heartbeat,
-        )
-    print(f"serving {args.store} at {server.url}", flush=True)
-    print(
-        f"workers: {args.workers} local"
-        + ("" if args.workers else f" (add some: drr-gossip worker --store {args.store} --linger inf)"),
-        flush=True,
-    )
-    stopped = ""
-    try:
-        if pool is not None:
-            pool.start()
-        # The same SIGTERM/SIGINT-to-exception bridge the workers use; here
-        # it just breaks serve_forever so shutdown runs.
-        with signal_shutdown():
-            server.serve_forever()
-    except BaseException as exc:  # WorkerShutdown / KeyboardInterrupt
-        if isinstance(exc, (SystemExit,)):
-            raise
-        stopped = getattr(exc, "signal_name", type(exc).__name__)
-    finally:
-        if pool is not None:
-            pool.stop()
-        server.shutdown()
-    print(f"service stopped ({stopped or 'shutdown'})")
-    if want_telemetry and tel is not None:
-        doc = tel.as_dict()
-        print(format_telemetry(doc))
-        _export_events(doc, args.telemetry, append=False)
-    return 0
-
-
 def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: float) -> None:
     counts = store.queue_counts(experiment)
     if not counts:
@@ -934,8 +840,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_sweep(args)
     if args.command == "worker":
         return _run_worker(args)
-    if args.command == "serve":
-        return _run_serve(args)
     if args.command == "spec":
         return _run_spec_tools(args)
     if args.command == "plot":

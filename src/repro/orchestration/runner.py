@@ -66,7 +66,7 @@ __all__ = [
 
 #: largest estimate vector persisted inside a stored RunResult envelope;
 #: beyond this the vector is dropped (marked ``estimates_omitted``) so a
-#: single n=10^8 cell cannot bloat the store or the service's responses
+#: single n=10^8 cell cannot bloat the store
 MAX_ENVELOPE_ESTIMATES = 65536
 
 #: idle poll of the runner's own drains: a drain that runs out of pending
@@ -257,8 +257,8 @@ def _execute_cell(spec_json: str) -> dict[str, Any]:
             result = envelope.to_experiment_result()
             telemetry_doc = envelope.telemetry
             # The full RunResult document is carried back alongside the
-            # store-row projection so it can be persisted verbatim — the
-            # content-addressed cache the simulation service serves from.
+            # store-row projection so it can be persisted verbatim: a
+            # content-addressed cache hit can then be replayed whole.
             envelope_doc = envelope.to_dict()
             estimates = envelope_doc.get("estimates")
             if estimates is not None and len(estimates) > MAX_ENVELOPE_ESTIMATES:

@@ -126,8 +126,8 @@ CREATE TABLE IF NOT EXISTS queue (
 CREATE INDEX IF NOT EXISTS idx_queue_state ON queue (state, id);
 """
 
-#: created after the column migrations run: on a pre-service store the
-#: spec_hash columns do not exist until the ALTERs in ``__init__`` add them
+#: created after the column migrations run: on a store older than the
+#: spec_hash columns they do not exist until the ALTERs in ``__init__`` add them
 _SPEC_HASH_INDEXES = """
 CREATE INDEX IF NOT EXISTS idx_runs_spec_hash ON runs (spec_hash);
 CREATE INDEX IF NOT EXISTS idx_queue_spec_hash ON queue (spec_hash);
@@ -198,8 +198,9 @@ def cell_spec_json(experiment: str, params: Mapping[str, Any], seed: int) -> str
 def cell_spec_hash(spec_json: str) -> str:
     """Content address of one serialised cell (16 hex chars).
 
-    This is the digest the ``spec_hash`` columns, the content-addressed
-    cache checks, and the simulation service's run ids all share.  For a
+    This is the digest the ``spec_hash`` columns and the content-addressed
+    lookups (the worker's pre-execution cache check, the sweep runner's
+    read-back of cells its drains did not report) share.  For a
     protocol :class:`~repro.api.RunSpec` document the non-identity
     ``telemetry`` toggle is popped first, so the digest equals
     ``RunSpec.spec_hash()`` exactly; experiment-cell documents digest
@@ -228,8 +229,9 @@ class QueuedCell:
     #: how many times this cell has been claimed (capped by the worker's
     #: ``max_attempts``)
     attempt: int = 0
-    #: content address of ``spec_json`` (``cell_spec_hash``) — the id the
-    #: simulation service hands out; None on rows from pre-service stores
+    #: content address of ``spec_json`` (``cell_spec_hash``) — the key the
+    #: worker's cache check looks the cell's run up by; None on rows
+    #: enqueued before the column existed
     spec_hash: str | None = None
 
     @property
@@ -268,11 +270,12 @@ class StoredRun:
     heartbeat_at: str | None
     created_at: str
     #: content address of ``spec_json`` (:func:`cell_spec_hash`) — the
-    #: service's run id; None only for pre-run-API rows without a spec.
+    #: cache key of :meth:`ResultStore.get_by_spec_hash`; None only for
+    #: pre-run-API rows without a spec.
     spec_hash: str | None = None
     #: the full serialised :class:`~repro.api.RunResult` envelope for
-    #: protocol cells (what ``GET /v1/runs/{id}/result`` serves); None for
-    #: experiment cells and rows written before the service existed.
+    #: protocol cells, replayable with ``RunResult.from_dict``; None for
+    #: experiment cells and rows written before the column existed.
     result_json: str | None = None
 
     @property
@@ -330,7 +333,6 @@ class ResultStore:
         path: str | Path,
         *,
         busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S,
-        check_same_thread: bool = True,
     ) -> None:
         if busy_timeout_s < 0:
             raise ValueError(f"busy_timeout_s must be >= 0, got {busy_timeout_s}")
@@ -338,11 +340,7 @@ class ResultStore:
         self.busy_timeout_s = float(busy_timeout_s)
         if str(path) != ":memory:":
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        # check_same_thread=False is the service manager's mode: one store
-        # shared by HTTP handler threads behind the manager's own lock.
-        self._conn = sqlite3.connect(
-            str(path), timeout=self.busy_timeout_s, check_same_thread=check_same_thread
-        )
+        self._conn = sqlite3.connect(str(path), timeout=self.busy_timeout_s)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
@@ -379,10 +377,10 @@ class ResultStore:
             if column not in columns:
                 self._conn.execute(f"ALTER TABLE runs ADD COLUMN {column} {decl}")
                 _logger.info("result store %s: added %s column", path, column)
-        # Content-addressing columns (the simulation service's run-id /
-        # result-cache surface).  Rows written before the columns existed
-        # are backfilled from their stored spec_json so the service can
-        # serve pre-existing results from cache too.
+        # Content-addressing columns (the cache key and the replayable
+        # result).  Rows written before the columns existed are backfilled
+        # from their stored spec_json so the worker's cache check finds
+        # pre-existing results too.
         if "result_json" not in columns:
             self._conn.execute("ALTER TABLE runs ADD COLUMN result_json TEXT")
             _logger.info("result store %s: added result_json column", path)
@@ -483,12 +481,11 @@ class ResultStore:
         is derived from the arguments.  ``telemetry_json`` is the run's
         serialised telemetry document (None when telemetry was off).
         ``result_json`` is the full serialised RunResult envelope for
-        protocol cells (what the simulation service's result endpoint
-        returns).  The row's ``spec_hash`` is the content address derived
-        from ``spec_json``, its ``heartbeat_at`` is stamped — recording a
-        result is the cell's final liveness signal — and, in the same
-        transaction, the cell's heartbeat row is released and a claimed
-        queue row moves to ``done``.
+        protocol cells, so a stored run can be replayed whole.  The row's
+        ``spec_hash`` is the content address derived from ``spec_json``,
+        its ``heartbeat_at`` is stamped — recording a result is the cell's
+        final liveness signal — and, in the same transaction, the cell's
+        heartbeat row is released and a claimed queue row moves to ``done``.
         """
         canon = canonical_params(params)
         digest = param_hash(canon)
@@ -819,37 +816,6 @@ class ResultStore:
         failed = self._write("fail_exhausted", body)
         return [dataclass_replace(cell, state="failed") for cell in failed]
 
-    def retry_cell(self, spec_hash: str) -> QueuedCell | None:
-        """Reset a *failed* queue row back to pending, clearing its attempts.
-
-        Content-addressed like the service's run ids: the row is found by
-        its spec digest.  Only a ``failed`` row is touched — pending,
-        claimed, and done rows come back ``None`` so callers can report
-        the conflict (the service maps that to 409).  The attempt counter
-        restarts from zero, giving a poison cell that exhausted its
-        budget a full fresh allowance.
-        """
-
-        def body() -> QueuedCell | None:
-            row = self._conn.execute(
-                "SELECT id FROM queue WHERE spec_hash = ? AND state = 'failed' "
-                "ORDER BY id LIMIT 1",
-                (str(spec_hash),),
-            ).fetchone()
-            if row is None:
-                return None
-            self._conn.execute(
-                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL, "
-                "attempt = 0 WHERE id = ?",
-                (row["id"],),
-            )
-            updated = self._conn.execute(
-                "SELECT * FROM queue WHERE id = ?", (row["id"],)
-            ).fetchone()
-            return self._decode_queue_row(updated)
-
-        return self._write("retry_cell", body)
-
     def queue_counts(self, experiment: str | None = None) -> list[dict[str, Any]]:
         """Per-experiment ``{experiment, pending, claimed, done, failed}`` rows."""
         sql = (
@@ -909,10 +875,9 @@ class ResultStore:
         """Content-addressed lookup: the stored run for one spec digest.
 
         This is the shared cache check: queue workers consult it before
-        executing a claim, the sweep runner reads the outcome of cells its
-        own drains did not report from it, and the simulation service
-        resolves run ids through it.  Returns the row whatever its status — callers decide
-        whether a ``failed`` row counts as a hit.
+        executing a claim, and the sweep runner reads the outcome of cells
+        its own drains did not report from it.  Returns the row whatever its
+        status — callers decide whether a ``failed`` row counts as a hit.
         """
         row = self._conn.execute(
             "SELECT * FROM runs WHERE spec_hash = ? ORDER BY id LIMIT 1", (str(spec_hash),)
@@ -925,25 +890,6 @@ class ResultStore:
             "SELECT * FROM queue WHERE spec_hash = ? ORDER BY id LIMIT 1", (str(spec_hash),)
         ).fetchone()
         return self._decode_queue_row(row) if row is not None else None
-
-    def claim_age_s(self, key: tuple[str, str, int]) -> float | None:
-        """Seconds since the claimed cell's last liveness signal.
-
-        None when the cell is not currently claimed.  This is the
-        "heartbeat age" the service status endpoint reports so clients
-        can tell a live claim from one waiting out its lease.
-        """
-        experiment, digest, seed = key
-        row = self._conn.execute(
-            f"SELECT CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
-            + _CLAIM_JOIN_SQL
-            + "WHERE q.state = 'claimed' AND q.experiment = ? AND q.param_hash = ? "
-            "AND q.seed = ?",
-            (experiment, digest, int(seed)),
-        ).fetchone()
-        if row is None or row["age_s"] is None:
-            return None
-        return float(row["age_s"])
 
     def completed_cells(self) -> set[tuple[str, str, int]]:
         """All ``(experiment, param_hash, seed)`` keys with a successful row."""

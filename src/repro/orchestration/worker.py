@@ -104,12 +104,11 @@ class WorkerShutdown(BaseException):
 def signal_shutdown(signals: tuple[int, ...] = (signal.SIGTERM, signal.SIGINT)) -> Iterator[None]:
     """Convert SIGTERM/SIGINT into :class:`WorkerShutdown` while active.
 
-    Installed by the ``drr-gossip worker`` CLI (and so the serve-spawned
-    pool) and by the sweep runner's forked drains around
-    :meth:`QueueWorker.drain`, so a terminated worker releases its claim
-    instead of dying mid-cell.  Only the main thread
-    of a process may install signal handlers, so library callers that
-    embed :class:`QueueWorker` elsewhere simply don't use this.
+    Installed by the ``drr-gossip worker`` CLI and by the sweep runner's
+    forked drains around :meth:`QueueWorker.drain`, so a terminated worker
+    releases its claim instead of dying mid-cell.  Only the main thread of
+    a process may install signal handlers, so library callers that embed
+    :class:`QueueWorker` elsewhere simply don't use this.
 
     An exception raised from a signal handler can vanish: C code that is
     running a Python callback when the handler fires may clear it, and the

@@ -52,7 +52,6 @@ from .kernel import (
     run_on,
 )
 from .compiled import NUMBA_AVAILABLE, CompiledKernel
-from . import tuning
 
 __all__ = [
     "BACKENDS",
@@ -78,5 +77,4 @@ __all__ = [
     "run_chord_lookups",
     "run_on",
     "sample_uniform",
-    "tuning",
 ]

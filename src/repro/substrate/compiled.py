@@ -39,10 +39,9 @@ layers without numba.
 
 First use pays numba's compile cost once per primitive signature;
 ``cache=True`` persists the machine code on disk, so subsequent processes
-start warm.  The kernel auto-enables the lossless half of the
-:mod:`repro.substrate.tuning` narrowing pass (index arrays only — ids are
-still *drawn* at full width, so the RNG stream and every result are
-unchanged); accumulators always stay ``float64``.
+start warm.  :meth:`CompiledKernel.sample_uniform` stores the node ids it
+draws as ``int32`` (they are still *drawn* at full width, so the RNG
+stream and every result are unchanged); accumulators stay ``float64``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from .delivery import (
     sample_uniform,
 )
 from .kernel import BACKENDS, UNAVAILABLE_BACKENDS, VectorizedKernel
-from .tuning import get_tuning, tuned
 
 __all__ = [
     "NUMBA_AVAILABLE",
@@ -118,6 +116,11 @@ _S30 = np.uint64(30)
 _S31 = np.uint64(31)
 
 _EMPTY_ALIVE = np.zeros(0, dtype=np.bool_)
+
+#: largest population whose ids :meth:`CompiledKernel.sample_uniform`
+#: stores as int32 (kept below 2**31 so derived quantities like
+#: ``size * (n + 1) + id`` stay safe in float64)
+_INT32_MAX_N = 2**31 - 2
 
 
 # --------------------------------------------------------------------------- #
@@ -391,10 +394,6 @@ class CompiledKernel(VectorizedKernel):
 
     name = "compiled"
 
-    #: enable the provably-lossless half of the tuning narrowing pass
-    #: (index arrays only — never estimate accumulators)
-    auto_narrow_ids: bool = True
-
     def __init__(self) -> None:
         self._scratch: dict[str, np.ndarray] = {}
 
@@ -412,10 +411,8 @@ class CompiledKernel(VectorizedKernel):
 
     # -- primitives ------------------------------------------------------ #
     def sample_uniform(self, rng, n, size, exclude=None):
-        if self.auto_narrow_ids and not get_tuning().narrow_ids:
-            with tuned(narrow_ids=True):
-                return sample_uniform(rng, n, size, exclude)
-        return sample_uniform(rng, n, size, exclude)
+        targets = sample_uniform(rng, n, size, exclude)
+        return targets.astype(np.int32, copy=False) if n <= _INT32_MAX_N else targets
 
     @instrumented("compiled.deliver")
     def deliver(self, metrics, oracle, kind, targets, *, senders,
@@ -547,15 +544,7 @@ class CompiledKernel(VectorizedKernel):
 
     @instrumented("compiled.fold_pushes")
     def fold_pushes(self, receiver, send_s, send_g, s, g):
-        if (
-            not NUMBA_AVAILABLE
-            or s.dtype != np.float64
-            or g.dtype != np.float64
-            or send_s.dtype != np.float64
-            or send_g.dtype != np.float64
-        ):
-            # narrow_estimates (float32 accumulators) keeps the NumPy fold
-            # so the bincount-then-cast rounding stays bit-identical.
+        if not NUMBA_AVAILABLE:
             return fold_pushes(receiver, send_s, send_g, s, g)
         part_s = self._scratch_for("fold_s", int(s.size), np.float64)[: s.size]
         part_g = self._scratch_for("fold_g", int(g.size), np.float64)[: g.size]

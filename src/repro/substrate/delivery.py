@@ -52,7 +52,6 @@ from ..observability.telemetry import instrumented
 from ..simulator.failures import LossOracle
 from ..simulator.message import MessageKind
 from ..simulator.metrics import MetricsCollector
-from .tuning import get_tuning
 
 __all__ = [
     "compact_frontier",
@@ -77,25 +76,19 @@ def sample_uniform(
     the same rejection-free shift as
     :meth:`~repro.simulator.node.RoundContext.random_node`: draw from
     ``[0, n-1)`` and shift values at or above the excluded id up by one.
-
-    Ids are always *drawn* at full width (so the shared RNG stream is
-    identical whatever the storage dtype) and only stored narrow when
-    :mod:`repro.substrate.tuning` narrowing is enabled.
     """
-    dtype = get_tuning().id_dtype(n)
     if size == 0:
-        return np.zeros(0, dtype=dtype)
+        return np.zeros(0, dtype=np.int64)
     if exclude is None:
-        targets = rng.integers(0, n, size=size)
-        return targets.astype(dtype, copy=False)
+        return rng.integers(0, n, size=size)
     if n <= 1:
         # A single node has nobody else to call; mirror the legacy behaviour
         # of targeting node 0 (the call finds no higher rank and fizzles).
-        return np.zeros(size, dtype=dtype)
+        return np.zeros(size, dtype=np.int64)
     targets = rng.integers(0, n - 1, size=size)
     exclude = np.asarray(exclude)
     np.add(targets, 1, out=targets, where=targets >= exclude)
-    return targets.astype(dtype, copy=False)
+    return targets
 
 
 #: peeling bails to the sort path above this duplicate depth — beyond it the
@@ -406,12 +399,8 @@ def fold_pushes(
         return
     landed = receiver[delivered]
     m = s.size
-    s += np.bincount(landed, weights=send_s[delivered], minlength=m).astype(
-        s.dtype, copy=False
-    )
-    g += np.bincount(landed, weights=send_g[delivered], minlength=m).astype(
-        g.dtype, copy=False
-    )
+    s += np.bincount(landed, weights=send_s[delivered], minlength=m)
+    g += np.bincount(landed, weights=send_g[delivered], minlength=m)
 
 
 def _relay_reliable(

@@ -3,20 +3,19 @@
 Every registered backend name must survive ``RunSpec`` validation, JSON
 serialisation, and ``drr-gossip spec validate``; specs, spec files and
 pipeline configs written for a removed backend must fail with the reason
-instead of running on something else.  Also covers the opt-in dtype
-narrowing flags of :mod:`repro.substrate.tuning`.
+instead of running on something else.  Also covers the persisted benchmark
+trajectory (``BENCH_substrate.json``) and its ``results --bench`` view.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import RunSpec, SpecValidationError, load_specs
-from repro.core import DRRGossipConfig, run_drr
+from repro.core import DRRGossipConfig
 from repro.harness.cli import main as cli_main
 from repro.simulator.errors import ConfigurationError
-from repro.substrate import BACKENDS, sample_uniform, tuning
+from repro.substrate import BACKENDS
 
 
 # --------------------------------------------------------------------------- #
@@ -86,48 +85,6 @@ class TestRemovedBackend:
         }
         with pytest.raises(SpecValidationError, match=r"unknown keys \['backend_options'\]"):
             RunSpec.from_dict(doc)
-
-
-# --------------------------------------------------------------------------- #
-# dtype narrowing (repro.substrate.tuning)
-# --------------------------------------------------------------------------- #
-class TestTuning:
-    def test_default_is_everything_off(self):
-        cfg = tuning.get_tuning()
-        assert not cfg.narrow_ids and not cfg.narrow_estimates
-        assert cfg.id_dtype(10**6) == np.int64
-        assert cfg.estimate_dtype() == np.float64
-
-    def test_narrow_ids_preserves_the_rng_stream_and_results(self):
-        reference = run_drr(512, rng=9)
-        with tuning.tuned(narrow_ids=True):
-            assert tuning.get_tuning().id_dtype(512) == np.int32
-            narrowed = run_drr(512, rng=9)
-        assert np.array_equal(reference.forest.parent, narrowed.forest.parent)
-        assert reference.metrics.total_messages == narrowed.metrics.total_messages
-        # context manager restored the defaults
-        assert not tuning.get_tuning().narrow_ids
-
-    def test_sample_uniform_storage_dtype_only(self):
-        rng_wide = np.random.default_rng(4)
-        rng_narrow = np.random.default_rng(4)
-        wide = sample_uniform(rng_wide, 1000, 256, exclude=np.arange(256))
-        with tuning.tuned(narrow_ids=True):
-            narrow = sample_uniform(rng_narrow, 1000, 256, exclude=np.arange(256))
-        assert wide.dtype == np.int64
-        assert narrow.dtype == np.int32
-        assert np.array_equal(wide, narrow.astype(np.int64))
-
-    def test_narrow_estimates_changes_only_float_rounding(self):
-        from repro.core import DRRGossipConfig, drr_gossip_average
-
-        values = np.random.default_rng(0).uniform(0.0, 100.0, size=2048)
-        reference = drr_gossip_average(values, rng=7, config=DRRGossipConfig())
-        with tuning.tuned(narrow_estimates=True):
-            narrowed = drr_gossip_average(values, rng=7, config=DRRGossipConfig())
-        assert narrowed.messages == reference.messages
-        assert narrowed.rounds == reference.rounds
-        assert np.allclose(narrowed.estimates, reference.estimates, rtol=1e-4, equal_nan=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ Everything here holds on *every* machine; where numba is missing the
   backend is registered;
 * the python-fallback mode (``REPRO_COMPILED_PYTHON`` /
   :func:`python_fallback`), which must be bit-identical to vectorized;
-* the lossless dtype-narrowing pass (ids only, never accumulators);
+* int32 storage of the drawn node ids (ids only, never accumulators);
 * the single-pass ``occurrence_index`` rewrite against a naive reference;
 * the ``compact_frontier`` / ``fold_pushes`` kernel primitives;
 * the ``LossOracle`` batch-hasher seam the compiled module installs.
@@ -51,12 +51,7 @@ from repro.substrate import (
     relay_to_roots,
 )
 from repro.substrate import compiled as compiled_mod
-from repro.substrate.compiled import (
-    NUMBA_REQUIREMENT,
-    CompiledKernel,
-    python_fallback,
-)
-from repro.substrate.tuning import get_tuning, tuned
+from repro.substrate.compiled import NUMBA_REQUIREMENT, python_fallback
 
 
 def naive_occurrence_index(keys) -> np.ndarray:
@@ -175,7 +170,7 @@ class TestSpecRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# python-fallback equivalence + dtype narrowing
+# python-fallback equivalence + int32 ids
 # --------------------------------------------------------------------------- #
 class TestFallbackEquivalence:
     @pytest.mark.parametrize("fm", [FailureModel(), FailureModel(0.1, 0.1)],
@@ -194,41 +189,20 @@ class TestFallbackEquivalence:
         assert compiled.metrics.messages_by_phase() == reference.metrics.messages_by_phase()
         assert np.array_equal(compiled.estimates, reference.estimates, equal_nan=True)
 
-    def test_narrowing_is_value_identical(self):
+    @pytest.mark.parametrize("exclude", [None, np.arange(4096)], ids=["uniform", "exclude"])
+    def test_narrowing_is_value_identical(self, exclude):
         """Narrowed id draws must be the same numbers the wide path draws."""
         with python_fallback() as kernel:
-            assert kernel.auto_narrow_ids is True
             rng = np.random.default_rng(7)
-            narrowed = kernel.sample_uniform(rng, 10_000, 4096, exclude=None)
+            narrowed = kernel.sample_uniform(rng, 10_000, 4096, exclude=exclude)
             wide = VectorizedKernel.sample_uniform(
-                np.random.default_rng(7), 10_000, 4096, exclude=None
+                np.random.default_rng(7), 10_000, 4096, exclude=exclude
             )
+            assert wide.dtype == np.int64
             assert narrowed.dtype == np.int32  # n < 2^31: provably lossless
-            assert np.array_equal(narrowed.astype(np.int64), np.asarray(wide, dtype=np.int64))
-
-    def test_narrowing_respects_explicit_tuning(self):
-        """An explicit wide tuning is not overridden behind the user's back."""
-        with python_fallback() as kernel:
-            with tuned(narrow_ids=True):
-                assert get_tuning().narrow_ids
-                out = kernel.sample_uniform(np.random.default_rng(1), 1000, 64)
-            assert out.dtype == np.int32
-
-    def test_narrowed_run_matches_wide_run(self, monkeypatch):
-        """End-to-end: auto-narrowing must not change a single bit."""
-        values = np.random.default_rng(5).uniform(0.0, 9.0, size=1500)
-        fm = FailureModel(loss_probability=0.05)
-        with python_fallback():
-            narrowed = drr_gossip_average(
-                values, rng=4, config=DRRGossipConfig(failure_model=fm, backend="compiled")
-            )
-            monkeypatch.setattr(CompiledKernel, "auto_narrow_ids", False)
-            wide = drr_gossip_average(
-                values, rng=4, config=DRRGossipConfig(failure_model=fm, backend="compiled")
-            )
-        assert narrowed.rounds == wide.rounds
-        assert narrowed.messages == wide.messages
-        assert np.array_equal(narrowed.estimates, wide.estimates, equal_nan=True)
+            assert np.array_equal(narrowed.astype(np.int64), wide)
+            # a population past int32 keeps the full-width ids
+            assert kernel.sample_uniform(rng, 2**31, 16, exclude=None).dtype == np.int64
 
     def test_drr_identical_to_vectorized(self):
         with python_fallback():
@@ -324,20 +298,6 @@ class TestNewPrimitives:
         before_s, before_g = s.copy(), g.copy()
         fold_pushes(receiver, np.ones(100), np.ones(100), s, g)
         assert np.array_equal(s, before_s) and np.array_equal(g, before_g)
-
-    def test_compiled_fold_falls_back_for_narrow_estimates(self):
-        # float32 accumulators must take the NumPy fold (bit-identity with
-        # the bincount-then-cast rounding), never a jitted float32 loop.
-        with python_fallback() as kernel:
-            receiver = np.array([0, 1, -1, 1], dtype=np.int64)
-            s = np.zeros(2, dtype=np.float32)
-            g = np.zeros(2, dtype=np.float32)
-            send = np.array([1.0, 2.0, 3.0, 4.0])
-            kernel.fold_pushes(receiver, send, send, s, g)
-            expected = np.bincount(
-                receiver[receiver >= 0], weights=send[receiver >= 0], minlength=2
-            ).astype(np.float32)
-            assert np.array_equal(s, expected)
 
 
 # --------------------------------------------------------------------------- #

@@ -263,6 +263,23 @@ class TestTelemetryNeutrality:
         plain = repro.run(spec.with_telemetry(False))
         assert plain.to_dict().get("telemetry") is None
         assert plain.same_outcome(result)
+
+        # ...but it does compare the degradation section, NaN equal to NaN
+        def with_degradation(**section) -> RunResult:
+            return RunResult.from_dict({**plain.to_dict(), "degradation": section})
+
+        nan = float("nan")
+        churned = with_degradation(survivor_mass_rel_error=nan, epoch_errors=[0.5, nan])
+        assert churned.same_outcome(
+            with_degradation(survivor_mass_rel_error=nan, epoch_errors=[0.5, nan])
+        )
+        assert not churned.same_outcome(plain)
+        assert not churned.same_outcome(
+            with_degradation(survivor_mass_rel_error=nan, epoch_errors=[0.25, nan])
+        )
+        assert not churned.same_outcome(
+            with_degradation(survivor_mass_rel_error=0.0, epoch_errors=[0.5, nan])
+        )
         assert "telemetry" in result.describe()
 
     def test_explicit_recorder_wins_over_the_spec_toggle(self):
