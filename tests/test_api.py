@@ -80,6 +80,27 @@ class TestRoundTripProperty:
         assert decoded.same_outcome(direct)
         assert decoded.spec == spec
 
+    def test_degradation_section_round_trips_and_every_entry_is_compared(self):
+        spec = RunSpec(
+            protocol="epoch-gossip-ave",
+            params={"n": 64, "workload": "uniform", "epochs": 2},
+            failures=FailureModel(churn_rate=0.02),
+            seed=5,
+        )
+        direct = repro.run(spec)
+        doc = direct.to_dict()
+        section = doc["degradation"]
+        assert section["epoch_errors"]  # churn is on, so the section is filled
+        assert repro.api.RunResult.from_json(direct.to_json()).same_outcome(direct)
+        for key, value in section.items():
+            changed = value[:-1] if isinstance(value, list) else value + 1.0
+            altered = {**doc, "degradation": {**section, key: changed}}
+            assert not repro.api.RunResult.from_dict(altered).same_outcome(direct), key
+        trimmed = {k: v for k, v in section.items() if k != "survivors"}
+        assert not repro.api.RunResult.from_dict({**doc, "degradation": trimmed}).same_outcome(
+            direct
+        )
+
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
     def test_backends_agree_through_the_spec_path(self, protocol):
         """Substrate equivalence holds when both runs go through repro.run."""
@@ -322,6 +343,12 @@ class TestSpecTransport:
             revived = RunSpec.from_json(cell.spec_json())
             assert revived.seed == cell.seed
             assert revived.param_hash() == cell.param_hash
+
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_cells_from_run_specs_rejects_repetitions_below_one(self, repetitions):
+        spec = RunSpec(protocol="drr", params={"n": 32}, seed=4)
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            cells_from_run_specs([spec], repetitions=repetitions)
 
     def test_spec_cells_persist_and_resume(self, tmp_path):
         from repro.orchestration import SweepRunner

@@ -204,6 +204,24 @@ class TestFallbackEquivalence:
             # a population past int32 keeps the full-width ids
             assert kernel.sample_uniform(rng, 2**31, 16, exclude=None).dtype == np.int64
 
+    @pytest.mark.parametrize(
+        ("n", "size", "exclude", "dtype"),
+        [
+            (4096, 0, np.zeros(0, dtype=np.int64), np.int32),
+            (1, 5, np.zeros(5, dtype=np.int64), np.int32),
+            (2**31 - 2, 64, None, np.int32),
+            (2**31 - 1, 64, None, np.int64),
+        ],
+        ids=["empty", "single-node", "largest-int32-population", "past-int32"],
+    )
+    def test_int32_ids_on_every_draw_path(self, n, size, exclude, dtype):
+        """The draw's edge paths store ids like its main path, and only while lossless."""
+        with python_fallback() as kernel:
+            ids = kernel.sample_uniform(np.random.default_rng(3), n, size, exclude=exclude)
+        wide = VectorizedKernel.sample_uniform(np.random.default_rng(3), n, size, exclude=exclude)
+        assert ids.dtype == dtype
+        assert np.array_equal(ids.astype(np.int64), wide)
+
     def test_drr_identical_to_vectorized(self):
         with python_fallback():
             compiled = run_drr(512, rng=9, backend="compiled")

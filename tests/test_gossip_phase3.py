@@ -196,6 +196,31 @@ class TestGossipAve:
         )
         assert result.estimate_at(largest) == pytest.approx(ctx["values"].sum(), rel=1e-3)
 
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_float32_inputs_accumulate_in_float64(self, backend):
+        """Narrow (s, g) inputs are widened once and folded at float64 precision."""
+        ctx = make_phase3_inputs(n=256)
+        sums = ctx["cov_sum"].value_vector(ctx["roots"]).astype(np.float32)
+        weights = ctx["cov_sum"].weight_vector(ctx["roots"]).astype(np.float32)
+        narrow, wide = (
+            run_gossip_ave(
+                roots=ctx["roots"],
+                local_sums=s,
+                local_weights=g,
+                root_of=ctx["root_of"],
+                n=ctx["n"],
+                rng=np.random.default_rng(5),
+                backend=backend,
+            )
+            for s, g in ((sums, weights), (sums.astype(np.float64), weights.astype(np.float64)))
+        )
+        assert narrow.sums == wide.sums
+        assert narrow.weights == wide.weights
+        # mass is conserved to float64 rounding; a float32 fold drifts ~1e-7
+        total = float(sums.astype(np.float64).sum())
+        assert sum(narrow.sums.values()) == pytest.approx(total, rel=1e-12)
+        assert sum(narrow.weights.values()) == pytest.approx(ctx["n"], rel=1e-12)
+
     def test_weight_validation(self):
         ctx = make_phase3_inputs(n=64)
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from repro.orchestration import (
     SweepDefinition,
     SweepRunner,
     canonical_params,
+    cell_spec_hash,
+    cell_spec_json,
     expand_cells,
     get_experiment,
     load_sweep,
@@ -163,6 +165,33 @@ class TestResultStore:
             store.record_result("ablation", {"n": 64}, 3, run_ablation(n=64, repetitions=1, seed=3))
         with ResultStore(path) as store:
             assert store.is_completed("ablation", {"n": 64}, 3)
+
+    def test_completed_cells_lists_only_successful_rows(self, tmp_path):
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            assert store.completed_cells() == set()
+            store.record_result("ablation", {"n": 64}, 3, run_ablation(n=64, repetitions=1, seed=3))
+            store.record_failure("ablation", {"n": 128}, 4, "boom")
+            assert store.completed_cells() == {("ablation", param_hash({"n": 64}), 3)}
+
+    def test_direct_writes_are_content_addressed(self, tmp_path):
+        """A row written without a spec is found by its canonical cell spec's digest."""
+        address = cell_spec_hash(cell_spec_json("ablation", {"n": 64, "repetitions": 1}, 3))
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            result = run_ablation(n=64, repetitions=1, seed=3)
+            store.record_result("ablation", {"repetitions": 1, "n": 64}, 3, result)
+            stored = store.get_by_spec_hash(address)
+            assert stored is not None and stored.ok
+            assert stored.spec_hash == address
+            assert cell_spec_hash(stored.spec_json) == address
+
+    def test_invalid_store_arguments_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="busy_timeout_s"):
+            ResultStore(tmp_path / "r.sqlite", busy_timeout_s=-1)
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            with pytest.raises(ValueError, match="lease_s"):
+                store.reclaim_stale(-1.0)
+            with pytest.raises(ValueError, match="max_attempts"):
+                store.fail_exhausted(0)
 
 
 # --------------------------------------------------------------------------- #

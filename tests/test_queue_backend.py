@@ -129,6 +129,36 @@ class TestQueueStore:
             assert states[second.key].state == "claimed"
             assert states[second.key].attempt == 1
 
+    def test_reenqueue_keeps_a_pending_rows_attempt_count(self, tmp_path):
+        cells = expand_cells(_tiny_definition(reps=1))[:1]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            store.claim_cell("w1")
+            store.release_claims("w1")  # back to pending with one claim spent
+            # a pending row is in flight: re-submitting it must not grant a
+            # fresh budget, or a worker-killing cell would dodge its cap
+            assert _enqueue(store, cells) == 0
+            (row,) = store.queue_cells()
+            assert row.state == "pending"
+            assert row.attempt == 1
+
+    def test_reenqueue_refreshes_a_finished_rows_spec(self, tmp_path):
+        """A re-run with telemetry on re-queues a finished cell in its new transport form."""
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=2)
+        (plain,) = cells_from_run_specs([spec])
+        (traced,) = cells_from_run_specs([spec.with_telemetry(True)])
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, [plain])
+            store.finish_cell(store.claim_cell("w1").key, "done")
+            assert _enqueue(store, [traced]) == 1
+            (row,) = store.queue_cells()
+            assert row.spec_json == traced.spec_json()
+            assert row.spec_hash == spec.spec_hash()
+            # an in-flight row keeps the spec it was claimed with
+            store.claim_cell("w2")
+            assert _enqueue(store, [plain]) == 0
+            assert store.queue_cells()[0].spec_json == traced.spec_json()
+
     def test_requeue_preserves_attempt_count(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
@@ -222,6 +252,20 @@ class TestQueueStore:
             assert stale["age_s"] > 0.5
             assert store.stale_claims(lease_s=3600.0) == []
 
+    def test_queue_counts_filter_by_experiment(self, tmp_path):
+        cells = expand_cells(_tiny_definition(reps=1))
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            claim = store.claim_cell("w1")
+            store.finish_cell(claim.key, "done")
+            (row,) = store.queue_counts(experiment=claim.experiment)
+            queued = sum(c.experiment == claim.experiment for c in cells)
+            assert row == {
+                "experiment": claim.experiment,
+                "pending": queued - 1, "claimed": 0, "done": 1, "failed": 0,
+            }
+            assert store.queue_counts(experiment="nope") == []
+
     def test_concurrent_claims_cover_queue_exactly_once(self, tmp_path):
         """Racing claimants on separate connections never claim the same cell."""
         path = tmp_path / "r.sqlite"
@@ -250,6 +294,44 @@ class TestQueueStore:
             t.join()
         assert sorted(claimed) == sorted(c.key for c in cells)
         assert len(set(claimed)) == len(cells)
+
+    def test_concurrent_duplicate_enqueues_make_one_row(self, tmp_path):
+        """Submitters racing one spec on separate connections queue it once."""
+        path = tmp_path / "r.sqlite"
+        spec = RunSpec(protocol="drr-gossip", params={"n": 96}, seed=11)
+        cells = cells_from_run_specs([spec])
+        ResultStore(path).close()  # create the schema before the race
+        submitters = 6
+        barrier = threading.Barrier(submitters)
+        added: list[int] = []
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+
+        def submit() -> None:
+            try:
+                with ResultStore(path) as conn:
+                    barrier.wait(timeout=30)
+                    count = _enqueue(conn, cells)
+                with lock:
+                    added.append(count)
+            except BaseException as exc:  # surfaced in the main thread below
+                with lock:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=submit) for _ in range(submitters)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert errors == []
+        assert sorted(added) == [0] * (submitters - 1) + [1]
+        with ResultStore(path) as store:
+            (row,) = store.queue_cells()
+            assert row.spec_hash == spec.spec_hash()
+            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            (row,) = store.queue_cells()
+            assert row.state == "done"
+            assert row.attempt == 1  # one execution in total
 
     def test_record_result_retries_through_held_write_lock(self, tmp_path):
         """A writer blocked by another connection's transaction lands via retry."""
@@ -311,6 +393,67 @@ class TestSpecHashStore:
             assert stored is not None and stored.ok
             envelope = RunResult.from_dict(json.loads(stored.result_json))
             assert envelope.same_outcome(run(spec))
+
+    def test_telemetry_toggle_keeps_the_cell_address(self):
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=5)
+        (plain,) = cells_from_run_specs([spec])
+        (traced,) = cells_from_run_specs([spec.with_telemetry(True)])
+        assert traced.spec_json() != plain.spec_json()  # the transport form keeps the toggle
+        assert traced.key == plain.key
+        assert cell_spec_hash(traced.spec_json()) == spec.spec_hash()
+
+    def test_enqueued_spec_is_found_by_its_run_spec_hash(self, tmp_path):
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=3)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert store.queue_cell_by_spec_hash(spec.spec_hash()) is None
+            _enqueue(store, cells_from_run_specs([spec]))
+            row = store.queue_cell_by_spec_hash(spec.spec_hash())
+            assert row is not None
+            assert (row.state, row.attempt) == ("pending", 0)
+            # nothing has run yet, and an unknown digest misses both lookups
+            assert store.get_by_spec_hash(spec.spec_hash()) is None
+            assert store.queue_cell_by_spec_hash("ab" * 8) is None
+            assert store.get_by_spec_hash("ab" * 8) is None
+
+    def test_failure_upsert_drops_the_replayable_result(self, tmp_path):
+        """A failure recorded over a result leaves no stale envelope behind."""
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=4)
+        (cell,) = cells_from_run_specs([spec])
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _enqueue(store, [cell])
+            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            assert store.get_by_spec_hash(spec.spec_hash()).result_json is not None
+            experiment, params, seed = row_identity(cell.spec_json())
+            store.record_failure(experiment, params, seed, "boom", spec_json=cell.spec_json())
+            failed = store.get_by_spec_hash(spec.spec_hash())
+            assert (failed.status, failed.error) == ("failed", "boom")
+            assert failed.result_json is None
+            assert failed.rows == [] and failed.telemetry is None
+            assert len(store) == 1  # an upsert, not a second row
+
+    def test_envelope_keeps_estimates_up_to_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "MAX_ENVELOPE_ESTIMATES", 64)
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=9)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _enqueue(store, cells_from_run_specs([spec]))
+            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            doc = json.loads(store.get_by_spec_hash(spec.spec_hash()).result_json)
+        assert len(doc["estimates"]) == 64
+        assert "estimates_omitted" not in doc
+        assert RunResult.from_dict(doc).same_outcome(run(spec))
+
+    def test_envelope_drops_estimates_past_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "MAX_ENVELOPE_ESTIMATES", 63)
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=9)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _enqueue(store, cells_from_run_specs([spec]))
+            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            doc = json.loads(store.get_by_spec_hash(spec.spec_hash()).result_json)
+        assert doc["estimates"] is None
+        assert doc["estimates_omitted"] == 64
+        envelope, direct = RunResult.from_dict(doc), run(spec)
+        assert envelope.estimates is None
+        assert (envelope.rounds, envelope.messages) == (direct.rounds, direct.messages)
 
     def test_legacy_store_migration_backfills_spec_hashes(self, tmp_path):
         """A store older than the spec_hash columns gains them, backfilled, on reopen."""
@@ -382,6 +525,18 @@ class TestQueueWorker:
             ).drain()
             assert report.executed == 1
             assert report.cached == 0
+
+    def test_failed_row_is_not_a_cache_hit(self, tmp_path):
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=8)
+        (cell,) = cells_from_run_specs([spec])
+        experiment, params, seed = row_identity(cell.spec_json())
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            store.record_failure(experiment, params, seed, "boom", spec_json=cell.spec_json())
+            _enqueue(store, [cell])
+            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            assert report.executed == 1
+            assert report.cached == 0
+            assert store.get_by_spec_hash(spec.spec_hash()).ok
 
     def test_exhausted_cell_records_gave_up_failure(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
@@ -645,6 +800,37 @@ class TestQueueBackendRunner:
             assert report.cached == 0
             twin = report.outcomes[-1]
             assert twin.error is not None and "ValueError" in twin.error
+
+    def test_overlapping_submissions_execute_each_spec_once(self, tmp_path):
+        specs = [RunSpec(protocol="drr-gossip", params={"n": n}, seed=5) for n in (64, 96, 128)]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            runner = SweepRunner(store, jobs=1)
+            first = runner.run_cells(cells_from_run_specs(specs[:2]))
+            second = runner.run_cells(cells_from_run_specs(specs[1:]))
+            assert (first.executed, first.skipped) == (2, 0)
+            assert (second.executed, second.skipped) == (1, 1)
+            rows = store.queue_cells()
+            assert len(rows) == len(specs)
+            assert all((r.state, r.attempt) == ("done", 1) for r in rows)
+
+    def test_rerunning_a_sweep_retries_a_failed_spec(self, tmp_path):
+        """Re-running its sweep retries a failed cell with a fresh attempt budget."""
+        spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=21)
+        cells = cells_from_run_specs([spec])
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            # fail the row the way a worker does: claim, then record the failure
+            claim = store.claim_cell("crasher")
+            experiment, params, seed = row_identity(claim.spec_json)
+            store.record_failure(experiment, params, seed, "boom", spec_json=claim.spec_json)
+            assert store.queue_cell_by_spec_hash(spec.spec_hash()).state == "failed"
+            report = SweepRunner(store, jobs=1).run_cells(cells)
+            assert (report.executed, report.failed) == (1, 0)
+            row = store.queue_cell_by_spec_hash(spec.spec_hash())
+            assert (row.state, row.attempt) == ("done", 1)
+            stored = store.get_by_spec_hash(spec.spec_hash())
+            assert stored.ok and stored.error is None
+            assert RunResult.from_dict(json.loads(stored.result_json)).same_outcome(run(spec))
 
     def test_twins_dedup_before_enqueueing(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]

@@ -49,6 +49,7 @@ from repro.simulator import FailureModel, MetricsCollector
 from repro.simulator.failures import LossOracle
 from repro.simulator.network import Network
 from repro.simulator.message import Message
+from repro.simulator.node import RoundContext
 from repro.substrate import (
     BACKENDS,
     available_backends,
@@ -58,6 +59,7 @@ from repro.substrate import (
     occurrence_index,
     run_chord_lookups,
     run_on,
+    sample_uniform,
 )
 from repro.topology import ChordNetwork, grid_graph, make_graph
 
@@ -278,6 +280,58 @@ class TestDeliveryParity:
     def test_occurrence_index(self):
         assert occurrence_index(np.array([5, 3, 5, 5, 3])).tolist() == [0, 0, 1, 2, 1]
         assert occurrence_index(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+# --------------------------------------------------------------------------- #
+# uniform target sampling (the draw every gossip and probing round starts from)
+# --------------------------------------------------------------------------- #
+class TestSampleUniform:
+    @pytest.mark.parametrize("exclude", [False, True], ids=["uniform", "exclude"])
+    def test_matches_per_node_random_node_draws(self, exclude):
+        """One batched draw consumes the stream exactly like per-node calls."""
+        n, size = 50, 200
+        senders = np.arange(size) % n
+        batch = sample_uniform(np.random.default_rng(3), n, size, senders if exclude else None)
+        ctx = RoundContext(
+            round_index=0, n=n, rng=np.random.default_rng(3), alive=np.ones(n, dtype=bool)
+        )
+        one_by_one = [ctx.random_node(int(s) if exclude else None) for s in senders]
+        assert batch.tolist() == one_by_one
+
+    @pytest.mark.parametrize("exclude", [False, True], ids=["uniform", "exclude"])
+    def test_ids_are_full_width_and_in_range(self, exclude):
+        n, size = 1000, 5000
+        senders = np.random.default_rng(0).integers(0, n, size) if exclude else None
+        targets = sample_uniform(np.random.default_rng(1), n, size, senders)
+        assert targets.dtype == np.int64
+        assert targets.shape == (size,)
+        assert targets.min() >= 0 and targets.max() < n
+
+    def test_exclude_never_targets_the_sender_and_reaches_everyone_else(self):
+        n = 6
+        senders = np.repeat(np.arange(n), 400)
+        targets = sample_uniform(np.random.default_rng(2), n, senders.size, senders)
+        assert not np.any(targets == senders)
+        for sender in range(n):
+            assert set(targets[senders == sender].tolist()) == set(range(n)) - {sender}
+
+    @pytest.mark.parametrize(
+        "exclude", [None, np.zeros(0, dtype=np.int64)], ids=["uniform", "exclude"]
+    )
+    def test_zero_size_draw_consumes_no_rng(self, exclude):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        targets = sample_uniform(rng, 100, 0, exclude)
+        assert targets.dtype == np.int64 and targets.size == 0
+        assert rng.bit_generator.state == state
+
+    def test_single_node_calls_node_zero_without_drawing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        targets = sample_uniform(rng, 1, 4, np.zeros(4, dtype=np.int64))
+        assert targets.dtype == np.int64
+        assert targets.tolist() == [0, 0, 0, 0]
+        assert rng.bit_generator.state == state
 
 
 # --------------------------------------------------------------------------- #
