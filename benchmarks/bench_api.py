@@ -1,19 +1,13 @@
-"""Benchmarks and CI smoke checks of the declarative run API.
+"""CI smoke check of the declarative run API.
 
-Two uses:
-
-* Under pytest-benchmark (``pytest benchmarks/bench_api.py``) it tracks the
-  cost of spec validation, canonical hashing, and dispatch so regressions
-  in the API layer show up in the benchmark history.
-* As a script (``python benchmarks/bench_api.py``) it runs the CI smoke
-  check: dispatching DRR through ``repro.run(RunSpec(...))`` at ``--n``
-  (default 10^5) nodes must add less than ``--max-overhead`` percent
-  (default 5) over calling ``run_drr`` directly, and a serialise →
-  deserialise → re-run cycle must reproduce the direct dispatch exactly.
-  A telemetry-enabled dispatch must reproduce the plain dispatch exactly
-  (``same_outcome``, which ignores the telemetry section) with unchanged
-  spec/param hashes, and its wall cost is reported.  Exit status is
-  non-zero when any bar is missed.
+``python benchmarks/bench_api.py``: dispatching DRR through
+``repro.run(RunSpec(...))`` at ``--n`` (default 10^5) nodes must add less
+than ``--max-overhead`` percent (default 5) over calling ``run_drr``
+directly, and a serialise → deserialise → re-run cycle must reproduce the
+direct dispatch exactly.  A telemetry-enabled dispatch must reproduce the
+plain dispatch exactly (``same_outcome``, which ignores the telemetry
+section) with unchanged spec/param hashes, and its wall cost is reported.
+Exit status is non-zero when any bar is missed.
 """
 
 from __future__ import annotations
@@ -27,34 +21,6 @@ from repro import RunSpec
 from repro.core import run_drr
 
 
-# --------------------------------------------------------------------------- #
-# pytest-benchmark micro-benchmarks
-# --------------------------------------------------------------------------- #
-def test_bench_spec_construction_and_hash(benchmark):
-    def build():
-        spec = RunSpec(protocol="drr-gossip", params={"n": 4096, "aggregate": "average"}, seed=3)
-        return spec.param_hash()
-
-    benchmark(build)
-
-
-def test_bench_spec_dispatch(benchmark):
-    spec = RunSpec(protocol="drr", params={"n": 4096}, seed=1)
-    benchmark(repro.run, spec)
-
-
-def test_bench_spec_json_round_trip(benchmark):
-    spec = RunSpec(
-        protocol="drr-gossip",
-        params={"n": 4096, "aggregate": "average", "workload": "uniform"},
-        seed=3,
-    )
-    benchmark(lambda: RunSpec.from_json(spec.to_json()))
-
-
-# --------------------------------------------------------------------------- #
-# CI smoke mode
-# --------------------------------------------------------------------------- #
 def _best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):

@@ -1,43 +1,37 @@
-"""Benchmarks and CI smoke checks of the execution substrate.
+"""CI smoke checks of the execution substrate.
 
-Two uses:
+``python benchmarks/bench_substrate.py`` runs the smoke comparison: the
+vectorized kernel must beat the message-level engine by at least
+``--min-speedup`` (default 5x) on uniform gossip *and* on Local-DRR over a
+random regular graph at ``--n`` (default 10^5) nodes; a batch of Chord
+lookups must complete on both backends with identical owners; with
+``--scale`` a full ``drr_gossip_average`` run at 10^6 nodes plus a
+vectorized Local-DRR over a 10^6-node sparse random graph must finish; and
+with ``--scale-large`` a 10^7-node ``drr_gossip_average`` run on
+``vectorized`` must complete within ``--large-budget`` seconds.
 
-* Under pytest-benchmark (``pytest benchmarks/bench_substrate.py``) it
-  tracks the wall-clock cost of the substrate building blocks so
-  performance regressions show up in the benchmark history.
-* As a script (``python benchmarks/bench_substrate.py``) it runs the CI
-  smoke comparison: the vectorized kernel must beat the message-level
-  engine by at least ``--min-speedup`` (default 5x) on uniform gossip *and*
-  on Local-DRR over a random regular graph at ``--n`` (default 10^5)
-  nodes; a batch of Chord lookups must complete on both backends with
-  identical owners; with ``--scale`` a full ``drr_gossip_average`` run at
-  10^6 nodes plus a vectorized Local-DRR over a 10^6-node sparse random
-  graph must finish; and with ``--scale-large`` a 10^7-node
-  ``drr_gossip_average`` run on ``vectorized`` must complete within
-  ``--large-budget`` seconds.
+``--compiled-only`` (the ``bench-compiled`` CI job) asserts
+bit-equivalence at ``--compiled-n`` and requires the jitted probe
+exchange to beat the vectorized one by ``--compiled-min-ratio``
+(default 2x) — enforced only under real numba and reported in
+python-fallback mode, where there are no jitted loops to win with
+(pretending that failed would only teach people to delete the check).
+``--scale-xl`` runs ``drr_gossip_average`` at 10^8 nodes on the
+compiled backend inside ``--xl-budget`` seconds.
 
-  ``--compiled-only`` (the ``bench-compiled`` CI job) asserts
-  bit-equivalence at ``--compiled-n`` and requires the jitted probe
-  exchange to beat the vectorized one by ``--compiled-min-ratio``
-  (default 2x) — enforced only under real numba and reported in
-  python-fallback mode, where there are no jitted loops to win with
-  (pretending that failed would only teach people to delete the check).
-  ``--scale-xl`` runs ``drr_gossip_average`` at 10^8 nodes on the
-  compiled backend inside ``--xl-budget`` seconds.
+The telemetry overhead gate (``smoke_telemetry_overhead``) patches the
+instrumented substrate primitives back to their ``__wrapped__``
+originals, times the hook-free hot path against the shipped path with
+telemetry disabled, and fails when the disabled residue exceeds
+``--max-telemetry-overhead`` percent (default 2); the enabled cost is
+measured and reported, and an enabled run must reproduce the disabled
+run bit-for-bit.
 
-  The telemetry overhead gate (``smoke_telemetry_overhead``) patches the
-  instrumented substrate primitives back to their ``__wrapped__``
-  originals, times the hook-free hot path against the shipped path with
-  telemetry disabled, and fails when the disabled residue exceeds
-  ``--max-telemetry-overhead`` percent (default 2); the enabled cost is
-  measured and reported, and an enabled run must reproduce the disabled
-  run bit-for-bit.
-
-  Every measured run appends a machine-readable row (protocol, n,
-  backend, wall time, git SHA) to ``BENCH_substrate.json`` — the
-  persisted perf trajectory that ``drr-gossip results --bench`` prints —
-  unless ``--no-json`` is given.  Exit status is non-zero when any
-  enforced bar is missed.
+Every measured run appends a machine-readable row (protocol, n,
+backend, wall time, git SHA) to ``BENCH_substrate.json`` — the
+persisted perf trajectory that ``drr-gossip results --bench`` prints —
+unless ``--no-json`` is given.  Exit status is non-zero when any
+enforced bar is missed.
 """
 
 from __future__ import annotations
@@ -49,8 +43,7 @@ import time
 import numpy as np
 
 from repro.baselines import push_sum
-from repro.core import DRRGossipConfig, drr_gossip_average, run_drr, run_local_drr
-from repro.harness import make_values
+from repro.core import DRRGossipConfig, drr_gossip_average, run_local_drr
 from repro.harness.benchlog import DEFAULT_BENCH_FILE, append_bench_rows
 from repro.substrate import run_chord_lookups
 from repro.topology import ChordNetwork, random_regular_graph
@@ -74,61 +67,6 @@ def record(bench: str, *, protocol: str, n: int, backend: str, wall_s: float,
     )
 
 
-# --------------------------------------------------------------------------- #
-# pytest-benchmark micro-benchmarks
-# --------------------------------------------------------------------------- #
-def test_bench_drr_vectorized(benchmark):
-    benchmark(run_drr, 4096, rng=1)
-
-
-def test_bench_drr_engine(benchmark):
-    benchmark(run_drr, 512, rng=1, backend="engine")
-
-
-def test_bench_push_sum_vectorized(benchmark):
-    values = make_values("uniform", 4096, np.random.default_rng(0))
-    benchmark(push_sum, values, rng=2)
-
-
-def test_bench_push_sum_engine(benchmark):
-    values = make_values("uniform", 1024, np.random.default_rng(0))
-    benchmark(push_sum, values, rng=2, backend="engine")
-
-
-def test_bench_full_average_pipeline(benchmark):
-    values = make_values("normal", 2048, np.random.default_rng(0))
-    result = benchmark(drr_gossip_average, values, rng=3)
-    assert result.max_relative_error < 1e-2
-
-
-def test_bench_local_drr_vectorized(benchmark):
-    topo = random_regular_graph(4096, 4, np.random.default_rng(0))
-    benchmark(run_local_drr, topo, rng=1)
-
-
-def test_bench_chord_lookup_batch(benchmark):
-    rng = np.random.default_rng(0)
-    chord = ChordNetwork(4096, rng)
-    sources = rng.integers(0, 4096, size=4096)
-    targets = rng.integers(0, chord.ring_size, size=4096)
-    benchmark(run_chord_lookups, chord, sources, targets, rng=1)
-
-
-def test_bench_occurrence_index(benchmark):
-    # Relay-shaped workload: a forwarder batch with balls-in-bins duplicate
-    # depth (the case the single-pass peeling rewrite targets; the old
-    # impl paid a stable argsort here every lossy gossip round).
-    from repro.substrate import occurrence_index
-
-    rng = np.random.default_rng(0)
-    keys = rng.integers(0, 1 << 16, size=1 << 17)
-    ranks = benchmark(occurrence_index, keys)
-    assert int(ranks.max()) >= 1
-
-
-# --------------------------------------------------------------------------- #
-# CI smoke mode
-# --------------------------------------------------------------------------- #
 def _time(fn) -> float:
     start = time.perf_counter()
     fn()

@@ -69,7 +69,9 @@ class DRRGossipConfig:
     sampling_rounds: int | None = None
     #: rounds of Gossip-ave.
     ave_rounds: int | None = None
-    #: target relative error of Gossip-ave (``None`` = 1/n).
+    #: target relative error of Gossip-ave.  ``None`` = 1/n for Average and
+    #: Sum, and n^-2 for Count and Rank, whose rounded answer is exact only
+    #: below a relative error of 1/(2n).
     epsilon: float | None = None
     #: message loss / initial crash model.
     failure_model: FailureModel = field(default_factory=FailureModel)
@@ -482,6 +484,11 @@ def _pushsum_pipeline(
         # root makes s/w converge to the global total.
         weights = (roots == largest).astype(float)
 
+    epsilon = config.epsilon
+    if epsilon is None and aggregate in (Aggregate.COUNT, Aggregate.RANK):
+        # Rounding recovers the integer only from an absolute error below
+        # 1/2; n^-2 keeps a margin of n/2 and still costs O(log n) rounds.
+        epsilon = float(n) ** -2
     ave = run_gossip_ave(
         roots=roots,
         local_sums=local_sums,
@@ -492,7 +499,7 @@ def _pushsum_pipeline(
         rng=rng,
         metrics=metrics,
         rounds=config.ave_rounds,
-        epsilon=config.epsilon,
+        epsilon=epsilon,
         alive=alive,
         trace_root=largest,
         churn=churn,

@@ -3,8 +3,8 @@
 Every driver returns an :class:`ExperimentResult` holding the raw rows (a
 list of plain dicts so they serialise to JSON/CSV without ceremony), the
 table headers, and enough metadata (seed, parameters) to replay the run.
-The benchmark harness under ``benchmarks/`` and the CLI both call these
-functions; the heavy lifting stays importable and unit-testable.
+The CLI, the sweep registry and the claim tests (``tests/test_claims.py``)
+call these functions; the heavy lifting stays importable and unit-testable.
 
 Protocol executions go through the declarative run API: a driver builds a
 :class:`~repro.api.RunSpec` per (configuration, repetition) — with a seed
@@ -659,13 +659,15 @@ def run_lower_bound_experiment(
                 "drr_over_nloglogn": float(np.mean(drr_msgs) / theory.drr_message_bound(n)),
             }
         )
-    n_list = [r["n"] for r in rows]
-    notes = [
-        "address-oblivious per-node messages best shape: "
-        + best_shape(n_list, [r["oblivious_messages_per_node"] for r in rows], candidates=["constant", "loglog n", "log n"]).shape_name,
-        "rumor-spreading per-node messages best shape: "
-        + best_shape(n_list, [r["rumor_messages_per_node"] for r in rows], candidates=["constant", "loglog n", "log n"]).shape_name,
-    ]
+    notes = []
+    if len(set(ns)) >= 2:  # a growth shape needs at least two sizes
+        n_list = [r["n"] for r in rows]
+        notes = [
+            "address-oblivious per-node messages best shape: "
+            + best_shape(n_list, [r["oblivious_messages_per_node"] for r in rows], candidates=["constant", "loglog n", "log n"]).shape_name,
+            "rumor-spreading per-node messages best shape: "
+            + best_shape(n_list, [r["rumor_messages_per_node"] for r in rows], candidates=["constant", "loglog n", "log n"]).shape_name,
+        ]
     headers = list(rows[0].keys())
     return ExperimentResult(
         experiment="E10-lower-bound",

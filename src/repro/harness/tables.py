@@ -2,8 +2,7 @@
 
 The harness prints tables in the same spirit as the paper's Table 1: one row
 per algorithm (or per network size), columns for time and message complexity,
-plus measured-to-predicted ratios.  Keeping the renderer dependency-free
-means benchmark output is readable directly in the pytest-benchmark logs.
+plus measured-to-predicted ratios.  The renderer is dependency-free.
 """
 
 from __future__ import annotations

@@ -151,6 +151,15 @@ class TestLowerBound:
         spread = knowledge_spread_after(32, 0, rng=1)
         assert np.allclose(spread, 1.0 / 32)
 
+    def test_knowledge_spread_matches_ufunc_at_reference(self):
+        # reference push round: one ufunc.at over the pre-round snapshot
+        n, rounds = 200, 12
+        rng = np.random.default_rng(7)
+        knowledge = np.eye(n, dtype=bool)
+        for _ in range(rounds):
+            np.logical_or.at(knowledge, rng.integers(0, n, size=n), knowledge.copy())
+        assert np.array_equal(knowledge_spread_after(n, rounds, rng=7), knowledge.mean(axis=0))
+
     def test_knowledge_grows_with_rounds(self):
         early = knowledge_spread_after(64, 2, rng=2).min()
         late = knowledge_spread_after(64, 10, rng=2).min()

@@ -16,7 +16,6 @@ from repro.harness import (
     run_ablation,
     run_forest_statistics,
     run_lower_bound_experiment,
-    run_phase_breakdown,
     run_table1,
     workload_names,
     write_csv,
@@ -96,25 +95,16 @@ class TestExperimentDrivers:
         by_algo = {row["algorithm"]: row for row in result.rows}
         assert by_algo["uniform-gossip"]["messages"] > by_algo["drr-gossip"]["messages"]
 
-    def test_forest_statistics_ratios_bounded(self):
-        result = run_forest_statistics(ns=(256, 512), repetitions=2, seed=5)
-        for row in result.rows:
-            assert 0.2 < row["trees_over_n_div_logn"] < 3.0
-            assert row["max_tree_size_over_logn"] < 20
-            assert row["rounds_over_logn"] <= 1.5
-
     def test_lower_bound_experiment_gap(self):
         result = run_lower_bound_experiment(ns=(64, 256), repetitions=1, seed=6)
         for row in result.rows:
             # the oblivious protocol pays more per node than rumor spreading
             assert row["oblivious_messages_per_node"] > 0.5 * row["rumor_messages_per_node"]
         assert len(result.notes) == 2
-
-    def test_phase_breakdown_shares_sum_to_one(self):
-        result = run_phase_breakdown(ns=(128,), repetitions=1, seed=7)
-        row = result.rows[0]
-        share = sum(v for k, v in row.items() if k.endswith("_share"))
-        assert share == pytest.approx(1.0, abs=1e-6)
+        # one size gives its rows, but no growth shape to fit
+        single = run_lower_bound_experiment(ns=(256,), repetitions=1, seed=6)
+        assert single.rows == result.rows[1:]
+        assert single.notes == []
 
     def test_ablation_rows(self):
         result = run_ablation(n=256, repetitions=1, seed=8)
