@@ -10,12 +10,11 @@ vectorized Local-DRR over a 10^6-node sparse random graph must finish; and
 with ``--scale-large`` a 10^7-node ``drr_gossip_average`` run on
 ``vectorized`` must complete within ``--large-budget`` seconds.
 
-``--compiled-only`` (the ``bench-compiled`` CI job) asserts
-bit-equivalence at ``--compiled-n`` and requires the jitted probe
-exchange to beat the vectorized one by ``--compiled-min-ratio``
-(default 2x) — enforced only under real numba and reported in
-python-fallback mode, where there are no jitted loops to win with
-(pretending that failed would only teach people to delete the check).
+``--compiled-only`` (the ``bench-compiled`` CI job) asserts that a run at
+``--compiled-n`` has the same outcome on compiled as on vectorized, bit
+for bit, and requires the jitted probe exchange to beat the vectorized
+one by ``--compiled-min-ratio`` (default 2x).  Without numba the backend
+is not registered and the gate fails, naming the missing extra.
 ``--scale-xl`` runs ``drr_gossip_average`` at 10^8 nodes on the
 compiled backend inside ``--xl-budget`` seconds.
 
@@ -455,48 +454,39 @@ def smoke_churn_overhead(n: int, max_overhead_pct: float = 2.0, repeats: int = 5
 def smoke_compiled(n: int, min_ratio: float) -> bool:
     """Compiled-backend gate: exact equivalence + a jitted probe-exchange win.
 
-    Asserts a lossy+crash ``drr_gossip_average`` at ``n`` is bit-equivalent
-    to vectorized, then times the fused probe exchange (the DRR hot
-    primitive) on both kernels.  The >= ``min_ratio`` speedup is enforced
-    only under real numba — in python-fallback mode (``REPRO_COMPILED_PYTHON``)
-    the compiled kernel routes through the same NumPy loops, so the ratio
-    is reported, not enforced.
+    Asserts a lossy+crash ``drr-gossip`` average run at ``n`` has the same
+    outcome as on vectorized (``RunResult.same_outcome``: bit for bit, no
+    tolerance), then times the fused probe exchange (the DRR hot
+    primitive) on both kernels and requires a >= ``min_ratio`` speedup.
     """
+    import repro
+    from repro import RunSpec
     from repro.simulator.failures import FailureModel, LossOracle
     from repro.simulator.metrics import MetricsCollector
-    from repro.substrate import BACKENDS, NUMBA_AVAILABLE, VectorizedKernel
+    from repro.substrate import BACKENDS, VectorizedKernel
     from repro.substrate.compiled import NUMBA_REQUIREMENT
 
     kernel = BACKENDS.get("compiled")
     if kernel is None:
         print(f"FAIL: compiled backend is not registered ({NUMBA_REQUIREMENT})")
         return False
-    mode = "numba" if NUMBA_AVAILABLE else "python-fallback"
 
-    values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
-    model = FailureModel(loss_probability=0.05, crash_fraction=0.02)
-    reference = drr_gossip_average(
-        values, rng=1, config=DRRGossipConfig(failure_model=model, backend="vectorized")
+    spec = RunSpec(
+        protocol="drr-gossip",
+        params={"n": n, "aggregate": "average", "workload": "uniform"},
+        failures=FailureModel(loss_probability=0.05, crash_fraction=0.02),
+        seed=1,
     )
-    start = time.perf_counter()
-    result = drr_gossip_average(
-        values, rng=1, config=DRRGossipConfig(failure_model=model, backend="compiled")
-    )
-    compiled_s = time.perf_counter() - start
+    reference = repro.run(spec.with_backend("vectorized"))
+    result = repro.run(spec.with_backend("compiled"))
+    compiled_s = result.wall_time_s
     record("compiled-smoke", protocol="drr-gossip-average", n=n,
-           backend=f"compiled[{mode}]", wall_s=compiled_s,
+           backend="compiled", wall_s=compiled_s,
            messages=result.messages, rounds=result.rounds)
-    ok = True
-    if result.messages != reference.messages or result.rounds != reference.rounds:
-        print("FAIL: compiled backend diverged from vectorized (rounds/messages)")
-        ok = False
-    if result.metrics.messages_by_phase() != reference.metrics.messages_by_phase():
-        print("FAIL: compiled backend diverged from vectorized (per-phase messages)")
-        ok = False
-    if not np.allclose(result.estimates, reference.estimates, rtol=1e-12, equal_nan=True):
-        print("FAIL: compiled estimates diverged beyond 1e-12")
-        ok = False
-    print(f"compiled smoke ({mode}), n={n}: {compiled_s:.2f}s, equivalence "
+    ok = result.same_outcome(reference)
+    if not ok:
+        print("FAIL: compiled run's outcome differs from vectorized")
+    print(f"compiled smoke, n={n}: {compiled_s:.2f}s, equivalence "
           f"{'OK' if ok else 'FAILED'}")
 
     # probe-exchange micro-bench: one big lossy DRR probing round
@@ -523,22 +513,16 @@ def smoke_compiled(n: int, min_ratio: float) -> bool:
     record("probe-exchange-micro", protocol="drr-probe", n=size,
            backend="vectorized", wall_s=vec_s)
     record("probe-exchange-micro", protocol="drr-probe", n=size,
-           backend=f"compiled[{mode}]", wall_s=comp_s)
+           backend="compiled", wall_s=comp_s)
     print(
         f"probe-exchange micro, batch={size}: vectorized {vec_s * 1e3:.1f} ms, "
         f"compiled {comp_s * 1e3:.1f} ms -> {ratio:.2f}x"
     )
-    if NUMBA_AVAILABLE:
-        if ratio < min_ratio:
-            print(f"FAIL: compiled probe exchange {ratio:.2f}x below the required {min_ratio:g}x")
-            ok = False
-        else:
-            print(f"OK: compiled probe exchange wins by >= {min_ratio:g}x")
+    if ratio < min_ratio:
+        print(f"FAIL: compiled probe exchange {ratio:.2f}x below the required {min_ratio:g}x")
+        ok = False
     else:
-        print(
-            f"NOTE: python-fallback mode; the {min_ratio:g}x ratio is reported, "
-            "not enforced (no jitted loops to win with)"
-        )
+        print(f"OK: compiled probe exchange wins by >= {min_ratio:g}x")
     return ok
 
 
@@ -549,13 +533,12 @@ def smoke_scale_xl(n: int, budget_s: float) -> bool:
     compile cost (cached on disk afterwards) so the timed run measures the
     protocol, not the compiler.
     """
-    from repro.substrate import BACKENDS, NUMBA_AVAILABLE
+    from repro.substrate import BACKENDS
     from repro.substrate.compiled import NUMBA_REQUIREMENT
 
     if "compiled" not in BACKENDS:
         print(f"FAIL: compiled backend is not registered ({NUMBA_REQUIREMENT})")
         return False
-    mode = "numba" if NUMBA_AVAILABLE else "python-fallback"
     warm = np.random.default_rng(0).uniform(0.0, 100.0, size=10_000)
     drr_gossip_average(warm, rng=1, config=DRRGossipConfig(backend="compiled"))
 
@@ -564,10 +547,10 @@ def smoke_scale_xl(n: int, budget_s: float) -> bool:
     result = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="compiled"))
     elapsed = time.perf_counter() - start
     record("pipeline-scale-xl", protocol="drr-gossip-average", n=n,
-           backend=f"compiled[{mode}]", wall_s=elapsed,
+           backend="compiled", wall_s=elapsed,
            messages=result.messages, rounds=result.rounds)
     print(
-        f"drr_gossip_average, n={n}: compiled ({mode}) {elapsed:.1f}s, "
+        f"drr_gossip_average, n={n}: compiled {elapsed:.1f}s, "
         f"rounds={result.rounds}, messages={result.messages}, "
         f"max_rel_error={result.max_relative_error:.2e}"
     )

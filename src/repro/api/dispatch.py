@@ -69,6 +69,7 @@ def run(spec: RunSpec | Mapping, *, telemetry: NullTelemetry | None = None) -> R
         rounds=metrics.total_rounds,
         messages=metrics.total_messages,
         messages_lost=metrics.total_messages_lost,
+        words=metrics.total_words,
         messages_by_kind={str(k): int(v) for k, v in metrics.messages_by_kind().items()},
         messages_by_phase=metrics.messages_by_phase(),
         rounds_by_phase=metrics.rounds_by_phase(),

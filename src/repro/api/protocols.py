@@ -395,10 +395,6 @@ def _run_drr_gossip_spec(
         raise SpecValidationError(
             f"unknown aggregate {aggregate!r} (valid: {', '.join(a.value for a in Aggregate)})"
         ) from exc
-    if agg == Aggregate.RANK and query is None:
-        # The conventional default query: the input median (a pure function
-        # of the values, so the spec stays reproducible without naming it).
-        query = float(np.median(vals))
     config = DRRGossipConfig(
         probe_budget=probe_budget,
         gossip_rounds=gossip_rounds,

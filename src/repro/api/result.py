@@ -39,9 +39,10 @@ class RunResult:
     ----------
     spec:
         The spec that produced this result (validated, defaults resolved).
-    rounds / messages / messages_lost / messages_by_kind /
+    rounds / messages / messages_lost / words / messages_by_kind /
     messages_by_phase / rounds_by_phase:
-        The complete round and message accounting of the run.
+        The complete round and message accounting of the run (``words`` is
+        the total payload width of every transmission).
     estimates:
         Per-node (or per-route) estimates; NaN marks nodes without an
         answer.  May be handed in as a zero-argument callable, which is
@@ -75,6 +76,7 @@ class RunResult:
         "rounds",
         "messages",
         "messages_lost",
+        "words",
         "messages_by_kind",
         "messages_by_phase",
         "rounds_by_phase",
@@ -92,6 +94,7 @@ class RunResult:
         rounds: int,
         messages: int,
         messages_lost: int,
+        words: int,
         messages_by_kind: dict[str, int],
         messages_by_phase: dict[str, int],
         rounds_by_phase: dict[str, int],
@@ -106,6 +109,7 @@ class RunResult:
         self.rounds = int(rounds)
         self.messages = int(messages)
         self.messages_lost = int(messages_lost)
+        self.words = int(words)
         self.messages_by_kind = dict(messages_by_kind)
         self.messages_by_phase = dict(messages_by_phase)
         self.rounds_by_phase = dict(rounds_by_phase)
@@ -152,16 +156,19 @@ class RunResult:
     def same_outcome(self, other: "RunResult") -> bool:
         """True when two runs produced *identical* results.
 
-        Compares rounds, every message counter (total, lost, per kind, per
-        phase), the summary scalars, and element-wise (NaN == NaN) the
+        Compares rounds, every message counter (total, lost, words, per
+        kind, per phase), the summary scalars, and element-wise (NaN == NaN) the
         degradation section's scalars and lists and the estimate vectors;
         wall time, telemetry and the ``raw`` object are excluded.  This is
-        the equality the serialisation round-trip guarantee is stated in.
+        the equality the serialisation round-trip guarantee is stated in, and
+        the one check of backend equivalence: same-seed runs on different
+        backends satisfy it.
         """
         if (
             self.rounds != other.rounds
             or self.messages != other.messages
             or self.messages_lost != other.messages_lost
+            or self.words != other.words
             or dict(self.messages_by_kind) != dict(other.messages_by_kind)
             or dict(self.messages_by_phase) != dict(other.messages_by_phase)
             or dict(self.rounds_by_phase) != dict(other.rounds_by_phase)
@@ -190,6 +197,7 @@ class RunResult:
             "rounds": int(self.rounds),
             "messages": int(self.messages),
             "messages_lost": int(self.messages_lost),
+            "words": int(self.words),
             "messages_by_kind": {str(k): int(v) for k, v in self.messages_by_kind.items()},
             "messages_by_phase": {str(k): int(v) for k, v in self.messages_by_phase.items()},
             "rounds_by_phase": {str(k): int(v) for k, v in self.rounds_by_phase.items()},
@@ -208,6 +216,7 @@ class RunResult:
             rounds=int(doc["rounds"]),
             messages=int(doc["messages"]),
             messages_lost=int(doc.get("messages_lost", 0)),
+            words=int(doc.get("words", 0)),
             messages_by_kind=dict(doc.get("messages_by_kind", {})),
             messages_by_phase=dict(doc.get("messages_by_phase", {})),
             rounds_by_phase=dict(doc.get("rounds_by_phase", {})),
@@ -263,6 +272,10 @@ class RunResult:
             f"rounds           : {self.rounds}",
             f"messages         : {self.messages} ({self.messages_lost} lost)",
         ]
+        by_phase = [(phase, count) for phase, count in self.messages_by_phase.items() if count]
+        if by_phase:
+            parts.append("messages by phase:")
+            parts.extend(f"  {phase:<18} {count}" for phase, count in by_phase)
         for key in sorted(self.summary):
             parts.append(f"{key:<17}: {self.summary[key]:.6g}")
         if self.degradation is not None:

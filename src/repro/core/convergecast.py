@@ -34,8 +34,9 @@ backend:
 deliver one schedule layer per batch (all of a layer's upward or downward
 transmissions at once); the engine kernel runs the
 :class:`ConvergecastNode` / :class:`BroadcastNode` state machines at message
-granularity, timed by the same send schedule.  On a reliable network both
-produce identical aggregates, rounds, and message counts for the same seed.
+granularity, timed by the same send schedule and folding each node's
+children in the same ascending-id order, so both produce bit-identical
+aggregates, rounds, and message counts for the same seed.
 
 Semantics under failures (both backends):
 
@@ -257,6 +258,12 @@ class ConvergecastNode(ProtocolNode):
     ``send_at`` whether or not every known child's message arrived — a lost
     message means a missing contribution, never a delay, matching the
     vectorized backend exactly.
+
+    Children's reports are buffered and folded in ascending child id just
+    before the node sends (a root: before its aggregate is read).  That is
+    the order in which the columnar ``np.add.at`` over a depth layer adds
+    them, so float sums agree bit for bit; in a synchronous round either
+    order is a valid execution.
     """
 
     def __init__(
@@ -281,12 +288,21 @@ class ConvergecastNode(ProtocolNode):
         self.done_at = int(done_at)
         self.sent = False
         self._rounds_seen = -1
+        #: (child id, value, weight) of the reports not yet folded
+        self._reports: list[tuple[int, float, int]] = []
+
+    def _fold_reports(self) -> None:
+        for _, value, weight in sorted(self._reports):
+            self.value = _reduce(self.op, self.value, value)
+            self.weight += weight
+        self._reports.clear()
 
     def begin_round(self, ctx: RoundContext) -> list[Send]:
         self._rounds_seen = ctx.round_index
         if self.parent is None or self.sent or ctx.round_index < self.send_at:
             return []
         self.sent = True
+        self._fold_reports()
         return [
             Send(
                 recipient=self.parent,
@@ -306,8 +322,9 @@ class ConvergecastNode(ProtocolNode):
                 # docstring for the rationale.
                 continue
             self.known.discard(child)
-            self.value = _reduce(self.op, self.value, float(message.get("value")))
-            self.weight += int(message.get("weight", 1))
+            self._reports.append(
+                (child, float(message.get("value")), int(message.get("weight", 1)))
+            )
         return []
 
     def is_complete(self) -> bool:
@@ -316,6 +333,7 @@ class ConvergecastNode(ProtocolNode):
         return self.sent
 
     def result(self) -> dict:
+        self._fold_reports()
         return {"value": self.value, "weight": self.weight}
 
 
@@ -360,8 +378,9 @@ def _convergecast_engine(
     )
 
     alive_roots = forest.roots[alive[forest.roots]].tolist()
-    local_value = {r: float(nodes[r].value) for r in alive_roots}
-    local_weight = {r: int(nodes[r].weight) for r in alive_roots}
+    outcomes = {r: nodes[r].result() for r in alive_roots}
+    local_value = {r: float(out["value"]) for r, out in outcomes.items()}
+    local_weight = {r: int(out["weight"]) for r, out in outcomes.items()}
     return ConvergecastResult(
         op=op,
         local_value=local_value,

@@ -76,8 +76,9 @@ class DRRGossipConfig:
     #: message loss / initial crash model.
     failure_model: FailureModel = field(default_factory=FailureModel)
     #: substrate backend executing every phase: ``"vectorized"`` (columnar
-    #: NumPy, the production hot path) or ``"engine"`` (message-level
-    #: simulation, the fidelity reference).
+    #: NumPy, the production hot path), ``"compiled"`` (its numba-jitted
+    #: variant) or ``"engine"`` (message-level simulation, the fidelity
+    #: reference).
     backend: str = "vectorized"
 
     def __post_init__(self) -> None:
@@ -452,7 +453,9 @@ def _pushsum_pipeline(
 
     if aggregate == Aggregate.RANK:
         if query is None:
-            raise ValueError("rank computation needs a query value")
+            # The conventional default query: the input median, a pure
+            # function of the values, so a run stays reproducible without it.
+            query = float(np.median(raw_values))
         work_values = (raw_values <= query).astype(float)
     elif aggregate == Aggregate.COUNT:
         work_values = np.ones(n, dtype=float)
@@ -579,11 +582,14 @@ def drr_gossip_count(
 
 def drr_gossip_rank(
     values: np.ndarray,
-    query: float,
+    query: float | None = None,
     rng: np.random.Generator | int | None = None,
     config: DRRGossipConfig | None = None,
 ) -> DRRGossipResult:
-    """Compute the rank of ``query`` (number of values <= query) at every node."""
+    """Compute the rank of ``query`` (number of values <= query) at every node.
+
+    ``query=None`` ranks the input median.
+    """
     return _pushsum_pipeline(values, Aggregate.RANK, rng, config, query=query)
 
 
@@ -607,5 +613,5 @@ def drr_gossip(
     if aggregate == Aggregate.COUNT:
         return drr_gossip_count(values, rng, config)
     if aggregate == Aggregate.RANK:
-        return drr_gossip_rank(values, query if query is not None else 0.0, rng, config)
+        return drr_gossip_rank(values, query, rng, config)
     raise ValueError(f"unsupported aggregate {aggregate!r}")  # pragma: no cover

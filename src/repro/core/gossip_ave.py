@@ -22,10 +22,8 @@ messages remove mass, exactly like the paper's failure model (the factor
 Backends: the ``backend`` argument selects the columnar kernel (default) or
 the message-level engine, which runs :class:`GossipAveRootNode` machines on
 the roots and the shared :class:`~repro.core.gossip_max.RootForwarderNode`
-on everyone else.  Both consume the RNG identically on reliable networks;
-estimates agree to float-rounding (the order in which a root folds
-concurrent pushes differs between a columnar scatter-add and per-message
-delivery).
+on everyone else.  Both consume the RNG identically and fold a round's
+pushes in the same order, so their estimates are bit-identical.
 """
 
 from __future__ import annotations
@@ -252,10 +250,6 @@ def _gossip_ave_vectorized(
             kind=MessageKind.GOSSIP, position=position, root_of=root_of,
             alive=alive_arg, payload_words=2, dead_targets=dead_targets,
         )
-        # The fused scatter-add pre-sums the round's contributions before
-        # folding into s/g, so results differ from per-message folding at
-        # the last ulp — inside the documented 1e-12 fold-order tolerance,
-        # like every other sum-type reordering between the backends.
         kernel.fold_pushes(receiver, send_s, send_g, s, g)
 
     if trace_pos is not None and total_rounds > 0:
@@ -282,7 +276,13 @@ def _gossip_ave_vectorized(
 # engine (message-level) backend
 # --------------------------------------------------------------------------- #
 class GossipAveRootNode(ProtocolNode):
-    """A root in Gossip-ave: halves its ``(s, g)`` pair and pushes one half."""
+    """A root in Gossip-ave: halves its ``(s, g)`` pair and pushes one half.
+
+    Each push carries its pusher's id.  A round's arrivals are buffered and
+    their sum, taken in pusher-id order, is added to ``(s, g)`` before the
+    state is next read: the summation the columnar fold's ``bincount``
+    performs over a round's batch, so both backends agree bit for bit.
+    """
 
     def __init__(self, node_id: int, s: float, g: float, rounds: int, trace: bool = False) -> None:
         super().__init__(node_id)
@@ -292,11 +292,25 @@ class GossipAveRootNode(ProtocolNode):
         self.rounds_done = 0
         self.trace = trace
         self.history: list[float] = []
+        #: (pusher id, s, g) of the pushes that arrived since the last fold
+        self._arrivals: list[tuple[int, float, float]] = []
+
+    def _fold_arrivals(self) -> None:
+        if not self._arrivals:
+            return
+        part_s = part_g = 0.0
+        for _, s, g in sorted(self._arrivals):
+            part_s += s
+            part_g += g
+        self.s += part_s
+        self.g += part_g
+        self._arrivals.clear()
 
     def _estimate(self) -> float:
         return self.s / self.g if self.g > 0 else float("nan")
 
     def begin_round(self, ctx: RoundContext) -> list[Send]:
+        self._fold_arrivals()
         r = ctx.round_index
         if r >= self.rounds:
             return []
@@ -312,7 +326,7 @@ class GossipAveRootNode(ProtocolNode):
             Send(
                 recipient=ctx.random_node(),
                 kind=MessageKind.GOSSIP,
-                payload={"s": send_s, "w": send_g},
+                payload={"s": send_s, "w": send_g, "pusher": self.node_id},
                 payload_words=2,
             )
         ]
@@ -321,14 +335,16 @@ class GossipAveRootNode(ProtocolNode):
         for message in messages:
             inner = message.get("inner", message.kind)
             if inner == MessageKind.GOSSIP.value:
-                self.s += float(message.get("s"))
-                self.g += float(message.get("w"))
+                self._arrivals.append(
+                    (message.get("pusher"), float(message.get("s")), float(message.get("w")))
+                )
         return []
 
     def is_complete(self) -> bool:
         return self.rounds_done >= self.rounds
 
     def result(self) -> float:
+        self._fold_arrivals()
         return self._estimate()
 
 

@@ -57,18 +57,15 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ..api import SpecValidationError, load_specs, parse_spec_document, read_spec_document
+from ..api import RunSpec, SpecValidationError, load_specs, parse_spec_document, read_spec_document
 from ..api import run as run_spec_fn
-from ..core import Aggregate, DRRGossipConfig, drr_gossip
+from ..core import Aggregate
 from ..observability import (
     NULL_TELEMETRY,
     Heartbeat,
     Telemetry,
     configure_logging,
     format_telemetry,
-    use_telemetry,
     write_events_jsonl,
 )
 from ..substrate import available_backends
@@ -89,7 +86,7 @@ from ..orchestration.worker import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS
 from ..simulator import FailureModel
 from . import experiments  # noqa: F401  (import registers the drivers)
 from .report import write_json, write_markdown_report, write_markdown_report_from_store
-from .workloads import make_values, workload_names
+from .workloads import workload_names
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
 
@@ -403,55 +400,39 @@ def _export_events(telemetry_doc: dict, target: str, append: bool) -> None:
         print(f"{verb} telemetry events: {path}")
 
 
+def _flag_spec(args: argparse.Namespace) -> RunSpec:
+    """The ``drr-gossip`` spec the ``run`` flags describe."""
+    params = {"n": args.n, "aggregate": args.aggregate, "workload": args.workload}
+    if args.query is not None:
+        params["query"] = args.query
+    return RunSpec(
+        protocol="drr-gossip",
+        params=params,
+        failures=FailureModel(loss_probability=args.delta, crash_fraction=args.crash),
+        backend=args.backend,
+        seed=args.seed,
+    )
+
+
 def _run_single(args: argparse.Namespace) -> int:
     want_telemetry = args.telemetry is not None
-    if args.spec is not None:
-        try:
-            specs = load_specs(args.spec)
-        except (SpecValidationError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for index, spec in enumerate(specs):
-            if index:
-                print()
-            if want_telemetry:
-                spec = spec.with_telemetry()
-            print(f"spec             : {spec.describe()}")
-            tel = Telemetry() if want_telemetry else None
-            with _heartbeat_for(args, tel if tel is not None else NULL_TELEMETRY, spec.protocol):
-                envelope = run_spec_fn(spec, telemetry=tel)
-            print(envelope.describe())
-            if want_telemetry and envelope.telemetry is not None:
-                _export_events(envelope.telemetry, args.telemetry, append=index > 0)
-        return 0
-    rng = np.random.default_rng(args.seed)
-    values = make_values(args.workload, args.n, rng)
-    config = DRRGossipConfig(
-        failure_model=FailureModel(loss_probability=args.delta, crash_fraction=args.crash),
-        backend=args.backend,
-    )
-    tel = Telemetry() if want_telemetry else NULL_TELEMETRY
-    with _heartbeat_for(args, tel, args.aggregate):
-        with use_telemetry(tel):
-            result = drr_gossip(
-                values, args.aggregate, rng=args.seed, config=config, query=args.query
-            )
-    print(f"aggregate        : {result.aggregate.value}")
-    print(f"backend          : {config.backend}")
-    print(f"n                : {result.n}")
-    print(f"exact value      : {result.exact:.6g}")
-    print(f"max rel. error   : {result.max_relative_error:.3g}")
-    print(f"coverage         : {result.coverage:.3f}")
-    print(f"rounds           : {result.rounds}")
-    print(f"messages         : {result.messages} ({result.messages / result.n:.2f} per node)")
-    print("messages by phase:")
-    for phase, count in result.messages_by_phase().items():
-        if count:
-            print(f"  {phase:<18} {count}")
-    if want_telemetry:
-        doc = tel.as_dict()
-        print(format_telemetry(doc))
-        _export_events(doc, args.telemetry, append=False)
+    try:
+        specs = load_specs(args.spec) if args.spec is not None else [_flag_spec(args)]
+    except (SpecValidationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for index, spec in enumerate(specs):
+        if index:
+            print()
+        if want_telemetry:
+            spec = spec.with_telemetry()
+        print(f"spec             : {spec.describe()}")
+        tel = Telemetry() if want_telemetry else None
+        with _heartbeat_for(args, tel if tel is not None else NULL_TELEMETRY, spec.protocol):
+            envelope = run_spec_fn(spec, telemetry=tel)
+        print(envelope.describe())
+        if want_telemetry and envelope.telemetry is not None:
+            _export_events(envelope.telemetry, args.telemetry, append=index > 0)
     return 0
 
 

@@ -31,11 +31,7 @@ Optional dependency
 numba is an optional extra (``pip install .[compiled]``).  Without it the
 backend deregisters itself: ``BACKENDS`` has no ``"compiled"`` entry and
 :func:`~repro.substrate.kernel.normalize_backend` raises a
-``ConfigurationError`` that says how to install it.  Setting the
-``REPRO_COMPILED_PYTHON`` environment variable (or using the
-:func:`python_fallback` test helper) registers the kernel with pure-NumPy
-fallbacks instead, which exercises the registration and orchestration
-layers without numba.
+``ConfigurationError`` that says how to install it.
 
 First use pays numba's compile cost once per primitive signature;
 ``cache=True`` persists the machine code on disk, so subsequent processes
@@ -46,9 +42,6 @@ stream and every result are unchanged); accumulators stay ``float64``.
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
 from ..observability.telemetry import instrumented
@@ -57,7 +50,6 @@ from ..simulator.failures import kind_salt
 from ..simulator.message import MessageKind
 from .delivery import (
     deliver_batch,
-    fold_pushes,
     occurrence_index,
     probe_exchange,
     relay_to_roots,
@@ -69,7 +61,6 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "CompiledKernel",
     "deregister",
-    "python_fallback",
     "register",
 ]
 
@@ -84,9 +75,8 @@ except ImportError:
     def njit(*args, **kwargs):
         """Identity decorator standing in for numba.njit when it is absent.
 
-        In python-fallback mode the kernel methods below delegate to the
-        NumPy paths; the loops stay plain, runnable Python because the
-        test suite calls them undecorated where numba is missing.
+        The loops stay plain, runnable Python because the test suite calls
+        them undecorated where numba is missing.
         """
         if args and callable(args[0]):
             return args[0]
@@ -96,8 +86,6 @@ except ImportError:
 
         return wrap
 
-
-_FORCE_PYTHON_ENV = "REPRO_COMPILED_PYTHON"
 
 NUMBA_REQUIREMENT = (
     "it needs numba, which is not installed — install the optional extra "
@@ -385,8 +373,8 @@ class CompiledKernel(VectorizedKernel):
     """Columnar execution with numba-compiled hot primitives.
 
     Each override runs its jitted loop (parallel through numba ``prange``)
-    and falls back to the NumPy primitive of the vectorized kernel without
-    numba or where that primitive has a fast path.  Scratch buffers
+    and falls back to the NumPy primitive of the vectorized kernel where
+    that primitive has a fast path.  Scratch buffers
     (occurrence counts, fold partials) are pre-allocated per kernel and
     grown monotonically; :meth:`release_scratch` frees them after an
     exceptionally large run.
@@ -420,7 +408,7 @@ class CompiledKernel(VectorizedKernel):
                 dead_targets=False):
         targets = np.asarray(targets)
         count = int(targets.size)
-        if not NUMBA_AVAILABLE or oracle.reliable or count == 0:
+        if oracle.reliable or count == 0:
             return deliver_batch(
                 metrics, oracle, kind, targets,
                 senders=senders, round_index=round_index, alive=alive,
@@ -450,7 +438,7 @@ class CompiledKernel(VectorizedKernel):
                        ranks, round_index, alive=None):
         targets = np.asarray(targets)
         count = int(targets.size)
-        if not NUMBA_AVAILABLE or count == 0:
+        if count == 0:
             return probe_exchange(
                 metrics, oracle, targets,
                 senders=senders, ranks=ranks, round_index=round_index, alive=alive,
@@ -479,7 +467,7 @@ class CompiledKernel(VectorizedKernel):
                        alive=None, payload_words=1, dead_targets=False):
         targets = np.asarray(targets)
         count = int(targets.size)
-        if not NUMBA_AVAILABLE or (oracle.reliable and alive is None) or count == 0:
+        if (oracle.reliable and alive is None) or count == 0:
             return relay_to_roots(
                 metrics, oracle, targets,
                 senders=senders, round_index=round_index, kind=kind,
@@ -526,7 +514,7 @@ class CompiledKernel(VectorizedKernel):
     def occurrence_index(self, keys):
         keys = np.asarray(keys)
         size = int(keys.size)
-        if not NUMBA_AVAILABLE or size == 0 or not np.issubdtype(keys.dtype, np.integer):
+        if size == 0 or not np.issubdtype(keys.dtype, np.integer):
             return occurrence_index(keys)
         base = int(keys.min())
         span = int(keys.max()) - base + 1
@@ -538,14 +526,10 @@ class CompiledKernel(VectorizedKernel):
         return out
 
     def compact_frontier(self, active, drop):
-        if not NUMBA_AVAILABLE:
-            return active[~drop]
         return _k_compact(np.ascontiguousarray(active), drop)
 
     @instrumented("compiled.fold_pushes")
     def fold_pushes(self, receiver, send_s, send_g, s, g):
-        if not NUMBA_AVAILABLE:
-            return fold_pushes(receiver, send_s, send_g, s, g)
         part_s = self._scratch_for("fold_s", int(s.size), np.float64)[: s.size]
         part_g = self._scratch_for("fold_g", int(g.size), np.float64)[: g.size]
         _k_fold(receiver, send_s, send_g, s, g, part_s, part_g)
@@ -554,26 +538,20 @@ class CompiledKernel(VectorizedKernel):
 # --------------------------------------------------------------------------- #
 # registration
 # --------------------------------------------------------------------------- #
-def _forced_python() -> bool:
-    return os.environ.get(_FORCE_PYTHON_ENV, "").strip().lower() not in ("", "0", "false")
-
-
-def register(force_python: bool = False) -> bool:
+def register() -> bool:
     """(Re-)evaluate registration; True when ``compiled`` is in ``BACKENDS``.
 
     With numba importable the backend registers and installs the jitted
     batch hasher into :mod:`repro.simulator.failures` (shared by every
     backend — the engine's chunked path hashes through it too).  Without
     numba the backend deregisters and leaves a reason in
-    ``UNAVAILABLE_BACKENDS`` unless python fallbacks were explicitly
-    requested (``force_python`` or ``REPRO_COMPILED_PYTHON``).
+    ``UNAVAILABLE_BACKENDS``.
     """
-    if NUMBA_AVAILABLE or force_python or _forced_python():
+    if NUMBA_AVAILABLE:
         BACKENDS.setdefault(CompiledKernel.name, CompiledKernel())
         UNAVAILABLE_BACKENDS.pop(CompiledKernel.name, None)
-        if NUMBA_AVAILABLE:
-            failures.set_batch_hasher(_batch_hash)
-            failures.set_churn_hasher(_churn_mask)
+        failures.set_batch_hasher(_batch_hash)
+        failures.set_churn_hasher(_churn_mask)
         return True
     deregister()
     return False
@@ -585,24 +563,6 @@ def deregister() -> None:
     UNAVAILABLE_BACKENDS[CompiledKernel.name] = NUMBA_REQUIREMENT
     failures.set_batch_hasher(None)
     failures.set_churn_hasher(None)
-
-
-@contextlib.contextmanager
-def python_fallback():
-    """Temporarily register ``compiled`` with pure-NumPy fallbacks.
-
-    For tests on numba-less machines: exercises registration, spec
-    round-trips, scratch and orchestration — the loops themselves are
-    bypassed (the three-way equivalence matrix covers them, jitted where
-    numba is installed and interpreted where it is not).
-    """
-    was_registered = CompiledKernel.name in BACKENDS
-    register(force_python=True)
-    try:
-        yield BACKENDS[CompiledKernel.name]
-    finally:
-        if not was_registered:
-            deregister()
 
 
 register()

@@ -34,7 +34,6 @@ def compiled_loops_registered():
     finally:
         compiled_mod.NUMBA_AVAILABLE = False
         compiled_mod.deregister()
-        compiled_mod.register()  # restores a REPRO_COMPILED_PYTHON registration
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 The headline guarantee under test: a ``RunSpec`` serialised to JSON,
 deserialised, and re-run with the same seed reproduces the original
 ``RunResult`` *exactly* — rounds, per-kind/per-phase/lost message counts,
-and estimates — for every registered protocol on both substrate backends,
-on reliable and lossy networks.
+words, and estimates — for every registered protocol on both substrate
+backends, on reliable and lossy networks.  That backends agree with each
+other is ``tests/test_substrate.py``'s matrix, on the same spec table.
 """
 
 from __future__ import annotations
@@ -26,39 +27,12 @@ from repro.serialization import canonical_json, stable_digest
 from repro.simulator import FailureModel
 from repro.topology import Topology
 
-#: One representative spec per registered protocol, sized for test speed.
-#: Every protocol in the registry must appear here (enforced below), so a
-#: newly registered protocol fails the suite until it gets coverage.
-PROTOCOL_SPECS: dict[str, dict] = {
-    "drr": {"params": {"n": 96}},
-    "drr-gossip": {"params": {"n": 64, "aggregate": "average", "workload": "uniform"}},
-    "local-drr": {"topology": {"family": "ring", "n": 64}},
-    "push-sum": {"params": {"n": 64, "workload": "normal"}},
-    "push-max": {"params": {"n": 64, "workload": "uniform"}},
-    "efficient-gossip": {"params": {"n": 64, "aggregate": "max", "workload": "uniform"}},
-    "epoch-gossip-ave": {"params": {"n": 64, "workload": "uniform", "epochs": 2}},
-    "push-rumor": {"params": {"n": 64}},
-    "push-pull-rumor": {"params": {"n": 64}},
-    "flood-max": {"topology": {"family": "grid", "n": 64}, "params": {"workload": "uniform"}},
-    "chord-lookups": {"topology": {"family": "chord", "n": 48}, "params": {"lookups": 24}},
-}
+from protocol_specs import PROTOCOL_SPECS, spec_for
 
 FAILURE_MODELS = [
     FailureModel(),
     FailureModel(loss_probability=0.08, crash_fraction=0.05),
 ]
-
-
-def _spec_for(protocol: str, backend: str, failures: FailureModel, seed: int = 5) -> RunSpec:
-    base = PROTOCOL_SPECS[protocol]
-    return RunSpec(
-        protocol=protocol,
-        params=base.get("params", {}),
-        topology=base.get("topology"),
-        failures=failures,
-        backend=backend,
-        seed=seed,
-    )
 
 
 class TestRoundTripProperty:
@@ -69,7 +43,7 @@ class TestRoundTripProperty:
     @pytest.mark.parametrize("backend", ["vectorized", "engine"])
     @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
     def test_json_round_trip_reproduces_run_exactly(self, protocol, backend, failures):
-        spec = _spec_for(protocol, backend, failures)
+        spec = spec_for(protocol, backend, failures)
         direct = repro.run(spec)
         revived = RunSpec.from_json(spec.to_json())
         assert revived == spec
@@ -101,16 +75,13 @@ class TestRoundTripProperty:
             direct
         )
 
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
-    def test_backends_agree_through_the_spec_path(self, protocol):
-        """Substrate equivalence holds when both runs go through repro.run."""
-        lossy = FailureModel(loss_probability=0.05)
-        vec = repro.run(_spec_for(protocol, "vectorized", lossy))
-        eng = repro.run(_spec_for(protocol, "engine", lossy))
-        assert vec.rounds == eng.rounds
-        assert vec.messages == eng.messages
-        assert vec.messages_lost == eng.messages_lost
-        assert dict(vec.messages_by_kind) == dict(eng.messages_by_kind)
+    def test_words_alone_change_the_outcome(self):
+        direct = repro.run(spec_for("drr-gossip"))
+        doc = direct.to_dict()
+        assert doc["words"] == direct.raw.metrics.total_words > direct.messages
+        assert repro.api.RunResult.from_dict(doc).same_outcome(direct)
+        altered = repro.api.RunResult.from_dict({**doc, "words": doc["words"] + 1})
+        assert not altered.same_outcome(direct)
 
 
 class TestSpecValidation:
@@ -199,6 +170,18 @@ class TestSpecEquivalenceWithDirectCalls:
         )
         assert result.rounds == direct.rounds
         assert result.messages == direct.messages
+        assert np.array_equal(result.estimates, direct.estimates, equal_nan=True)
+
+    def test_rank_without_a_query_ranks_the_median_on_both_paths(self):
+        from repro.core import drr_gossip
+        from repro.harness.workloads import make_values
+
+        rng = np.random.default_rng(1)
+        direct = drr_gossip(make_values("uniform", 512, rng), "rank", rng=rng)
+        result = repro.run(
+            RunSpec(protocol="drr-gossip", params={"n": 512, "aggregate": "rank"}, seed=1)
+        )
+        assert result.summary["exact"] == direct.exact == 256.0
         assert np.array_equal(result.estimates, direct.estimates, equal_nan=True)
 
     def test_explicit_values_skip_rng_draws(self):

@@ -1,4 +1,4 @@
-"""The ``compiled`` backend: registration, fallbacks, and primitive contracts.
+"""The ``compiled`` backend: registration and primitive contracts.
 
 Everything here holds on *every* machine; where numba is missing the
 ``compiled_kernel`` fixture runs the kernel's loops as plain Python:
@@ -10,8 +10,7 @@ Everything here holds on *every* machine; where numba is missing the
   availability, ``normalize_backend`` explains how to install the extra,
   and specs referencing ``backend="compiled"`` round-trip whenever the
   backend is registered;
-* the python-fallback mode (``REPRO_COMPILED_PYTHON`` /
-  :func:`python_fallback`), which must be bit-identical to vectorized;
+* whole runs, which must be bit-identical to vectorized;
 * int32 storage of the drawn node ids (ids only, never accumulators);
 * the single-pass ``occurrence_index`` rewrite against a naive reference;
 * the ``compact_frontier`` / ``fold_pushes`` kernel primitives;
@@ -51,7 +50,7 @@ from repro.substrate import (
     relay_to_roots,
 )
 from repro.substrate import compiled as compiled_mod
-from repro.substrate.compiled import NUMBA_REQUIREMENT, python_fallback
+from repro.substrate.compiled import NUMBA_REQUIREMENT
 
 
 def naive_occurrence_index(keys) -> np.ndarray:
@@ -100,7 +99,6 @@ class TestRegistration:
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", blocked)
-        monkeypatch.delenv("REPRO_COMPILED_PYTHON", raising=False)
         try:
             reloaded = importlib.reload(compiled_mod)
             assert reloaded.NUMBA_AVAILABLE is False
@@ -112,47 +110,25 @@ class TestRegistration:
         # back to the environment's true state
         assert ("compiled" in BACKENDS) == compiled_mod.NUMBA_AVAILABLE
 
-    def test_python_fallback_registers_and_restores(self):
-        before = "compiled" in BACKENDS
-        with python_fallback() as kernel:
-            assert "compiled" in BACKENDS
-            assert "compiled" not in UNAVAILABLE_BACKENDS
-            assert normalize_backend("compiled") == "compiled"
-            assert kernel.name == "compiled"
-            assert type(kernel).__name__ == "CompiledKernel"
-            # a columnar kernel: run_on routes it down the vectorized path
-            assert isinstance(kernel, VectorizedKernel)
-        assert ("compiled" in BACKENDS) == before
-        if not before:
-            assert UNAVAILABLE_BACKENDS["compiled"] == NUMBA_REQUIREMENT
-
-    def test_env_variable_forces_registration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PYTHON", "1")
-        was_registered = "compiled" in BACKENDS
-        try:
-            assert compiled_mod.register() is True
-            assert "compiled" in BACKENDS
-        finally:
-            if not was_registered and not NUMBA_AVAILABLE:
-                compiled_mod.deregister()
-
-    def test_get_kernel_roundtrip_when_registered(self):
-        with python_fallback():
-            kernel = get_kernel("compiled")
-            assert normalize_backend(kernel) == "compiled"
+    def test_get_kernel_roundtrip_when_registered(self, compiled_kernel):
+        kernel = get_kernel("compiled")
+        assert kernel is compiled_kernel
+        assert normalize_backend(kernel) == "compiled"
+        # a columnar kernel: run_on routes it down the vectorized path
+        assert isinstance(kernel, VectorizedKernel)
 
 
 # --------------------------------------------------------------------------- #
 # spec round-trips
 # --------------------------------------------------------------------------- #
 class TestSpecRoundTrip:
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_runspec_roundtrips_compiled_backend(self):
-        with python_fallback():
-            spec = RunSpec(protocol="drr", params={"n": 64}, seed=3, backend="compiled")
-            doc = spec.to_dict()
-            assert doc["backend"] == "compiled"
-            assert RunSpec.from_dict(doc) == spec
-            assert RunSpec.from_json(spec.to_json()) == spec
+        spec = RunSpec(protocol="drr", params={"n": 64}, seed=3, backend="compiled")
+        doc = spec.to_dict()
+        assert doc["backend"] == "compiled"
+        assert RunSpec.from_dict(doc) == spec
+        assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_runspec_rejects_compiled_when_unregistered(self):
         if NUMBA_AVAILABLE:
@@ -160,27 +136,25 @@ class TestSpecRoundTrip:
         with pytest.raises(Exception, match="not available"):
             RunSpec(protocol="drr", params={"n": 64}, backend="compiled")
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_dispatch_runs_compiled_spec(self):
-        with python_fallback():
-            spec = RunSpec(protocol="drr", params={"n": 128}, seed=5, backend="compiled")
-            reference = repro.run(spec.replace(backend="vectorized"))
-            result = repro.run(spec)
-            assert result.rounds == reference.rounds
-            assert result.messages == reference.messages
+        spec = RunSpec(protocol="drr", params={"n": 128}, seed=5, backend="compiled")
+        reference = repro.run(spec.replace(backend="vectorized"))
+        assert repro.run(spec).same_outcome(reference)
 
 
 # --------------------------------------------------------------------------- #
-# python-fallback equivalence + int32 ids
+# whole runs against vectorized + int32 ids
 # --------------------------------------------------------------------------- #
-class TestFallbackEquivalence:
+class TestMatchesVectorized:
+    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize("fm", [FailureModel(), FailureModel(0.1, 0.1)],
                              ids=["reliable", "lossy+crash"])
     def test_pipeline_bit_identical_to_vectorized(self, fm):
         values = np.random.default_rng(3).normal(10.0, 2.0, size=2000)
-        with python_fallback():
-            compiled = drr_gossip_average(
-                values, rng=2, config=DRRGossipConfig(failure_model=fm, backend="compiled")
-            )
+        compiled = drr_gossip_average(
+            values, rng=2, config=DRRGossipConfig(failure_model=fm, backend="compiled")
+        )
         reference = drr_gossip_average(
             values, rng=2, config=DRRGossipConfig(failure_model=fm, backend="vectorized")
         )
@@ -190,19 +164,18 @@ class TestFallbackEquivalence:
         assert np.array_equal(compiled.estimates, reference.estimates, equal_nan=True)
 
     @pytest.mark.parametrize("exclude", [None, np.arange(4096)], ids=["uniform", "exclude"])
-    def test_narrowing_is_value_identical(self, exclude):
+    def test_narrowing_is_value_identical(self, compiled_kernel, exclude):
         """Narrowed id draws must be the same numbers the wide path draws."""
-        with python_fallback() as kernel:
-            rng = np.random.default_rng(7)
-            narrowed = kernel.sample_uniform(rng, 10_000, 4096, exclude=exclude)
-            wide = VectorizedKernel.sample_uniform(
-                np.random.default_rng(7), 10_000, 4096, exclude=exclude
-            )
-            assert wide.dtype == np.int64
-            assert narrowed.dtype == np.int32  # n < 2^31: provably lossless
-            assert np.array_equal(narrowed.astype(np.int64), wide)
-            # a population past int32 keeps the full-width ids
-            assert kernel.sample_uniform(rng, 2**31, 16, exclude=None).dtype == np.int64
+        rng = np.random.default_rng(7)
+        narrowed = compiled_kernel.sample_uniform(rng, 10_000, 4096, exclude=exclude)
+        wide = VectorizedKernel.sample_uniform(
+            np.random.default_rng(7), 10_000, 4096, exclude=exclude
+        )
+        assert wide.dtype == np.int64
+        assert narrowed.dtype == np.int32  # n < 2^31: provably lossless
+        assert np.array_equal(narrowed.astype(np.int64), wide)
+        # a population past int32 keeps the full-width ids
+        assert compiled_kernel.sample_uniform(rng, 2**31, 16, exclude=None).dtype == np.int64
 
     @pytest.mark.parametrize(
         ("n", "size", "exclude", "dtype"),
@@ -214,17 +187,16 @@ class TestFallbackEquivalence:
         ],
         ids=["empty", "single-node", "largest-int32-population", "past-int32"],
     )
-    def test_int32_ids_on_every_draw_path(self, n, size, exclude, dtype):
+    def test_int32_ids_on_every_draw_path(self, compiled_kernel, n, size, exclude, dtype):
         """The draw's edge paths store ids like its main path, and only while lossless."""
-        with python_fallback() as kernel:
-            ids = kernel.sample_uniform(np.random.default_rng(3), n, size, exclude=exclude)
+        ids = compiled_kernel.sample_uniform(np.random.default_rng(3), n, size, exclude=exclude)
         wide = VectorizedKernel.sample_uniform(np.random.default_rng(3), n, size, exclude=exclude)
         assert ids.dtype == dtype
         assert np.array_equal(ids.astype(np.int64), wide)
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_drr_identical_to_vectorized(self):
-        with python_fallback():
-            compiled = run_drr(512, rng=9, backend="compiled")
+        compiled = run_drr(512, rng=9, backend="compiled")
         reference = run_drr(512, rng=9, backend="vectorized")
         assert np.array_equal(compiled.forest.parent, reference.forest.parent)
         assert compiled.rounds == reference.rounds
@@ -274,25 +246,23 @@ class TestOccurrenceIndex:
         arr = rng.integers(0, 4000, size=20_000)
         assert np.array_equal(occurrence_index(arr), naive_occurrence_index(arr))
 
-    def test_compiled_kernel_method_agrees(self):
-        with python_fallback() as kernel:
-            rng = np.random.default_rng(2)
-            arr = rng.integers(0, 500, size=3000)
-            assert np.array_equal(kernel.occurrence_index(arr), naive_occurrence_index(arr))
+    def test_compiled_kernel_method_agrees(self, compiled_kernel):
+        rng = np.random.default_rng(2)
+        arr = rng.integers(0, 500, size=3000)
+        assert np.array_equal(compiled_kernel.occurrence_index(arr), naive_occurrence_index(arr))
 
 
 # --------------------------------------------------------------------------- #
 # kernel primitives: compact_frontier / fold_pushes
 # --------------------------------------------------------------------------- #
 class TestNewPrimitives:
-    def test_compact_frontier_matches_mask_gather(self):
+    def test_compact_frontier_matches_mask_gather(self, compiled_kernel):
         rng = np.random.default_rng(3)
         active = rng.permutation(5000)[:3000]
         drop = rng.random(3000) < 0.4
         expected = active[~drop]
         assert np.array_equal(compact_frontier(active, drop), expected)
-        with python_fallback() as kernel:
-            assert np.array_equal(kernel.compact_frontier(active, drop), expected)
+        assert np.array_equal(compiled_kernel.compact_frontier(active, drop), expected)
 
     def test_fold_pushes_matches_bincount_fold(self):
         rng = np.random.default_rng(4)
@@ -568,10 +538,10 @@ class TestBatchHasherSeam:
 # CLI integration
 # --------------------------------------------------------------------------- #
 class TestCli:
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_run_accepts_compiled_backend(self, capsys):
         from repro.harness.cli import main
 
-        with python_fallback():
-            code = main(["run", "--n", "256", "--backend", "compiled", "--seed", "3"])
+        code = main(["run", "--n", "256", "--backend", "compiled", "--seed", "3"])
         assert code == 0
         assert "aggregate" in capsys.readouterr().out

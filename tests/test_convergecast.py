@@ -132,12 +132,10 @@ class TestEngineParity:
         drr = run_drr(256, rng=21)
         fast = run_convergecast(drr, values_256, op="sum", rng=1)
         engine = run_convergecast(drr, values_256, op="sum", rng=1, backend="engine")
-        assert set(fast.local_value) == set(engine.local_value)
-        for root in fast.local_value:
-            assert fast.local_value[root] == pytest.approx(engine.local_value[root])
-            assert fast.local_weight[root] == engine.local_weight[root]
+        assert fast.local_value == engine.local_value
+        assert fast.local_weight == engine.local_weight
         assert fast.rounds == engine.rounds
-        assert fast.metrics.total_messages == engine.metrics.total_messages
+        assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
     def test_broadcast_engine_matches_fast_on_reliable_network(self):
         drr = run_drr(128, rng=22)
@@ -145,7 +143,7 @@ class TestEngineParity:
         fast = run_broadcast(drr, payload, rng=1)
         engine = run_broadcast(drr, payload, rng=1, backend="engine")
         assert np.array_equal(fast.received, engine.received)
-        assert np.allclose(fast.payload[fast.received], engine.payload[engine.received])
+        assert np.array_equal(fast.payload, engine.payload, equal_nan=True)
         assert fast.rounds == engine.rounds
 
     def test_convergecast_engine_message_count(self, values_256):

@@ -142,7 +142,7 @@ class TestConfig:
     def test_deterministic_given_seed(self, tiny_values):
         a = drr_gossip_average(tiny_values, rng=20)
         b = drr_gossip_average(tiny_values, rng=20)
-        assert np.allclose(a.estimates, b.estimates, equal_nan=True)
+        assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
         assert a.messages == b.messages
 
 

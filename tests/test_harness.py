@@ -153,8 +153,33 @@ class TestCLI:
         code = main(["run", "--n", "128", "--aggregate", "max", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "max rel. error" in out
+        assert "max_rel_error" in out
         assert "messages" in out
+
+    def test_run_flags_run_the_spec_they_describe(self, capsys):
+        """The flags are a spec: same outcome as ``repro.run`` of it."""
+        import repro
+        from repro import RunSpec
+        from repro.simulator import FailureModel
+
+        code = main([
+            "run", "--n", "300", "--aggregate", "sum", "--workload", "normal",
+            "--delta", "0.1", "--crash", "0.05", "--seed", "4",
+        ])
+        out = capsys.readouterr().out
+        expected = repro.run(
+            RunSpec(
+                protocol="drr-gossip",
+                params={"n": 300, "aggregate": "sum", "workload": "normal"},
+                failures=FailureModel(loss_probability=0.1, crash_fraction=0.05),
+                seed=4,
+            )
+        )
+        assert code == 0
+        lines = out.splitlines()
+        for line in expected.describe().splitlines():
+            if not line.startswith("wall time"):
+                assert line in lines
 
     def test_run_command_rank(self, capsys):
         code = main(["run", "--n", "64", "--aggregate", "rank", "--query", "50", "--seed", "3"])

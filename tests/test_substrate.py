@@ -4,34 +4,31 @@ The substrate's contract (see ``repro/substrate/kernel.py``): the columnar
 ``vectorized`` kernel, the numba-jitted ``compiled`` kernel (where numba is
 installed), and the message-level ``engine`` kernel consume the shared RNG
 stream in the same order, decide per-transmission loss through the identity-keyed loss oracle,
-and charge messages through the same accounting conventions.  For every
-protocol the backends must therefore produce **identical** rounds, message
-counts (total, per kind, per phase, lost), and estimates for the same seed —
-on reliable *and* lossy networks (``FailureModel`` with loss probability
-> 0), with and without initial crashes.
+charge messages through the same accounting conventions, and fold floats in
+the same order.  For every protocol the backends must therefore produce
+**identical** rounds, message counts (total, per kind, per phase, lost,
+words), and estimates for the same seed, bit for bit — on reliable *and*
+lossy networks (``FailureModel`` with loss probability > 0), with and
+without initial crashes, and under mid-run churn where the protocol
+supports it.
 
-Float caveat: protocols that *sum* floats (convergecast-sum, gossip-ave's
-push-sum mass arriving over two hops) may fold concurrent contributions in
-a different order per backend, so their estimates are compared to within
-float-rounding (1e-12 relative) instead of bitwise.  The uniform push-sum
-baseline is outside that allowance: every backend folds a round's pushes
-in sender order, so its estimates are compared bitwise, like
-order-independent folds (max/min) and all discrete quantities.
+Whole protocol runs are checked by one predicate, :meth:`RunResult.same_outcome`,
+over a spec-driven matrix (:class:`TestProtocolEquivalence`).  Phase-level
+tests compare their outputs exactly and their accounting with
+``MetricsCollector.as_dict()``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    efficient_gossip,
-    flood_max,
-    push_max,
-    push_pull_rumor,
-    push_rumor,
-    push_sum,
-)
+import repro
+from repro import RunSpec
+from repro.api import get_protocol, protocol_names
+from repro.baselines import efficient_gossip, epoch_gossip_ave
 from repro.core import (
     Aggregate,
     DRRGossipConfig,
@@ -63,8 +60,10 @@ from repro.substrate import (
 )
 from repro.topology import ChordNetwork, grid_graph, make_graph
 
-#: The failure models every equivalence assertion runs under: reliable,
-#: lossy links, and lossy links plus initial crashes.
+from protocol_specs import PROTOCOL_SPECS, spec_for
+
+#: The static failure models: reliable, lossy links, and lossy links plus
+#: initial crashes.
 FAILURE_MODELS = [
     FailureModel(),
     FailureModel(loss_probability=0.15),
@@ -72,27 +71,23 @@ FAILURE_MODELS = [
 ]
 FM_IDS = ["reliable", "lossy", "lossy+crashes"]
 
-#: The four-way fault axis for churn-capable protocols: the three static
-#: models above plus mid-run churn (rate crashes, rate joins, and explicit
-#: schedule events).  Used by :class:`TestChurnEquivalence`.
-CHURN_AXIS_MODELS = FAILURE_MODELS + [
-    FailureModel(
-        loss_probability=0.05,
-        crash_fraction=0.05,
-        churn_rate=0.01,
-        join_rate=0.005,
-        churn_schedule=((3, (2, 7), "crash"), (8, (2,), "join")),
-    ),
-]
-CHURN_AXIS_IDS = FM_IDS + ["churn"]
-
-#: Crash-only churn for the DRR-gossip pipeline (trees cannot re-admit
-#: joiners; the API rejects join events for it).
+#: Crash-only churn, the most the DRR-gossip pipeline accepts (trees cannot
+#: re-admit joiners; the API rejects join events for it).
 CRASH_ONLY_CHURN = FailureModel(
     loss_probability=0.05,
     crash_fraction=0.02,
     churn_rate=0.004,
     churn_schedule=((5, (3, 9), "crash"),),
+)
+
+#: Full churn on top of loss and initial crashes: rate crashes, rate joins,
+#: and explicit schedule events.
+FULL_CHURN = FailureModel(
+    loss_probability=0.05,
+    crash_fraction=0.05,
+    churn_rate=0.01,
+    join_rate=0.005,
+    churn_schedule=((3, (2, 7), "crash"), (8, (2,), "join")),
 )
 
 #: The backends measured against the ``engine`` fidelity reference.
@@ -104,15 +99,11 @@ FAST_BACKENDS = ["vectorized", "compiled"]
 ALL_BACKENDS = ["engine", *FAST_BACKENDS]
 
 
-def assert_metrics_identical(a: MetricsCollector, b: MetricsCollector) -> None:
-    assert a.total_rounds == b.total_rounds
-    assert a.total_messages == b.total_messages
-    assert a.total_messages_lost == b.total_messages_lost
-    assert a.total_messages_to_dead == b.total_messages_to_dead
-    assert a.total_words == b.total_words
-    assert dict(a.messages_by_kind()) == dict(b.messages_by_kind())
-    assert a.messages_by_phase() == b.messages_by_phase()
-    assert a.rounds_by_phase() == b.rounds_by_phase()
+def same_by_root(a: dict, b: dict) -> bool:
+    """Per-root outputs equal bit for bit, NaN equal to NaN."""
+    return a.keys() == b.keys() and np.array_equal(
+        [a[root] for root in a], [b[root] for root in a], equal_nan=True
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -367,7 +358,7 @@ class TestPhaseEquivalence:
         assert np.array_equal(fast.probes, engine.probes)
         assert np.array_equal(fast.connect_delivered, engine.connect_delivered)
         assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
+        assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
@@ -375,12 +366,10 @@ class TestPhaseEquivalence:
         fm, drr, values, _ = forest_inputs
         fast = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend=backend)
         engine = run_convergecast(drr, values, op=op, failure_model=fm, rng=1, backend="engine")
-        assert set(fast.local_value) == set(engine.local_value)
-        for root in fast.local_value:
-            assert fast.local_value[root] == pytest.approx(engine.local_value[root], rel=1e-12)
+        assert same_by_root(fast.local_value, engine.local_value)
         assert fast.local_weight == engine.local_weight
         assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
+        assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     def test_broadcast_identical(self, forest_inputs, backend):
@@ -390,9 +379,9 @@ class TestPhaseEquivalence:
         fast = run_broadcast(drr, payload, failure_model=fm, rng=4, backend=backend)
         engine = run_broadcast(drr, payload, failure_model=fm, rng=4, backend="engine")
         assert np.array_equal(fast.received, engine.received)
-        assert np.allclose(fast.payload, engine.payload, equal_nan=True)
+        assert np.array_equal(fast.payload, engine.payload, equal_nan=True)
         assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
+        assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
     @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_max_identical(self, forest_inputs):
@@ -409,12 +398,12 @@ class TestPhaseEquivalence:
             )
             collectors[backend] = metrics
         for backend in FAST_BACKENDS:
-            assert results[backend].estimates == results["engine"].estimates
+            assert same_by_root(results[backend].estimates, results["engine"].estimates)
             assert (
                 results[backend].after_gossip_fraction
                 == results["engine"].after_gossip_fraction
             )
-            assert_metrics_identical(collectors[backend], collectors["engine"])
+            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
 
     @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_ave_identical(self, forest_inputs):
@@ -437,14 +426,11 @@ class TestPhaseEquivalence:
         engine = results["engine"]
         for backend in FAST_BACKENDS:
             fast = results[backend]
-            assert set(fast.estimates) == set(engine.estimates)
-            for root in fast.estimates:
-                assert fast.estimates[root] == pytest.approx(
-                    engine.estimates[root], rel=1e-12, nan_ok=True
-                )
-            assert len(fast.history) == len(engine.history)
-            assert np.allclose(fast.history, engine.history, rtol=1e-9, equal_nan=True)
-            assert_metrics_identical(collectors[backend], collectors["engine"])
+            assert same_by_root(fast.estimates, engine.estimates)
+            assert same_by_root(fast.sums, engine.sums)
+            assert same_by_root(fast.weights, engine.weights)
+            assert np.array_equal(fast.history, engine.history, equal_nan=True)
+            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
 
     @pytest.mark.usefixtures("compiled_kernel")
     def test_data_spread_identical(self, forest_inputs):
@@ -461,18 +447,19 @@ class TestPhaseEquivalence:
             )
             collectors[backend] = metrics
         for backend in FAST_BACKENDS:
-            assert results[backend].estimates == results["engine"].estimates
-            assert_metrics_identical(collectors[backend], collectors["engine"])
+            assert same_by_root(results[backend].estimates, results["engine"].estimates)
+            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
 
 
 # --------------------------------------------------------------------------- #
-# the topology kernel: Local-DRR and Chord lookups
+# the topology kernel: Local-DRR forests and Chord lookups
 # --------------------------------------------------------------------------- #
 class TestTopologyKernelEquivalence:
     @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("family", ["grid", "regular4"])
-    def test_local_drr_identical(self, family, fm, backend):
+    def test_local_drr_forest_identical(self, family, fm, backend):
+        """The forest itself, which the envelope reports only as depths."""
         topo = make_graph(family, 144, np.random.default_rng(1))
         fast = run_local_drr(topo, rng=7, failure_model=fm, backend=backend)
         engine = run_local_drr(topo, rng=7, failure_model=fm, backend="engine")
@@ -480,7 +467,6 @@ class TestTopologyKernelEquivalence:
         assert np.array_equal(fast.forest.alive, engine.forest.alive)
         assert np.array_equal(fast.connect_delivered, engine.connect_delivered)
         assert fast.rounds == engine.rounds == 2
-        assert_metrics_identical(fast.metrics, engine.metrics)
 
     def test_local_drr_tie_breaking_identical(self):
         """Integer ranks force ties; both backends pick the same parent."""
@@ -489,30 +475,6 @@ class TestTopologyKernelEquivalence:
         fast = run_local_drr(topo, rng=5, ranks=ranks, backend="vectorized")
         engine = run_local_drr(topo, rng=5, ranks=ranks, backend="engine")
         assert np.array_equal(fast.forest.parent, engine.forest.parent)
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-    @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
-    def test_chord_lookups_identical(self, delta, backend):
-        fm = FailureModel(loss_probability=delta)
-        rng = np.random.default_rng(3)
-        chord = ChordNetwork(128, rng)
-        sources = rng.integers(0, 128, size=300)
-        targets = rng.integers(0, chord.ring_size, size=300)
-        fast = run_chord_lookups(
-            chord, sources, targets, failure_model=fm, rng=11, backend=backend
-        )
-        engine = run_chord_lookups(
-            chord, sources, targets, failure_model=fm, rng=11, backend="engine"
-        )
-        assert np.array_equal(fast.owners, engine.owners)
-        assert np.array_equal(fast.hops, engine.hops)
-        assert np.array_equal(fast.delivered, engine.delivered)
-        assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
-        if delta == 0.0:
-            assert fast.delivered.all()
-        else:
-            assert 0 < fast.delivered.sum() < 300
 
     def test_chord_batch_matches_scalar_lookup(self):
         """On a reliable network the batch replays greedy routing exactly."""
@@ -529,9 +491,10 @@ class TestTopologyKernelEquivalence:
         assert batch.messages == int(batch.hops.sum())
 
     @pytest.mark.usefixtures("compiled_kernel")
+    @pytest.mark.parametrize("count_reply", [False, True], ids=["one-way", "reply"])
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
-    def test_chord_reply_batching_identical(self, delta):
-        """count_reply charges the reply leg identically on every backend."""
+    def test_chord_lookups_identical(self, delta, count_reply):
+        """Per-lookup owners, hops and fates, which the envelope only summarises."""
         fm = FailureModel(loss_probability=delta)
         rng = np.random.default_rng(6)
         chord = ChordNetwork(128, rng)
@@ -540,7 +503,7 @@ class TestTopologyKernelEquivalence:
         runs = {
             backend: run_chord_lookups(
                 chord, sources, targets, failure_model=fm, rng=11,
-                backend=backend, count_reply=True,
+                backend=backend, count_reply=count_reply,
             )
             for backend in ALL_BACKENDS
         }
@@ -552,7 +515,11 @@ class TestTopologyKernelEquivalence:
             assert np.array_equal(fast.delivered, engine.delivered)
             assert np.array_equal(fast.replied, engine.replied)
             assert fast.rounds == engine.rounds
-            assert_metrics_identical(fast.metrics, engine.metrics)
+            assert fast.metrics.as_dict() == engine.metrics.as_dict()
+        if delta == 0.0:
+            assert engine.delivered.all()
+        else:
+            assert 0 < engine.delivered.sum() < 200
 
     def test_chord_reply_accounting_matches_scalar_cost_model(self):
         """Reliable network: messages == hops + one reply per route
@@ -572,223 +539,184 @@ class TestTopologyKernelEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# full DRR-gossip pipelines
+# whole protocol runs: one spec-driven matrix, one predicate
 # --------------------------------------------------------------------------- #
-class TestPipelineEquivalence:
-    #: MAX / MIN / COUNT fold order-independently -> bitwise equality;
-    #: AVERAGE / SUM / RANK accumulate floats -> float-rounding equality.
-    EXACT = {Aggregate.MAX, Aggregate.MIN, Aggregate.COUNT}
+#: The matrix's failure models.  A case runs under every one its protocol
+#: accepts (:func:`accepted_models`) unless it names its own.
+MODELS = {
+    **dict(zip(FM_IDS, FAILURE_MODELS)),
+    "crash-churn": CRASH_ONLY_CHURN,
+    "churn": FULL_CHURN,
+    "crashes": FailureModel(crash_fraction=0.15),
+    "loss0.05": FailureModel(loss_probability=0.05),
+    "loss0.25": FailureModel(loss_probability=0.25),
+}
+STATIC = tuple(FM_IDS)
+GRID_144 = {"family": "grid", "n": 144}
+AGGREGATES = [a.value for a in Aggregate]
 
-    def assert_pipeline_matches(self, fast, engine, aggregate):
-        assert fast.rounds == engine.rounds
-        assert fast.messages == engine.messages
-        assert fast.rounds_by_phase() == engine.rounds_by_phase()
-        assert fast.messages_by_phase() == engine.messages_by_phase()
-        assert np.array_equal(fast.learned, engine.learned)
-        assert fast.exact == engine.exact
-        if aggregate in self.EXACT:
-            assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        else:
-            assert np.allclose(fast.estimates, engine.estimates, rtol=1e-9, equal_nan=True)
-        assert_metrics_identical(fast.metrics, engine.metrics)
 
-    @pytest.mark.usefixtures("compiled_kernel")
-    @pytest.mark.parametrize(
-        "aggregate",
-        [Aggregate.MAX, Aggregate.MIN, Aggregate.AVERAGE, Aggregate.SUM, Aggregate.COUNT, Aggregate.RANK],
-    )
-    def test_every_aggregate_identical_across_backends(self, aggregate, small_values):
-        runs = {
-            backend: drr_gossip(
-                small_values,
-                aggregate,
-                rng=19,
-                config=DRRGossipConfig(backend=backend),
-                query=float(np.median(small_values)),
+def accepted_models(protocol: str) -> tuple[str, ...]:
+    """The static models, plus the churn models the protocol accepts."""
+    churn = get_protocol(protocol).churn
+    return STATIC + {"none": (), "crashes": ("crash-churn",), "full": ("crash-churn", "churn")}[churn]
+
+
+def _spec(protocol: str, seed: int, topology: dict | None = None, **params) -> RunSpec:
+    return RunSpec(protocol=protocol, params=params, topology=topology, seed=seed)
+
+
+#: case id -> (spec, the failure models it runs under)
+CASES: dict[str, tuple[RunSpec, tuple[str, ...]]] = {
+    # the shared per-protocol table, also under light loss
+    **{p: (spec_for(p), accepted_models(p) + ("loss0.05",)) for p in PROTOCOL_SPECS},
+    # the aggregates the table does not name
+    **{
+        f"drr-gossip-{a}": (
+            _spec("drr-gossip", 5, n=64, aggregate=a, workload="uniform"),
+            accepted_models("drr-gossip"),
+        )
+        for a in AGGREGATES
+        if a != "average"
+    },
+    "efficient-gossip-average": (
+        _spec("efficient-gossip", 5, n=64, aggregate="average", workload="uniform"),
+        STATIC,
+    ),
+    # larger inputs, with their own seeds and models
+    **{
+        f"drr-gossip-{a}-n256-s19": (
+            _spec("drr-gossip", 19, n=256, aggregate=a, workload="normal"),
+            ("reliable",),
+        )
+        for a in AGGREGATES
+    },
+    "drr-gossip-max-n256-s23": (
+        _spec("drr-gossip", 23, n=256, aggregate="max", workload="normal"),
+        ("lossy", "lossy+crashes", "crashes"),
+    ),
+    "drr-gossip-average-n256-s23": (
+        _spec("drr-gossip", 23, n=256, aggregate="average", workload="normal"),
+        ("lossy", "lossy+crashes"),
+    ),
+    **{
+        f"drr-gossip-{a}-n256-s29": (
+            _spec("drr-gossip", 29, n=256, aggregate=a, workload="normal"),
+            ("crash-churn",),
+        )
+        for a in ("max", "average", "count")
+    },
+    **{
+        f"drr-gossip-{a}-n300-s4": (
+            _spec("drr-gossip", 4, n=300, aggregate=a, workload="uniform"),
+            ("reliable",),
+        )
+        for a in ("average", "sum")
+    },
+    "push-sum-n300-s4": (
+        _spec("push-sum", 4, n=300, workload="uniform"),
+        STATIC + ("churn",),
+    ),
+    "push-max-n300-s6": (
+        _spec("push-max", 6, n=300, workload="uniform"),
+        STATIC + ("churn",),
+    ),
+    "push-max-stop-n300-s6": (
+        _spec("push-max", 6, n=300, workload="uniform", stop_when_converged=True),
+        STATIC,
+    ),
+    **{f"{p}-n512-s7": (_spec(p, 7, n=512), STATIC) for p in ("push-rumor", "push-pull-rumor")},
+    "flood-max-grid144-s10": (_spec("flood-max", 10, GRID_144, workload="uniform"), STATIC),
+    **{
+        f"efficient-gossip-{a}-n400-s12": (
+            _spec("efficient-gossip", 12, n=400, aggregate=a, workload="uniform"),
+            STATIC,
+        )
+        for a in ("average", "max")
+    },
+    "epoch-gossip-ave-n300-s2": (
+        _spec("epoch-gossip-ave", 2, n=300, workload="normal", epochs=3, epoch_rounds=8),
+        STATIC + ("churn",),
+    ),
+    "epoch-gossip-ave-grid144-s3": (
+        _spec("epoch-gossip-ave", 3, GRID_144, workload="normal", epochs=2, epoch_rounds=10),
+        STATIC + ("churn",),
+    ),
+    **{
+        f"local-drr-{family}144-s7": (_spec("local-drr", 7, {"family": family, "n": 144}), STATIC)
+        for family in ("grid", "regular4")
+    },
+    "chord-lookups-n128-s11": (
+        _spec("chord-lookups", 11, {"family": "chord", "n": 128}, lookups=300),
+        ("reliable", "loss0.25"),
+    ),
+}
+
+#: row id -> the row's spec (on ``vectorized``)
+MATRIX: dict[str, RunSpec] = {
+    f"{case}/{model}": spec.replace(failures=MODELS[model])
+    for case, (spec, models) in CASES.items()
+    for model in models
+}
+
+
+@functools.cache
+def engine_outcome(row: str):
+    """The engine's run of a matrix row, shared by the backends compared to it."""
+    return repro.run(MATRIX[row].with_backend("engine"))
+
+
+class TestProtocolEquivalence:
+    def test_matrix_covers_every_registered_protocol(self):
+        assert {spec.protocol for spec in MATRIX.values()} == set(protocol_names())
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("row", list(MATRIX))
+    def test_backend_matches_engine(self, row, backend):
+        fast = repro.run(MATRIX[row].with_backend(backend))
+        assert fast.same_outcome(engine_outcome(row))
+
+
+# --------------------------------------------------------------------------- #
+# results the envelope does not carry
+# --------------------------------------------------------------------------- #
+class TestOutsideTheEnvelope:
+    """Backend equivalence of protocol outputs that ``RunResult`` omits."""
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
+    def test_efficient_gossip_groups_identical(self, fm, backend):
+        values = np.random.default_rng(3).uniform(0, 10, size=400)
+        fast = efficient_gossip(values, Aggregate.AVERAGE, rng=12, failure_model=fm, backend=backend)
+        engine = efficient_gossip(values, Aggregate.AVERAGE, rng=12, failure_model=fm, backend="engine")
+        assert fast.max_group_size == engine.max_group_size
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
+    @pytest.mark.parametrize("graph", [False, True], ids=["complete", "grid"])
+    def test_epoch_curves_identical_without_churn(self, graph, fm, backend):
+        """Churn runs carry the curves in their degradation section."""
+        topology = grid_graph(144) if graph else None
+        values = np.random.default_rng(5).normal(8.0, 3.0, size=144 if graph else 300)
+        runs = [
+            epoch_gossip_ave(
+                values, rng=2, epochs=3, epoch_rounds=8, failure_model=fm,
+                topology=topology, backend=name,
             )
-            for backend in ALL_BACKENDS
-        }
-        for backend in FAST_BACKENDS:
-            self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
-
-    @pytest.mark.usefixtures("compiled_kernel")
-    @pytest.mark.parametrize("fm", FAILURE_MODELS[1:], ids=FM_IDS[1:])
-    @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE])
-    def test_pipeline_identical_under_failures(self, aggregate, fm, small_values):
-        runs = {
-            backend: drr_gossip(
-                small_values, aggregate, rng=23,
-                config=DRRGossipConfig(failure_model=fm, backend=backend),
-            )
-            for backend in ALL_BACKENDS
-        }
-        for backend in FAST_BACKENDS:
-            self.assert_pipeline_matches(runs[backend], runs["engine"], aggregate)
-
-    @pytest.mark.usefixtures("compiled_kernel")
-    def test_pipeline_identical_under_crashes(self, small_values):
-        fm = FailureModel(crash_fraction=0.15)
-        runs = {
-            backend: drr_gossip(
-                small_values, Aggregate.MAX, rng=23,
-                config=DRRGossipConfig(failure_model=fm, backend=backend),
-            )
-            for backend in ALL_BACKENDS
-        }
-        for backend in FAST_BACKENDS:
-            self.assert_pipeline_matches(runs[backend], runs["engine"], Aggregate.MAX)
+            for name in (backend, "engine")
+        ]
+        fast, engine = runs
+        assert fast.epoch_errors == engine.epoch_errors
+        assert fast.epoch_survivors == engine.epoch_survivors
 
 
 # --------------------------------------------------------------------------- #
-# baselines
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-@pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
-class TestBaselineEquivalence:
-    def test_push_sum_identical(self, fm, backend):
-        values = np.random.default_rng(3).uniform(0, 10, size=300)
-        fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
-        engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
-        assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
-
-    def test_push_max_identical_including_oracle_stop(self, fm, backend):
-        values = np.random.default_rng(3).uniform(0, 10, size=300)
-        for stop in (False, True):
-            fast = push_max(values, rng=6, failure_model=fm, stop_when_converged=stop, backend=backend)
-            engine = push_max(values, rng=6, failure_model=fm, stop_when_converged=stop, backend="engine")
-            assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-            assert fast.rounds == engine.rounds
-            assert_metrics_identical(fast.metrics, engine.metrics)
-
-    def test_rumor_protocols_identical(self, fm, backend):
-        if fm.crash_fraction:
-            pytest.skip("rumor protocols ignore initial crashes by design")
-        for fn in (push_rumor, push_pull_rumor):
-            fast = fn(512, rng=7, failure_model=fm, backend=backend)
-            engine = fn(512, rng=7, failure_model=fm, backend="engine")
-            assert np.array_equal(fast.informed, engine.informed)
-            assert fast.rounds == engine.rounds
-            assert_metrics_identical(fast.metrics, engine.metrics)
-
-    def test_flooding_identical(self, fm, backend):
-        if fm.crash_fraction:
-            pytest.skip("flooding ignores initial crashes by design")
-        topology = grid_graph(144)
-        values = np.random.default_rng(9).uniform(0, 100, size=144)
-        fast = flood_max(topology, values, rng=10, failure_model=fm, backend=backend)
-        engine = flood_max(topology, values, rng=10, failure_model=fm, backend="engine")
-        assert np.array_equal(fast.estimates, engine.estimates)
-        assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
-
-    def test_efficient_gossip_identical(self, fm, backend):
-        for aggregate in (Aggregate.AVERAGE, Aggregate.MAX):
-            values = np.random.default_rng(3).uniform(0, 10, size=400)
-            fast = efficient_gossip(values, aggregate, rng=12, failure_model=fm, backend=backend)
-            engine = efficient_gossip(values, aggregate, rng=12, failure_model=fm, backend="engine")
-            assert fast.group_count == engine.group_count
-            assert fast.max_group_size == engine.max_group_size
-            assert np.allclose(fast.estimates, engine.estimates, rtol=1e-12, equal_nan=True)
-            assert fast.rounds == engine.rounds
-            assert_metrics_identical(fast.metrics, engine.metrics)
-
-
-# --------------------------------------------------------------------------- #
-# mid-run churn: the four-way fault axis
+# mid-run churn
 # --------------------------------------------------------------------------- #
 class TestChurnEquivalence:
-    """Every backend must agree under mid-run churn, not just static faults.
-
-    The axis is reliable / lossy / lossy+crashes / churn; churn adds rate
-    crashes, rate joins, and explicit schedule events on top of loss and
-    initial crashes.  Fates come from the identity-keyed
-    :class:`~repro.simulator.failures.ChurnOracle`, so the evolving alive
-    mask — and everything downstream of it — is the same on every backend.
-    """
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-    @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_sum_four_way(self, fm, backend):
-        values = np.random.default_rng(3).uniform(0, 10, size=300)
-        fast = push_sum(values, rng=4, failure_model=fm, backend=backend)
-        engine = push_sum(values, rng=4, failure_model=fm, backend="engine")
-        assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        assert fast.exact == engine.exact
-        assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
-        if fm.has_churn:
-            assert fast.metrics.total_messages_to_dead > 0
-        else:
-            assert fast.metrics.total_messages_to_dead == 0
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-    @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_push_max_four_way(self, fm, backend):
-        values = np.random.default_rng(3).uniform(0, 10, size=300)
-        fast = push_max(values, rng=6, failure_model=fm, backend=backend)
-        engine = push_max(values, rng=6, failure_model=fm, backend="engine")
-        assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        assert fast.exact == engine.exact
-        assert fast.rounds == engine.rounds
-        assert_metrics_identical(fast.metrics, engine.metrics)
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-    @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_four_way(self, fm, backend):
-        from repro.baselines import epoch_gossip_ave
-
-        values = np.random.default_rng(5).normal(8.0, 3.0, size=300)
-        fast = epoch_gossip_ave(
-            values, rng=2, epochs=3, epoch_rounds=8, failure_model=fm, backend=backend
-        )
-        engine = epoch_gossip_ave(
-            values, rng=2, epochs=3, epoch_rounds=8, failure_model=fm, backend="engine"
-        )
-        assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        assert fast.exact == engine.exact
-        assert fast.rounds == engine.rounds
-        assert fast.epoch_errors == engine.epoch_errors
-        assert fast.epoch_survivors == engine.epoch_survivors
-        assert_metrics_identical(fast.metrics, engine.metrics)
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
-    @pytest.mark.parametrize("fm", CHURN_AXIS_MODELS, ids=CHURN_AXIS_IDS)
-    def test_epoch_gossip_graph_four_way(self, fm, backend):
-        from repro.baselines import epoch_gossip_ave
-
-        topology = grid_graph(144)
-        values = np.random.default_rng(6).normal(0.0, 5.0, size=144)
-        fast = epoch_gossip_ave(
-            values, rng=3, epochs=2, epoch_rounds=10, failure_model=fm,
-            topology=topology, backend=backend,
-        )
-        engine = epoch_gossip_ave(
-            values, rng=3, epochs=2, epoch_rounds=10, failure_model=fm,
-            topology=topology, backend="engine",
-        )
-        assert np.array_equal(fast.estimates, engine.estimates, equal_nan=True)
-        assert fast.epoch_errors == engine.epoch_errors
-        assert fast.epoch_survivors == engine.epoch_survivors
-        assert_metrics_identical(fast.metrics, engine.metrics)
-
-    @pytest.mark.usefixtures("compiled_kernel")
-    @pytest.mark.parametrize("aggregate", [Aggregate.MAX, Aggregate.AVERAGE, Aggregate.COUNT])
-    def test_drr_gossip_pipeline_under_churn(self, aggregate, small_values):
-        """The full pipeline (crash-only churn) agrees across all backends."""
-        runs = {
-            backend: drr_gossip(
-                small_values, aggregate, rng=29,
-                config=DRRGossipConfig(failure_model=CRASH_ONLY_CHURN, backend=backend),
-            )
-            for backend in ALL_BACKENDS
-        }
-        engine = runs["engine"]
-        exact_cls = TestPipelineEquivalence()
-        for backend in FAST_BACKENDS:
-            exact_cls.assert_pipeline_matches(runs[backend], engine, aggregate)
-            assert runs[backend].metrics.total_messages_to_dead == engine.metrics.total_messages_to_dead
+    def test_churn_charges_messages_to_dead(self):
+        result = repro.run(MATRIX["push-sum-n300-s4/churn"])
+        assert result.degradation["messages_to_dead"] > 0
 
     def test_drr_gossip_rejects_joins(self, small_values):
         fm = FailureModel(churn_rate=0.01, join_rate=0.01)
@@ -798,6 +726,8 @@ class TestChurnEquivalence:
     def test_churn_off_runs_are_bit_identical_to_pre_churn(self):
         """A churn-free model must not perturb the RNG stream or fates:
         the whole churn subsystem is omitted-when-zero."""
+        from repro.baselines import push_sum
+
         values = np.random.default_rng(3).uniform(0, 10, size=256)
         for fm in FAILURE_MODELS:
             assert not fm.has_churn
