@@ -38,8 +38,8 @@ from ..simulator.message import Message, MessageKind, Send
 from ..simulator.metrics import MetricsCollector
 from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
-from ..substrate import EngineKernel, VectorizedKernel, run_on
-from .gossip_max import RootForwarderNode
+from ..substrate import EngineKernel, RelayTable, VectorizedKernel, run_on
+from .gossip_max import RootForwarderNode, check_root_of
 
 __all__ = ["GossipAveResult", "GossipAveRootNode", "default_ave_rounds", "run_gossip_ave"]
 
@@ -119,7 +119,8 @@ def run_gossip_ave(
         :func:`default_ave_rounds` for the requested ``epsilon``.
     trace_root:
         If given, the estimate of this root is recorded after every round
-        it is alive for (plus the terminal estimate under churn).
+        it is alive for (plus the terminal estimate under churn).  It must
+        be one of ``roots``.
     churn:
         Mid-run churn oracle (``None`` auto-derives one from
         ``failure_model``); crash-only, like :func:`run_gossip_max` -- a
@@ -137,6 +138,9 @@ def run_gossip_ave(
         raise ValueError("gossip-ave needs at least one root")
     if local_sums.shape != roots.shape or local_weights.shape != roots.shape:
         raise ValueError("local_sums and local_weights must align with roots")
+    check_root_of(root_of, n)
+    if trace_root is not None and not (roots == trace_root).any():
+        raise ValueError(f"trace_root {trace_root} is not one of the roots")
     # Weights are tree sizes when computing Average, and an indicator vector
     # (1 at one designated root) when the pipeline derives Sum or Count, so
     # zeros are allowed -- but mass must exist somewhere and never be negative.
@@ -200,16 +204,14 @@ def _gossip_ave_vectorized(
     churn: ChurnOracle | None,
     churn_base_round: int,
 ) -> GossipAveResult:
-    m = roots.size
-    position = np.full(n, -1, dtype=np.int64)
-    position[roots] = np.arange(m)
+    table = RelayTable(roots, root_of, n)
     alive_arg = alive if churn is not None else (None if alive.all() else alive)
     dead_targets = churn is not None
 
     s = local_sums.astype(np.float64)
     g = local_weights.astype(np.float64)
     history: list[float] = []
-    trace_pos = int(position[trace_root]) if trace_root is not None else None
+    trace_pos = int(table.landing[trace_root]) if trace_root is not None else None
 
     def _trace_estimate() -> float:
         return float(s[trace_pos] / g[trace_pos]) if g[trace_pos] > 0 else float("nan")
@@ -247,7 +249,7 @@ def _gossip_ave_vectorized(
 
         receiver = kernel.relay_to_roots(
             metrics, oracle, targets, senders=senders, round_index=r,
-            kind=MessageKind.GOSSIP, position=position, root_of=root_of,
+            kind=MessageKind.GOSSIP, table=table,
             alive=alive_arg, payload_words=2, dead_targets=dead_targets,
         )
         kernel.fold_pushes(receiver, send_s, send_g, s, g)

@@ -42,7 +42,7 @@ from ..simulator.message import Message, MessageKind, Send
 from ..simulator.metrics import MetricsCollector
 from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
-from ..substrate import EngineKernel, VectorizedKernel, run_on
+from ..substrate import EngineKernel, RelayTable, VectorizedKernel, run_on
 
 __all__ = [
     "GossipMaxResult",
@@ -110,6 +110,17 @@ class GossipMaxResult:
         return len(values) == 1
 
 
+def check_root_of(root_of: np.ndarray, n: int) -> None:
+    """Reject a Phase II forwarding table that a :class:`RelayTable` cannot encode.
+
+    It needs one entry per node, each a node id or ``-1`` (root unknown).
+    """
+    if root_of.shape != (n,):
+        raise ValueError(f"root_of must have shape ({n},)")
+    if n and (root_of.min() < -1 or root_of.max() >= n):
+        raise ValueError(f"root_of entries must be node ids below {n}, or -1 for unknown")
+
+
 def run_gossip_max(
     roots: np.ndarray,
     root_values: np.ndarray,
@@ -163,8 +174,7 @@ def run_gossip_max(
         raise ValueError("gossip-max needs at least one root")
     if root_values.shape != roots.shape:
         raise ValueError("root_values must align with roots")
-    if root_of.shape != (n,):
-        raise ValueError(f"root_of must have shape ({n},)")
+    check_root_of(root_of, n)
 
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
@@ -217,10 +227,7 @@ def _gossip_max_vectorized(
     churn: ChurnOracle | None,
     churn_base_round: int,
 ) -> GossipMaxResult:
-    m = roots.size
-    # position of each root id in the `roots` array; -1 for non-roots
-    position = np.full(n, -1, dtype=np.int64)
-    position[roots] = np.arange(m)
+    table = RelayTable(roots, root_of, n)
     # Under churn the mask changes every round, so the None fast path (and
     # its hash-free reliable delivery) is only taken on static-membership
     # runs; dead-target accounting likewise only exists under churn.
@@ -247,7 +254,7 @@ def _gossip_max_vectorized(
         targets = kernel.sample_uniform(rng, n, senders.size)
         receivers = kernel.relay_to_roots(
             metrics, oracle, targets, senders=senders, round_index=r,
-            kind=MessageKind.GOSSIP, position=position, root_of=root_of,
+            kind=MessageKind.GOSSIP, table=table,
             alive=alive_arg, dead_targets=dead_targets,
         )
         valid = receivers >= 0
@@ -272,7 +279,7 @@ def _gossip_max_vectorized(
         targets = kernel.sample_uniform(rng, n, senders.size)
         sampled_roots = kernel.relay_to_roots(
             metrics, oracle, targets, senders=senders, round_index=r,
-            kind=MessageKind.INQUIRY, position=position, root_of=root_of,
+            kind=MessageKind.INQUIRY, table=table,
             alive=alive_arg, dead_targets=dead_targets,
         )
         valid = sampled_roots >= 0

@@ -311,6 +311,9 @@ _KIND_SALTS: dict[str, int] = {}
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
+_SM64_S27 = np.uint64(27)
+_SM64_S30 = np.uint64(30)
+_SM64_S31 = np.uint64(31)
 
 
 def kind_salt(kind: object) -> int:
@@ -326,14 +329,42 @@ def kind_salt(kind: object) -> int:
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     x = x + _SM64_GAMMA
-    x = (x ^ (x >> np.uint64(30))) * _SM64_M1
-    x = (x ^ (x >> np.uint64(27))) * _SM64_M2
-    return x ^ (x >> np.uint64(31))
+    x = (x ^ (x >> _SM64_S30)) * _SM64_M1
+    x = (x ^ (x >> _SM64_S27)) * _SM64_M2
+    return x ^ (x >> _SM64_S31)
 
 
 def _as_u64(value) -> np.ndarray:
     """Coerce ints / int arrays (possibly negative) to wrapping uint64."""
     return np.asarray(value, dtype=np.int64).astype(np.uint64)
+
+
+def _splitmix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """:func:`_splitmix64` of ``x`` in place, with ``tmp`` as the one temporary."""
+    x += _SM64_GAMMA
+    np.right_shift(x, _SM64_S30, out=tmp)
+    x ^= tmp
+    x *= _SM64_M1
+    np.right_shift(x, _SM64_S27, out=tmp)
+    x ^= tmp
+    x *= _SM64_M2
+    np.right_shift(x, _SM64_S31, out=tmp)
+    x ^= tmp
+
+
+def _xor_into(x: np.ndarray, value) -> None:
+    """``x ^= value`` with ``value`` wrapped to uint64 like :func:`_as_u64`.
+
+    Integer arrays are not copied: 64-bit ones are reinterpreted, narrower
+    ones sign-extend inside the ufunc (the same bits as ``_as_u64``).
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        if value.dtype.itemsize == 8:
+            np.bitwise_xor(x, value.view(np.uint64), out=x)
+        else:
+            np.bitwise_xor(x, value, out=x, dtype=np.uint64, casting="unsafe")
+    else:
+        np.bitwise_xor(x, _as_u64(value), out=x)
 
 
 #: optional compiled batch hasher installed by :mod:`repro.substrate.compiled`
@@ -416,11 +447,21 @@ class LossOracle:
                 self.key, kind_value, round_index, senders, recipients, nonces
             )
         with np.errstate(over="ignore"):
-            x = _splitmix64(np.uint64(self.key) ^ kind_value)
-            x = _splitmix64(x ^ _as_u64(round_index))
-            x = _splitmix64(x ^ _as_u64(senders))
-            x = _splitmix64(x ^ _as_u64(recipients))
-            x = _splitmix64(x ^ _as_u64(nonces if nonces is not None else 0))
+            head = _splitmix64(np.uint64(self.key) ^ kind_value)
+            head = _splitmix64(head ^ _as_u64(round_index))
+            if not isinstance(recipients, np.ndarray):
+                x = _splitmix64(head ^ _as_u64(senders))
+                x = _splitmix64(x ^ _as_u64(recipients))
+                return _splitmix64(x ^ _as_u64(nonces if nonces is not None else 0))
+        # The per-message links run in place on one owned buffer; a missing
+        # nonce is 0, and x ^ 0 == x.
+        x = np.empty(recipients.shape, dtype=np.uint64)
+        tmp = np.empty_like(x)
+        x[...] = head
+        for identity in (senders, recipients, nonces):
+            if identity is not None:
+                _xor_into(x, identity)
+            _splitmix64_into(x, tmp)
         return x
 
     def lost(

@@ -25,6 +25,7 @@ reliable *and* lossy networks (loss fates are identity-keyed through
 """
 
 from .delivery import (
+    RelayTable,
     compact_frontier,
     deliver_batch,
     fold_pushes,
@@ -62,6 +63,7 @@ __all__ = [
     "EngineKernel",
     "Kernel",
     "NUMBA_AVAILABLE",
+    "RelayTable",
     "UNAVAILABLE_BACKENDS",
     "VectorizedKernel",
     "available_backends",

@@ -2,10 +2,12 @@
 
 A :class:`~repro.substrate.kernel.VectorizedKernel` subclass whose hot
 primitives — delivery-fate hashing, the fused PROBE -> RANK exchange,
-the two-hop Phase III relay, ``occurrence_index``, DRR frontier compaction,
-and the gossip-ave scatter-adds — are ``@njit(cache=True, parallel=True)``
-kernels over pre-allocated scratch buffers.  Protocols reach it through the
-ordinary ``backend="compiled"`` seam with zero call-site changes.
+the two-hop Phase III relay (both hops read from the procedure's
+:class:`~repro.substrate.delivery.RelayTable` landing codes),
+``occurrence_index``, DRR frontier compaction, and the gossip-ave
+scatter-adds — are ``@njit(cache=True, parallel=True)`` kernels over
+pre-allocated scratch buffers.  Protocols reach it through the ordinary
+``backend="compiled"`` seam with zero call-site changes.
 
 Bit-identity
 ------------
@@ -197,16 +199,21 @@ def _k_probe(key, probe_salt, rank_salt, round_u, senders, targets, ranks,
 
 
 @njit(cache=True, parallel=True)
-def _k_relay(key, kind_salt_u, fwd_salt_u, round_u, senders, targets, position,
-             root_of, alive, has_alive, reliable, threshold, counts,
+def _k_relay(key, kind_salt_u, fwd_salt_u, round_u, senders, targets, landing,
+             alive, has_alive, reliable, threshold, counts,
              receiver, fwd, nonce):
     """The two-hop Phase III relay, fused over one batch.
+
+    ``landing`` is a :class:`~repro.substrate.delivery.RelayTable`'s table:
+    a code ``c >= 0`` is a direct hit on root position ``c``, ``c <= -2``
+    forwards to root ``h = -2 - c``, and ``-1`` drops.
 
     Pass 1 (parallel): first-hop fates, direct root hits, forward marking.
     Pass 2 (serial, batch order): single-pass occurrence ranks through the
     pre-allocated ``counts`` scratch — the nonces the engine's forwarders
-    assign.  Pass 3 (parallel): FORWARD fates.  Pass 4 restores the
-    all-zero ``counts`` invariant by resetting only the touched entries.
+    assign.  Pass 3 (parallel): FORWARD fates; an arrived forward lands at
+    ``landing[h]``.  Pass 4 restores the all-zero ``counts`` invariant by
+    resetting only the touched entries.
     """
     m = targets.size
     first_ok = 0
@@ -227,10 +234,10 @@ def _k_relay(key, kind_salt_u, fwd_salt_u, round_u, senders, targets, position,
         f = -1
         if ok:
             first_ok += 1
-            p = position[t]
-            if p >= 0:
-                r = p
-            elif root_of[t] >= 0:
+            c = landing[t]
+            if c >= 0:
+                r = c
+            elif c <= -2:
                 f = t
         receiver[i] = r
         fwd[i] = f
@@ -245,7 +252,7 @@ def _k_relay(key, kind_salt_u, fwd_salt_u, round_u, senders, targets, position,
     for i in prange(m):
         f = fwd[i]
         if f >= 0:
-            h = root_of[f]
+            h = -2 - landing[f]
             if reliable:
                 ok2 = alive[h] if has_alive else True
             else:
@@ -258,7 +265,7 @@ def _k_relay(key, kind_salt_u, fwd_salt_u, round_u, senders, targets, position,
                 if ok2 and has_alive:
                     ok2 = alive[h]
             if ok2:
-                receiver[i] = position[h]
+                receiver[i] = landing[h]
                 arrived += 1
     for i in range(m):
         f = fwd[i]
@@ -463,7 +470,7 @@ class CompiledKernel(VectorizedKernel):
 
     @instrumented("compiled.relay")
     def relay_to_roots(self, metrics, oracle, targets, *, senders,
-                       round_index, kind, position, root_of,
+                       round_index, kind, table,
                        alive=None, payload_words=1, dead_targets=False):
         targets = np.asarray(targets)
         count = int(targets.size)
@@ -471,22 +478,25 @@ class CompiledKernel(VectorizedKernel):
             return relay_to_roots(
                 metrics, oracle, targets,
                 senders=senders, round_index=round_index, kind=kind,
-                position=position, root_of=root_of, alive=alive,
+                table=table, alive=alive,
                 payload_words=payload_words, dead_targets=dead_targets,
             )
         if dead_targets and alive is not None:
             wasted = count - int(np.count_nonzero(alive[targets]))
             if wasted:
                 metrics.record_dead_targets(wasted)
-        counts = self._scratch_for("relay_counts", int(position.size), np.int32)
+        landing = table.landing
+        # Its own zeroed counts, not ``table.scratch``: the NumPy peel
+        # leaves that dirty, and pass 2 reads counts it did not write.
+        counts = self._scratch_for("relay_counts", int(landing.size), np.int32)
         fwd = self._scratch_for("relay_fwd", count, np.int64)[:count]
         nonce = self._scratch_for("relay_nonce", count, np.int64)[:count]
-        receiver = np.empty(count, dtype=np.int64)
+        receiver = np.empty(count, dtype=landing.dtype)
         first_ok, forwards, arrived = _k_relay(
             np.uint64(oracle.key), np.uint64(kind_salt(kind)),
             np.uint64(kind_salt(MessageKind.FORWARD)),
             np.uint64(int(round_index)),
-            np.asarray(senders), targets, position, root_of,
+            np.asarray(senders), targets, landing,
             alive if alive is not None else _EMPTY_ALIVE, alive is not None,
             oracle.reliable, oracle._threshold, counts,
             receiver, fwd, nonce,
@@ -505,7 +515,7 @@ class CompiledKernel(VectorizedKernel):
                 # node id, -1 when no FORWARD was sent.
                 hop_from = fwd[fwd >= 0]
                 wasted = int(hop_from.size) - int(
-                    np.count_nonzero(alive[root_of[hop_from]])
+                    np.count_nonzero(alive[-2 - landing[hop_from]])
                 )
                 if wasted:
                     metrics.record_dead_targets(wasted)

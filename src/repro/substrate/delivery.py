@@ -15,7 +15,8 @@ These functions are the vectorized counterpart of
   intermediate compactions — the "mask then scatter" fusion).
 * :func:`relay_to_roots` is the two-hop "push to a uniform node, the node
   forwards to its root" relay that Gossip-max, Gossip-ave, and Data-spread
-  all use (it used to be hand-rolled separately in each of them).
+  all use; each procedure builds one :class:`RelayTable` and every relay
+  call resolves both hops through one gather of it.
 * :func:`sample_uniform` draws uniform targets in the exact order per-node
   engine protocols draw them, which is what makes the two backends
   bit-compatible.
@@ -54,6 +55,7 @@ from ..simulator.message import MessageKind
 from ..simulator.metrics import MetricsCollector
 
 __all__ = [
+    "RelayTable",
     "compact_frontier",
     "deliver_batch",
     "fold_pushes",
@@ -107,6 +109,32 @@ def _occurrence_index_sorted(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _peel(slots: np.ndarray, first: np.ndarray) -> np.ndarray | None:
+    """Occurrence ranks of non-negative ``slots``, one duplicate level per pass.
+
+    ``first`` is a table indexed by slot; its contents on entry do not
+    matter.  Each pass scatters the indices of the still-unranked elements
+    into it and gathers them back, so the earliest remaining occurrence of
+    every slot reads its own index and keeps its rank; the others move up
+    one level.  Stale entries are never read: a slot is always rewritten in
+    the same pass that reads it.  Returns ``None`` when the duplicate depth
+    exceeds ``_PEEL_MAX_DEPTH``.
+    """
+    ranks = np.zeros(slots.size, dtype=np.int64)
+    idx = np.arange(slots.size)
+    live = slots
+    for level in range(1, _PEEL_MAX_DEPTH + 1):
+        # Duplicate fancy-index assignment keeps the *last* write; reversing
+        # makes the earliest remaining occurrence of each slot win.
+        first[live[::-1]] = idx[::-1]
+        idx = idx[first[live] != idx]
+        if not idx.size:
+            return ranks
+        ranks[idx] = level
+        live = slots[idx]
+    return None
+
+
 def occurrence_index(keys: np.ndarray) -> np.ndarray:
     """Occurrence rank of each element among equal keys, in array order.
 
@@ -118,14 +146,13 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     Integer keys whose span (``max - min + 1``) is at most
     ``4 * size + 1024`` and whose duplicate depth is at most
     ``_PEEL_MAX_DEPTH`` run through a linear counting scheme: one
-    ``bincount`` over the key range plus one scatter/gather pass per
-    duplicate level.  Every other batch -- sparse, non-integer, or deeply
-    skewed keys -- takes the stable sort.  That includes the hot-path
-    batches, the forwarders of a lossy Phase III relay: each holds one id
-    per root push that landed on a non-root, about ``n / log n`` ids drawn
-    from the whole id range (at n = 10^6 a median of about 36k ids spanning
-    nearly 10^6), far sparser than the linear path accepts.  So at scale the
-    lossy relay still pays for a stable sort per round.  (The compiled
+    ``bincount`` over the key range, then :func:`_peel`'s scatter/gather
+    passes over a span-sized table.  Every other batch -- sparse,
+    non-integer, or deeply skewed keys -- takes the stable sort.  The lossy
+    Phase III relay does not come through here: its forwarder ids are
+    sparse (at n = 10^6 a median of about 38k ids spread over nearly the
+    whole id range), so it peels over the n-sized scratch of its
+    :class:`RelayTable` instead, which needs no span limit.  (The compiled
     kernel replaces this with a true single-pass counting loop.)
     """
     keys = np.asarray(keys)
@@ -144,22 +171,41 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
         return np.zeros(size, dtype=np.int64)
     if depth > _PEEL_MAX_DEPTH:
         return _occurrence_index_sorted(keys)
-    ranks = np.empty(size, dtype=np.int64)
-    idx = np.arange(size)
-    first = np.empty(span, dtype=np.int64)
-    for level in range(depth):
-        live = slots[idx]
-        # Duplicate fancy-index assignment keeps the *last* write; reversing
-        # makes the earliest remaining occurrence of each key win.  Stale
-        # entries from earlier levels are never read: a slot is always
-        # rewritten in the same pass that reads it.
-        first[live[::-1]] = idx[::-1]
-        is_first = first[live] == idx
-        ranks[idx[is_first]] = level
-        idx = idx[~is_first]
-        if not idx.size:
-            break
-    return ranks
+    return _peel(slots, np.empty(span, dtype=np.int64))
+
+
+class RelayTable:
+    """Where a Phase III push addressed to each node lands, for one procedure.
+
+    Built once per procedure from its roots and the Phase II forwarding
+    table, then read by every :func:`relay_to_roots` call of that procedure.
+
+    ``landing[v]`` is
+
+    * ``v``'s index in ``roots`` when ``v`` is a root (a direct hit);
+    * ``-2 - root_of[v]`` when ``v`` is a non-root that learned its root
+      ``root_of[v]`` in Phase II (``v`` forwards; the code holds the root id
+      because the FORWARD's loss fate and liveness are keyed by it);
+    * ``-1`` when ``v`` never learned its root (``v`` drops the push).
+
+    ``root_of`` entries must be ``-1`` or node ids below ``n``.  Phase II
+    only names roots; a FORWARD to a non-root is dropped there, as in the
+    engine, and the relay reports that node's negative code for it.
+
+    ``scratch`` is an n-sized table the lossy relay peels the forwarders'
+    send ranks over; it is never cleared (see :func:`_peel`).  Both rows
+    are one ``(2, n)`` block, int32 unless the codes ``[-(n + 1), n - 1]``
+    need int64.
+    """
+
+    __slots__ = ("landing", "scratch")
+
+    def __init__(self, roots: np.ndarray, root_of: np.ndarray, n: int) -> None:
+        block = np.empty((2, n), dtype=np.int32 if n <= 2**31 - 2 else np.int64)
+        self.landing, self.scratch = block
+        # -2 - (-1) == -1: a node that never learned its root drops
+        np.subtract(-2, root_of, out=self.landing)
+        self.landing[roots] = np.arange(roots.size)
 
 
 @instrumented("substrate.deliver")
@@ -274,8 +320,7 @@ def relay_to_roots(
     senders: np.ndarray,
     round_index: int,
     kind: str | MessageKind,
-    position: np.ndarray,
-    root_of: np.ndarray,
+    table: RelayTable,
     alive: np.ndarray | None = None,
     payload_words: int = 1,
     dead_targets: bool = False,
@@ -291,12 +336,15 @@ def relay_to_roots(
     INQUIRY, depending on the procedure) and the forwarding hop under
     FORWARD, both with engine-identical lost-message accounting.
 
-    A forwarder relaying several same-round pushes sends several FORWARD
-    messages to the same root; their oracle nonces are the forwarder's send
-    ranks in push order, exactly how the engine's forwarder node numbers
-    its sends in arrival order.  (On a reliable network the nonce ranks are
-    never computed — fates are known — which removes the sort that used to
-    dominate the reliable gossip rounds.)
+    Both hops resolve through one gather of ``table.landing`` plus one
+    more over the forwarded subset.  A forwarder relaying several
+    same-round pushes sends several FORWARD messages to the same root;
+    their oracle nonces are the forwarder's send ranks in push order,
+    exactly how the engine's forwarder node numbers its sends in arrival
+    order.  They are peeled over ``table.scratch`` (no sort, no span-sized
+    table), and only on a lossy network: on a reliable, crash-free one
+    every fate is known, so that case returns after the two gathers with
+    no hashing at all.
 
     Parameters
     ----------
@@ -304,67 +352,65 @@ def relay_to_roots(
         Originating root node ids, aligned with ``targets``.
     round_index:
         The round in which the pushes (and their forwards) are sent.
-    position:
-        ``position[node]`` is the index of ``node`` in the caller's roots
-        array, or ``-1`` for non-roots.
-    root_of:
-        Phase II forwarding table (-1 when the node never learned its root).
+    table:
+        The procedure's :class:`RelayTable`.
     alive:
         Liveness mask, or ``None`` when nobody crashed.
     """
     targets = np.asarray(targets)
+    count = int(targets.size)
+    landing = table.landing
+    code = landing[targets]
     if oracle.reliable and alive is None:
-        return _relay_reliable(
-            metrics, kind, targets, position, root_of, payload_words
-        )
-    if dead_targets and alive is not None:
-        wasted = int(targets.size) - int(np.count_nonzero(alive[targets]))
+        metrics.record_messages(kind, count, payload_words=payload_words, lost=0)
+        send_idx = np.flatnonzero(code <= -2)
+        if send_idx.size:
+            metrics.record_messages(
+                MessageKind.FORWARD, int(send_idx.size), payload_words=payload_words, lost=0
+            )
+            code[send_idx] = landing[-2 - code[send_idx]]
+        return code
+    target_alive = alive[targets] if alive is not None else None
+    if dead_targets and target_alive is not None:
+        wasted = count - int(np.count_nonzero(target_alive))
         if wasted:
             metrics.record_dead_targets(wasted)
-    receiver = np.full(targets.shape, -1, dtype=np.int64)
-    first_lost = oracle.sample(round_index, kind, senders, targets)
-    first_hop_ok = ~first_lost if alive is None else ~first_lost & alive[targets]
+    first_ok = ~oracle.sample(round_index, kind, senders, targets)
+    if target_alive is not None:
+        first_ok &= target_alive
     metrics.record_messages(
-        kind,
-        int(targets.size),
-        payload_words=payload_words,
-        lost=int(targets.size) - int(first_hop_ok.sum()),
+        kind, count, payload_words=payload_words, lost=count - int(np.count_nonzero(first_ok))
     )
-    is_root_target = position[targets] >= 0
-    # direct hits on a root
-    direct = first_hop_ok & is_root_target
-    receiver[direct] = position[targets[direct]]
+    receiver = np.where(first_ok & (code >= 0), code, -1)
     # forwarded hits through a non-root that knows its root (nodes whose
-    # Phase II broadcast was lost silently drop, sending nothing)
-    needs_forward = np.flatnonzero(first_hop_ok & ~is_root_target)
-    forwarders = targets[needs_forward]
-    knows_root = root_of[forwarders] >= 0
-    send_idx = needs_forward[knows_root]
+    # Phase II broadcast was lost hold -1 and silently drop)
+    send_idx = np.flatnonzero(first_ok & (code <= -2))
     if send_idx.size:
         hop_from = targets[send_idx]
-        hop_to = root_of[hop_from]
-        if dead_targets and alive is not None:
-            wasted = int(send_idx.size) - int(np.count_nonzero(alive[hop_to]))
+        hop_to = -2 - code[send_idx]
+        hop_alive = alive[hop_to] if alive is not None else None
+        if dead_targets and hop_alive is not None:
+            wasted = int(send_idx.size) - int(np.count_nonzero(hop_alive))
             if wasted:
                 metrics.record_dead_targets(wasted)
         if oracle.reliable:
-            arrived = alive[hop_to] if alive is not None else np.ones(send_idx.size, dtype=bool)
+            arrived = hop_alive
         else:
-            second_lost = oracle.sample(
-                round_index,
-                MessageKind.FORWARD,
-                hop_from,
-                hop_to,
-                nonces=occurrence_index(hop_from),
+            nonces = _peel(hop_from, table.scratch)
+            if nonces is None:
+                nonces = _occurrence_index_sorted(hop_from)
+            arrived = ~oracle.sample(
+                round_index, MessageKind.FORWARD, hop_from, hop_to, nonces=nonces
             )
-            arrived = ~second_lost if alive is None else ~second_lost & alive[hop_to]
+            if hop_alive is not None:
+                arrived &= hop_alive
         metrics.record_messages(
             MessageKind.FORWARD,
             int(send_idx.size),
             payload_words=payload_words,
-            lost=int(send_idx.size) - int(arrived.sum()),
+            lost=int(send_idx.size) - int(np.count_nonzero(arrived)),
         )
-        receiver[send_idx[arrived]] = position[hop_to[arrived]]
+        receiver[send_idx[arrived]] = landing[hop_to[arrived]]
     return receiver
 
 
@@ -401,35 +447,3 @@ def fold_pushes(
     m = s.size
     s += np.bincount(landed, weights=send_s[delivered], minlength=m)
     g += np.bincount(landed, weights=send_g[delivered], minlength=m)
-
-
-def _relay_reliable(
-    metrics: MetricsCollector,
-    kind: str | MessageKind,
-    targets: np.ndarray,
-    position: np.ndarray,
-    root_of: np.ndarray,
-    payload_words: int,
-) -> np.ndarray:
-    """The reliable, crash-free relay: pure table lookups, zero hashing.
-
-    Every first hop arrives; a push landing on a non-root is forwarded iff
-    the node knows its root, and every forward arrives.  Message accounting
-    is exactly the general path's with all fates "delivered".
-    """
-    receiver = position[targets].astype(np.int64, copy=False)
-    metrics.record_messages(kind, int(targets.size), payload_words=payload_words, lost=0)
-    nonroot = np.flatnonzero(receiver < 0)
-    if nonroot.size:
-        hop_root = root_of[targets[nonroot]]
-        knows = hop_root >= 0
-        send_idx = nonroot[knows]
-        if send_idx.size:
-            metrics.record_messages(
-                MessageKind.FORWARD,
-                int(send_idx.size),
-                payload_words=payload_words,
-                lost=0,
-            )
-            receiver[send_idx] = position[hop_root[knows]]
-    return receiver

@@ -38,6 +38,7 @@ from repro.substrate import (
     BACKENDS,
     NUMBA_AVAILABLE,
     UNAVAILABLE_BACKENDS,
+    RelayTable,
     VectorizedKernel,
     available_backends,
     compact_frontier,
@@ -388,8 +389,6 @@ class TestLoopsMatchNumpy:
     def test_relay_to_roots(self, compiled_kernel, case, dead_targets):
         rng = np.random.default_rng(3)
         roots = rng.choice(LOOP_N, size=40, replace=False)
-        position = np.full(LOOP_N, -1, dtype=np.int64)
-        position[roots] = np.arange(roots.size)
         root_of = roots[rng.integers(0, roots.size, size=LOOP_N)]
         root_of[rng.random(LOOP_N) < 0.1] = -1  # Phase II broadcast lost: no forward
         # ~5 pushes per forwarder, so the FORWARD nonces (send ranks) matter
@@ -398,8 +397,9 @@ class TestLoopsMatchNumpy:
         oracle = RELIABLE if case.startswith("reliable") else LOSSY
         alive = _alive(rng, "crashes" in case)
         kwargs = dict(
-            senders=senders, round_index=4, kind=MessageKind.GOSSIP, position=position,
-            root_of=root_of, alive=alive, payload_words=2, dead_targets=dead_targets,
+            senders=senders, round_index=4, kind=MessageKind.GOSSIP,
+            table=RelayTable(roots, root_of, LOOP_N), alive=alive, payload_words=2,
+            dead_targets=dead_targets,
         )
         got_m, ref_m = MetricsCollector(n=LOOP_N), MetricsCollector(n=LOOP_N)
         got = compiled_kernel.relay_to_roots(got_m, oracle, targets, **kwargs)

@@ -221,6 +221,52 @@ class TestGossipAve:
         assert sum(narrow.sums.values()) == pytest.approx(total, rel=1e-12)
         assert sum(narrow.weights.values()) == pytest.approx(ctx["n"], rel=1e-12)
 
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_trace_root_must_be_a_root(self, backend):
+        """A non-root trace_root used to trace another root's estimate."""
+        roots = np.array([3, 10, 20, 40])
+        with pytest.raises(ValueError, match="trace_root 7 is not one of the roots"):
+            run_gossip_ave(
+                roots=roots,
+                local_sums=np.array([1.0, 2.0, 3.0, 4.0]),
+                local_weights=np.ones(4),
+                root_of=roots[np.arange(50) % 4],
+                n=50,
+                rng=0,
+                rounds=5,
+                trace_root=7,
+                backend=backend,
+            )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("short", r"root_of must have shape \(50,\)"),
+            ("below -1", "root_of entries must be node ids below 50, or -1"),
+            ("id n", "root_of entries must be node ids below 50, or -1"),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_root_of_is_validated(self, backend, bad, message):
+        """A short table used to fail with an IndexError inside the round loop."""
+        roots = np.array([3, 10, 20, 40])
+        root_of = roots[np.arange(50) % 4]
+        if bad == "short":
+            root_of = root_of[:45]
+        else:
+            root_of[7] = -2 if bad == "below -1" else 50
+        with pytest.raises(ValueError, match=message):
+            run_gossip_ave(
+                roots=roots,
+                local_sums=np.array([1.0, 2.0, 3.0, 4.0]),
+                local_weights=np.ones(4),
+                root_of=root_of,
+                n=50,
+                rng=0,
+                rounds=5,
+                backend=backend,
+            )
+
     def test_weight_validation(self):
         ctx = make_phase3_inputs(n=64)
         with pytest.raises(ValueError):

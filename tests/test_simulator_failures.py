@@ -79,15 +79,69 @@ class TestLossOracle:
         with pytest.raises(ConfigurationError):
             LossOracle(1.0)
 
-    def test_scalar_and_batch_paths_agree(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "array-ids",
+            "nonce-array",
+            "int32-ids",
+            "negative-ids",
+            "scalar-sender",
+            "round-array",
+            "salted-kinds",
+            "large-batch",
+        ],
+    )
+    def test_scalar_and_batch_paths_agree(self, case):
+        """Every argument shape of the batch path gives ``lost``'s fates."""
         oracle = LossOracle(0.35, key=777)
-        senders = np.arange(50)
-        recipients = (senders * 7 + 3) % 50
-        batch = oracle.sample(4, "gossip", senders, recipients)
-        scalar = np.array(
-            [oracle.lost(4, "gossip", int(s), int(r)) for s, r in zip(senders, recipients)]
+        draw = np.random.default_rng(21)
+        size = 5000 if case == "large-batch" else 50
+        senders = np.arange(size)
+        ident = dict(
+            round_index=4, kinds="gossip", senders=senders,
+            recipients=(senders * 7 + 3) % size, nonces=None,
         )
+        if case in ("nonce-array", "large-batch"):
+            ident["nonces"] = draw.integers(0, 3, size=size)
+        elif case == "int32-ids":
+            ident["senders"] = senders.astype(np.int32)
+            ident["recipients"] = ident["recipients"].astype(np.int32)
+            ident["nonces"] = draw.integers(0, 3, size=size).astype(np.int32)
+        elif case == "negative-ids":
+            ident["round_index"] = -2
+            ident["senders"] = senders - size
+            ident["recipients"] = -ident["recipients"].astype(np.int32) - 1
+            ident["nonces"] = -draw.integers(1, 3, size=size)
+        elif case == "scalar-sender":
+            ident["senders"] = 17
+        elif case == "round-array":
+            ident["round_index"] = draw.integers(0, 6, size=size)
+            ident["senders"] = 1
+        elif case == "salted-kinds":
+            ident["round_index"] = draw.integers(0, 6, size=size)
+            ident["kinds"] = np.array(["probe", "rank", "gossip"])[draw.integers(0, 3, size=size)]
+        per_message = {
+            key: np.broadcast_to(value if value is not None else 0, (size,))
+            for key, value in ident.items()
+        }
+        if case == "salted-kinds":
+            salts = np.array([kind_salt(k) for k in ident["kinds"]], dtype=np.uint64)
+            batch = oracle.sample_salted(
+                ident["round_index"], salts, ident["senders"], ident["recipients"],
+                ident["nonces"],
+            )
+        else:
+            batch = oracle.sample(
+                ident["round_index"], ident["kinds"], ident["senders"],
+                ident["recipients"], ident["nonces"],
+            )
+        scalar = [
+            oracle.lost(int(r), str(k), int(s), int(t), int(c))
+            for r, k, s, t, c in zip(*(per_message[key] for key in ident))
+        ]
         assert np.array_equal(batch, scalar)
+        assert batch.any() and not batch.all()
 
     def test_loss_rate_close_to_delta(self):
         oracle = LossOracle(0.25, key=31337)
@@ -95,14 +149,6 @@ class TestLossOracle:
         recipients = np.tile(np.arange(100), 200)
         lost = oracle.sample(0, "data", senders, recipients)
         assert abs(float(lost.mean()) - 0.25) < 0.02
-
-    def test_round_array_broadcasting(self):
-        oracle = LossOracle(0.5, key=5)
-        rounds = np.array([0, 1, 2, 3])
-        recipients = np.array([9, 9, 9, 9])
-        per_round = oracle.sample(rounds, "data", 1, recipients)
-        scalar = np.array([oracle.lost(int(r), "data", 1, 9) for r in rounds])
-        assert np.array_equal(per_round, scalar)
 
     def test_keys_decorrelate_runs(self):
         recipients = np.arange(64)

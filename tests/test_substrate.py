@@ -45,10 +45,11 @@ from repro.core.drr_gossip import broadcast_root_addresses
 from repro.simulator import FailureModel, MetricsCollector
 from repro.simulator.failures import LossOracle
 from repro.simulator.network import Network
-from repro.simulator.message import Message
+from repro.simulator.message import Message, MessageKind
 from repro.simulator.node import RoundContext
 from repro.substrate import (
     BACKENDS,
+    RelayTable,
     available_backends,
     deliver_batch,
     get_kernel,
@@ -58,6 +59,7 @@ from repro.substrate import (
     run_on,
     sample_uniform,
 )
+from repro.substrate.delivery import _PEEL_MAX_DEPTH
 from repro.topology import ChordNetwork, grid_graph, make_graph
 
 from protocol_specs import PROTOCOL_SPECS, spec_for
@@ -323,6 +325,113 @@ class TestSampleUniform:
         assert targets.dtype == np.int64
         assert targets.tolist() == [0, 0, 0, 0]
         assert rng.bit_generator.state == state
+
+
+# --------------------------------------------------------------------------- #
+# the Phase III relay at the sparse shape of an n = 10^6 run
+# --------------------------------------------------------------------------- #
+def reference_relay(oracle, round_index, kind, senders, targets, roots, root_of, alive):
+    """One push at a time, as the engine's nodes relay it.
+
+    Returns the receiving root positions and the ``(kind, count, lost)`` /
+    dead-target charges.  A forwarder numbers its FORWARD sends from 0 in
+    arrival order (``RootForwarderNode``), which is the nonce of each.
+    """
+    position = {int(root): i for i, root in enumerate(roots)}
+    sends: dict[int, int] = {}
+    receiver = []
+    first_lost = forwards = forward_lost = to_dead = 0
+    for sender, target in zip(senders.tolist(), targets.tolist()):
+        target_alive = alive is None or bool(alive[target])
+        to_dead += not target_alive
+        if oracle.lost(round_index, kind, sender, target) or not target_alive:
+            first_lost += 1
+            receiver.append(-1)
+        elif target in position:
+            receiver.append(position[target])
+        elif root_of[target] < 0:
+            receiver.append(-1)
+        else:
+            root = int(root_of[target])
+            nonce = sends.get(target, 0)
+            sends[target] = nonce + 1
+            forwards += 1
+            root_alive = alive is None or bool(alive[root])
+            to_dead += not root_alive
+            lost = oracle.lost(round_index, MessageKind.FORWARD, target, root, nonce)
+            if lost or not root_alive:
+                forward_lost += 1
+                receiver.append(-1)
+            else:
+                receiver.append(position[root])
+    charges = [(kind, len(targets), first_lost)]
+    if forwards:
+        charges.append((MessageKind.FORWARD, forwards, forward_lost))
+    return np.array(receiver), charges, to_dead, max(sends.values(), default=0)
+
+
+class TestSparseRelay:
+    """``relay_to_roots`` against :func:`reference_relay` at n = 2^17.
+
+    About n/16 roots push to uniform nodes, so the forwarders are a few
+    thousand ids spread over the whole id range: the sparse shape where the
+    FORWARD nonces come from the peel over the table's scratch (or, for one
+    forwarder hit more than ``_PEEL_MAX_DEPTH`` times, the sort fallback).
+    Two calls share one table, so the second peels over a dirty scratch.
+    """
+
+    N = 2**17
+
+    @pytest.mark.parametrize(
+        "crashes,dead_targets",
+        [(False, False), (True, False), (True, True)],
+        ids=["lossy", "lossy+crashes", "lossy+crashes+to-dead"],
+    )
+    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    def test_matches_per_message_reference(self, backend, crashes, dead_targets):
+        n = self.N
+        draw = np.random.default_rng(17)
+        roots = np.sort(draw.choice(n, size=n // 16, replace=False))
+        root_of = roots[draw.integers(0, roots.size, size=n)]
+        root_of[roots] = roots
+        root_of[draw.random(n) < 0.1] = -1  # Phase II broadcast lost: drops
+        alive = draw.random(n) > 0.1 if crashes else None
+        table = RelayTable(roots, root_of, n)
+        oracle = LossOracle(0.3, key=0xF0CA1)
+        kernel = get_kernel(backend)
+
+        is_root = np.zeros(n, dtype=bool)
+        is_root[roots] = True
+        forwarders = np.flatnonzero(~is_root & (root_of >= 0))
+        if alive is not None:
+            forwarders = forwarders[alive[forwarders]]
+        hot = int(forwarders[0])
+        uniform = draw.integers(0, n, size=roots.size)
+        skewed = uniform.copy()
+        # one forwarder takes 150 pushes: ~105 survive the first hop
+        skewed[draw.choice(roots.size, size=150, replace=False)] = hot
+
+        depths = []
+        for round_index, targets in ((4, uniform), (5, skewed)):
+            metrics = MetricsCollector(n=n)
+            got = kernel.relay_to_roots(
+                metrics, oracle, targets, senders=roots, round_index=round_index,
+                kind=MessageKind.GOSSIP, table=table, alive=alive, payload_words=2,
+                dead_targets=dead_targets,
+            )
+            receiver, charges, to_dead, depth = reference_relay(
+                oracle, round_index, MessageKind.GOSSIP, roots, targets, roots,
+                root_of, alive,
+            )
+            expected = MetricsCollector(n=n)
+            for kind, count, lost in charges:
+                expected.record_messages(kind, count, payload_words=2, lost=lost)
+            if dead_targets:
+                expected.record_dead_targets(to_dead)
+            assert np.array_equal(got, receiver)
+            assert metrics.as_dict() == expected.as_dict()
+            depths.append(depth)
+        assert 2 <= depths[0] <= _PEEL_MAX_DEPTH < depths[1]
 
 
 # --------------------------------------------------------------------------- #
