@@ -82,7 +82,7 @@ from ..orchestration import (
     print_worker_progress,
     signal_shutdown,
 )
-from ..orchestration.worker import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS
+from ..orchestration.store import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS, LEASE_RENEWALS
 from ..simulator import FailureModel
 from . import experiments  # noqa: F401  (import registers the drivers)
 from .report import write_json, write_markdown_report, write_markdown_report_from_store
@@ -103,7 +103,8 @@ def _add_claim_options(parser: argparse.ArgumentParser) -> None:
     """``--lease`` and ``--max-attempts``: the claim policy of every queue drain."""
     parser.add_argument(
         "--lease", type=float, default=DEFAULT_LEASE_S, metavar="SECS",
-        help="heartbeat silence after which a claim is reclaimed",
+        help="seconds a claim lives without renewal before another worker reclaims it "
+        f"(the worker holding it renews it every SECS/{LEASE_RENEWALS})",
     )
     parser.add_argument(
         "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
@@ -258,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle sleep between claim attempts while other workers hold cells",
     )
     worker.add_argument(
-        "--heartbeat",
-        type=float,
-        default=15.0,
-        metavar="SECS",
-        help="how often an executing cell refreshes its claim's heartbeat row",
-    )
-    worker.add_argument(
         "--linger",
         type=float,
         default=0.0,
@@ -350,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument(
         "--telemetry",
         action="store_true",
-        help="show stored per-run telemetry summaries and live heartbeat rows",
+        help="show stored per-run telemetry summaries",
     )
     results.add_argument(
         "--plot",
@@ -369,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue",
         action="store_true",
         help="show the distributed work queue: per-experiment state counts and "
-        "claims whose heartbeats have gone stale",
+        "every in-flight claim (owner, attempt, lease age)",
     )
     results.add_argument(
         "--stale-after",
         type=float,
         default=DEFAULT_LEASE_S,
         metavar="SECS",
-        help="with --queue: flag claims with no heartbeat for this long as stale",
+        help="with --queue: flag claims not renewed for this long as stale",
     )
     return parser
 
@@ -605,7 +599,6 @@ def _run_worker(args: argparse.Namespace) -> int:
                 lease_s=args.lease,
                 max_attempts=args.max_attempts,
                 poll_interval_s=args.poll,
-                heartbeat_interval_s=args.heartbeat,
                 linger_s=args.linger,
                 max_cells=args.max_cells,
                 skip_completed=not args.no_skip,
@@ -613,7 +606,7 @@ def _run_worker(args: argparse.Namespace) -> int:
                 progress=print_worker_progress,
             )
             # SIGTERM/SIGINT mid-cell releases the claim (back to pending,
-            # heartbeat deleted) and ends the drain with report.stopped set.
+            # no owner) and ends the drain with report.stopped set.
             with signal_shutdown():
                 report = worker.drain()
     except ValueError as exc:
@@ -640,16 +633,19 @@ def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: f
             f"{row['experiment']:<20} {row['pending']:>8} {row['claimed']:>8} "
             f"{row['done']:>6} {row['failed']:>6}"
         )
-    stale = store.stale_claims(stale_after)
-    if experiment is not None:
-        stale = [row for row in stale if row["experiment"] == experiment]
-    if stale:
-        print(f"\nstale claims (no heartbeat for > {stale_after:.0f}s; workers reclaim these):")
+    claims = [row for row in store.claims() if experiment in (None, row["experiment"])]
+    if claims:
+        stale = sum(row["age_s"] > stale_after for row in claims)
+        print(
+            f"\n{len(claims)} claim(s) in flight, {stale} stale (not renewed for > "
+            f"{stale_after:g}s; workers reclaim stale claims):"
+        )
         print(f"{'experiment':<20} {'param_hash':<14} {'seed':>5} {'attempt':>7} {'age':>8}  owner")
-        for row in stale:
+        for row in claims:
+            flag = "  stale" if row["age_s"] > stale_after else ""
             print(
                 f"{row['experiment']:<20} {row['param_hash'][:12]:<14} {row['seed']:>5} "
-                f"{row['attempt']:>7} {row['age_s']:>7.1f}s  {row['owner'] or '-'}"
+                f"{row['attempt']:>7} {row['age_s']:>7.1f}s  {row['owner'] or '-'}{flag}"
             )
 
 
@@ -792,14 +788,6 @@ def _run_results(args: argparse.Namespace) -> int:
                 print(format_telemetry(run.telemetry))
             if not shown:
                 print("\n(no stored rows carry telemetry; sweep specs with telemetry=true record it)")
-            beats = store.heartbeats(experiment=args.experiment)
-            if beats:
-                print(f"\n{'experiment':<20} {'param_hash':<14} {'seed':>5} {'age':>8}  worker")
-                for beat in beats:
-                    print(
-                        f"{beat['experiment']:<20} {beat['param_hash'][:12]:<14} "
-                        f"{beat['seed']:>5} {beat['age_s']:>7.1f}s  {beat['worker'] or '-'}"
-                    )
         if args.json:
             path = store.export_json(args.json, args.experiment)
             print(f"wrote {path}")

@@ -1,11 +1,11 @@
 """Live progress line for long-running interactive runs.
 
 A :class:`Heartbeat` is a daemon thread that periodically prints a one-line
-elapsed/phase/rounds summary from ``Telemetry.snapshot()`` to stderr.  It is
-the interactive sibling of the sweep heartbeat *timestamps* that
-``SweepRunner`` writes to the result store: the thread tells a human the run
-is alive, the store column tells a future multi-host scheduler the same
-thing.
+elapsed/phase/rounds summary from ``Telemetry.snapshot()`` to stderr, so a
+human can tell a long run is alive.  A sweep cell's liveness is the lease
+of its claimed queue row: the worker running the cell renews it
+(see :mod:`repro.orchestration.store`), and ``drr-gossip results --queue``
+lists it.
 """
 
 from __future__ import annotations

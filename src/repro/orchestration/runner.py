@@ -51,7 +51,15 @@ from ..observability.logs import get_logger
 from ..simulator.rng import RngStream, derive_seed
 from .config import SweepDefinition
 from .registry import ExperimentRegistry, load_builtin_experiments
-from .store import QueuedCell, ResultStore, cell_spec_hash, cell_spec_json, param_hash
+from .store import (
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    QueuedCell,
+    ResultStore,
+    cell_spec_hash,
+    cell_spec_json,
+    param_hash,
+)
 
 _logger = get_logger("orchestration.runner")
 
@@ -304,8 +312,8 @@ class SweepRunner:
         skip_completed: bool = True,
         registry: ExperimentRegistry | None = None,
         progress: Callable[[CellOutcome, int, int], None] | None = None,
-        lease_s: float = 60.0,
-        max_attempts: int = 3,
+        lease_s: float = DEFAULT_LEASE_S,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -318,7 +326,8 @@ class SweepRunner:
         self.skip_completed = skip_completed
         self.registry = registry
         self.progress = progress
-        #: seconds of heartbeat silence before a claim is stale
+        #: seconds without a renewal before a claim is stale (its drains
+        #: renew every ``lease_s / LEASE_RENEWALS``)
         self.lease_s = float(lease_s)
         #: claims per cell before it is marked failed
         self.max_attempts = int(max_attempts)

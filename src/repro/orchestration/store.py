@@ -9,7 +9,7 @@ makes re-running a crashed cell an upsert rather than a duplicate.
 
 The store is written concurrently: the sweep runner's queue drains, any
 number of ``drr-gossip worker`` processes on hosts sharing the filesystem,
-and the lease-heartbeat threads they run all hold their own connections.
+and the lease-renewal threads they run all hold their own connections.
 WAL mode plus a configurable ``busy_timeout`` make concurrent writers
 queue instead of crash, every write retries on ``SQLITE_BUSY``, and the
 work-queue claim (:meth:`ResultStore.claim_cell`) takes the write lock up
@@ -25,10 +25,12 @@ Every queued cell is one row keyed by ``(experiment, param_hash, seed)``
        ^                  |
        +---reclaim(stale)-+          (attempt += 1 on every claim)
 
-* **claim** is atomic: exactly one worker wins a pending row, and the
-  same transaction stamps the claim's heartbeat row.
-* **claimed** rows carry ``owner`` and ``claim_time`` and are kept alive
-  by the worker's heartbeat row; a claim whose liveness signal is older
+* **claim** is atomic: exactly one worker wins a pending row and stamps
+  its ``owner`` and ``claim_time``.
+* **claimed** rows are the only record of a claim and of its lease:
+  ``claim_time`` is the lease clock, which the owner refreshes
+  (:meth:`ResultStore.mark_heartbeat`) every ``lease / LEASE_RENEWALS``
+  seconds while it runs the cell.  A claim whose ``claim_time`` is older
   than the lease is *stale* and goes back to pending (the worker died).
 * **record**: a cell's result or failure row and its queue row's
   terminal state commit in one transaction.
@@ -54,6 +56,9 @@ from ..serialization import canonical_json, canonical_value, stable_digest
 from ..substrate import DEFAULT_BACKEND
 
 __all__ = [
+    "DEFAULT_LEASE_S",
+    "DEFAULT_MAX_ATTEMPTS",
+    "LEASE_RENEWALS",
     "QUEUE_STATES",
     "QueuedCell",
     "ResultStore",
@@ -94,20 +99,10 @@ CREATE TABLE IF NOT EXISTS runs (
     duration_s     REAL,
     telemetry_json TEXT,
     result_json    TEXT,
-    heartbeat_at   TEXT,
     created_at     TEXT NOT NULL DEFAULT (datetime('now')),
     UNIQUE (experiment, param_hash, seed)
 );
 CREATE INDEX IF NOT EXISTS idx_runs_experiment ON runs (experiment, status);
-CREATE TABLE IF NOT EXISTS heartbeats (
-    experiment   TEXT NOT NULL,
-    param_hash   TEXT NOT NULL,
-    seed         INTEGER NOT NULL,
-    worker       TEXT NOT NULL DEFAULT '',
-    started_at   TEXT NOT NULL DEFAULT (datetime('now')),
-    heartbeat_at TEXT NOT NULL DEFAULT (datetime('now')),
-    UNIQUE (experiment, param_hash, seed)
-);
 CREATE TABLE IF NOT EXISTS queue (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
     experiment  TEXT NOT NULL,
@@ -133,17 +128,24 @@ CREATE INDEX IF NOT EXISTS idx_runs_spec_hash ON runs (spec_hash);
 CREATE INDEX IF NOT EXISTS idx_queue_spec_hash ON queue (spec_hash);
 """
 
-#: SQL age (seconds) of a claimed queue row's last liveness signal: the
-#: heartbeat its worker refreshes, falling back to the claim time when the
-#: worker died before its first heartbeat.
-_CLAIM_AGE_SQL = (
-    "(julianday('now') - julianday(COALESCE(h.heartbeat_at, q.claim_time))) * 86400.0"
-)
+#: seconds a claim lives without a renewal before another worker reclaims it
+DEFAULT_LEASE_S = 60.0
 
-_CLAIM_JOIN_SQL = (
-    "FROM queue q LEFT JOIN heartbeats h ON h.experiment = q.experiment "
-    "AND h.param_hash = q.param_hash AND h.seed = q.seed "
-)
+#: claims per cell before it is marked failed instead of reclaimed again
+DEFAULT_MAX_ATTEMPTS = 3
+
+#: renewals per lease: a claim's owner refreshes it every
+#: ``lease_s / LEASE_RENEWALS`` seconds (15 s at the default lease), so the
+#: claim stays live through three missed renewals
+LEASE_RENEWALS = 4
+
+#: the lease clock's stamp, to the millisecond (``datetime('now')`` truncates
+#: to the second, which would age a lease by up to a second too much)
+_NOW_SQL = "strftime('%Y-%m-%d %H:%M:%f', 'now')"
+
+#: SQL age (seconds) of a claimed queue row's lease: the time since the
+#: claim was taken or last renewed
+_CLAIM_AGE_SQL = "(julianday('now') - julianday(claim_time)) * 86400.0"
 
 
 def _json_default(value: Any) -> Any:
@@ -225,6 +227,7 @@ class QueuedCell:
     spec_json: str
     state: str
     owner: str | None = None
+    #: when the claim was taken or last renewed (the lease clock)
     claim_time: str | None = None
     #: how many times this cell has been claimed (capped by the worker's
     #: ``max_attempts``)
@@ -265,9 +268,6 @@ class StoredRun:
     #: the run's telemetry document (decoded from ``telemetry_json``); None
     #: when telemetry was off or the row predates the column.
     telemetry: dict[str, Any] | None
-    #: last liveness stamp for the cell (set when the row was recorded);
-    #: None for rows that predate the column.
-    heartbeat_at: str | None
     created_at: str
     #: content address of ``spec_json`` (:func:`cell_spec_hash`) — the
     #: cache key of :meth:`ResultStore.get_by_spec_hash`; None only for
@@ -299,7 +299,6 @@ class StoredRun:
             "error": self.error,
             "duration_s": self.duration_s,
             "telemetry": self.telemetry,
-            "heartbeat_at": self.heartbeat_at,
             "created_at": self.created_at,
         }
 
@@ -369,14 +368,13 @@ class ResultStore:
                     f"with backend={DEFAULT_BACKEND!r}",
                     stacklevel=2,
                 )
-        # Observability columns (telemetry documents + liveness stamps) came
-        # later still; NULL is the correct value for pre-existing rows, so
-        # this migration only adds the columns (logged, not warned — it is
-        # routine, unlike the backend backfill above which rewrites rows).
-        for column, decl in (("telemetry_json", "TEXT"), ("heartbeat_at", "TEXT")):
-            if column not in columns:
-                self._conn.execute(f"ALTER TABLE runs ADD COLUMN {column} {decl}")
-                _logger.info("result store %s: added %s column", path, column)
+        # The telemetry column came later still; NULL is the correct value
+        # for pre-existing rows, so this migration only adds the column
+        # (logged, not warned — it is routine, unlike the backend backfill
+        # above which rewrites rows).
+        if "telemetry_json" not in columns:
+            self._conn.execute("ALTER TABLE runs ADD COLUMN telemetry_json TEXT")
+            _logger.info("result store %s: added telemetry_json column", path)
         # Content-addressing columns (the cache key and the replayable
         # result).  Rows written before the columns existed are backfilled
         # from their stored spec_json so the worker's cache check finds
@@ -483,9 +481,7 @@ class ResultStore:
         ``result_json`` is the full serialised RunResult envelope for
         protocol cells, so a stored run can be replayed whole.  The row's
         ``spec_hash`` is the content address derived from ``spec_json``,
-        its ``heartbeat_at`` is stamped — recording a result is the cell's
-        final liveness signal — and, in the same transaction, the cell's
-        heartbeat row is released and a claimed queue row moves to ``done``.
+        and, in the same transaction, a claimed queue row moves to ``done``.
         """
         canon = canonical_params(params)
         digest = param_hash(canon)
@@ -498,8 +494,8 @@ class ResultStore:
                 """
             INSERT INTO runs (experiment, param_hash, seed, status, params, backend, spec_json,
                               spec_hash, description, headers, rows, notes, error, duration_s,
-                              telemetry_json, result_json, heartbeat_at)
-            VALUES (?, ?, ?, 'ok', ?, ?, ?, ?, ?, ?, ?, ?, NULL, ?, ?, ?, datetime('now'))
+                              telemetry_json, result_json)
+            VALUES (?, ?, ?, 'ok', ?, ?, ?, ?, ?, ?, ?, ?, NULL, ?, ?, ?)
             ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
                 status = 'ok', params = excluded.params, backend = excluded.backend,
                 spec_json = excluded.spec_json, spec_hash = excluded.spec_hash,
@@ -508,7 +504,6 @@ class ResultStore:
                 error = NULL, duration_s = excluded.duration_s,
                 telemetry_json = excluded.telemetry_json,
                 result_json = excluded.result_json,
-                heartbeat_at = datetime('now'),
                 created_at = datetime('now')
             """,
                 (
@@ -557,16 +552,15 @@ class ResultStore:
             self._conn.execute(
                 """
             INSERT INTO runs (experiment, param_hash, seed, status, params, backend, spec_json,
-                              spec_hash, error, duration_s, heartbeat_at)
-            VALUES (?, ?, ?, 'failed', ?, ?, ?, ?, ?, ?, datetime('now'))
+                              spec_hash, error, duration_s)
+            VALUES (?, ?, ?, 'failed', ?, ?, ?, ?, ?, ?)
             ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
                 status = 'failed', params = excluded.params, backend = excluded.backend,
                 spec_json = excluded.spec_json, spec_hash = excluded.spec_hash,
                 error = excluded.error,
                 headers = '[]', rows = '[]', notes = '[]', telemetry_json = NULL,
                 result_json = NULL,
-                duration_s = excluded.duration_s, heartbeat_at = datetime('now'),
-                created_at = datetime('now')
+                duration_s = excluded.duration_s, created_at = datetime('now')
             """,
                 (
                     experiment,
@@ -584,81 +578,6 @@ class ResultStore:
 
         self._write("record_failure", body)
         return digest
-
-    # ------------------------------------------------------------------ #
-    # liveness (the heartbeat rows stale claims are reclaimed on)
-    # ------------------------------------------------------------------ #
-    def _release_heartbeat(self, experiment: str, digest: str, seed: int) -> None:
-        self._conn.execute(
-            "DELETE FROM heartbeats WHERE experiment = ? AND param_hash = ? AND seed = ?",
-            (experiment, digest, int(seed)),
-        )
-
-    def _end_claim(self, key: tuple[str, str, int], state: str) -> None:
-        """Release a cell's heartbeat row and move its claimed queue row to ``state``."""
-        self._release_heartbeat(*key)
-        self._conn.execute(
-            "UPDATE queue SET state = ? "
-            "WHERE experiment = ? AND param_hash = ? AND seed = ? AND state = 'claimed'",
-            (state, *key),
-        )
-
-    def _stamp_heartbeat(self, key: tuple[str, str, int], worker: str) -> None:
-        """Create (first mark) or refresh a cell's heartbeat row."""
-        self._conn.execute(
-            """
-            INSERT INTO heartbeats (experiment, param_hash, seed, worker) VALUES (?, ?, ?, ?)
-            ON CONFLICT (experiment, param_hash, seed) DO UPDATE SET
-                worker = excluded.worker, heartbeat_at = datetime('now')
-            """,
-            (*key, worker),
-        )
-
-    def mark_heartbeat(
-        self, experiment: str, params: Mapping[str, Any], seed: int, worker: str = ""
-    ) -> str:
-        """Claim/refresh liveness for an in-flight cell; returns its hash.
-
-        One row per cell: the first mark claims (stamping ``started_at``),
-        later marks refresh ``heartbeat_at``.  The claim is released when
-        the cell's result or failure is recorded.
-        """
-        digest = param_hash(params)
-        key = (experiment, digest, int(seed))
-        self._write("mark_heartbeat", lambda: self._stamp_heartbeat(key, worker))
-        return digest
-
-    def renew_lease(self, key: tuple[str, str, int], worker: str) -> None:
-        """Refresh the heartbeat row of a claim ``worker`` still holds.
-
-        This is the lease-renewal path of queue workers.  It only updates
-        the row :meth:`claim_cell` stamped, so a renewal that races the
-        release of its claim finds no row and cannot bring the claim back.
-        """
-        self._write("renew_lease", lambda: self._conn.execute(
-            "UPDATE heartbeats SET heartbeat_at = datetime('now') "
-            "WHERE experiment = ? AND param_hash = ? AND seed = ? AND worker = ?",
-            (*key, worker),
-        ))
-
-    def clear_heartbeat(self, experiment: str, params: Mapping[str, Any], seed: int) -> None:
-        """Release a claim without recording a row (e.g. an aborted sweep)."""
-        self._release_heartbeat(experiment, param_hash(params), int(seed))
-        self._conn.commit()
-
-    def heartbeats(self, experiment: str | None = None) -> list[dict[str, Any]]:
-        """In-flight cells with their last-seen age in seconds (oldest first)."""
-        sql = (
-            "SELECT experiment, param_hash, seed, worker, started_at, heartbeat_at, "
-            "CAST((julianday('now') - julianday(heartbeat_at)) * 86400.0 AS REAL) AS age_s "
-            "FROM heartbeats"
-        )
-        params: tuple = ()
-        if experiment is not None:
-            sql += " WHERE experiment = ?"
-            params = (experiment,)
-        rows = self._conn.execute(sql + " ORDER BY heartbeat_at ASC", params).fetchall()
-        return [dict(row) for row in rows]
 
     # ------------------------------------------------------------------ #
     # work queue (what sweep drains and ``drr-gossip worker`` claim from)
@@ -699,11 +618,10 @@ class ResultStore:
     def claim_cell(self, owner: str = "", max_attempts: int | None = None) -> QueuedCell | None:
         """Atomically claim the oldest pending row, or None when none is claimable.
 
-        The winning row moves to ``claimed`` with ``owner``/``claim_time``
-        set and ``attempt`` incremented, and the same transaction stamps
-        the claim's heartbeat row.  With ``max_attempts``, rows already
-        claimed that many times are passed over; :meth:`fail_exhausted`
-        retires them.
+        The winning row moves to ``claimed`` with ``owner`` set,
+        ``claim_time`` stamped (its lease starts) and ``attempt``
+        incremented.  With ``max_attempts``, rows already claimed that many
+        times are passed over; :meth:`fail_exhausted` retires them.
         """
         budget = "" if max_attempts is None else f" AND attempt < {int(max_attempts)}"
 
@@ -717,54 +635,60 @@ class ResultStore:
                 return None
             self._conn.execute(
                 "UPDATE queue SET state = 'claimed', owner = ?, "
-                "claim_time = datetime('now'), attempt = attempt + 1 WHERE id = ?",
+                f"claim_time = {_NOW_SQL}, attempt = attempt + 1 WHERE id = ?",
                 (owner, row["id"]),
             )
-            claim = self._decode_queue_row(
+            return self._decode_queue_row(
                 self._conn.execute("SELECT * FROM queue WHERE id = ?", (row["id"],)).fetchone()
             )
-            self._release_heartbeat(*claim.key)  # a fresh row: started_at is this claim's
-            self._stamp_heartbeat(claim.key, owner)
-            return claim
 
         return self._write("claim_cell", body)
 
-    def finish_cell(self, key: tuple[str, str, int], state: str) -> None:
-        """Move a queue row to its terminal state (``done`` or ``failed``).
+    def mark_heartbeat(self, key: tuple[str, str, int], worker: str) -> None:
+        """Renew the lease of a claim ``worker`` still holds.
 
-        Releases the cell's heartbeat row too: the claim is over.
+        This is the one lease renewal: it refreshes the claimed row's
+        ``claim_time``.  The row must still be claimed by ``worker``, so a
+        renewal that races the end of its claim (recorded, released or
+        reclaimed) changes nothing and cannot bring the claim back.
         """
+        self._write("mark_heartbeat", lambda: self._conn.execute(
+            f"UPDATE queue SET claim_time = {_NOW_SQL} WHERE experiment = ? AND "
+            "param_hash = ? AND seed = ? AND owner = ? AND state = 'claimed'",
+            (*key, worker),
+        ))
+
+    def finish_cell(self, key: tuple[str, str, int], state: str) -> None:
+        """Move a queue row to its terminal state (``done`` or ``failed``)."""
         if state not in ("done", "failed"):
             raise ValueError(f"terminal queue state must be 'done' or 'failed', got {state!r}")
+        self._write("finish_cell", lambda: self._conn.execute(
+            "UPDATE queue SET state = ? WHERE experiment = ? AND param_hash = ? AND seed = ?",
+            (state, *key),
+        ))
 
-        def body() -> None:
-            self._conn.execute(
-                "UPDATE queue SET state = ? WHERE experiment = ? AND param_hash = ? AND seed = ?",
-                (state, *key),
-            )
-            self._release_heartbeat(*key)
-
-        self._write("finish_cell", body)
+    def _end_claim(self, key: tuple[str, str, int], state: str) -> None:
+        """Move a cell's claimed queue row to ``state`` (inside a write transaction)."""
+        self._conn.execute(
+            "UPDATE queue SET state = ? "
+            "WHERE experiment = ? AND param_hash = ? AND seed = ? AND state = 'claimed'",
+            (state, *key),
+        )
 
     def _requeue(self, where: str, args: tuple) -> list[tuple[str, str, int]]:
         """Move the claimed rows matching ``where`` back to pending; returns their keys.
 
-        Their heartbeat rows go too.  ``attempt`` is left alone: it counts
-        claims, so a cell that keeps killing its worker still runs out of
-        budget.
+        ``attempt`` is left alone: it counts claims, so a cell that keeps
+        killing its worker still runs out of budget.
         """
         rows = self._conn.execute(
-            "SELECT q.id, q.experiment, q.param_hash, q.seed "
-            + _CLAIM_JOIN_SQL
-            + f"WHERE q.state = 'claimed' AND {where}",
+            f"SELECT id, experiment, param_hash, seed FROM queue WHERE state = 'claimed' AND {where}",
             args,
         ).fetchall()
-        for row in rows:
-            self._conn.execute(
-                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL WHERE id = ?",
-                (row["id"],),
-            )
-            self._release_heartbeat(row["experiment"], row["param_hash"], row["seed"])
+        self._conn.executemany(
+            "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL WHERE id = ?",
+            [(row["id"],) for row in rows],
+        )
         return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
 
     def release_claims(self, owner: str) -> list[tuple[str, str, int]]:
@@ -773,14 +697,13 @@ class ResultStore:
         Workers call this when they are interrupted, and the sweep runner
         when one of its drains dies.
         """
-        return self._write("release_claims", lambda: self._requeue("q.owner = ?", (owner,)))
+        return self._write("release_claims", lambda: self._requeue("owner = ?", (owner,)))
 
     def reclaim_stale(self, lease_s: float) -> list[tuple[str, str, int]]:
         """Return stale claims to pending; returns the reclaimed keys.
 
-        A claim is stale when its last liveness signal — the heartbeat row
-        its worker refreshes, or ``claim_time`` if the worker never got
-        that far — is older than ``lease_s`` seconds.
+        A claim is stale when its ``claim_time`` — taken at the claim and
+        refreshed by every renewal — is older than ``lease_s`` seconds.
         """
         if lease_s < 0:
             raise ValueError(f"lease_s must be >= 0, got {lease_s}")
@@ -849,14 +772,12 @@ class ResultStore:
         rows = self._conn.execute(sql + " ORDER BY id", args).fetchall()
         return [self._decode_queue_row(row) for row in rows]
 
-    def stale_claims(self, lease_s: float) -> list[dict[str, Any]]:
-        """Read-only view of claims whose liveness age exceeds ``lease_s``."""
+    def claims(self) -> list[dict[str, Any]]:
+        """Every in-flight claim with its lease age ``age_s`` in seconds, oldest row first."""
         rows = self._conn.execute(
-            "SELECT q.experiment, q.param_hash, q.seed, q.owner, q.attempt, q.claim_time, "
-            + f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
-            + _CLAIM_JOIN_SQL
-            + f"WHERE q.state = 'claimed' AND {_CLAIM_AGE_SQL} > ? ORDER BY q.id",
-            (float(lease_s),),
+            "SELECT experiment, param_hash, seed, owner, attempt, claim_time, "
+            f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
+            "FROM queue WHERE state = 'claimed' ORDER BY id"
         ).fetchall()
         return [dict(row) for row in rows]
 
@@ -970,7 +891,6 @@ class ResultStore:
             error=row["error"],
             duration_s=row["duration_s"],
             telemetry=json.loads(telemetry_json) if telemetry_json else None,
-            heartbeat_at=row["heartbeat_at"],
             created_at=row["created_at"],
             spec_hash=row["spec_hash"],
             result_json=row["result_json"],

@@ -5,13 +5,13 @@ table with pending cells, and :class:`QueueWorker` loops drain it: the
 sweep runner's own drains, and any number of ``drr-gossip worker``
 processes on hosts that share the store.  Each iteration:
 
-1. **claim** the oldest pending cell atomically (exactly one worker wins)
-   and, in the same transaction, stamp its heartbeat row;
+1. **claim** the oldest pending cell atomically (exactly one worker wins),
+   which starts the lease of its queue row;
 2. **cache check**: if the cell's result is already in the store
    (a re-submitted identical spec), finish it without executing;
 3. **execute** the cell's serialised spec via the runner's
-   ``_execute_cell``, while the drain's lease-heartbeat thread refreshes
-   the claim so long cells keep their lease;
+   ``_execute_cell``, while the drain's lease thread renews the claim
+   every ``lease_s / LEASE_RENEWALS`` seconds so long cells keep it;
 4. **write back** the result/failure row, which moves the queue row to its
    terminal state in the same transaction.
 
@@ -41,14 +41,19 @@ from typing import Any, Callable, Iterator, Mapping
 from ..observability.logs import get_logger
 from ..observability.telemetry import NULL_TELEMETRY, NullTelemetry
 from . import runner
-from .store import QueuedCell, ResultStore, cell_spec_hash
+from .store import (
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    LEASE_RENEWALS,
+    QueuedCell,
+    ResultStore,
+    cell_spec_hash,
+)
 
 _logger = get_logger("orchestration.worker")
 
 __all__ = [
     "BACKOFF_CAP_FACTOR",
-    "DEFAULT_LEASE_S",
-    "DEFAULT_MAX_ATTEMPTS",
     "QueueWorker",
     "WorkerReport",
     "WorkerShutdown",
@@ -57,12 +62,6 @@ __all__ = [
     "row_identity",
     "signal_shutdown",
 ]
-
-#: seconds of heartbeat silence after which a claim counts as stale
-DEFAULT_LEASE_S = 60.0
-
-#: claims per cell before it is marked failed instead of reclaimed again
-DEFAULT_MAX_ATTEMPTS = 3
 
 #: idle backoff ceiling as a multiple of ``poll_interval_s``
 BACKOFF_CAP_FACTOR = 8.0
@@ -82,8 +81,8 @@ class WorkerShutdown(BaseException):
     Deliberately a ``BaseException`` (like ``KeyboardInterrupt``) so it
     sails through the worker's per-cell ``except Exception`` error
     handling and lands in the claim-requeue path: the in-flight cell goes
-    back to ``pending`` with its heartbeat row deleted, and another
-    worker can pick it up immediately instead of waiting out the lease.
+    back to ``pending`` with no owner, and another worker can pick it up
+    immediately instead of waiting out the lease.
     """
 
     def __init__(self, signum: int) -> None:
@@ -191,21 +190,21 @@ class _LeaseHeartbeat:
     """Daemon thread renewing the lease of whichever claim its drain holds.
 
     One thread per drain: the drain sets :attr:`key` when it claims a cell
-    and clears it when the claim ends, and every ``interval_s`` the thread
-    renews the current claim on its own connection (SQLite connections are
-    not shared across threads).  A renewal only updates an existing
-    heartbeat row, so one that races the end of its claim cannot bring the
-    claim back.  In-memory stores get no thread — a second connection would
-    see a different database — which is fine: they cannot be shared across
-    processes anyway.
+    and clears it when the claim ends, and every ``lease_s /
+    LEASE_RENEWALS`` seconds the thread renews the current claim on its own
+    connection (SQLite connections are not shared across threads).  A
+    renewal only refreshes a row its worker still holds, so one that races
+    the end of its claim cannot bring the claim back.  In-memory stores get
+    no thread — a second connection would see a different database — which
+    is fine: they cannot be shared across processes anyway.
     """
 
-    def __init__(self, store_path: str, worker: str, interval_s: float) -> None:
+    def __init__(self, store_path: str, worker: str, lease_s: float) -> None:
         #: the claim to keep alive; None between claims
         self.key: tuple[str, str, int] | None = None
         self._path = store_path
         self._worker = worker
-        self._interval = float(interval_s)
+        self._interval = float(lease_s) / LEASE_RENEWALS
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -215,7 +214,7 @@ class _LeaseHeartbeat:
             while not self._stop.wait(self._interval):
                 key = self.key
                 if key is not None:
-                    store.renew_lease(key, self._worker)
+                    store.mark_heartbeat(key, self._worker)
         finally:
             store.close()
 
@@ -245,7 +244,6 @@ class QueueWorker:
         lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         poll_interval_s: float = 0.5,
-        heartbeat_interval_s: float = 15.0,
         linger_s: float = 0.0,
         max_cells: int | None = None,
         skip_completed: bool = True,
@@ -258,8 +256,6 @@ class QueueWorker:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if poll_interval_s <= 0:
             raise ValueError(f"poll_interval_s must be positive, got {poll_interval_s}")
-        if heartbeat_interval_s <= 0:
-            raise ValueError(f"heartbeat_interval_s must be positive, got {heartbeat_interval_s}")
         if linger_s < 0:
             raise ValueError(f"linger_s must be >= 0, got {linger_s}")
         if max_cells is not None and max_cells < 1:
@@ -269,7 +265,6 @@ class QueueWorker:
         self.lease_s = float(lease_s)
         self.max_attempts = int(max_attempts)
         self.poll_interval_s = float(poll_interval_s)
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.linger_s = float(linger_s)
         self.max_cells = max_cells
         self.skip_completed = skip_completed
@@ -306,9 +301,7 @@ class QueueWorker:
         report = WorkerReport(worker=self.worker_id)
         start = time.perf_counter()
         try:
-            with _LeaseHeartbeat(
-                str(self.store.path), self.worker_id, self.heartbeat_interval_s
-            ) as lease:
+            with _LeaseHeartbeat(str(self.store.path), self.worker_id, self.lease_s) as lease:
                 self._drain(report, lease)
         except BaseException as exc:
             if isinstance(exc, WorkerShutdown):

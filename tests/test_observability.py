@@ -431,13 +431,12 @@ class TestLogging:
             root.propagate = previous
         added = [r.getMessage() for r in caplog.records if "added" in r.getMessage()]
         assert any("telemetry_json" in m for m in added)
-        assert any("heartbeat_at" in m for m in added)
 
 
 # --------------------------------------------------------------------------- #
-# result store: telemetry column + heartbeat liveness
+# result store: telemetry column
 # --------------------------------------------------------------------------- #
-#: the runs schema as PR 5 shipped it (no telemetry/heartbeat columns)
+#: the runs schema before the telemetry column
 _LEGACY_PR5_SCHEMA = """
 CREATE TABLE runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -468,7 +467,7 @@ class _FakeResult:
 
 
 class TestStoreTelemetry:
-    def test_round_trip_and_heartbeat_stamp(self, tmp_path):
+    def test_telemetry_round_trip(self, tmp_path):
         doc = {"wall_s": 1.25, "phases": {"drr": {"wall_s": 1.0, "rounds": {"count": 3}}}}
         with ResultStore(tmp_path / "s.sqlite") as store:
             store.record_result(
@@ -477,10 +476,9 @@ class TestStoreTelemetry:
             store.record_result("exp", {"n": 16}, 1, _FakeResult())
             runs = {run.params["n"]: run for run in store.query()}
         assert runs[8].telemetry == doc
-        assert runs[8].heartbeat_at is not None
         assert runs[8].as_dict()["telemetry"] == doc
         assert runs[16].telemetry is None
-        assert runs[16].heartbeat_at is not None
+        assert runs[16].as_dict()["telemetry"] is None
 
     def test_failure_clears_telemetry(self, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
@@ -505,40 +503,18 @@ class TestStoreTelemetry:
         with ResultStore(path) as store:
             run = store.query()[0]
             assert run.telemetry is None
-            assert run.heartbeat_at is None
-            # the migrated store accepts telemetry writes and heartbeats
+            # the migrated store accepts telemetry writes
             store.record_result(
                 "old", {}, 1, _FakeResult(), telemetry_json=json.dumps({"wall_s": 2.0})
             )
-            store.mark_heartbeat("old", {"n": 1}, 7, worker="w1")
             assert store.query()[0].telemetry == {"wall_s": 2.0}
-            assert store.heartbeats()[0]["worker"] == "w1"
-
-    def test_heartbeat_claim_refresh_release(self, tmp_path):
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            digest = store.mark_heartbeat("exp", {"n": 8}, 1, worker="w0")
-            beats = store.heartbeats()
-            assert len(beats) == 1
-            assert beats[0]["param_hash"] == digest
-            assert beats[0]["age_s"] >= 0.0
-            store.mark_heartbeat("exp", {"n": 8}, 1, worker="w1")  # refresh, not duplicate
-            assert len(store.heartbeats()) == 1
-            assert store.heartbeats()[0]["worker"] == "w1"
-            assert store.heartbeats(experiment="other") == []
-            # recording the cell's result releases the claim
-            store.record_result("exp", {"n": 8}, 1, _FakeResult())
-            assert store.heartbeats() == []
-            # clear_heartbeat releases without recording
-            store.mark_heartbeat("exp", {"n": 8}, 2)
-            store.clear_heartbeat("exp", {"n": 8}, 2)
-            assert store.heartbeats() == []
 
 
 # --------------------------------------------------------------------------- #
-# sweeps: per-cell telemetry + heartbeat rows
+# sweeps: per-cell telemetry
 # --------------------------------------------------------------------------- #
 class TestSweepTelemetry:
-    def test_sweep_rows_carry_telemetry_and_heartbeat(self, tmp_path):
+    def test_sweep_rows_carry_telemetry(self, tmp_path):
         spec = RunSpec(protocol="drr", params={"n": 48}, seed=3, telemetry=True)
         cells = cells_from_run_specs([spec])
         with ResultStore(tmp_path / "s.sqlite") as store:
@@ -547,8 +523,7 @@ class TestSweepTelemetry:
             run = store.query()[0]
             assert run.telemetry is not None
             assert run.telemetry["wall_s"] > 0.0
-            assert run.heartbeat_at is not None
-            assert store.heartbeats() == []  # claim released on record
+            assert store.claims() == []  # claim ended on record
 
             # resume is untouched by the toggle: the same spec without
             # telemetry hashes to the same cell and is skipped
@@ -593,7 +568,7 @@ class TestCli:
         assert "+telemetry" in out
         assert "telemetry        : wall" in out
 
-    def test_results_telemetry_lists_rows_and_heartbeats(self, tmp_path, capsys):
+    def test_results_telemetry_lists_rows(self, tmp_path, capsys):
         from repro.harness.cli import main
 
         store_path = tmp_path / "s.sqlite"
@@ -602,12 +577,31 @@ class TestCli:
                 "exp", {"n": 8}, 1, _FakeResult(),
                 telemetry_json=json.dumps({"wall_s": 0.5, "phases": {}}),
             )
-            store.mark_heartbeat("exp", {"n": 9}, 2, worker="w0")
+            store.enqueue_cells([("exp", "abc", 2, '{"experiment": "exp"}')])
+            store.claim_cell("w0")
         rc = main(["results", "--store", str(store_path), "--telemetry"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "telemetry        : wall 0.500s" in out
-        assert "w0" in out
+        assert "w0" not in out  # in-flight claims are the queue view's
+
+    def test_results_queue_lists_in_flight_claims(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        store_path = tmp_path / "s.sqlite"
+        with ResultStore(store_path) as store:
+            store.enqueue_cells([
+                ("exp", "abc", 2, '{"experiment": "exp", "seed": 2}'),
+                ("exp", "def", 3, '{"experiment": "exp", "seed": 3}'),
+            ])
+            claim = store.claim_cell("w0")
+            store.mark_heartbeat(claim.key, "w0")
+        rc = main(["results", "--store", str(store_path), "--queue"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "1 claim(s) in flight, 0 stale" in out
+        (line,) = [line for line in out.splitlines() if line.endswith("w0")]
+        assert line.split()[:4] == ["exp", "abc", "2", "1"]  # experiment, hash, seed, attempt
 
     def test_results_plot_requires_bench(self, tmp_path, capsys):
         from repro.harness.cli import main

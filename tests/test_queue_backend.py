@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -74,6 +75,58 @@ def _worker_command(store: str, worker_id: str, *extra: str) -> list[str]:
         sys.executable, "-m", "repro", "worker",
         "--store", store, "--worker-id", worker_id, "--poll", "0.05", *extra,
     ]
+
+
+#: the schema of stores that mirrored every claim in a ``heartbeats`` row
+#: and stamped each run's ``heartbeat_at``; both are left unused now
+_MIRRORED_CLAIM_SCHEMA = """
+CREATE TABLE runs (
+    id             INTEGER PRIMARY KEY AUTOINCREMENT,
+    experiment     TEXT NOT NULL,
+    param_hash     TEXT NOT NULL,
+    seed           INTEGER NOT NULL,
+    status         TEXT NOT NULL CHECK (status IN ('ok', 'failed')),
+    params         TEXT NOT NULL,
+    backend        TEXT,
+    spec_json      TEXT,
+    spec_hash      TEXT,
+    description    TEXT NOT NULL DEFAULT '',
+    headers        TEXT NOT NULL DEFAULT '[]',
+    rows           TEXT NOT NULL DEFAULT '[]',
+    notes          TEXT NOT NULL DEFAULT '[]',
+    error          TEXT,
+    duration_s     REAL,
+    telemetry_json TEXT,
+    result_json    TEXT,
+    heartbeat_at   TEXT,
+    created_at     TEXT NOT NULL DEFAULT (datetime('now')),
+    UNIQUE (experiment, param_hash, seed)
+);
+CREATE TABLE heartbeats (
+    experiment   TEXT NOT NULL,
+    param_hash   TEXT NOT NULL,
+    seed         INTEGER NOT NULL,
+    worker       TEXT NOT NULL DEFAULT '',
+    started_at   TEXT NOT NULL DEFAULT (datetime('now')),
+    heartbeat_at TEXT NOT NULL DEFAULT (datetime('now')),
+    UNIQUE (experiment, param_hash, seed)
+);
+CREATE TABLE queue (
+    id          INTEGER PRIMARY KEY AUTOINCREMENT,
+    experiment  TEXT NOT NULL,
+    param_hash  TEXT NOT NULL,
+    seed        INTEGER NOT NULL,
+    spec_json   TEXT NOT NULL,
+    spec_hash   TEXT,
+    state       TEXT NOT NULL DEFAULT 'pending'
+                CHECK (state IN ('pending', 'claimed', 'done', 'failed')),
+    owner       TEXT,
+    claim_time  TEXT,
+    attempt     INTEGER NOT NULL DEFAULT 0,
+    enqueued_at TEXT NOT NULL DEFAULT (datetime('now')),
+    UNIQUE (experiment, param_hash, seed)
+);
+"""
 
 
 # --------------------------------------------------------------------------- #
@@ -177,7 +230,7 @@ class TestQueueStore:
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
             claim = store.claim_cell("dead-worker")
-            time.sleep(1.1)  # julianday() has 1s resolution via datetime('now')
+            time.sleep(1.1)
             assert store.reclaim_stale(lease_s=3600.0) == []  # fresh lease: untouched
             reclaimed = store.reclaim_stale(lease_s=0.5)
             assert reclaimed == [claim.key]
@@ -191,29 +244,58 @@ class TestQueueStore:
             _enqueue(store, cells)
             claim = store.claim_cell("w1")
             time.sleep(1.6)
-            # a live heartbeat renews the lease even when claim_time is old;
-            # lease 1.4 splits the two ages even with datetime('now')'s
-            # 1-second truncation (claim age >= 1.6, heartbeat age <= 1.0)
-            store.renew_lease(claim.key, "w1")
+            # a renewal restarts the lease clock: the claim is 1.6 s old,
+            # its lease a few milliseconds
+            store.mark_heartbeat(claim.key, "w1")
+            (row,) = store.queue_cells()
+            assert row.claim_time > claim.claim_time
             assert store.reclaim_stale(lease_s=1.4) == []
-            assert store.queue_cells()[0].state == "claimed"
+            (row,) = store.queue_cells()
+            assert (row.state, row.owner, row.attempt) == ("claimed", "w1", 1)
+            # only the owner renews: another worker's mark changes nothing
+            time.sleep(0.01)  # a renewal would now stamp a later millisecond
+            store.mark_heartbeat(claim.key, "w2")
+            assert store.queue_cells()[0].claim_time == row.claim_time
 
     def test_claim_stamps_heartbeat_and_renewal_never_outlives_release(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
             claim = store.claim_cell("w1")
-            (beat,) = store.heartbeats()
-            assert (beat["experiment"], beat["param_hash"], beat["seed"]) == claim.key
-            assert beat["worker"] == "w1"
+            (held,) = store.claims()
+            assert (held["experiment"], held["param_hash"], held["seed"]) == claim.key
+            assert (held["owner"], held["claim_time"]) == ("w1", claim.claim_time)
             experiment, params, seed = row_identity(claim.spec_json)
             store.record_failure(experiment, params, seed, "boom", spec_json=claim.spec_json)
             # the failure row and the queue row's terminal state land together
             assert store.queue_cells()[0].state == "failed"
-            assert store.heartbeats() == []
-            # a lease renewal racing the release finds no row to refresh
-            store.renew_lease(claim.key, "w1")
-            assert store.heartbeats() == []
+            assert store.claims() == []
+            # a lease renewal racing the release finds no claim to refresh
+            time.sleep(0.01)  # a renewal would now stamp a later millisecond
+            store.mark_heartbeat(claim.key, "w1")
+            (row,) = store.queue_cells()
+            assert (row.state, row.claim_time) == ("failed", claim.claim_time)
+            assert store.claims() == []
+            # nor does one racing a release back to pending (or a reclaim)
+            _enqueue(store, cells)
+            again = store.claim_cell("w1")
+            store.release_claims("w1")
+            store.mark_heartbeat(again.key, "w1")
+            (row,) = store.queue_cells()
+            assert (row.state, row.owner, row.claim_time) == ("pending", None, None)
+
+    def test_lease_clock_has_millisecond_resolution(self, tmp_path):
+        """A second-truncated stamp would age a fresh lease by up to one second."""
+        cells = expand_cells(_tiny_definition(reps=1))[:1]
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            _enqueue(store, cells)
+            for _ in range(5):
+                claim = store.claim_cell("w1")
+                assert re.fullmatch(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\.\d{3}", claim.claim_time)
+                (held,) = store.claims()
+                assert 0.0 <= held["age_s"] < 0.25
+                assert store.reclaim_stale(lease_s=0.25) == []
+                store.release_claims("w1")
 
     def test_claim_passes_over_rows_whose_budget_is_spent(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:2]
@@ -247,10 +329,10 @@ class TestQueueStore:
             counts = {row["experiment"]: row for row in store.queue_counts()}
             assert set(counts) == {c.experiment for c in cells}
             assert sum(r["pending"] + r["claimed"] for r in counts.values()) == len(cells)
-            (stale,) = store.stale_claims(lease_s=0.5)
-            assert stale["owner"] == "w1"
-            assert stale["age_s"] > 0.5
-            assert store.stale_claims(lease_s=3600.0) == []
+            (held,) = store.claims()  # every claim, whatever its age
+            assert held["owner"] == "w1"
+            assert held["attempt"] == 1
+            assert 1.0 < held["age_s"] < 3600.0
 
     def test_queue_counts_filter_by_experiment(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -569,7 +651,7 @@ class TestQueueWorker:
             assert row.state == "pending"
             assert row.owner is None
             assert row.attempt == 1
-            assert store.heartbeats() == []
+            assert store.claims() == []
 
     def test_shutdown_lost_by_a_callback_is_delivered_again(self):
         """C code can clear a signal handler's exception; the signal comes back."""
@@ -661,11 +743,56 @@ class TestQueueWorker:
             assert sleeps == sorted(sleeps)
             assert sleeps[0] == 0
 
+    def test_store_with_mirrored_heartbeat_rows_reclaims_and_drains(self, tmp_path):
+        """A store from before claims lived in one row opens and recovers a dead claim."""
+        path = tmp_path / "mirrored.sqlite"
+        dead, done = cells_from_run_specs(
+            [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in (4, 5)]
+        )
+        conn = sqlite3.connect(path)
+        conn.executescript(_MIRRORED_CLAIM_SCHEMA)
+        # a dead worker's claim, two minutes old (second-truncated stamps),
+        # and the heartbeat row that mirrored it
+        conn.execute(
+            "INSERT INTO queue (experiment, param_hash, seed, spec_json, spec_hash, state, "
+            "owner, claim_time, attempt) VALUES (?, ?, ?, ?, ?, 'claimed', 'dead', "
+            "datetime('now', '-120 seconds'), 1)",
+            (*dead.key, dead.spec_json(), cell_spec_hash(dead.spec_json())),
+        )
+        conn.execute(
+            "INSERT INTO heartbeats (experiment, param_hash, seed, worker, started_at, "
+            "heartbeat_at) VALUES (?, ?, ?, 'dead', datetime('now', '-120 seconds'), "
+            "datetime('now', '-120 seconds'))",
+            dead.key,
+        )
+        # and a run recorded back then, with its heartbeat_at stamp
+        conn.execute(
+            "INSERT INTO runs (experiment, param_hash, seed, status, params, spec_json, "
+            "spec_hash, heartbeat_at) VALUES (?, ?, ?, 'ok', ?, ?, ?, datetime('now'))",
+            (*done.key, json.dumps(done.params), done.spec_json(),
+             cell_spec_hash(done.spec_json())),
+        )
+        conn.commit()
+        conn.close()
+        with ResultStore(path) as store:
+            (held,) = store.claims()
+            assert held["owner"] == "dead"
+            assert held["age_s"] > 119.0  # julianday reads the old stamps too
+            report = QueueWorker(store, worker_id="rescuer", poll_interval_s=0.05).drain()
+            assert (report.reclaimed, report.executed) == (1, 1)
+            (row,) = store.queue_cells()
+            assert (row.state, row.owner, row.attempt) == ("done", "rescuer", 2)
+            assert store.claims() == []
+            stored = {run.seed: run for run in store.query()}
+            assert stored[dead.seed].ok
+            assert stored[done.seed].as_dict()["spec_json"] == done.spec_json()
+            assert "heartbeat_at" not in stored[done.seed].as_dict()
+
     def test_invalid_worker_knobs_rejected(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
             for kwargs in (
                 {"lease_s": 0}, {"max_attempts": 0}, {"poll_interval_s": 0},
-                {"heartbeat_interval_s": 0}, {"linger_s": -1}, {"max_cells": 0},
+                {"linger_s": -1}, {"max_cells": 0},
             ):
                 with pytest.raises(ValueError):
                     QueueWorker(store, **kwargs)
@@ -766,9 +893,41 @@ class TestQueueBackendRunner:
             assert "gave up after 3 claim(s)" in outcomes[poison.key].error
             (failure,) = store.query(status="failed")
             assert "gave up after 3 claim(s)" in failure.error
-            assert store.queue_cell_by_spec_hash(cell_spec_hash(poison.spec_json())).state == "failed"
-            assert store.heartbeats() == []
+            rows = {row.key: row for row in store.queue_cells()}
+            assert (rows[poison.key].state, rows[poison.key].attempt) == ("failed", 3)
+            assert all(row.state == "done" for key, row in rows.items() if key != poison.key)
+            assert store.claims() == []  # no owner holds a row
         assert elapsed < 30
+
+    def test_lease_shorter_than_the_old_fixed_renewal_keeps_its_claim(
+        self, tmp_path, monkeypatch
+    ):
+        """Drains renew every lease_s / LEASE_RENEWALS: a 2 s lease outlives a 4 s cell.
+
+        Were the renewal cadence fixed at 15 s whatever the lease, the idle
+        drain would reclaim the live claim after 2 s and run the cell again.
+        """
+        cells = cells_from_run_specs(
+            [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in range(2)]
+        )
+        slow = cells[0].spec_json()
+        runs = tmp_path / "slow-runs"
+        execute = runner_module._execute_cell
+
+        def slowed(spec_json):
+            if spec_json == slow:
+                with runs.open("a") as log:  # forked drains share the file
+                    log.write(f"{os.getpid()}\n")
+                time.sleep(4.0)
+            return execute(spec_json)
+
+        monkeypatch.setattr(runner_module, "_execute_cell", slowed)
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            report = SweepRunner(store, jobs=2, lease_s=2.0).run_cells(cells)
+            rows = store.queue_cells()
+        assert (report.executed, report.failed) == (2, 0)
+        assert [(row.state, row.attempt) for row in rows] == [("done", 1), ("done", 1)]
+        assert len(runs.read_text().splitlines()) == 1  # the slow cell ran once
 
     def test_duplicate_specs_collapse_to_one_execution(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -895,7 +1054,7 @@ class TestDistributedWorkers:
 
         Unlike the SIGKILL case below, no lease has to expire — the
         worker's signal handler requeues the in-flight cell (pending,
-        no owner, heartbeat row deleted) and the process exits 0.
+        no owner, no claim time) and the process exits 0.
         """
         path = tmp_path / "r.sqlite"
         # Millions of small DRR runs: hours of work, so the SIGTERM lands
@@ -913,7 +1072,7 @@ class TestDistributedWorkers:
         with ResultStore(path) as store:
             _enqueue(store, cells)
         victim = subprocess.Popen(
-            _worker_command(str(path), "polite", "--heartbeat", "300"),
+            _worker_command(str(path), "polite"),
             env=_worker_env(), cwd=str(REPO_ROOT),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -933,8 +1092,8 @@ class TestDistributedWorkers:
                 (row,) = store.queue_cells()
                 assert row.state == "pending"
                 assert row.owner is None
+                assert row.claim_time is None  # the lease went with the claim
                 assert row.attempt == 1  # the claim is spent, not the budget
-                assert store.heartbeats() == []  # liveness row released too
                 assert store.query() == []  # nothing half-recorded
         finally:
             if victim.poll() is None:
@@ -949,9 +1108,9 @@ class TestDistributedWorkers:
         with ResultStore(path) as store:
             _enqueue(store, cells)
         victim = subprocess.Popen(
-            # heartbeat interval longer than the test: the claim's lease
-            # cannot renew behind our back once the process dies
-            _worker_command(str(path), "victim", "--heartbeat", "300"),
+            # a killed worker renews nothing; and its default 60 s lease
+            # renews every 15 s, too late to fire before the kill
+            _worker_command(str(path), "victim"),
             env=_worker_env(), cwd=str(REPO_ROOT),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -1007,7 +1166,7 @@ class TestDistributedWorkers:
         with ResultStore(path) as store:
             _enqueue(store, cells)
         victim = subprocess.Popen(
-            _worker_command(str(path), "victim", "--heartbeat", "300"),
+            _worker_command(str(path), "victim"),
             env=_worker_env(), cwd=str(REPO_ROOT),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -1085,11 +1244,16 @@ class TestQueueCLI:
         with ResultStore(path) as store:
             _enqueue(store, cells)
             store.claim_cell("dead-worker")
-        time.sleep(1.1)
+            time.sleep(1.1)
+            store.claim_cell("live-worker")
         assert main(["results", "--store", str(path), "--queue", "--stale-after", "0.5"]) == 0
         out = capsys.readouterr().out
+        assert "2 claim(s) in flight, 1 stale" in out
         assert "stale claims" in out
-        assert "dead-worker" in out
+        (dead,) = [line for line in out.splitlines() if "dead-worker" in line]
+        (live,) = [line for line in out.splitlines() if "live-worker" in line]
+        assert dead.endswith("dead-worker  stale")
+        assert live.endswith("live-worker")
 
     def test_sweep_with_forked_drains(self, tmp_path, capsys):
         from repro.harness.cli import main
