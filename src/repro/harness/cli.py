@@ -70,7 +70,6 @@ from ..observability import (
 )
 from ..substrate import available_backends
 from ..orchestration import (
-    QueueWorker,
     ResultStore,
     SweepDefinition,
     SweepRunner,
@@ -79,10 +78,8 @@ from ..orchestration import (
     load_builtin_experiments,
     load_sweep,
     print_progress,
-    print_worker_progress,
-    signal_shutdown,
 )
-from ..orchestration.store import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS, LEASE_RENEWALS
+from ..orchestration.store import DEFAULT_MAX_ATTEMPTS
 from ..simulator import FailureModel
 from . import experiments  # noqa: F401  (import registers the drivers)
 from .report import write_json, write_markdown_report, write_markdown_report_from_store
@@ -97,19 +94,6 @@ DEFAULT_STORE = "results/results.sqlite"
 #: Kept as a plain mapping for backwards compatibility with callers that did
 #: ``from repro.harness.cli import EXPERIMENTS``.
 EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
-
-
-def _add_claim_options(parser: argparse.ArgumentParser) -> None:
-    """``--lease`` and ``--max-attempts``: the claim policy of every queue drain."""
-    parser.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_S, metavar="SECS",
-        help="seconds a claim lives without renewal before another worker reclaims it "
-        f"(the worker holding it renews it every SECS/{LEASE_RENEWALS})",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-        help="claims per cell before it is marked failed",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="TOML/JSON file of protocol RunSpecs; every run becomes one sweep cell "
-        "(workers receive the serialised spec, results land in the store under run:<protocol>)",
+        "(drains receive the serialised spec, results land in the store under run:<protocol>)",
     )
     sweep.add_argument(
         "--experiments",
@@ -216,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--reps", type=int, default=None, help="repetitions (seeds) per grid point")
     sweep.add_argument("--seed", type=int, default=None, help="master seed (per-cell seeds derive from it)")
     sweep.add_argument(
-        "--jobs", type=int, default=1, help="queue drains forked from this process (1 = drain in-process)"
+        "--jobs", type=int, default=1,
+        help="queue drains forked from this process (1 = drain in-process; more "
+        "needs a file-backed --store)",
     )
     sweep.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
     sweep.add_argument(
@@ -232,61 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute cells even when the store already has their results",
     )
     sweep.add_argument(
-        "--enqueue-only",
-        action="store_true",
-        help="enqueue the cells and exit without draining "
-        "(start `drr-gossip worker` processes to execute them)",
-    )
-    _add_claim_options(sweep)
-
-    worker = sub.add_parser(
-        "worker",
-        help="claim and execute queued sweep cells from a shared store until it drains",
-    )
-    worker.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
-    worker.add_argument(
-        "--worker-id",
-        type=str,
-        default=None,
-        help="claim owner label recorded in the queue (default: host:pid)",
-    )
-    _add_claim_options(worker)
-    worker.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        metavar="SECS",
-        help="idle sleep between claim attempts while other workers hold cells",
-    )
-    worker.add_argument(
-        "--linger",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="keep polling an empty queue this long before exiting (start workers "
-        "before submitting work)",
-    )
-    worker.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after handling N cells (default: drain the queue)",
-    )
-    worker.add_argument(
-        "--no-skip",
-        action="store_true",
-        help="execute claims even when the store already has their results "
-        "(disables the content-addressed cache check)",
-    )
-    worker.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="FILE",
-        help="record per-claim/execute/write spans and queue-depth gauges; with "
-        "FILE, also export the events as JSONL",
+        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
+        help="claims per cell before it is marked failed: a cell whose drain dies "
+        "(or that kills it) is claimed again until then",
     )
 
     plot = sub.add_parser(
@@ -362,15 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument(
         "--queue",
         action="store_true",
-        help="show the distributed work queue: per-experiment state counts and "
-        "every in-flight claim (owner, attempt, lease age)",
-    )
-    results.add_argument(
-        "--stale-after",
-        type=float,
-        default=DEFAULT_LEASE_S,
-        metavar="SECS",
-        help="with --queue: flag claims not renewed for this long as stale",
+        help="show the work queue: per-experiment state counts and every in-flight "
+        "claim (owner, attempt, claim time), flagging the orphaned ones",
     )
     return parser
 
@@ -538,23 +465,6 @@ def _sweep_cells(args: argparse.Namespace) -> tuple[list, str]:
     return expand_cells(definition), definition.name  # validates names and grids up front
 
 
-def _enqueue_only(args: argparse.Namespace, runner: SweepRunner, cells, name: str) -> int:
-    """``sweep --enqueue-only``: fill the queue, let ``drr-gossip worker`` processes drain it."""
-    report, todo, enqueued = runner.enqueue(cells, name)
-    depth = runner.store.queue_depth()
-    duplicates = len(cells) - report.skipped - len(todo)
-    print(
-        f"sweep {name!r}: enqueued {enqueued} of {len(cells)} cell(s) "
-        f"({report.skipped} already completed, {duplicates} duplicate specs)"
-    )
-    print(
-        f"queue: {depth['pending']} pending, {depth['claimed']} claimed, "
-        f"{depth['done']} done, {depth['failed']} failed"
-    )
-    print(f"drain with: drr-gossip worker --store {args.store}")
-    return 0
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
@@ -569,63 +479,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
             store,
             jobs=args.jobs,
             skip_completed=not args.no_skip,
-            lease_s=args.lease,
             max_attempts=args.max_attempts,
             progress=print_progress,
         )
-        if args.enqueue_only:
-            return _enqueue_only(args, runner, cells, name)
         report = runner.run_cells(cells, name=name)
     print(report.summary())
     print(f"store: {args.store}")
     return 0 if report.failed == 0 else 1
 
 
-def _run_worker(args: argparse.Namespace) -> int:
-    if args.store != ":memory:" and not Path(args.store).exists():
-        print(
-            f"no result store at {args.store} "
-            "(enqueue cells with `drr-gossip sweep --enqueue-only` first)",
-            file=sys.stderr,
-        )
-        return 1
-    want_telemetry = args.telemetry is not None
-    tel = Telemetry() if want_telemetry else None
-    try:
-        with ResultStore(args.store) as store:
-            worker = QueueWorker(
-                store,
-                worker_id=args.worker_id,
-                lease_s=args.lease,
-                max_attempts=args.max_attempts,
-                poll_interval_s=args.poll,
-                linger_s=args.linger,
-                max_cells=args.max_cells,
-                skip_completed=not args.no_skip,
-                telemetry=tel,
-                progress=print_worker_progress,
-            )
-            # SIGTERM/SIGINT mid-cell releases the claim (back to pending,
-            # no owner) and ends the drain with report.stopped set.
-            with signal_shutdown():
-                report = worker.drain()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.summary())
-    if report.stopped:
-        print(f"stopped by {report.stopped}: in-flight claim released back to pending")
-    if want_telemetry and tel is not None:
-        doc = tel.as_dict()
-        print(format_telemetry(doc))
-        _export_events(doc, args.telemetry, append=False)
-    return 0 if report.failed == 0 and report.exhausted == 0 else 1
-
-
-def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: float) -> None:
+def _print_queue_view(store: ResultStore, experiment: str | None) -> None:
     counts = store.queue_counts(experiment)
     if not counts:
-        print("queue: empty (enqueue cells with `drr-gossip sweep --enqueue-only`)")
+        print("queue: empty (run `drr-gossip sweep` to fill it)")
         return
     print(f"{'experiment':<20} {'pending':>8} {'claimed':>8} {'done':>6} {'failed':>6}")
     for row in counts:
@@ -635,17 +501,17 @@ def _print_queue_view(store: ResultStore, experiment: str | None, stale_after: f
         )
     claims = [row for row in store.claims() if experiment in (None, row["experiment"])]
     if claims:
-        stale = sum(row["age_s"] > stale_after for row in claims)
+        orphaned = sum(row["orphaned"] for row in claims)
         print(
-            f"\n{len(claims)} claim(s) in flight, {stale} stale (not renewed for > "
-            f"{stale_after:g}s; workers reclaim stale claims):"
+            f"\n{len(claims)} claim(s) in flight, {orphaned} orphaned (the owner's drain "
+            "is gone; the next drain reclaims them at once):"
         )
-        print(f"{'experiment':<20} {'param_hash':<14} {'seed':>5} {'attempt':>7} {'age':>8}  owner")
+        print(f"{'experiment':<20} {'param_hash':<14} {'seed':>5} {'attempt':>7}  {'claimed at':<19}  owner")
         for row in claims:
-            flag = "  stale" if row["age_s"] > stale_after else ""
+            flag = "  orphaned" if row["orphaned"] else ""
             print(
                 f"{row['experiment']:<20} {row['param_hash'][:12]:<14} {row['seed']:>5} "
-                f"{row['attempt']:>7} {row['age_s']:>7.1f}s  {row['owner'] or '-'}{flag}"
+                f"{row['attempt']:>7}  {row['claim_time'] or '-':<19}  {row['owner'] or '-'}{flag}"
             )
 
 
@@ -761,7 +627,7 @@ def _run_results(args: argparse.Namespace) -> int:
         return 1
     if args.queue:
         with ResultStore(args.store) as store:
-            _print_queue_view(store, args.experiment, args.stale_after)
+            _print_queue_view(store, args.experiment)
         return 0
     with ResultStore(args.store) as store:
         summary = store.summary()
@@ -807,8 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_report(args)
     if args.command == "sweep":
         return _run_sweep(args)
-    if args.command == "worker":
-        return _run_worker(args)
     if args.command == "spec":
         return _run_spec_tools(args)
     if args.command == "plot":

@@ -2,10 +2,10 @@
 
 A :class:`Heartbeat` is a daemon thread that periodically prints a one-line
 elapsed/phase/rounds summary from ``Telemetry.snapshot()`` to stderr, so a
-human can tell a long run is alive.  A sweep cell's liveness is the lease
-of its claimed queue row: the worker running the cell renews it
-(see :mod:`repro.orchestration.store`), and ``drr-gossip results --queue``
-lists it.
+human can tell a long run is alive.  A sweep cell's liveness is its
+drain's owner lock, which the kernel holds for as long as the drain runs
+(see :mod:`repro.orchestration.store`); ``drr-gossip results --queue``
+lists each claim and flags the orphaned ones.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ This subsystem turns the reproduction harness into an experiment platform:
   typed parameter specs).
 * :mod:`~repro.orchestration.store` — the SQLite result store, keyed by
   ``(experiment, canonical param hash, seed)`` with resume semantics, and
-  the work queue every sweep runs through.
+  the work queue every sweep runs through (a claim is live while its
+  drain holds its owner lock).
 * :mod:`~repro.orchestration.runner` — the sweep runner (enqueue, then
   drain in-process or in forked drains; per-cell crash capture,
   deterministic seeds).
-* :mod:`~repro.orchestration.worker` — the queue drain loop, also run by
-  ``drr-gossip worker`` on any host sharing the store.
+* :mod:`~repro.orchestration.worker` — the queue drain loop.
 * :mod:`~repro.orchestration.config` — TOML/JSON sweep definitions.
 
 Typical use::
@@ -62,7 +62,6 @@ from .worker import (
     WorkerReport,
     WorkerShutdown,
     default_worker_id,
-    print_worker_progress,
     row_identity,
     signal_shutdown,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WorkerReport",
     "WorkerShutdown",
     "default_worker_id",
-    "print_worker_progress",
     "row_identity",
     "signal_shutdown",
     "ExperimentPlan",

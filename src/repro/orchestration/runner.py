@@ -19,15 +19,16 @@ queue, and drains the queue: in this process with ``jobs == 1``, in
   recorded as failed.
 * **Resume.** With ``skip_completed`` (the default), cells whose key
   already has a successful row in the store are skipped without executing,
-  so re-running a finished sweep executes zero cells.
+  so re-running a finished sweep executes zero cells.  The claims a killed
+  sweep left behind are orphaned (their drains' owner locks are free), and
+  the resumed sweep's drains reclaim and run them at once.
 
 Every cell travels as one *serialised spec string* — either an experiment
 cell (``{"experiment", "params", "seed"}``) resolved by name through the
 default registry, or a protocol :class:`~repro.api.RunSpec` document
 executed through :func:`repro.run`.  Nothing but that string sits in the
-queue, so any ``drr-gossip worker`` process on a host sharing the store
-can claim and execute a sweep's cells right alongside the runner's own
-drains; see :mod:`~repro.orchestration.worker`.
+queue, so the drains of any sweep running on the same store claim and
+execute each other's cells; see :mod:`~repro.orchestration.worker`.
 
 Identical cells are *content-addressed*: cells whose serialised spec
 strings are equal collapse onto one execution, and the duplicates are
@@ -52,7 +53,6 @@ from ..simulator.rng import RngStream, derive_seed
 from .config import SweepDefinition
 from .registry import ExperimentRegistry, load_builtin_experiments
 from .store import (
-    DEFAULT_LEASE_S,
     DEFAULT_MAX_ATTEMPTS,
     QueuedCell,
     ResultStore,
@@ -76,11 +76,6 @@ __all__ = [
 #: beyond this the vector is dropped (marked ``estimates_omitted``) so a
 #: single n=10^8 cell cannot bloat the store
 MAX_ENVELOPE_ESTIMATES = 65536
-
-#: idle poll of the runner's own drains: a drain that runs out of pending
-#: cells waits on its siblings' last claims, and the default 0.5 s poll
-#: would hold the sweep that long after the last row landed
-DRAIN_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ def _execute_cell(spec_json: str) -> dict[str, Any]:
     """Run one serialised cell; never raises (crashes become a failure payload).
 
     The single string argument is the whole contract between the queue and
-    a worker: a ``{"protocol": ...}`` document dispatches through
+    a drain: a ``{"protocol": ...}`` document dispatches through
     :func:`repro.run`, a ``{"experiment": ...}`` document resolves the
     registered driver by name (parameters re-validated through the registry
     schema, which restores tuples/enums the JSON transport flattened).  The
@@ -300,8 +295,8 @@ class SweepRunner:
     cell's outcome as its row lands, and when a drain dies it hands that
     drain's claims back to the queue and forks a replacement, so a cell
     that keeps killing its drain ends as a ``gave up`` failure once its
-    attempt budget is spent.  Any ``drr-gossip worker`` pointed at the
-    same store claims cells right alongside the runner's drains.
+    attempt budget is spent.  Another sweep on the same store drains the
+    same queue alongside.
     """
 
     def __init__(
@@ -312,13 +307,10 @@ class SweepRunner:
         skip_completed: bool = True,
         registry: ExperimentRegistry | None = None,
         progress: Callable[[CellOutcome, int, int], None] | None = None,
-        lease_s: float = DEFAULT_LEASE_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive, got {lease_s}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.store = store
@@ -326,9 +318,6 @@ class SweepRunner:
         self.skip_completed = skip_completed
         self.registry = registry
         self.progress = progress
-        #: seconds without a renewal before a claim is stale (its drains
-        #: renew every ``lease_s / LEASE_RENEWALS``)
-        self.lease_s = float(lease_s)
         #: claims per cell before it is marked failed
         self.max_attempts = int(max_attempts)
         #: duplicate cells (identical serialised spec) keyed by the spec of
@@ -345,7 +334,7 @@ class SweepRunner:
                 "jobs > 1 forks queue drains that open the store by path, so it "
                 "needs a file-backed store, not ':memory:'"
             )
-        report, todo, _ = self.enqueue(cells, name)
+        report, todo = self.enqueue(cells, name)
         for index, outcome in enumerate(report.outcomes, start=1):
             self._emit(outcome, index, len(cells))
         if todo:
@@ -354,14 +343,14 @@ class SweepRunner:
 
     def enqueue(
         self, cells: Sequence[SweepCell], name: str = "cells"
-    ) -> tuple[SweepReport, list[SweepCell], int]:
+    ) -> tuple[SweepReport, list[SweepCell]]:
         """Plan a sweep and put it in the queue, without executing anything.
 
         Cells the store already completed become ``skipped`` outcomes of
         the returned report; of the rest, one representative per distinct
-        serialised spec is enqueued (its twins get its result).  Returns the
-        report, the representatives, and how many queue rows became pending
-        (rows already in flight stay as they are).
+        serialised spec is enqueued (its twins get its result; rows already
+        in flight stay as they are).  Returns the report and the
+        representatives.
         """
         report = SweepReport(sweep=name)
         done_keys = self.store.completed_cells() if self.skip_completed else set()
@@ -379,10 +368,10 @@ class SweepRunner:
             else:
                 self._dupes[spec] = []
                 todo.append(cell)
-        enqueued = self.store.enqueue_cells(
+        self.store.enqueue_cells(
             (cell.experiment, cell.param_hash, cell.seed, cell.spec_json()) for cell in todo
         )
-        return report, todo, enqueued
+        return report, todo
 
     def _worker(self, store: ResultStore, progress: Callable, worker_id: str | None = None):
         from .worker import QueueWorker  # local import: worker imports this module
@@ -390,9 +379,7 @@ class SweepRunner:
         return QueueWorker(
             store,
             worker_id=worker_id,
-            lease_s=self.lease_s,
             max_attempts=self.max_attempts,
-            poll_interval_s=DRAIN_POLL_S,
             skip_completed=self.skip_completed,
             progress=progress,
         )
@@ -413,7 +400,7 @@ class SweepRunner:
             self._worker(self.store, landed).drain()
         else:
             self._drain_forked(min(self.jobs, len(todo)), landed)
-        # What is left ran on other workers sharing the store, or nowhere.
+        # What is left ran in another sweep's drains, or nowhere.
         for cell in itertools.chain.from_iterable(waiting.values()):
             self._record(report, cell, None, 0.0, total)
 
@@ -422,9 +409,10 @@ class SweepRunner:
 
         Each drain reports its claims' outcomes to ``landed`` through its
         own pipe.  A drain that exits non-zero died mid-sweep: its claims
-        go back to pending at once (no lease has to expire), and if it held
-        any — the cell it ran may be what killed it — a replacement is
-        forked; the attempt budget bounds how often that can happen.
+        go back to pending at once and its owner lock file is removed, and
+        if it held any claim — the cell it ran may be what killed it — a
+        replacement is forked; the attempt budget bounds how often that can
+        happen.
         """
         from .worker import default_worker_id, signal_shutdown
 
@@ -460,6 +448,7 @@ class SweepRunner:
                     process.join()
                     if process.exitcode != 0:
                         released = self.store.release_claims(worker_id)
+                        self.store.release_owner(worker_id)
                         _logger.warning(
                             "queue drain %s died (exit code %s) holding %d claim(s)",
                             worker_id, process.exitcode, len(released),
@@ -491,7 +480,7 @@ class SweepRunner:
                 outcome = CellOutcome(
                     cell=cell, status="failed",
                     error="cell never executed: the queue drain ended without a stored "
-                    "result (all workers died?); re-run the sweep to retry it",
+                    "result (all drains died?); re-run the sweep to retry it",
                 )
             elif run.ok:
                 outcome = CellOutcome(cell=cell, status="ok", duration_s=run.duration_s or 0.0)

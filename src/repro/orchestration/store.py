@@ -7,14 +7,12 @@ the store needs no schema migration when a driver adds a column; the
 UNIQUE key gives the sweep runner its skip-completed resume semantics and
 makes re-running a crashed cell an upsert rather than a duplicate.
 
-The store is written concurrently: the sweep runner's queue drains, any
-number of ``drr-gossip worker`` processes on hosts sharing the filesystem,
-and the lease-renewal threads they run all hold their own connections.
-WAL mode plus a configurable ``busy_timeout`` make concurrent writers
-queue instead of crash, every write retries on ``SQLITE_BUSY``, and the
-work-queue claim (:meth:`ResultStore.claim_cell`) takes the write lock up
-front with ``BEGIN IMMEDIATE`` so a pending row is handed to exactly one
-claimant.
+The store is written concurrently by the queue drains of every sweep
+running on it, each on its own connection.  WAL mode plus a configurable
+``busy_timeout`` make concurrent writers queue instead of crash, every
+write retries on ``SQLITE_BUSY``, and the work-queue claim
+(:meth:`ResultStore.claim_cell`) takes the write lock up front with
+``BEGIN IMMEDIATE`` so a pending row is handed to exactly one claimant.
 
 Queue lifecycle
 ---------------
@@ -23,25 +21,31 @@ Every queued cell is one row keyed by ``(experiment, param_hash, seed)``
 
     pending --claim--> claimed --record--> done | failed
        ^                  |
-       +---reclaim(stale)-+          (attempt += 1 on every claim)
+       +--reclaim(orphan)-+          (attempt += 1 on every claim)
 
-* **claim** is atomic: exactly one worker wins a pending row and stamps
+* **claim** is atomic: exactly one drain wins a pending row and stamps
   its ``owner`` and ``claim_time``.
-* **claimed** rows are the only record of a claim and of its lease:
-  ``claim_time`` is the lease clock, which the owner refreshes
-  (:meth:`ResultStore.mark_heartbeat`) every ``lease / LEASE_RENEWALS``
-  seconds while it runs the cell.  A claim whose ``claim_time`` is older
-  than the lease is *stale* and goes back to pending (the worker died).
+* **claimed** rows are the only record of a claim.  Its owner is live
+  while it holds its *owner lock*: an ``fcntl.flock`` on
+  ``<store>.owners/<owner>.lock``, which a drain takes
+  (:meth:`ResultStore.mark_heartbeat`) before its first claim and holds
+  until it exits.  The kernel drops the lock when the process dies, even
+  on SIGKILL, so a claim is *orphaned* exactly when its owner's lock can
+  be taken, and :meth:`ResultStore.reclaim_orphans` puts it back to
+  pending at once.  A ``:memory:`` store takes no lock: no other process
+  can open it.
 * **record**: a cell's result or failure row and its queue row's
   terminal state commit in one transaction.
-* **fail_exhausted** stops a poison cell that keeps killing its workers:
+* **fail_exhausted** stops a poison cell that keeps killing its drains:
   once a pending row has been claimed ``max_attempts`` times without a
   recorded result, it is marked failed instead of looping forever.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import sqlite3
 import time
 import warnings
@@ -56,9 +60,7 @@ from ..serialization import canonical_json, canonical_value, stable_digest
 from ..substrate import DEFAULT_BACKEND
 
 __all__ = [
-    "DEFAULT_LEASE_S",
     "DEFAULT_MAX_ATTEMPTS",
-    "LEASE_RENEWALS",
     "QUEUE_STATES",
     "QueuedCell",
     "ResultStore",
@@ -128,24 +130,8 @@ CREATE INDEX IF NOT EXISTS idx_runs_spec_hash ON runs (spec_hash);
 CREATE INDEX IF NOT EXISTS idx_queue_spec_hash ON queue (spec_hash);
 """
 
-#: seconds a claim lives without a renewal before another worker reclaims it
-DEFAULT_LEASE_S = 60.0
-
 #: claims per cell before it is marked failed instead of reclaimed again
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: renewals per lease: a claim's owner refreshes it every
-#: ``lease_s / LEASE_RENEWALS`` seconds (15 s at the default lease), so the
-#: claim stays live through three missed renewals
-LEASE_RENEWALS = 4
-
-#: the lease clock's stamp, to the millisecond (``datetime('now')`` truncates
-#: to the second, which would age a lease by up to a second too much)
-_NOW_SQL = "strftime('%Y-%m-%d %H:%M:%f', 'now')"
-
-#: SQL age (seconds) of a claimed queue row's lease: the time since the
-#: claim was taken or last renewed
-_CLAIM_AGE_SQL = "(julianday('now') - julianday(claim_time)) * 86400.0"
 
 
 def _json_default(value: Any) -> Any:
@@ -188,7 +174,7 @@ def cell_spec_json(experiment: str, params: Mapping[str, Any], seed: int) -> str
     """Canonical serialised form of one sweep cell.
 
     This string is the *transport* format of a cell: the sweep runner puts
-    it in the work queue, any worker sharing the store executes it, and the
+    it in the work queue, any drain on the store executes it, and the
     store persists it alongside the row, so a stored run can be replayed
     from its row alone.
     """
@@ -201,7 +187,7 @@ def cell_spec_hash(spec_json: str) -> str:
     """Content address of one serialised cell (16 hex chars).
 
     This is the digest the ``spec_hash`` columns and the content-addressed
-    lookups (the worker's pre-execution cache check, the sweep runner's
+    lookups (the drain's pre-execution cache check, the sweep runner's
     read-back of cells its drains did not report) share.  For a
     protocol :class:`~repro.api.RunSpec` document the non-identity
     ``telemetry`` toggle is popped first, so the digest equals
@@ -223,17 +209,17 @@ class QueuedCell:
     param_hash: str
     seed: int
     #: the cell's whole transport form (``SweepCell.spec_json()``) — a
-    #: worker needs nothing else to execute it
+    #: drain needs nothing else to execute it
     spec_json: str
     state: str
     owner: str | None = None
-    #: when the claim was taken or last renewed (the lease clock)
+    #: when the claim was taken
     claim_time: str | None = None
-    #: how many times this cell has been claimed (capped by the worker's
+    #: how many times this cell has been claimed (capped by the drain's
     #: ``max_attempts``)
     attempt: int = 0
     #: content address of ``spec_json`` (``cell_spec_hash``) — the key the
-    #: worker's cache check looks the cell's run up by; None on rows
+    #: drain's cache check looks the cell's run up by; None on rows
     #: enqueued before the column existed
     spec_hash: str | None = None
 
@@ -322,9 +308,8 @@ class ResultStore:
 
     ``busy_timeout_s`` is how long any single statement waits for a
     competing writer before raising ``SQLITE_BUSY``; on top of that every
-    write transaction retries a few times, so independent worker
-    processes hammering one shared store queue behind each other instead
-    of crashing a sweep.
+    write transaction retries a few times, so drains hammering one store
+    queue behind each other instead of crashing a sweep.
     """
 
     def __init__(
@@ -337,8 +322,11 @@ class ResultStore:
             raise ValueError(f"busy_timeout_s must be >= 0, got {busy_timeout_s}")
         self.path = Path(path)
         self.busy_timeout_s = float(busy_timeout_s)
+        #: the directory of the drains' owner locks; None for an in-memory store
+        self._owners: Path | None = None
         if str(path) != ":memory:":
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._owners = Path(f"{self.path}.owners")
         self._conn = sqlite3.connect(str(path), timeout=self.busy_timeout_s)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -377,7 +365,7 @@ class ResultStore:
             _logger.info("result store %s: added telemetry_json column", path)
         # Content-addressing columns (the cache key and the replayable
         # result).  Rows written before the columns existed are backfilled
-        # from their stored spec_json so the worker's cache check finds
+        # from their stored spec_json so the drain's cache check finds
         # pre-existing results too.
         if "result_json" not in columns:
             self._conn.execute("ALTER TABLE runs ADD COLUMN result_json TEXT")
@@ -580,7 +568,7 @@ class ResultStore:
         return digest
 
     # ------------------------------------------------------------------ #
-    # work queue (what sweep drains and ``drr-gossip worker`` claim from)
+    # work queue (what sweep drains claim from)
     # ------------------------------------------------------------------ #
     def _decode_queue_row(self, row: sqlite3.Row) -> QueuedCell:
         return QueuedCell(**{f.name: row[f.name] for f in fields(QueuedCell)})
@@ -619,23 +607,24 @@ class ResultStore:
         """Atomically claim the oldest pending row, or None when none is claimable.
 
         The winning row moves to ``claimed`` with ``owner`` set,
-        ``claim_time`` stamped (its lease starts) and ``attempt``
-        incremented.  With ``max_attempts``, rows already claimed that many
-        times are passed over; :meth:`fail_exhausted` retires them.
+        ``claim_time`` stamped and ``attempt`` incremented.  With
+        ``max_attempts``, rows already claimed that many times are passed
+        over; :meth:`fail_exhausted` retires them.
         """
         budget = "" if max_attempts is None else f" AND attempt < {int(max_attempts)}"
+        claimable = f"SELECT id FROM queue WHERE state = 'pending'{budget} ORDER BY id LIMIT 1"
+        if self._conn.execute(claimable).fetchone() is None:
+            return None  # an idle drain's poll: no write lock taken
 
         def body() -> QueuedCell | None:
             # The write lock is held for the whole select-then-update, so
             # the claim can never lose a race: one claimant per row.
-            row = self._conn.execute(
-                f"SELECT id FROM queue WHERE state = 'pending'{budget} ORDER BY id LIMIT 1"
-            ).fetchone()
+            row = self._conn.execute(claimable).fetchone()
             if row is None:
                 return None
             self._conn.execute(
                 "UPDATE queue SET state = 'claimed', owner = ?, "
-                f"claim_time = {_NOW_SQL}, attempt = attempt + 1 WHERE id = ?",
+                "claim_time = datetime('now'), attempt = attempt + 1 WHERE id = ?",
                 (owner, row["id"]),
             )
             return self._decode_queue_row(
@@ -644,19 +633,56 @@ class ResultStore:
 
         return self._write("claim_cell", body)
 
-    def mark_heartbeat(self, key: tuple[str, str, int], worker: str) -> None:
-        """Renew the lease of a claim ``worker`` still holds.
+    def mark_heartbeat(self, owner: str) -> int | None:
+        """Take ``owner``'s lock and return its held descriptor (None in memory).
 
-        This is the one lease renewal: it refreshes the claimed row's
-        ``claim_time``.  The row must still be claimed by ``worker``, so a
-        renewal that races the end of its claim (recorded, released or
-        reclaimed) changes nothing and cannot bring the claim back.
+        A drain calls this before its first claim and holds the lock until
+        it exits (:meth:`release_owner`); while it is held, the claims of
+        ``owner`` are live.  A second live holder of the name is refused.
+        Claims the name still holds were left by a dead drain of that name
+        (its lock was free), so they go back to pending.
         """
-        self._write("mark_heartbeat", lambda: self._conn.execute(
-            f"UPDATE queue SET claim_time = {_NOW_SQL} WHERE experiment = ? AND "
-            "param_hash = ? AND seed = ? AND owner = ? AND state = 'claimed'",
-            (*key, worker),
-        ))
+        if self._owners is None:
+            return None
+        self._owners.mkdir(exist_ok=True)
+        fd = os.open(self._owners / f"{owner}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RuntimeError(
+                f"claim owner {owner!r} is already draining store {self.path}"
+            ) from None
+        try:
+            self.release_claims(owner)
+        except BaseException:
+            self.release_owner(owner, fd)
+            raise
+        return fd
+
+    def release_owner(self, owner: str, fd: int | None = None) -> None:
+        """Remove ``owner``'s lock file, then let go of its lock ``fd`` if held."""
+        if self._owners is not None:
+            (self._owners / f"{owner}.lock").unlink(missing_ok=True)
+        if fd is not None:
+            os.close(fd)
+
+    def _lock_orphan(self, owner: str) -> tuple[bool, int | None]:
+        """Try ``owner``'s lock without blocking: ``(orphaned, held fd or None)``.
+
+        An owner without a lock file never took one (a store written
+        before owner locks) or has ended, so its claims are orphaned too.
+        """
+        try:
+            fd = os.open(self._owners / f"{owner}.lock", os.O_RDWR)
+        except FileNotFoundError:
+            return True, None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            return False, None
+        return True, fd
 
     def finish_cell(self, key: tuple[str, str, int], state: str) -> None:
         """Move a queue row to its terminal state (``done`` or ``failed``)."""
@@ -675,53 +701,59 @@ class ResultStore:
             (state, *key),
         )
 
-    def _requeue(self, where: str, args: tuple) -> list[tuple[str, str, int]]:
-        """Move the claimed rows matching ``where`` back to pending; returns their keys.
-
-        ``attempt`` is left alone: it counts claims, so a cell that keeps
-        killing its worker still runs out of budget.
-        """
-        rows = self._conn.execute(
-            f"SELECT id, experiment, param_hash, seed FROM queue WHERE state = 'claimed' AND {where}",
-            args,
-        ).fetchall()
-        self._conn.executemany(
-            "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL WHERE id = ?",
-            [(row["id"],) for row in rows],
-        )
-        return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
-
     def release_claims(self, owner: str) -> list[tuple[str, str, int]]:
         """Hand every claim ``owner`` holds back to pending; returns their keys.
 
-        Workers call this when they are interrupted, and the sweep runner
-        when one of its drains dies.
+        Drains call this when they are interrupted, the sweep runner when
+        one of its drains dies, and the reclaim pass for a dead owner.
+        ``attempt`` is left alone: it counts claims, so a cell that keeps
+        killing its drain still runs out of budget.
         """
-        return self._write("release_claims", lambda: self._requeue("owner = ?", (owner,)))
 
-    def reclaim_stale(self, lease_s: float) -> list[tuple[str, str, int]]:
-        """Return stale claims to pending; returns the reclaimed keys.
-
-        A claim is stale when its ``claim_time`` — taken at the claim and
-        refreshed by every renewal — is older than ``lease_s`` seconds.
-        """
-        if lease_s < 0:
-            raise ValueError(f"lease_s must be >= 0, got {lease_s}")
-        reclaimed = self._write(
-            "reclaim_stale", lambda: self._requeue(f"{_CLAIM_AGE_SQL} > ?", (float(lease_s),))
-        )
-        if reclaimed:
-            _logger.info(
-                "store %s: reclaimed %d stale claim(s) older than %.1fs",
-                self.path, len(reclaimed), lease_s,
+        def body() -> list[tuple[str, str, int]]:
+            rows = self._conn.execute(
+                "SELECT id, experiment, param_hash, seed FROM queue "
+                "WHERE state = 'claimed' AND owner IS ?",
+                (owner,),
+            ).fetchall()
+            self._conn.executemany(
+                "UPDATE queue SET state = 'pending', owner = NULL, claim_time = NULL WHERE id = ?",
+                [(row["id"],) for row in rows],
             )
+            return [(r["experiment"], r["param_hash"], int(r["seed"])) for r in rows]
+
+        return self._write("release_claims", body)
+
+    def reclaim_orphans(self) -> list[tuple[str, str, int]]:
+        """Return the claims of owners whose lock is free to pending; returns their keys.
+
+        Each owner's claims are released while its lock is held here, so a
+        drain cannot take the name back in between; then its lock file is
+        removed.
+        """
+        if self._owners is None:
+            return []
+        owners = self._conn.execute(
+            "SELECT DISTINCT owner FROM queue WHERE state = 'claimed'"
+        ).fetchall()
+        reclaimed: list[tuple[str, str, int]] = []
+        for (owner,) in owners:
+            orphaned, fd = self._lock_orphan(owner)
+            if not orphaned:
+                continue
+            try:
+                reclaimed += self.release_claims(owner)
+            finally:
+                self.release_owner(owner, fd)
+        if reclaimed:
+            _logger.info("store %s: reclaimed %d orphaned claim(s)", self.path, len(reclaimed))
         return reclaimed
 
     def fail_exhausted(self, max_attempts: int) -> list[QueuedCell]:
         """Mark pending rows already claimed ``max_attempts`` times as failed.
 
         Returns the rows so the caller can record a failure row per cell;
-        this is the cap that turns a worker-killing poison cell into a
+        this is the cap that turns a drain-killing poison cell into a
         recorded failure instead of an infinite reclaim loop.
         """
         if max_attempts < 1:
@@ -773,13 +805,24 @@ class ResultStore:
         return [self._decode_queue_row(row) for row in rows]
 
     def claims(self) -> list[dict[str, Any]]:
-        """Every in-flight claim with its lease age ``age_s`` in seconds, oldest row first."""
+        """Every in-flight claim, oldest row first, flagged ``orphaned`` when its owner is gone.
+
+        Owner locks are only probed here: nothing is released.
+        """
         rows = self._conn.execute(
-            "SELECT experiment, param_hash, seed, owner, attempt, claim_time, "
-            f"CAST({_CLAIM_AGE_SQL} AS REAL) AS age_s "
+            "SELECT experiment, param_hash, seed, owner, attempt, claim_time "
             "FROM queue WHERE state = 'claimed' ORDER BY id"
         ).fetchall()
-        return [dict(row) for row in rows]
+        verdicts: dict[str, bool] = {}
+        claims = [dict(row) for row in rows]
+        for claim in claims:
+            owner = claim["owner"]
+            if owner not in verdicts and self._owners is not None:
+                verdicts[owner], fd = self._lock_orphan(owner)
+                if fd is not None:
+                    os.close(fd)
+            claim["orphaned"] = verdicts.get(owner, False)
+        return claims
 
     # ------------------------------------------------------------------ #
     # querying
@@ -795,7 +838,7 @@ class ResultStore:
     def get_by_spec_hash(self, spec_hash: str) -> StoredRun | None:
         """Content-addressed lookup: the stored run for one spec digest.
 
-        This is the shared cache check: queue workers consult it before
+        This is the shared cache check: queue drains consult it before
         executing a claim, and the sweep runner reads the outcome of cells
         its own drains did not report from it.  Returns the row whatever its
         status — callers decide whether a ``failed`` row counts as a hit.

@@ -383,8 +383,7 @@ class CompiledKernel(VectorizedKernel):
     and falls back to the NumPy primitive of the vectorized kernel where
     that primitive has a fast path.  Scratch buffers
     (occurrence counts, fold partials) are pre-allocated per kernel and
-    grown monotonically; :meth:`release_scratch` frees them after an
-    exceptionally large run.
+    grown monotonically.
     """
 
     name = "compiled"
@@ -399,10 +398,6 @@ class CompiledKernel(VectorizedKernel):
             buffer = np.zeros(max(int(size), 1024), dtype=dtype)
             self._scratch[name] = buffer
         return buffer
-
-    def release_scratch(self) -> None:
-        """Drop the pre-allocated scratch buffers (they regrow on demand)."""
-        self._scratch.clear()
 
     # -- primitives ------------------------------------------------------ #
     def sample_uniform(self, rng, n, size, exclude=None):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import best_shape
-from repro.core import Aggregate, drr_gossip_count, drr_gossip_rank
+from repro.analysis import best_shape, theory
+from repro.core import Aggregate, drr_gossip_count, drr_gossip_rank, run_drr
 from repro.harness import (
     run_ablation,
     run_chord_comparison,
@@ -101,6 +101,30 @@ def test_tree_count_and_size(forest):
         # Theorem 4: rounds <= log2(n) and messages grow like n log log n.
         assert row["rounds_over_logn"] <= 1.2
         assert row["messages_over_nloglogn"] < 6.0
+
+
+@pytest.mark.parametrize("log2_n", [12, 16, 20])
+def test_tree_sizes_follow_the_probe_model(log2_n):
+    """Theorem 3 as the DRR forest realises it: O(log n) expected, Theta(log^2 n) largest.
+
+    A root of rank r expects ``theory.expected_tree_size`` nodes, which is
+    O(log n); the sizes have a scale-free tail, so the largest of the
+    Theta(n / log n) trees grows like log^2 n, while the tallest stays
+    under log2 n levels.
+    """
+    n = 2**log2_n
+    k = log2_n - 1  # the probe budget
+    height_ratios = []
+    for seed in range(4):
+        forest = run_drr(n, rng=seed, backend="vectorized").forest
+        roots = forest.roots
+        top = roots[forest.rank[roots] > 1 - 1 / k]
+        sizes = np.bincount(forest.tree_id, minlength=n)[top]
+        expected = theory.expected_tree_size(n, forest.rank[top])
+        assert abs(sizes.mean() / expected.mean() - 1.0) <= 0.10
+        assert 0.4 <= forest.max_tree_size / log2_n**2 <= 1.2
+        height_ratios.append(forest.max_tree_height / log2_n)
+    assert np.mean(height_ratios) <= 1.0
 
 
 def test_drr_messages_grow_like_loglog_n(forest):

@@ -594,12 +594,13 @@ class TestCli:
                 ("exp", "abc", 2, '{"experiment": "exp", "seed": 2}'),
                 ("exp", "def", 3, '{"experiment": "exp", "seed": 3}'),
             ])
-            claim = store.claim_cell("w0")
-            store.mark_heartbeat(claim.key, "w0")
-        rc = main(["results", "--store", str(store_path), "--queue"])
+            lock = store.mark_heartbeat("w0")  # a live drain holds its owner lock
+            store.claim_cell("w0")
+            rc = main(["results", "--store", str(store_path), "--queue"])
+            store.release_owner("w0", lock)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "1 claim(s) in flight, 0 stale" in out
+        assert "1 claim(s) in flight, 0 orphaned" in out
         (line,) = [line for line in out.splitlines() if line.endswith("w0")]
         assert line.split()[:4] == ["exp", "abc", "2", "1"]  # experiment, hash, seed, attempt
 

@@ -188,8 +188,6 @@ class TestResultStore:
         with pytest.raises(ValueError, match="busy_timeout_s"):
             ResultStore(tmp_path / "r.sqlite", busy_timeout_s=-1)
         with ResultStore(tmp_path / "r.sqlite") as store:
-            with pytest.raises(ValueError, match="lease_s"):
-                store.reclaim_stale(-1.0)
             with pytest.raises(ValueError, match="max_attempts"):
                 store.fail_exhausted(0)
 

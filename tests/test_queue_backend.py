@@ -1,22 +1,23 @@
-"""The store's work queue: claim atomicity, leases, dedup, worker parity.
+"""The store's work queue: claim atomicity, owner locks, dedup, drain parity.
 
-Covers the pull-based work-stealing layer every sweep runs through:
+Covers the work queue every sweep runs through:
 
-* the store's queue table (enqueue/claim/finish/release/reclaim semantics),
+* the store's queue table (enqueue/claim/finish/release/reclaim semantics)
+  and the drains' owner locks,
 * the store's spec-hash layer (the content-address invariant, replayable
   ``result_json`` rows, and the migration backfill for older stores),
 * :class:`~repro.orchestration.worker.QueueWorker` drain loops,
 * ``SweepRunner`` draining in-process and in forked drains, including a
   cell that kills the drain running it,
-* two *real* worker processes sharing one store — zero duplicate
-  executions, and recovery from a SIGKILL mid-cell via lease reclaim.
+* real ``drr-gossip sweep`` processes on one store — two concurrent sweeps
+  with zero duplicate executions, a SIGTERM mid-cell, and a resume right
+  after a SIGKILL of the whole sweep or of its parent alone.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import signal
 import sqlite3
 import subprocess
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import RunResult, RunSpec, run
+from repro.harness.cli import main
 from repro.orchestration import (
     ExperimentPlan,
     QueuedCell,
@@ -64,17 +66,53 @@ def _enqueue(store: ResultStore, cells) -> int:
     )
 
 
-def _worker_env() -> dict[str, str]:
+def _owner_locks(store_path) -> list[str]:
+    """The owner lock files next to a store."""
+    return sorted(path.name for path in Path(f"{store_path}.owners").glob("*.lock"))
+
+
+def _sweep(store: Path, *argv: str) -> subprocess.Popen:
+    """Start ``drr-gossip sweep --store <store> --jobs 2 <argv>`` in its own process group."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return env
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "--store", str(store), "--jobs", "2", *argv],
+        env=env, cwd=str(REPO_ROOT), start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
 
 
-def _worker_command(store: str, worker_id: str, *extra: str) -> list[str]:
-    return [
-        sys.executable, "-m", "repro", "worker",
-        "--store", store, "--worker-id", worker_id, "--poll", "0.05", *extra,
-    ]
+def _spec_file(tmp_path: Path, specs) -> str:
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([spec.to_dict() for spec in specs]))
+    return str(path)
+
+
+def _await(condition, what: str, timeout_s: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.05)
+
+
+def _await_claims(store: Path, count: int) -> None:
+    def held() -> bool:
+        if not store.exists():
+            return False
+        with ResultStore(store) as conn:
+            return conn.queue_depth()["claimed"] == count
+
+    _await(held, f"the sweep to hold {count} claim(s)")
+
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Make sure nothing a test started outlives it."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
 
 
 #: the schema of stores that mirrored every claim in a ``heartbeats`` row
@@ -225,39 +263,45 @@ class TestQueueStore:
             again = store.claim_cell("w2")
             assert again.attempt == 2
 
-    def test_reclaim_stale_returns_expired_claims(self, tmp_path):
-        cells = expand_cells(_tiny_definition(reps=1))[:1]
-        with ResultStore(tmp_path / "r.sqlite") as store:
+    def test_reclaim_orphans_returns_claims_of_dead_owners(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cells = expand_cells(_tiny_definition(reps=1))[:2]
+        with ResultStore(path) as store:
             _enqueue(store, cells)
-            claim = store.claim_cell("dead-worker")
-            time.sleep(1.1)
-            assert store.reclaim_stale(lease_s=3600.0) == []  # fresh lease: untouched
-            reclaimed = store.reclaim_stale(lease_s=0.5)
-            assert reclaimed == [claim.key]
-            (row,) = store.queue_cells()
-            assert row.state == "pending"
-            assert row.attempt == 1
+            live_lock = store.mark_heartbeat("live")
+            live = store.claim_cell("live")
+            dead_lock = store.mark_heartbeat("dead")
+            dead = store.claim_cell("dead")
+            os.close(dead_lock)  # what the kernel does when a drain dies
+            assert _owner_locks(path) == ["dead.lock", "live.lock"]
+            assert store.reclaim_orphans() == [dead.key]
+            rows = {row.key: row for row in store.queue_cells()}
+            assert (rows[dead.key].state, rows[dead.key].owner, rows[dead.key].attempt) == (
+                "pending", None, 1,
+            )
+            assert (rows[live.key].state, rows[live.key].owner) == ("claimed", "live")
+            assert _owner_locks(path) == ["live.lock"]  # the reclaim removed the dead file
+            store.release_owner("live", live_lock)
+            assert _owner_locks(path) == []
 
-    def test_fresh_heartbeat_blocks_reclaim(self, tmp_path):
+    def test_held_owner_lock_blocks_reclaim(self, tmp_path):
+        path = tmp_path / "r.sqlite"
         cells = expand_cells(_tiny_definition(reps=1))[:1]
-        with ResultStore(tmp_path / "r.sqlite") as store:
+        with ResultStore(path) as store, ResultStore(path) as other:
             _enqueue(store, cells)
+            lock = store.mark_heartbeat("w1")
             claim = store.claim_cell("w1")
-            time.sleep(1.6)
-            # a renewal restarts the lease clock: the claim is 1.6 s old,
-            # its lease a few milliseconds
-            store.mark_heartbeat(claim.key, "w1")
-            (row,) = store.queue_cells()
-            assert row.claim_time > claim.claim_time
-            assert store.reclaim_stale(lease_s=1.4) == []
-            (row,) = store.queue_cells()
-            assert (row.state, row.owner, row.attempt) == ("claimed", "w1", 1)
-            # only the owner renews: another worker's mark changes nothing
-            time.sleep(0.01)  # a renewal would now stamp a later millisecond
-            store.mark_heartbeat(claim.key, "w2")
-            assert store.queue_cells()[0].claim_time == row.claim_time
+            # the lock is held, however long the cell runs and whoever looks
+            for conn in (store, other, store):
+                assert conn.reclaim_orphans() == []
+                (row,) = conn.queue_cells()
+                assert (row.state, row.owner, row.attempt) == ("claimed", "w1", 1)
+            # the drain exits: the lock and its file go, its claim is orphaned
+            store.release_owner("w1", lock)
+            assert other.reclaim_orphans() == [claim.key]
+            assert other.claim_cell("w2").attempt == 2
 
-    def test_claim_stamps_heartbeat_and_renewal_never_outlives_release(self, tmp_path):
+    def test_claim_stamps_owner_and_ends_with_its_record(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
@@ -265,37 +309,57 @@ class TestQueueStore:
             (held,) = store.claims()
             assert (held["experiment"], held["param_hash"], held["seed"]) == claim.key
             assert (held["owner"], held["claim_time"]) == ("w1", claim.claim_time)
+            assert claim.claim_time is not None
             experiment, params, seed = row_identity(claim.spec_json)
             store.record_failure(experiment, params, seed, "boom", spec_json=claim.spec_json)
             # the failure row and the queue row's terminal state land together
             assert store.queue_cells()[0].state == "failed"
             assert store.claims() == []
-            # a lease renewal racing the release finds no claim to refresh
-            time.sleep(0.01)  # a renewal would now stamp a later millisecond
-            store.mark_heartbeat(claim.key, "w1")
-            (row,) = store.queue_cells()
-            assert (row.state, row.claim_time) == ("failed", claim.claim_time)
-            assert store.claims() == []
-            # nor does one racing a release back to pending (or a reclaim)
-            _enqueue(store, cells)
-            again = store.claim_cell("w1")
-            store.release_claims("w1")
-            store.mark_heartbeat(again.key, "w1")
-            (row,) = store.queue_cells()
-            assert (row.state, row.owner, row.claim_time) == ("pending", None, None)
+            # the claim is over: neither a release nor a reclaim brings it back
+            assert store.release_claims("w1") == []
+            assert store.reclaim_orphans() == []
+            assert store.queue_cells()[0].state == "failed"
 
-    def test_lease_clock_has_millisecond_resolution(self, tmp_path):
-        """A second-truncated stamp would age a fresh lease by up to one second."""
+    def test_reused_owner_name_hands_back_a_dead_holders_claims(self, tmp_path):
+        """A drain whose name a dead drain held (a reused pid) cannot inherit its claim."""
+        path = tmp_path / "r.sqlite"
         cells = expand_cells(_tiny_definition(reps=1))[:1]
-        with ResultStore(tmp_path / "r.sqlite") as store:
+        with ResultStore(path) as store:
             _enqueue(store, cells)
-            for _ in range(5):
-                claim = store.claim_cell("w1")
-                assert re.fullmatch(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\.\d{3}", claim.claim_time)
-                (held,) = store.claims()
-                assert 0.0 <= held["age_s"] < 0.25
-                assert store.reclaim_stale(lease_s=0.25) == []
-                store.release_claims("w1")
+            first = store.mark_heartbeat("pid7")
+            claim = store.claim_cell("pid7")
+            os.close(first)  # the first pid7 dies mid-cell
+            lock = store.mark_heartbeat("pid7")
+            (row,) = store.queue_cells()
+            assert (row.state, row.owner, row.attempt) == ("pending", None, 1)
+            assert store.claim_cell("pid7").key == claim.key
+            store.release_owner("pid7", lock)
+
+    def test_second_live_holder_of_an_owner_name_is_refused(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        with ResultStore(path) as store, ResultStore(path) as other:
+            lock = store.mark_heartbeat("w1")
+            with pytest.raises(RuntimeError, match=rf"'w1'.*{path}"):
+                other.mark_heartbeat("w1")
+            with pytest.raises(RuntimeError, match="'w1'"):
+                QueueWorker(other, worker_id="w1").drain()
+            assert _owner_locks(path) == ["w1.lock"]  # the refusal left the holder's file
+            store.release_owner("w1", lock)
+            other.release_owner("w1", other.mark_heartbeat("w1"))
+            assert _owner_locks(path) == []
+
+    def test_memory_store_takes_no_owner_lock(self):
+        with ResultStore(":memory:") as store:
+            assert store.mark_heartbeat("w1") is None
+            assert store.mark_heartbeat("w1") is None  # nothing to refuse: no other process
+            _enqueue(store, expand_cells(_tiny_definition(reps=1))[:1])
+            claim = store.claim_cell("w1")
+            assert store.reclaim_orphans() == []
+            (held,) = store.claims()
+            assert (held["owner"], held["orphaned"]) == ("w1", False)
+            store.release_owner("w1")
+            (row,) = store.queue_cells()
+            assert (row.key, row.state) == (claim.key, "claimed")
 
     def test_claim_passes_over_rows_whose_budget_is_spent(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:2]
@@ -320,19 +384,23 @@ class TestQueueStore:
             assert cell.attempt == 2
             assert store.queue_cells()[0].state == "failed"
 
-    def test_queue_counts_and_stale_claims_views(self, tmp_path):
+    def test_queue_counts_and_claims_views(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
-            store.claim_cell("w1")
-            time.sleep(1.1)
+            store.claim_cell("w1")  # an owner that never took a lock
             counts = {row["experiment"]: row for row in store.queue_counts()}
             assert set(counts) == {c.experiment for c in cells}
             assert sum(r["pending"] + r["claimed"] for r in counts.values()) == len(cells)
-            (held,) = store.claims()  # every claim, whatever its age
-            assert held["owner"] == "w1"
-            assert held["attempt"] == 1
-            assert 1.0 < held["age_s"] < 3600.0
+            (held,) = store.claims()
+            assert (held["owner"], held["attempt"], held["orphaned"]) == ("w1", 1, True)
+            lock = store.mark_heartbeat("w2")
+            store.claim_cell("w2")
+            held = {row["owner"]: row["orphaned"] for row in store.claims()}
+            assert held == {"w1": True, "w2": False}
+            # a probe releases nothing
+            assert store.queue_depth()["claimed"] == 2
+            store.release_owner("w2", lock)
 
     def test_queue_counts_filter_by_experiment(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -410,7 +478,7 @@ class TestQueueStore:
         with ResultStore(path) as store:
             (row,) = store.queue_cells()
             assert row.spec_hash == spec.spec_hash()
-            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            QueueWorker(store, worker_id="drainer").drain()
             (row,) = store.queue_cells()
             assert row.state == "done"
             assert row.attempt == 1  # one execution in total
@@ -470,7 +538,7 @@ class TestSpecHashStore:
         spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=9)
         with ResultStore(tmp_path / "s.sqlite") as store:
             _enqueue(store, cells_from_run_specs([spec]))
-            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            QueueWorker(store, worker_id="drainer").drain()
             stored = store.get_by_spec_hash(spec.spec_hash())
             assert stored is not None and stored.ok
             envelope = RunResult.from_dict(json.loads(stored.result_json))
@@ -503,7 +571,7 @@ class TestSpecHashStore:
         (cell,) = cells_from_run_specs([spec])
         with ResultStore(tmp_path / "s.sqlite") as store:
             _enqueue(store, [cell])
-            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            QueueWorker(store, worker_id="drainer").drain()
             assert store.get_by_spec_hash(spec.spec_hash()).result_json is not None
             experiment, params, seed = row_identity(cell.spec_json())
             store.record_failure(experiment, params, seed, "boom", spec_json=cell.spec_json())
@@ -518,7 +586,7 @@ class TestSpecHashStore:
         spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=9)
         with ResultStore(tmp_path / "s.sqlite") as store:
             _enqueue(store, cells_from_run_specs([spec]))
-            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            QueueWorker(store, worker_id="drainer").drain()
             doc = json.loads(store.get_by_spec_hash(spec.spec_hash()).result_json)
         assert len(doc["estimates"]) == 64
         assert "estimates_omitted" not in doc
@@ -529,7 +597,7 @@ class TestSpecHashStore:
         spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=9)
         with ResultStore(tmp_path / "s.sqlite") as store:
             _enqueue(store, cells_from_run_specs([spec]))
-            QueueWorker(store, worker_id="drainer", poll_interval_s=0.05).drain()
+            QueueWorker(store, worker_id="drainer").drain()
             doc = json.loads(store.get_by_spec_hash(spec.spec_hash()).result_json)
         assert doc["estimates"] is None
         assert doc["estimates_omitted"] == 64
@@ -576,7 +644,7 @@ class TestQueueWorker:
         cells = expand_cells(_tiny_definition(reps=1))
         with ResultStore(tmp_path / "r.sqlite") as store:
             _enqueue(store, cells)
-            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            report = QueueWorker(store, worker_id="w1").drain()
             assert isinstance(report, WorkerReport)
             assert report.executed == len(cells)
             assert report.failed == 0
@@ -592,7 +660,7 @@ class TestQueueWorker:
             _enqueue(store, cells)
             # enqueue_cells resets done rows, but the runs row survives —
             # the claim is served from cache without re-executing
-            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            report = QueueWorker(store, worker_id="w1").drain()
             assert report.cached == 1
             assert report.executed == 0
             assert store.queue_depth()["done"] == 1
@@ -603,7 +671,7 @@ class TestQueueWorker:
             SweepRunner(store, jobs=1).run_cells(cells)
             _enqueue(store, cells)
             report = QueueWorker(
-                store, worker_id="w1", poll_interval_s=0.05, skip_completed=False
+                store, worker_id="w1", skip_completed=False
             ).drain()
             assert report.executed == 1
             assert report.cached == 0
@@ -615,7 +683,7 @@ class TestQueueWorker:
         with ResultStore(tmp_path / "r.sqlite") as store:
             store.record_failure(experiment, params, seed, "boom", spec_json=cell.spec_json())
             _enqueue(store, [cell])
-            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            report = QueueWorker(store, worker_id="w1").drain()
             assert report.executed == 1
             assert report.cached == 0
             assert store.get_by_spec_hash(spec.spec_hash()).ok
@@ -627,7 +695,7 @@ class TestQueueWorker:
             store.claim_cell("crashy")
             store.release_claims("crashy")  # attempt budget now spent for cap=1
             report = QueueWorker(
-                store, worker_id="w1", max_attempts=1, poll_interval_s=0.05
+                store, worker_id="w1", max_attempts=1
             ).drain()
             assert report.exhausted == 1
             assert report.executed == 0
@@ -645,13 +713,14 @@ class TestQueueWorker:
                 raise WorkerShutdown(signal.SIGTERM)
 
             monkeypatch.setattr(store, "get_by_spec_hash", interrupted_cache_check)
-            report = QueueWorker(store, worker_id="w1", poll_interval_s=0.05).drain()
+            report = QueueWorker(store, worker_id="w1").drain()
             assert report.stopped == "SIGTERM"
             (row,) = store.queue_cells()
             assert row.state == "pending"
             assert row.owner is None
             assert row.attempt == 1
             assert store.claims() == []
+            assert _owner_locks(tmp_path / "r.sqlite") == []
 
     def test_shutdown_lost_by_a_callback_is_delivered_again(self):
         """C code can clear a signal handler's exception; the signal comes back."""
@@ -681,8 +750,36 @@ class TestQueueWorker:
         assert report.executed == len(cells)
         commits = [sql for sql in statements if sql.strip().upper().startswith("COMMIT")]
         # per cell: the claim and the write-back; plus the enqueue and the
-        # empty claim, reclaim and exhaustion pass that end the drain
+        # owner lock's hand-back of a dead namesake's claims (the empty
+        # claim, reclaim and exhaustion passes that end the drain write
+        # only when they find work)
         assert len(commits) <= 2 * len(cells) + 4
+
+    def test_idle_drain_polls_without_the_write_lock(self, tmp_path):
+        """A drain waiting on a sibling's last claim only reads, every DRAIN_POLL_S."""
+        path = tmp_path / "r.sqlite"
+        statements: list[str] = []
+
+        def idle_drain() -> None:
+            with ResultStore(path) as idle:
+                idle._conn.set_trace_callback(statements.append)
+                QueueWorker(idle, worker_id="idle").drain()
+
+        with ResultStore(path) as busy:
+            _enqueue(busy, expand_cells(_tiny_definition(reps=1))[:1])
+            lock = busy.mark_heartbeat("busy")
+            claim = busy.claim_cell("busy")
+            drain = threading.Thread(target=idle_drain)
+            drain.start()
+            time.sleep(0.5)  # ~25 idle polls
+            busy.finish_cell(claim.key, "done")
+            drain.join(timeout=30)
+            busy.release_owner("busy", lock)
+        assert not drain.is_alive()
+        polls = [sql for sql in statements if sql.startswith("SELECT SUM(state = 'pending')")]
+        assert len(polls) > 5
+        # the one write: taking the owner lock hands back a dead namesake's claims
+        assert sum(sql.strip().upper() == "BEGIN IMMEDIATE" for sql in statements) == 1
 
     def test_worker_report_summary_mentions_counts(self):
         report = WorkerReport(worker="w1", executed=3, failed=1, cached=2, wall_s=1.0)
@@ -702,46 +799,6 @@ class TestQueueWorker:
             from repro.orchestration import param_hash
 
             assert param_hash(params) == cell.param_hash
-
-    def test_idle_backoff_doubles_with_jitter_and_caps(self, tmp_path):
-        from repro.orchestration.worker import BACKOFF_CAP_FACTOR
-
-        with ResultStore(tmp_path / "r.sqlite") as store:
-            worker = QueueWorker(store, worker_id="w1", poll_interval_s=0.1)
-            for polls, target in ((0, 0.1), (1, 0.2), (2, 0.4), (3, 0.8)):
-                for _ in range(20):
-                    sleep = worker.idle_backoff_s(polls)
-                    assert target / 2 <= sleep <= target
-            # the ladder tops out at BACKOFF_CAP_FACTOR x base
-            cap = 0.1 * BACKOFF_CAP_FACTOR
-            for polls in (3, 10, 1000):
-                assert worker.idle_backoff_s(polls) <= cap
-            # and jitter actually varies the draw
-            draws = {round(worker.idle_backoff_s(5), 6) for _ in range(20)}
-            assert len(draws) > 1
-
-    def test_idle_backoff_resets_after_claim(self, tmp_path):
-        """A drain over a queue that refills: the post-claim poll is fast again.
-
-        Exercised indirectly: the loop counts consecutive empty polls and
-        passes that to idle_backoff_s, so claiming once must restart the
-        ladder.  We drive drain() with max_cells to keep it bounded.
-        """
-        cells = expand_cells(_tiny_definition(reps=1))[:1]
-        with ResultStore(tmp_path / "r.sqlite") as store:
-            _enqueue(store, cells)
-            sleeps: list[float] = []
-            worker = QueueWorker(
-                store, worker_id="w1", poll_interval_s=0.01, linger_s=0.05
-            )
-            original = worker.idle_backoff_s
-            worker.idle_backoff_s = lambda polls: sleeps.append(polls) or original(polls)
-            report = worker.drain()
-            assert report.executed == 1
-            # every idle sleep the linger produced restarted from zero after
-            # the successful claim and then climbed monotonically
-            assert sleeps == sorted(sleeps)
-            assert sleeps[0] == 0
 
     def test_store_with_mirrored_heartbeat_rows_reclaims_and_drains(self, tmp_path):
         """A store from before claims lived in one row opens and recovers a dead claim."""
@@ -776,9 +833,9 @@ class TestQueueWorker:
         conn.close()
         with ResultStore(path) as store:
             (held,) = store.claims()
-            assert held["owner"] == "dead"
-            assert held["age_s"] > 119.0  # julianday reads the old stamps too
-            report = QueueWorker(store, worker_id="rescuer", poll_interval_s=0.05).drain()
+            # the dead owner never took a lock, so its claim is orphaned now
+            assert (held["owner"], held["orphaned"]) == ("dead", True)
+            report = QueueWorker(store, worker_id="rescuer").drain()
             assert (report.reclaimed, report.executed) == (1, 1)
             (row,) = store.queue_cells()
             assert (row.state, row.owner, row.attempt) == ("done", "rescuer", 2)
@@ -787,15 +844,12 @@ class TestQueueWorker:
             assert stored[dead.seed].ok
             assert stored[done.seed].as_dict()["spec_json"] == done.spec_json()
             assert "heartbeat_at" not in stored[done.seed].as_dict()
+            assert _owner_locks(path) == []
 
     def test_invalid_worker_knobs_rejected(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
-            for kwargs in (
-                {"lease_s": 0}, {"max_attempts": 0}, {"poll_interval_s": 0},
-                {"linger_s": -1}, {"max_cells": 0},
-            ):
-                with pytest.raises(ValueError):
-                    QueueWorker(store, **kwargs)
+            with pytest.raises(ValueError, match="max_attempts"):
+                QueueWorker(store, max_attempts=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -882,7 +936,7 @@ class TestQueueBackendRunner:
         monkeypatch.setattr(runner_module, "_execute_cell", poisoned)
         with ResultStore(tmp_path / "r.sqlite") as store:
             start = time.monotonic()
-            report = SweepRunner(store, jobs=2).run_cells(cells)  # default 60 s lease
+            report = SweepRunner(store, jobs=2).run_cells(cells)
             elapsed = time.monotonic() - start
             outcomes = {outcome.cell.key: outcome for outcome in report.outcomes}
             assert len(outcomes) == len(cells)
@@ -897,16 +951,11 @@ class TestQueueBackendRunner:
             assert (rows[poison.key].state, rows[poison.key].attempt) == ("failed", 3)
             assert all(row.state == "done" for key, row in rows.items() if key != poison.key)
             assert store.claims() == []  # no owner holds a row
+        assert _owner_locks(tmp_path / "r.sqlite") == []  # nor the dead drains' files
         assert elapsed < 30
 
-    def test_lease_shorter_than_the_old_fixed_renewal_keeps_its_claim(
-        self, tmp_path, monkeypatch
-    ):
-        """Drains renew every lease_s / LEASE_RENEWALS: a 2 s lease outlives a 4 s cell.
-
-        Were the renewal cadence fixed at 15 s whatever the lease, the idle
-        drain would reclaim the live claim after 2 s and run the cell again.
-        """
+    def test_idle_drain_never_reclaims_a_live_siblings_claim(self, tmp_path, monkeypatch):
+        """A long cell keeps its claim through every idle poll of its drain's sibling."""
         cells = cells_from_run_specs(
             [RunSpec(protocol="drr", params={"n": 32}, seed=seed) for seed in range(2)]
         )
@@ -918,16 +967,25 @@ class TestQueueBackendRunner:
             if spec_json == slow:
                 with runs.open("a") as log:  # forked drains share the file
                     log.write(f"{os.getpid()}\n")
-                time.sleep(4.0)
+                time.sleep(1.0)  # dozens of the idle sibling's reclaim passes
             return execute(spec_json)
 
         monkeypatch.setattr(runner_module, "_execute_cell", slowed)
         with ResultStore(tmp_path / "r.sqlite") as store:
-            report = SweepRunner(store, jobs=2, lease_s=2.0).run_cells(cells)
+            report = SweepRunner(store, jobs=2).run_cells(cells)
             rows = store.queue_cells()
         assert (report.executed, report.failed) == (2, 0)
         assert [(row.state, row.attempt) for row in rows] == [("done", 1), ("done", 1)]
         assert len(runs.read_text().splitlines()) == 1  # the slow cell ran once
+
+    def test_clean_sweep_leaves_no_owner_lock_file(self, tmp_path):
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.sqlite"
+            with ResultStore(path) as store:
+                report = SweepRunner(store, jobs=jobs).run(_tiny_definition(reps=1))
+            assert report.executed == report.total > 0
+            assert Path(f"{path}.owners").is_dir()  # the drains took their locks there
+            assert _owner_locks(path) == []
 
     def test_duplicate_specs_collapse_to_one_execution(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))
@@ -1012,145 +1070,114 @@ class TestQueueBackendRunner:
 
     def test_invalid_queue_knobs_rejected(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
-            with pytest.raises(ValueError):
-                SweepRunner(store, lease_s=0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="jobs"):
+                SweepRunner(store, jobs=0)
+            with pytest.raises(ValueError, match="max_attempts"):
                 SweepRunner(store, max_attempts=0)
 
 
 # --------------------------------------------------------------------------- #
-# real worker processes sharing one store
+# real sweep processes on one store
 # --------------------------------------------------------------------------- #
-class TestDistributedWorkers:
-    def test_two_workers_drain_with_zero_duplicate_executions(self, tmp_path):
+#: an ``engine`` cell of ~1.4 s: a window wide enough to kill a sweep into
+SLOW_SPEC = RunSpec(protocol="drr-gossip", params={"n": 4096}, backend="engine", seed=7)
+
+
+class TestSweepProcesses:
+    def test_two_concurrent_sweeps_run_each_cell_once(self, tmp_path):
         path = tmp_path / "r.sqlite"
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "sweep": {"name": "tiny", "seed": 5, "repetitions": 2},
+            "experiment": [
+                {"name": "table1", "grid": {"ns": [64, 128], "repetitions": 1}},
+                {"name": "ablation", "grid": {"n": 64, "repetitions": 1}},
+            ],
+        }))
+        sweeps = [_sweep(path, "--config", str(config)) for _ in range(2)]
+        try:
+            for proc in sweeps:
+                out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, f"sweep failed:\n{out}\n{err}"
+                assert "0 failed" in out
+        finally:
+            for proc in sweeps:
+                _kill(proc)
         cells = expand_cells(_tiny_definition())
-        with ResultStore(path) as store:
-            _enqueue(store, cells)
-        workers = [
-            subprocess.Popen(
-                _worker_command(str(path), f"proc{i}", "--linger", "2"),
-                env=_worker_env(), cwd=str(REPO_ROOT),
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-            for i in range(2)
-        ]
-        for proc in workers:
-            out, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, f"worker failed:\n{out}\n{err}"
         with ResultStore(path) as store:
             rows = store.queue_cells()
             assert len(rows) == len(cells)
             # every cell executed exactly once: terminal state reached on
-            # the first (and only) claim, by whichever worker won it
-            assert all(row.state == "done" for row in rows)
-            assert all(row.attempt == 1 for row in rows)
+            # the first (and only) claim, by whichever sweep's drain won it
+            assert all((row.state, row.attempt) == ("done", 1) for row in rows)
             for cell in cells:
                 run = store.get(cell.experiment, cell.params, cell.seed)
                 assert run is not None and run.ok
+        assert _owner_locks(path) == []
 
-    def test_sigterm_mid_cell_releases_claim_and_exits_zero(self, tmp_path):
-        """Graceful shutdown: a SIGTERMed worker hands its claim back.
-
-        Unlike the SIGKILL case below, no lease has to expire — the
-        worker's signal handler requeues the in-flight cell (pending,
-        no owner, no claim time) and the process exits 0.
-        """
+    def test_sigterm_mid_cell_hands_the_claim_back(self, tmp_path):
+        """A terminated drain releases its claim and its lock file before it exits."""
         path = tmp_path / "r.sqlite"
         # Millions of small DRR runs: hours of work, so the SIGTERM lands
-        # mid-cell however late this test sees the claim (a cell that could
-        # finish first would leave the signal nothing to interrupt).
-        endless = SweepDefinition(
-            name="endless",
-            seed=7,
-            repetitions=1,
-            plans=(
-                ExperimentPlan(experiment="ablation", grid={"n": 64, "repetitions": 10**7}),
-            ),
-        )
-        cells = expand_cells(endless)
-        with ResultStore(path) as store:
-            _enqueue(store, cells)
-        victim = subprocess.Popen(
-            _worker_command(str(path), "polite"),
-            env=_worker_env(), cwd=str(REPO_ROOT),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
+        # mid-cell however late this test sees the claim.
+        config = tmp_path / "endless.json"
+        config.write_text(json.dumps({
+            "sweep": {"name": "endless", "seed": 7, "repetitions": 1},
+            "experiment": [{"name": "ablation", "grid": {"n": 64, "repetitions": 10**7}}],
+        }))
+        victim = _sweep(path, "--config", str(config))
         try:
+            _await_claims(path, 1)
+            os.killpg(victim.pid, signal.SIGTERM)
+            victim.communicate(timeout=30)
             with ResultStore(path) as store:
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    if store.queue_depth()["claimed"] == 1:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("worker never claimed the cell")
-                os.kill(victim.pid, signal.SIGTERM)
-                out, err = victim.communicate(timeout=30)
-                assert victim.returncode == 0, f"worker failed:\n{out}\n{err}"
-                assert "stopped by SIGTERM" in out
+                _await(lambda: store.queue_depth()["pending"] == 1, "the claim's release")
                 (row,) = store.queue_cells()
-                assert row.state == "pending"
                 assert row.owner is None
-                assert row.claim_time is None  # the lease went with the claim
+                assert row.claim_time is None
                 assert row.attempt == 1  # the claim is spent, not the budget
                 assert store.query() == []  # nothing half-recorded
+            _await(lambda: _owner_locks(path) == [], "the drain's lock file to go")
         finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait()
+            _kill(victim)
 
-    def test_sigkilled_worker_claim_is_reclaimed_and_rerun(self, tmp_path):
+    def _kill_and_resume(self, tmp_path, spec: RunSpec):
+        """SIGKILL a sweep's whole process group mid-cell, then resume it in-process."""
         path = tmp_path / "r.sqlite"
-        # ~1.4s of engine simulation: a window wide enough to SIGKILL into
-        spec = RunSpec(protocol="drr-gossip", params={"n": 4096}, backend="engine", seed=7)
-        cells = cells_from_run_specs([spec])
-        with ResultStore(path) as store:
-            _enqueue(store, cells)
-        victim = subprocess.Popen(
-            # a killed worker renews nothing; and its default 60 s lease
-            # renews every 15 s, too late to fire before the kill
-            _worker_command(str(path), "victim"),
-            env=_worker_env(), cwd=str(REPO_ROOT),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        specs = _spec_file(tmp_path, [spec])
+        victim = _sweep(path, "--spec", specs)
         try:
-            with ResultStore(path) as store:
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    if store.queue_depth()["claimed"] == 1:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("worker never claimed the cell")
-                os.kill(victim.pid, signal.SIGKILL)
-                victim.wait(timeout=30)
-                time.sleep(1.2)  # let the orphaned lease age past lease_s below
-                report = QueueWorker(
-                    store, worker_id="rescuer", lease_s=1.0, poll_interval_s=0.05
-                ).drain()
-                assert report.reclaimed == 1
-                assert report.executed == 1
-                (row,) = store.queue_cells()
-                assert row.state == "done"
-                assert row.attempt == 2  # the victim's claim plus the rescue
-                run = store.get(cells[0].experiment, cells[0].params, cells[0].seed)
-                assert run is not None and run.ok
+            _await_claims(path, 1)
+            os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
         finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait()
+            _kill(victim)
+        assert _owner_locks(path)  # the dead drain's lock file stayed behind
+        start = time.monotonic()
+        assert main(["sweep", "--spec", specs, "--store", str(path), "--jobs", "2"]) == 0
+        elapsed = time.monotonic() - start
+        with ResultStore(path) as store:
+            (row,) = store.queue_cells()
+            assert row.state == "done"
+            assert row.attempt == 2  # the killed claim plus the rerun
+            stored = store.get_by_spec_hash(spec.spec_hash())
+            assert stored is not None and stored.ok
+        assert _owner_locks(path) == []
+        assert elapsed < 20  # the orphaned claim ran at once
+        return RunResult.from_dict(json.loads(stored.result_json))
 
+    def test_sigkilled_sweep_resumes_its_orphaned_claim_at_once(self, tmp_path):
+        assert self._kill_and_resume(tmp_path, SLOW_SPEC).same_outcome(run(SLOW_SPEC))
 
-    def test_sigkilled_worker_mid_churn_sweep_reclaims_and_matches_local(self, tmp_path):
-        """Fault injection meets fault tolerance: a churn cell survives its worker.
+    def test_sigkilled_churn_sweep_resumes_and_matches_local(self, tmp_path):
+        """Fault injection meets fault tolerance: a churn cell survives its killed sweep.
 
-        A worker is SIGKILLed while executing a run whose *spec* injects
-        mid-run node churn; the lease reclaim path reruns the cell, and —
-        because churn fates are identity-keyed, not stream-keyed — the
-        rescued result is bit-identical to a local execution of the spec.
+        The sweep is SIGKILLed while executing a run whose *spec* injects
+        mid-run node churn; the resume reclaims the orphaned claim and
+        reruns the cell, and — because churn fates are identity-keyed, not
+        stream-keyed — the rescued result is bit-identical to a local
+        execution of the spec.
         """
-        path = tmp_path / "r.sqlite"
         spec = RunSpec(
             protocol="drr-gossip",
             params={"n": 4096},
@@ -1162,102 +1189,56 @@ class TestDistributedWorkers:
                 "churn_schedule": [[3, [2, 7, 11], "crash"]],
             },
         )
-        cells = cells_from_run_specs([spec])
-        with ResultStore(path) as store:
-            _enqueue(store, cells)
-        victim = subprocess.Popen(
-            _worker_command(str(path), "victim"),
-            env=_worker_env(), cwd=str(REPO_ROOT),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        rescued = self._kill_and_resume(tmp_path, spec)
+        assert rescued.same_outcome(run(spec))
+        assert rescued.degradation is not None  # churn section survived the queue
+
+    def test_killing_only_the_sweep_parent_runs_nothing_twice(self, tmp_path):
+        """Orphaned drains finish their cells; the resumed sweep runs none of them again."""
+        path = tmp_path / "r.sqlite"
+        specs = [SLOW_SPEC.with_seed(seed) for seed in (7, 8)]
+        specs.append(RunSpec(protocol="drr", params={"n": 64}, seed=9))
+        spec_file = _spec_file(tmp_path, specs)
+        parent = _sweep(path, "--spec", spec_file)
         try:
+            _await_claims(path, 2)
+            parent.kill()  # the parent alone: its forked drains run on
+            parent.wait(timeout=30)
+            assert main(["sweep", "--spec", spec_file, "--store", str(path), "--jobs", "2"]) == 0
             with ResultStore(path) as store:
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    if store.queue_depth()["claimed"] == 1:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("worker never claimed the cell")
-                os.kill(victim.pid, signal.SIGKILL)
-                victim.wait(timeout=30)
-                time.sleep(1.2)  # let the orphaned lease age past lease_s below
-                report = QueueWorker(
-                    store, worker_id="rescuer", lease_s=1.0, poll_interval_s=0.05
-                ).drain()
-                assert report.reclaimed == 1
-                assert report.executed == 1
-                (row,) = store.queue_cells()
-                assert row.state == "done"
-                assert row.attempt == 2
-                stored = store.get_by_spec_hash(spec.spec_hash())
-                assert stored is not None and stored.ok
-                rescued = RunResult.from_dict(json.loads(stored.result_json))
-            local = run(spec)
-            assert rescued.same_outcome(local)
-            assert rescued.degradation is not None  # churn section survived the queue
+                rows = store.queue_cells()
+                assert [(row.state, row.attempt) for row in rows] == [("done", 1)] * 3
+            _await(lambda: _owner_locks(path) == [], "the orphaned drains to end")
         finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait()
+            _kill(parent)
 
 
 # --------------------------------------------------------------------------- #
 # CLI integration
 # --------------------------------------------------------------------------- #
 class TestQueueCLI:
-    def test_enqueue_only_then_worker_then_results_queue(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        store = str(tmp_path / "r.sqlite")
-        sweep_argv = [
-            "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
-            "--seed", "11", "--store", store, "--enqueue-only",
-        ]
-        assert main(sweep_argv) == 0
-        out = capsys.readouterr().out
-        assert "enqueued 2 of 2 cell(s)" in out
-        assert "2 pending" in out
-        assert main(["worker", "--store", store, "--poll", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "2 executed, 0 failed" in out
-        assert main(["results", "--store", store, "--queue"]) == 0
-        out = capsys.readouterr().out
-        assert "ablation" in out
-        assert "stale" not in out  # nothing claimed, nothing stale
-        # a re-submitted sweep skips everything without touching the queue
-        assert main(sweep_argv[:-1]) == 0  # drop --enqueue-only: enqueue and drain
-        out = capsys.readouterr().out
-        assert "0 executed, 2 skipped, 0 failed" in out
-
-    def test_worker_without_store_errors(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        assert main(["worker", "--store", str(tmp_path / "missing.sqlite")]) == 1
-        assert "no result store" in capsys.readouterr().err
-
-    def test_results_queue_flags_stale_claims(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
+    def test_results_queue_flags_orphaned_claims(self, tmp_path, capsys):
         path = tmp_path / "r.sqlite"
         cells = expand_cells(_tiny_definition(reps=1))
         with ResultStore(path) as store:
             _enqueue(store, cells)
-            store.claim_cell("dead-worker")
-            time.sleep(1.1)
+            store.claim_cell("dead-worker")  # its drain is gone: no lock is held
+            lock = store.mark_heartbeat("live-worker")
             store.claim_cell("live-worker")
-        assert main(["results", "--store", str(path), "--queue", "--stale-after", "0.5"]) == 0
+            assert main(["results", "--store", str(path), "--queue"]) == 0
+            store.release_owner("live-worker", lock)
         out = capsys.readouterr().out
-        assert "2 claim(s) in flight, 1 stale" in out
-        assert "stale claims" in out
+        assert "2 claim(s) in flight, 1 orphaned" in out
+        assert "reclaims them at once" in out
         (dead,) = [line for line in out.splitlines() if "dead-worker" in line]
         (live,) = [line for line in out.splitlines() if "live-worker" in line]
-        assert dead.endswith("dead-worker  stale")
+        assert dead.endswith("dead-worker  orphaned")
         assert live.endswith("live-worker")
+        assert dead.split()[3] == "1"  # attempt
+        with ResultStore(path) as store:
+            assert store.queue_depth()["claimed"] == 2  # the view released nothing
 
     def test_sweep_with_forked_drains(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
         store = str(tmp_path / "r.sqlite")
         assert main([
             "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
@@ -1268,21 +1249,3 @@ class TestQueueCLI:
         with ResultStore(store) as s:
             assert s.queue_depth()["done"] == 2
             assert all(row.attempt == 1 for row in s.queue_cells())
-
-    def test_worker_telemetry_export(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        store = str(tmp_path / "r.sqlite")
-        events = tmp_path / "events.jsonl"
-        assert main([
-            "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "1",
-            "--seed", "3", "--store", store, "--enqueue-only",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "worker", "--store", store, "--poll", "0.05", "--telemetry", str(events),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "worker.execute" in out
-        lines = [json.loads(line) for line in events.read_text().splitlines()]
-        assert any(e.get("name") == "worker.claim" for e in lines)
