@@ -19,15 +19,21 @@ every tree at its root:
 All three tree passes (the convergecast and both broadcasts) sweep one
 :class:`~repro.core.forest.TreeSchedule`, built lazily once per Phase I
 result (:attr:`~repro.core.drr.DRRResult.schedule`) and shared by every
-backend:
+backend.  It is aligned with the forest's BFS index
+(:class:`~repro.core.forest.TreeIndex`): root-first, layer by layer, each
+parent's children one contiguous run in ascending id.  It holds
 
-* the depth layers of the convergecast senders (alive non-roots) and of
-  the broadcast receivers (known children), ascending id inside a layer;
-  both are mask filters of one stable sort of the non-roots by depth;
+* each node's known-child and liveness flags;
 * each known child's sibling rank, its 1-based slot in its parent's
-  ascending-id service order;
-* the convergecast *send schedule* (below), walked bottom-up over the
-  sender layers.
+  ascending-id service order, counted along its run;
+* the convergecast *send schedule* (below), filled bottom-up over the
+  layers.
+
+The columnar kernels keep their state in index order, walk each layer as a
+contiguous slice whose parents sit, in order, in the layer above, and map
+back to node ids once at the end.  Every delivery still names node ids, and
+loss fates are keyed by message identity, so the order of a batch changes
+no fate.
 
 :func:`run_convergecast` and :func:`run_broadcast` are the entry points; the
 ``backend`` argument selects the substrate kernel.  The columnar kernels
@@ -112,11 +118,6 @@ def _gather(by_root: dict, roots: np.ndarray) -> np.ndarray:
     return np.fromiter(map(by_root.__getitem__, keys), dtype=float, count=len(keys))
 
 
-def _by_root(roots: np.ndarray, values: np.ndarray) -> dict:
-    """``{root: values[root]}`` with Python scalars, built in C passes."""
-    return dict(zip(roots.tolist(), values[roots].tolist()))
-
-
 @dataclass
 class BroadcastResult:
     """Outcome of a root-to-tree broadcast.
@@ -196,55 +197,55 @@ def _convergecast_vectorized(
     rng: np.random.Generator,
     metrics: MetricsCollector,
 ) -> ConvergecastResult:
-    forest = drr.forest
-    n = forest.n
-    alive = _alive_of(drr)
-    known = drr.known_child_mask  # child side: my parent knows me
     schedule = drr.schedule
-    send_round = schedule.send_round
+    index = schedule.index
+    order, up_pos = index.order, index.up_pos
+    known, alive, send = schedule.known, schedule.alive, schedule.send
+    everyone_alive = bool(alive.all())
+    alive_arg = None if everyone_alive else drr.forest.alive
+    fold = {"sum": np.add, "max": np.maximum, "min": np.minimum}[op]
     payload_words = 1 if op in ("max", "min") else 2
-    alive_arg = None if alive.all() else alive
 
-    # Accumulators: every alive node starts with its own value and weight 1.
-    acc_value = values.astype(float).copy()
-    acc_weight = np.ones(n, dtype=np.int64)
-    acc_weight[~alive] = 0
+    # Accumulators in index order: every alive node starts with its own
+    # value and weight 1.
+    acc_value = values.take(order)
+    acc_weight = alive.astype(np.int64)
 
-    # Sweep the forest bottom-up, one depth layer per batch: a layer's
-    # upward transmissions are charged, lossed, and folded as arrays.  The
-    # loss oracle keys each transmission by its scheduled send round, so
-    # batching by depth instead of by round changes nothing.
+    # Sweep the forest bottom-up, one layer per batch: a layer's upward
+    # transmissions are charged, lossed, and folded as arrays.  The loss
+    # oracle keys each transmission by its scheduled send round, so
+    # batching by depth instead of by round changes nothing.  Each parent's
+    # children are one ascending-id run, so `ufunc.at` folds them in the
+    # engine's order.
     with current_telemetry().span("substrate.convergecast_layers"):
-        for layer in schedule.up_layers():
-            parents = forest.parent[layer]
+        for lo, hi in reversed(index.layers()):
+            senders = np.arange(lo, hi) if everyone_alive else lo + alive[lo:hi].nonzero()[0]
+            parents = up_pos[senders]
             delivered = kernel.deliver(
                 metrics,
                 oracle,
                 MessageKind.CONVERGECAST,
-                parents,
-                senders=layer,
-                round_index=send_round[layer] - 1,
+                order[parents],
+                senders=order[senders],
+                round_index=send[senders] - 1,
                 alive=alive_arg,
                 payload_words=payload_words,
             )
-            fold = delivered & known[layer]
-            src, dst = layer[fold], parents[fold]
-            if op == "sum":
-                np.add.at(acc_value, dst, acc_value[src])
-            elif op == "max":
-                np.maximum.at(acc_value, dst, acc_value[src])
-            else:
-                np.minimum.at(acc_value, dst, acc_value[src])
-            np.add.at(acc_weight, dst, acc_weight[src])
+            folded = delivered & known[senders]
+            src, dst = senders[folded], parents[folded]
+            fold.at(acc_value, dst, acc_value.take(src))
+            np.add.at(acc_weight, dst, acc_weight.take(src))
 
-    alive_roots = forest.roots[alive[forest.roots]]
+    # the roots lead the index, in ascending id
+    live = np.flatnonzero(alive[: index.bounds[1]])
+    roots = order[live].tolist()
     # only alive non-roots have a non-zero send round
-    rounds = int(send_round.max(initial=0))
+    rounds = int(send.max(initial=0))
     metrics.record_round(rounds)
     return ConvergecastResult(
         op=op,
-        local_value=_by_root(alive_roots, acc_value),
-        local_weight=_by_root(alive_roots, acc_weight),
+        local_value=dict(zip(roots, acc_value[live].tolist())),
+        local_weight=dict(zip(roots, acc_weight[live].tolist())),
         rounds=rounds,
         metrics=metrics,
     )
@@ -437,23 +438,26 @@ def _broadcast_vectorized(
     n = forest.n
     alive = _alive_of(drr)
     schedule = drr.schedule
-    sibling_rank = schedule.sibling_rank
+    index = schedule.index
+    order, up_pos = index.order, index.up_pos
+    known, sib = schedule.known, schedule.sib
     alive_arg = None if alive.all() else alive
 
-    received = np.zeros(n, dtype=bool)
+    # State in index order; a node holds the payload once its receive
+    # round is set.
     payload = np.full(n, np.nan, dtype=float)
     receive_round = np.full(n, -1, dtype=np.int64)
 
     roots = np.fromiter(root_payload, dtype=np.int64, count=len(root_payload))
     values = np.fromiter(root_payload.values(), dtype=float, count=len(root_payload))
     seeded = alive[roots]
-    roots = roots[seeded]
-    received[roots] = True
-    payload[roots] = values[seeded]
-    receive_round[roots] = 0
+    # the roots lead the index, in ascending id
+    at = np.searchsorted(order[: index.bounds[1]], roots[seeded])
+    payload[at] = values[seeded]
+    receive_round[at] = 0
 
-    # Sweep the trees top-down one depth layer per batch.  A parent serves
-    # its known children one per round in ascending id order, so a child's
+    # Sweep the trees top-down one layer per batch.  A parent serves its
+    # known children one per round in ascending id order, so a child's
     # arrival round is its parent's receive round plus its sibling rank, and
     # the transmission is charged whether or not it survives.  Children are
     # served whether or not they are still alive: a parent has no way to
@@ -462,28 +466,33 @@ def _broadcast_vectorized(
     # exactly as the message-level engine does.
     max_round = 0
     with current_telemetry().span("substrate.broadcast_layers"):
-        for layer in schedule.down_layers():
-            parents = forest.parent[layer]
-            served = received[parents]
+        for lo, hi in index.layers():
+            parent_round = receive_round[up_pos[lo:hi]]
+            served = known[lo:hi] & (parent_round >= 0)
             if not served.any():
                 continue
-            layer, parents = layer[served], parents[served]
-            arrival = receive_round[parents] + sibling_rank[layer]
+            layer = lo + served.nonzero()[0]
+            parents = up_pos[layer]
+            arrival = parent_round[served] + sib[layer]
             max_round = max(max_round, int(arrival.max()))
             # A transmission to a depth-d child is sent in the round before
             # its arrival (its parent's serving round), which is the round
             # the engine stamps on the same message.
             delivered = kernel.deliver(
-                metrics, oracle, MessageKind.BROADCAST, layer,
-                senders=parents, round_index=arrival - 1, alive=alive_arg,
+                metrics, oracle, MessageKind.BROADCAST, order[layer],
+                senders=order[parents], round_index=arrival - 1, alive=alive_arg,
             )
             got = layer[delivered]
-            received[got] = True
             payload[got] = payload[parents[delivered]]
             receive_round[got] = arrival[delivered]
 
     metrics.record_round(max_round)
-    return BroadcastResult(received=received, payload=payload, rounds=max_round, metrics=metrics)
+    return BroadcastResult(
+        received=index.by_id(receive_round >= 0),
+        payload=index.by_id(payload),
+        rounds=max_round,
+        metrics=metrics,
+    )
 
 
 class BroadcastNode(ProtocolNode):

@@ -90,7 +90,8 @@ class DRRResult:
     def schedule(self) -> TreeSchedule:
         """The tree schedule every Phase II / final-Broadcast pass sweeps.
 
-        Built on first use and shared by the convergecast and both
+        Built on first use over the forest's BFS index
+        (:attr:`Forest.tree_index`) and shared by the convergecast and both
         broadcasts on every backend, so no phase re-derives it.
         """
         return build_tree_schedule(self.forest, self.known_child_mask)

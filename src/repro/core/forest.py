@@ -11,9 +11,13 @@ validates the structural invariants that the analysis of Theorems 2-4 and
 * every non-root's parent has strictly higher rank,
 * tree ids partition the node set.
 
-The convergecast, broadcast, and gossip phases all consume a ``Forest``.
-The tree phases read it through one :class:`TreeSchedule` (depth layers,
-sibling service order, convergecast send rounds), which
+Every derived array comes from one :class:`TreeIndex`, a BFS order of the
+forest that :attr:`Forest.tree_index` builds once: the nodes root-first and
+layer by layer, each parent's children one contiguous run in ascending id.
+``depth``, ``tree_id`` and ``topological_order`` read it off, and the tree
+phases (the convergecast and both broadcasts) walk its layers as contiguous
+slices through one :class:`TreeSchedule` (known-child and liveness flags,
+sibling service ranks, convergecast send rounds, all in index order), which
 :func:`build_tree_schedule` derives once per Phase I result.
 """
 
@@ -26,9 +30,15 @@ from typing import Iterator
 import numpy as np
 
 from ..observability.telemetry import instrumented
-from ..substrate import occurrence_index
 
-__all__ = ["Forest", "ForestInvariantError", "TreeSchedule", "build_tree_schedule"]
+__all__ = [
+    "Forest",
+    "ForestInvariantError",
+    "TreeIndex",
+    "TreeSchedule",
+    "build_tree_index",
+    "build_tree_schedule",
+]
 
 NO_PARENT = -1
 
@@ -106,53 +116,36 @@ class Forest:
     # derived structure
     # ------------------------------------------------------------------ #
     @cached_property
-    def tree_id(self) -> np.ndarray:
-        """``tree_id[i]`` is the root of the tree containing node ``i``.
+    def tree_index(self) -> TreeIndex:
+        """The forest in BFS order (see :class:`TreeIndex`), built on first use.
 
-        Computed by iterative pointer-jumping so deep trees (Local-DRR on a
-        ring can produce Theta(log n) depth) never hit the recursion limit.
+        Raises :class:`ForestInvariantError` when the parent pointers
+        contain a cycle.
         """
-        roots = self.parent.copy()
-        roots[roots == NO_PARENT] = np.flatnonzero(self.parent == NO_PARENT)
-        # Pointer jumping: after k iterations every pointer has jumped 2^k
-        # levels, so ceil(log2(max depth)) + 1 iterations suffice.
-        for _ in range(max(1, int(np.ceil(np.log2(max(2, self.n)))) + 1)):
-            new_roots = roots[roots]
-            if np.array_equal(new_roots, roots):
-                break
-            roots = new_roots
-        else:  # pragma: no cover - only reachable on a cyclic "forest"
-            raise ForestInvariantError("parent pointers contain a cycle")
-        return roots
+        return build_tree_index(self)
+
+    @cached_property
+    def tree_id(self) -> np.ndarray:
+        """``tree_id[i]`` is the root of the tree containing node ``i``."""
+        index = self.tree_index
+        # In index order a node's root is its parent's root, which the
+        # layer above already holds.
+        root = np.empty(self.n, dtype=np.int64)
+        root[: index.bounds[1]] = self.roots
+        for lo, hi in index.layers():
+            root[lo:hi] = root[index.up_pos[lo:hi]]
+        return index.by_id(root)
 
     @cached_property
     def depth(self) -> np.ndarray:
         """``depth[i]`` = number of edges from node ``i`` up to its root.
 
-        Computed by a vectorised simultaneous walk of all parent pointers
-        (``O(n)`` work per level, max-depth iterations), so it stays cheap
-        at the million-node scale the vectorized substrate targets.
+        Read off the layer bounds of :attr:`tree_index` with one scatter, so
+        the first access builds the index (and raises
+        :class:`ForestInvariantError` on a cyclic "forest").
         """
-        # Pointer doubling: after k iterations every pointer has jumped
-        # 2^k levels and `depth` holds the number of levels jumped, so
-        # ceil(log2(max depth)) + 1 iterations suffice -- even a
-        # chain-shaped forest (max depth n) costs only O(n log n) total.
-        # The walk runs over the compacted index set of still-walking nodes
-        # (typical DRR forests are shallow, so the set collapses after a
-        # few iterations instead of scanning n-sized masks every time).
-        depth = (self.parent != NO_PARENT).astype(np.int64)
-        ptr = self.parent.copy()
-        idx = np.flatnonzero(ptr != NO_PARENT)
-        for _ in range(max(1, int(np.ceil(np.log2(max(2, self.n)))) + 1)):
-            if idx.size == 0:
-                return depth
-            hop = ptr[idx]
-            depth[idx] += depth[hop]
-            ptr[idx] = ptr[hop]
-            idx = idx[ptr[idx] != NO_PARENT]
-        if idx.size:
-            raise ForestInvariantError("parent pointers contain a cycle")
-        return depth
+        bounds = self.tree_index.bounds
+        return self.tree_index.by_id(np.repeat(np.arange(bounds.size - 1), np.diff(bounds)))
 
     @cached_property
     def tree_sizes(self) -> dict[int, int]:
@@ -203,15 +196,14 @@ class Forest:
     # ------------------------------------------------------------------ #
     def topological_order(self) -> np.ndarray:
         """Nodes ordered so parents precede children (roots first)."""
-        order = np.argsort(self.depth, kind="stable")
-        return order
+        return self.tree_index.order
 
     def depth_by_bfs(self) -> np.ndarray:
         """Depths computed by a level-synchronous sweep from the roots.
 
-        Unlike :attr:`depth` (which trusts the pointers), this raises on a
-        cyclic "forest": a node inside a cycle is never reached from any
-        root, so its depth stays unassigned.
+        An independent reference for :attr:`depth` that shares nothing with
+        :attr:`tree_index`.  It raises on a cyclic "forest": a node inside a
+        cycle is never reached from any root, so its depth stays unassigned.
         """
         depth = np.full(self.n, -1, dtype=np.int64)
         depth[self.parent == NO_PARENT] = 0
@@ -242,7 +234,7 @@ class Forest:
             raise ForestInvariantError("parent pointer out of range")
         if (self.parent == np.arange(self.n)).any():
             raise ForestInvariantError("a node cannot be its own parent")
-        # the pointer-doubling depth walk raises if there is a cycle.
+        # the BFS index behind `depth` raises if there is a cycle.
         self.depth
         if require_rank_increase:
             non_roots = np.flatnonzero(self.parent != NO_PARENT)
@@ -280,53 +272,140 @@ class Forest:
 
 
 # --------------------------------------------------------------------------- #
-# the shared schedule of the tree phases
+# the BFS index and the shared schedule of the tree phases
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class TreeIndex:
+    """Every node of a forest in BFS order: root-first, layer by layer.
+
+    The depth-``d`` layer is ``order[bounds[d]:bounds[d + 1]]``; layer 0
+    holds the roots in ascending id.  Inside every deeper layer each
+    parent's children form one contiguous run in ascending id, and the runs
+    follow their parents' order in the layer above.  ``up_pos[i]`` is the
+    position of ``order[i]``'s parent in ``order`` (``-1`` for a root), so
+    it never decreases over the non-roots and a layer's parent gathers
+    read the layer above almost sequentially.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    up_pos: np.ndarray
+
+    def layers(self) -> list[tuple[int, int]]:
+        """``(lo, hi)`` of every non-root layer, shallowest first (never empty)."""
+        bounds = self.bounds.tolist()
+        return list(zip(bounds[1:-1], bounds[2:]))
+
+    def by_id(self, values: np.ndarray) -> np.ndarray:
+        """Scatter an array aligned with ``order`` back to node ids."""
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
+
+
+@instrumented("forest.tree_index")
+def build_tree_index(forest: Forest) -> TreeIndex:
+    """Derive the :class:`TreeIndex` of ``forest``.
+
+    One sort groups the children by parent; a level-synchronous expansion
+    from the roots then lays the layers out in O(n).  A node that no root
+    reaches sits on, or under, a cycle of parent pointers, so an expansion
+    that ends short of ``n`` nodes raises :class:`ForestInvariantError`.
+    """
+    n = forest.n
+    parent = forest.parent
+    roots = forest.roots
+    kids = np.flatnonzero(parent != NO_PARENT)
+    kid_parents = parent[kids]
+    # Sorting the composite key parent * n + id (exact for n below 3e9)
+    # groups the children by parent, ascending id inside each group;
+    # parent p's children are children[start[p]:start[p + 1]].
+    children = kid_parents * n + kids
+    children.sort()
+    np.remainder(children, n, out=children)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kid_parents, minlength=n), out=start[1:])
+    has_kids = start[1:] != start[:-1]
+    del kids, kid_parents
+
+    order = np.empty(n, dtype=np.int64)
+    up_pos = np.empty(n, dtype=np.int64)
+    order[: roots.size] = roots
+    up_pos[: roots.size] = NO_PARENT
+    bounds = [0, roots.size]
+    lo, hi = 0, roots.size
+    # The loop body runs once per layer, so it calls array methods rather
+    # than their numpy-function wrappers: a deep chain has a layer per node.
+    while lo < hi:
+        # Only the layer's parents are looked up in `start`; the leaves,
+        # most of every layer, cost one gather from the small bool table.
+        inner = has_kids[order[lo:hi]].nonzero()[0]
+        if inner.size == 0:
+            break
+        inner += lo
+        ids = order[inner]
+        first = start[ids]
+        count = start[1:][ids] - first
+        run_end = count.cumsum()
+        size = int(run_end[-1])
+        # New node k belongs to parent j = run[k] and is its child number
+        # k - (run_end[j] - count[j]), which sits at children[first[j] + that].
+        run = np.arange(inner.size).repeat(count)
+        at = (first - run_end + count)[run]
+        at += np.arange(size)
+        order[hi : hi + size] = children[at]
+        up_pos[hi : hi + size] = inner[run]
+        lo, hi = hi, hi + size
+        bounds.append(hi)
+    if hi < n:
+        raise ForestInvariantError("parent pointers contain a cycle")
+    return TreeIndex(order, np.array(bounds, dtype=np.int64), up_pos)
+
+
 @dataclass(frozen=True)
 class TreeSchedule:
     """The forest structure every tree phase sweeps, derived once.
 
-    ``up_order`` lists the convergecast senders (alive non-roots) and
-    ``down_order`` the broadcast receivers (children their parent knows).
-    Both are grouped by depth with ascending ids inside a layer; the
-    depth-``d`` layer is ``order[bounds[d]:bounds[d + 1]]``.
-    ``sibling_rank[c]`` is known child ``c``'s 1-based position in its
-    parent's service order (ascending id), 0 for every other node.
-    ``send_round[i]`` is the 1-based round in which alive non-root ``i``
-    sends its convergecast aggregate (leaves in round 1, a parent one round
-    after its last known child's scheduled send), 0 otherwise;
-    ``last_child_round[p]`` is the latest scheduled send over ``p``'s known
-    alive children (0 for childless nodes), i.e. the round after which a
-    root's aggregate is final.
+    Every array is aligned with ``index.order``: position ``i`` describes
+    node ``index.order[i]``, so a phase walks the layers of ``index`` as
+    contiguous slices and only maps back to node ids at its ends.
+
+    * ``known[i]``: the node is a child its parent knows (its CONNECT
+      message arrived);
+    * ``alive[i]``: the node is alive;
+    * ``sib[i]``: a known child's 1-based slot in its parent's service
+      order (ascending id, i.e. the running count of known children in its
+      run of the index), 0 for every other node;
+    * ``send[i]``: the 1-based round in which an alive non-root sends its
+      convergecast aggregate (leaves in round 1, a parent one round after
+      its last known child's scheduled send), 0 otherwise.
+
+    :attr:`send_round` and :attr:`last_child_round` are the id-space views
+    the message-level engine reads; they are derived on first use.
     """
 
-    up_order: np.ndarray
-    up_bounds: np.ndarray
-    down_order: np.ndarray
-    down_bounds: np.ndarray
-    sibling_rank: np.ndarray
-    send_round: np.ndarray
-    last_child_round: np.ndarray
+    index: TreeIndex
+    known: np.ndarray
+    alive: np.ndarray
+    sib: np.ndarray
+    send: np.ndarray
 
-    def up_layers(self) -> Iterator[np.ndarray]:
-        """Non-empty convergecast sender layers, deepest first."""
-        bounds = self.up_bounds
-        for d in range(bounds.size - 2, 0, -1):
-            if bounds[d] < bounds[d + 1]:
-                yield self.up_order[bounds[d]:bounds[d + 1]]
+    @cached_property
+    def send_round(self) -> np.ndarray:
+        """``send`` by node id."""
+        return self.index.by_id(self.send)
 
-    def down_layers(self) -> Iterator[np.ndarray]:
-        """Non-empty broadcast receiver layers, shallowest first."""
-        bounds = self.down_bounds
-        for d in range(1, bounds.size - 1):
-            if bounds[d] < bounds[d + 1]:
-                yield self.down_order[bounds[d]:bounds[d + 1]]
+    @cached_property
+    def last_child_round(self) -> np.ndarray:
+        """Latest scheduled send over each node's known alive children, by id.
 
-
-def _layer_bounds(order_depths: np.ndarray) -> np.ndarray:
-    """Layer offsets of a depth-sorted order: layer ``d`` is ``[b[d], b[d + 1])``."""
-    top = int(order_depths[-1]) if order_depths.size else 0
-    return np.searchsorted(order_depths, np.arange(top + 2))
+        0 for a node without any; for a root it is the round after which
+        its aggregate is final.
+        """
+        reports = np.flatnonzero(self.known & self.alive)
+        last = np.zeros(self.send.size, dtype=np.int64)
+        np.maximum.at(last, self.index.up_pos[reports], self.send[reports])
+        return self.index.by_id(last)
 
 
 @instrumented("core.tree_schedule")
@@ -339,42 +418,33 @@ def build_tree_schedule(forest: Forest, known_child_mask: np.ndarray) -> TreeSch
     the identical one.
     """
     n = forest.n
-    parent = forest.parent
-    depth = forest.depth
-    non_roots = np.flatnonzero(parent != NO_PARENT)
-    keys = depth[non_roots]
-    max_depth = int(keys.max()) if keys.size else 0
-    # One stable sort by depth.  numpy's stable sort is a radix sort only
-    # for integer keys of at most 16 bits (wider keys take timsort), and
-    # DRR depths are O(log n) (Theorem 3), so the narrowest key type that
-    # holds them makes this a linear pass.
-    if max_depth <= np.iinfo(np.uint8).max:
-        keys = keys.astype(np.uint8)
-    elif max_depth <= np.iinfo(np.uint16).max:
-        keys = keys.astype(np.uint16)
-    by_depth = non_roots[np.argsort(keys, kind="stable")]
-    # Both orders are mask filters of that one sort; filtering keeps it
-    # stable, so every layer stays in ascending id order.
-    up_order = by_depth if forest.alive is None else by_depth[forest.alive[by_depth]]
-    down_order = by_depth[known_child_mask[by_depth]]
-    up_bounds = _layer_bounds(depth[up_order])
-    down_bounds = _layer_bounds(depth[down_order])
+    index = forest.tree_index
+    order, up_pos = index.order, index.up_pos
+    known = known_child_mask[order]
+    alive = np.ones(n, dtype=bool) if forest.alive is None else forest.alive[order]
 
-    # A parent serves its known children in ascending id order, so a
-    # child's service position is its occurrence rank among equal parents.
-    kids = np.flatnonzero(known_child_mask)
-    sibling_rank = np.zeros(n, dtype=np.int64)
-    sibling_rank[kids] = occurrence_index(parent[kids]) + 1
+    # A parent serves its known children in ascending id, which is their
+    # order in its run, so a child's slot is the running count of known
+    # children since its run started.  The roots share up_pos -1 and are
+    # never known, so one pass over every position does it.
+    sib = np.cumsum(known)
+    run_start = np.ones(n, dtype=bool)
+    np.not_equal(up_pos[1:], up_pos[:-1], out=run_start[1:])
+    sib -= np.maximum.accumulate((sib - known) * run_start)
+    sib *= known
 
-    send_round = np.zeros(n, dtype=np.int64)
-    last_child_round = np.zeros(n, dtype=np.int64)
-    schedule = TreeSchedule(
-        up_order, up_bounds, down_order, down_bounds, sibling_rank, send_round, last_child_round
-    )
-    # Fill the send schedule bottom-up: a layer's senders are final once
-    # every deeper layer has reported to its parents.
-    for layer in schedule.up_layers():
-        send_round[layer] = 1 + last_child_round[layer]
-        waiting = layer[known_child_mask[layer]]
-        np.maximum.at(last_child_round, parent[waiting], send_round[waiting])
-    return schedule
+    # Fill the send schedule bottom-up: when a layer comes up, every deeper
+    # layer has scatter-maxed its sends into it, so it holds its latest
+    # child send and one more round is its own.
+    send = np.zeros(n, dtype=np.int64)
+    reports = known & alive
+    everyone_alive = bool(alive.all())
+    for lo, hi in reversed(index.layers()):
+        layer = send[lo:hi]
+        layer += 1
+        if not everyone_alive:
+            layer *= alive[lo:hi]
+        at = lo + reports[lo:hi].nonzero()[0]
+        np.maximum.at(send, up_pos[at], send[at])
+    send[: index.bounds[1]] = 0  # the roots collected their last child send
+    return TreeSchedule(index, known, alive, sib, send)

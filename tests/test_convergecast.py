@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.core.drr as drr_module
+import repro.core.forest as forest_module
 from repro.core import (
     DRRGossipConfig,
     drr_gossip_average,
@@ -169,11 +170,11 @@ class TestEngineParity:
 # the shared tree schedule
 # --------------------------------------------------------------------------- #
 def _reference_orders(drr):
-    """The argsort-based derivation each tree phase used to repeat.
+    """An argsort-based derivation of the layers and sibling ranks, by id.
 
-    Copied from the convergecast / broadcast bodies that ``TreeSchedule``
-    replaced: int32 stable sorts by depth for the two layer orders and a
-    stable sort by parent for the sibling ranks.
+    Int32 stable sorts by depth give the convergecast senders (alive
+    non-roots) and the broadcast receivers (known children) of every depth
+    in ascending id, and a stable sort by parent gives the sibling ranks.
     """
     forest = drr.forest
     n = forest.n
@@ -237,6 +238,28 @@ def _assert_fields_equal(schedule: TreeSchedule, expected: dict) -> None:
         assert np.array_equal(got, want), f"TreeSchedule.{name} differs from the reference"
 
 
+def _assert_matches_the_reference_orders(drr) -> None:
+    """Each index layer holds exactly the reference's depth-d senders and
+    receivers, and the sibling ranks agree by node id."""
+    schedule = drr.schedule
+    index = schedule.index
+    expected = _reference_orders(drr)
+    layer_of = np.repeat(np.arange(index.bounds.size - 1), np.diff(index.bounds))
+    for members, name in (
+        (schedule.alive & (index.up_pos >= 0), "up"),
+        (schedule.known, "down"),
+    ):
+        ids, layers = index.order[members], layer_of[members]
+        by_layer_then_id = np.lexsort((ids, layers))
+        want_ids = expected[f"{name}_order"]
+        bounds = expected[f"{name}_bounds"]
+        want_layers = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        assert np.array_equal(ids[by_layer_then_id], want_ids), f"{name} layers differ"
+        assert np.array_equal(layers[by_layer_then_id], want_layers), f"{name} depths differ"
+    sibling_rank = index.by_id(schedule.sib)
+    assert np.array_equal(sibling_rank, expected["sibling_rank"]), "sibling ranks differ"
+
+
 def _ring_chain(n: int):
     """Local-DRR on a ring with increasing ranks: a chain of depth n - 2.
 
@@ -262,7 +285,7 @@ class TestTreeSchedule:
     @pytest.mark.parametrize("n,seed,failures", SCHEDULE_CASES)
     def test_matches_the_argsort_reference_on_drr_forests(self, n, seed, failures):
         drr = run_drr(n, rng=seed, failure_model=failures)
-        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_matches_the_reference_orders(drr)
         _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
 
     def test_dead_non_roots_neither_send_nor_count(self):
@@ -273,26 +296,26 @@ class TestTreeSchedule:
         assert (dead & (drr.forest.parent >= 0)).any()
         forest = dataclasses.replace(drr.forest, alive=~dead)
         drr = dataclasses.replace(drr, forest=forest)
-        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_matches_the_reference_orders(drr)
         _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
 
     @pytest.mark.parametrize("connect_loss", [0.0, 0.3])
-    def test_uint16_depth_keys_on_a_deep_local_drr_chain(self, connect_loss):
+    def test_a_deep_local_drr_chain(self, connect_loss):
         drr = _ring_chain(600)
-        assert 255 < int(drr.forest.depth.max()) <= np.iinfo(np.uint16).max
+        assert int(drr.forest.depth.max()) == 598
         # Lossy rank announcements would break the chain, so drop CONNECT
         # messages on the finished chain instead.
         lost = np.random.default_rng(3).random(600) < connect_loss
         drr = dataclasses.replace(drr, connect_delivered=drr.connect_delivered & ~lost)
-        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        _assert_matches_the_reference_orders(drr)
         _assert_fields_equal(drr.schedule, _reference_send_schedule(drr))
 
-    def test_int64_depth_keys_on_a_70k_chain(self):
+    def test_a_70k_deep_local_drr_chain(self):
         drr = _ring_chain(70_000)
         depth = drr.forest.depth
         max_depth = int(depth.max())
-        assert max_depth > np.iinfo(np.uint16).max
-        _assert_fields_equal(drr.schedule, _reference_orders(drr))
+        assert max_depth == 70_000 - 2
+        _assert_matches_the_reference_orders(drr)
         # The per-depth scan reference is quadratic on a chain, so walk the
         # senders one node at a time instead, deepest first: every child
         # has reported before its parent's send round is fixed.
@@ -314,17 +337,23 @@ class TestTreeSchedule:
     @pytest.mark.parametrize("backend", ["vectorized", "engine"])
     def test_an_average_run_builds_the_schedule_once(self, backend, monkeypatch):
         calls = []
-        build = drr_module.build_tree_schedule
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
+        def counting(module, name):
+            build = getattr(module, name)
 
-        monkeypatch.setattr(drr_module, "build_tree_schedule", counting)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(drr_module, "build_tree_schedule")
+        counting(forest_module, "build_tree_index")
         values = np.random.default_rng(0).uniform(0.0, 1.0, size=256)
         result = drr_gossip_average(values, rng=5, config=DRRGossipConfig(backend=backend))
         assert result.coverage == 1.0
-        assert len(calls) == 1
+        # one forest, so one BFS index, and one schedule over it
+        assert sorted(calls) == ["build_tree_index", "build_tree_schedule"]
 
     def test_broadcast_names_the_offending_non_root(self, drr_256):
         forest = drr_256.forest

@@ -50,8 +50,8 @@ class TestBasicStructure:
         assert f.tree_heights == {0: 3}
 
     def test_depth_matches_bfs_reference(self):
-        # `depth` is computed by pointer doubling; `depth_by_bfs` is the
-        # independent level-sweep reference the doubling is checked against.
+        # `depth` is read off the BFS index; `depth_by_bfs` is the
+        # independent level-sweep reference the index is checked against.
         rng = np.random.default_rng(7)
         for _ in range(5):
             n = 500
@@ -111,6 +111,19 @@ class TestValidation:
         with pytest.raises(ForestInvariantError):
             f.validate(require_rank_increase=False)
 
+    @pytest.mark.parametrize("require_rank_increase", [True, False])
+    def test_a_cycle_under_a_valid_tree_raises_from_depth_and_validate(
+        self, require_rank_increase
+    ):
+        # 0 is a root with child 1; 2 -> 3 -> 4 -> 2 is a cycle that no root
+        # reaches, and 5 hangs off it.
+        parent = np.array([-1, 0, 4, 2, 3, 3])
+        rank = np.array([0.9, 0.1, 0.5, 0.6, 0.7, 0.2])
+        with pytest.raises(ForestInvariantError, match="cycle"):
+            Forest(parent=parent, rank=rank).depth
+        with pytest.raises(ForestInvariantError, match="cycle"):
+            Forest(parent=parent, rank=rank).validate(require_rank_increase=require_rank_increase)
+
     def test_rejects_rank_inversion(self):
         f = Forest(parent=np.array([-1, 0]), rank=np.array([0.2, 0.9]))
         with pytest.raises(ForestInvariantError):
@@ -149,11 +162,43 @@ def random_forest(draw):
     return Forest(parent=parent, rank=ranks)
 
 
+def _assert_breadth_first_index(forest: Forest) -> None:
+    """Check ``forest.tree_index`` against the parent pointers directly."""
+    index = forest.tree_index
+    order, bounds, up_pos = index.order, index.bounds, index.up_pos
+    assert np.array_equal(np.sort(order), np.arange(forest.n))
+    assert np.array_equal(forest.depth, forest.depth_by_bfs())
+    # layer d is exactly the depth-d nodes, the roots first
+    assert bounds[0] == 0 and bounds[-1] == forest.n
+    assert np.array_equal(order[: bounds[1]], forest.roots)
+    for d in range(bounds.size - 1):
+        layer = order[bounds[d] : bounds[d + 1]]
+        assert layer.size
+        assert set(layer.tolist()) == set(np.flatnonzero(forest.depth == d).tolist())
+    # every node points at its parent's position
+    assert (up_pos[: bounds[1]] == -1).all()
+    non_roots = np.arange(bounds[1], forest.n)
+    assert np.array_equal(order[up_pos[non_roots]], forest.parent[order[non_roots]])
+    # each parent's children are one ascending run, in parent order
+    for d in range(1, bounds.size - 1):
+        lo, hi = int(bounds[d]), int(bounds[d + 1])
+        ups = up_pos[lo:hi]
+        assert ((bounds[d - 1] <= ups) & (ups < lo)).all()
+        assert (np.diff(ups) >= 0).all()
+        for p in np.unique(ups):
+            run = order[lo:hi][ups == p]
+            assert run.tolist() == list(forest.children[order[p]])
+    # a node's tree is its parent's tree
+    has_parent = forest.parent >= 0
+    assert np.array_equal(forest.tree_id[has_parent], forest.tree_id[forest.parent[has_parent]])
+
+
 class TestForestProperties:
     @given(random_forest())
     @settings(max_examples=60, deadline=None)
     def test_invariants_hold_for_generated_forests(self, forest):
         forest.validate()
+        _assert_breadth_first_index(forest)
         # tree ids partition the node set and every tree id is a root
         assert set(np.unique(forest.tree_id)) == set(forest.roots.tolist())
         # sizes sum to n

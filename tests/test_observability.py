@@ -220,7 +220,9 @@ class TestTelemetry:
             telemetry=True,
         )
         spans = repro.run(spec).telemetry["spans"]
-        # the convergecast and both broadcasts share one schedule build
+        # the one forest is indexed once, and the convergecast and both
+        # broadcasts share one schedule build over that index
+        assert spans["forest.tree_index"]["count"] == 1
         assert spans["core.tree_schedule"]["count"] == 1
         assert spans["substrate.convergecast_layers"]["count"] == 1
         assert spans["substrate.broadcast_layers"]["count"] == 2

@@ -449,7 +449,7 @@ class TestSweepCLI:
             [_sys.executable, "-m", "repro", "--help"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
             cwd=str(__import__("pathlib").Path(__file__).resolve().parents[1]),
         )
         assert proc.returncode == 0
