@@ -201,7 +201,7 @@ class RunResult:
             "messages_by_kind": {str(k): int(v) for k, v in self.messages_by_kind.items()},
             "messages_by_phase": {str(k): int(v) for k, v in self.messages_by_phase.items()},
             "rounds_by_phase": {str(k): int(v) for k, v in self.rounds_by_phase.items()},
-            "estimates": None if self.estimates is None else [float(v) for v in np.asarray(self.estimates)],
+            "estimates": None if self.estimates is None else np.asarray(self.estimates, dtype=float).tolist(),
             "summary": {str(k): float(v) for k, v in self.summary.items()},
             "wall_time_s": float(self.wall_time_s),
             **({"telemetry": self.telemetry} if self.telemetry is not None else {}),

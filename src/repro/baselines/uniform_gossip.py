@@ -37,11 +37,33 @@ on a reliable, crash-free run it folds the whole batch instead of
 compacting it by an all-True delivered mask.  Like :mod:`delivery
 <repro.substrate.delivery>`'s fast paths, these change no accounting and
 consume no RNG: they skip work whose outcome is known.
+
+Each round's convergence error, ``max_i |s_i/w_i - exact| / scale``, is
+taken from the two extremes ``lo`` and ``hi`` of ``s/w`` instead of a pass
+per node.  IEEE rounding is monotone, so neither ``fl(x - exact)`` nor
+``fl(x / scale)`` ever reorders two values, and ``fl(exact - lo)`` is
+``-fl(lo - exact)``; hence ``max(fl(hi - exact), fl(exact - lo)) / scale``
+has the same bits as the per-node maximum, and ``max(|lo|, |hi|)`` does when
+``exact == 0``.  One ``np.divide`` and an ``fmin``/``fmax`` pair replace
+seven full passes.  ``fmin``/``fmax`` skip NaN as ``nanmax`` does, so a
+crashed node, which holds ``(0, 0)``, drops out without a gather of the
+alive ids.  A non-finite extreme (``w == 0``, an infinite or NaN mass) or
+a non-finite ``exact`` falls back to the per-node pass.
+
+In a run of at least ``_OVERLAP_MIN_N`` nodes without churn, that divide
+and pair run on a helper thread while the main thread draws the next
+round's targets (NumPy releases the GIL in both); the main thread takes the
+extremes before the halving writes ``s`` and ``w``.  The helper allocates
+nothing, draws nothing and records no span, so the RNG stream, every
+allocation and the fold stay on the main thread.  Its executor is created
+and joined inside the call: no thread outlives :func:`push_sum`, and a
+sweep drain forked afterwards inherits none.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +83,12 @@ __all__ = [
     "PushMaxNode",
     "default_push_rounds",
 ]
+
+#: Churn-free runs of at least this many nodes take each round's error
+#: extremes on a helper thread (module docstring).  Measured on a 2-core
+#: host: the hand-off costs ~0.1 ms a round, which is as much as it hides
+#: at 2^17 nodes and more than it hides at 2^16.
+_OVERLAP_MIN_N = 1 << 17
 
 
 def default_push_rounds(n: int, epsilon: float | None = None) -> int:
@@ -118,6 +146,11 @@ def push_sum(
     consume no RNG.  ``convergence`` holds each round's maximum relative
     error ``|s/w - exact| / max(1e-300, |exact|)`` over alive nodes (the
     absolute error when ``exact == 0``), ignoring nodes with ``w == 0``.
+    It is computed from the smallest and largest ``s/w``, which gives the
+    per-node maximum bit for bit because rounding is monotone.  From
+    ``_OVERLAP_MIN_N`` nodes up, a run without churn takes those extremes
+    on a helper thread while the next round's targets are drawn; the thread
+    is joined before this function returns or raises.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -175,43 +208,58 @@ def _push_sum_vectorized(
     send_buffer = np.empty(n, dtype=np.complex128)
     est = np.empty(n)
     positive = np.empty(n, dtype=bool)
+    # Round r's error extremes, taken on the helper during round r + 1's draw.
+    # The executor starts its thread on the first submit, so a run below
+    # the threshold starts none.
+    overlap = churn is None and n >= _OVERLAP_MIN_N
+    pending = None
 
-    for r in range(total_rounds):
-        if churn is not None:
-            died, joined = churn.step(r, alive)
-            if joined.size:
-                # A joiner restarts from its own local value.
-                s[joined] = values[joined]
-                w[joined] = 1.0
-            if died.size or joined.size:
-                alive_idx = np.flatnonzero(alive)
-        metrics.record_round()
-        senders = alive_idx
-        everyone = senders.size == n
-        targets = kernel.sample_uniform(rng, n, senders.size)
-        send = send_buffer[: senders.size]
-        # Halve on the float64 view: x * 0.5 == x / 2.0 for every float.
-        halves = send.view(np.float64)
-        if everyone:
-            np.multiply(sw.view(np.float64), 0.5, out=halves)
-            sw -= send
-        else:
-            np.take(sw, senders, out=send)
-            halves *= 0.5
-            sw[senders] -= send
-        delivered = kernel.deliver(
-            metrics, oracle, MessageKind.PUSH, targets,
-            senders=senders, round_index=r, alive=alive_arg, payload_words=2,
-            dead_targets=dead_targets,
-        )
-        if unmasked:
-            np.add.at(sw, targets, send)
-        else:
-            np.add.at(sw, targets[delivered], send[delivered])
-        # Free this round's batch before the next round draws its own.
-        del targets, delivered
-        _estimate(s, w, est, positive)
-        convergence.append(_max_error(est if everyone else est[alive_idx], exact, scale))
+    with ThreadPoolExecutor(1, "push-sum") as helper:
+        for r in range(total_rounds):
+            if churn is not None:
+                died, joined = churn.step(r, alive)
+                if joined.size:
+                    # A joiner restarts from its own local value.
+                    s[joined] = values[joined]
+                    w[joined] = 1.0
+                if died.size or joined.size:
+                    alive_idx = np.flatnonzero(alive)
+            metrics.record_round()
+            senders = alive_idx
+            everyone = senders.size == n
+            targets = kernel.sample_uniform(rng, n, senders.size)
+            if pending is not None:
+                # Round r - 1's extremes; s and w are still that round's.
+                extremes, pending = pending.result(), None
+                convergence.append(_round_error(s, w, est, positive, None, exact, scale, extremes))
+            send = send_buffer[: senders.size]
+            # Halve on the float64 view: x * 0.5 == x / 2.0 for every float.
+            halves = send.view(np.float64)
+            if everyone:
+                np.multiply(sw.view(np.float64), 0.5, out=halves)
+                sw -= send
+            else:
+                np.take(sw, senders, out=send)
+                halves *= 0.5
+                sw[senders] -= send
+            delivered = kernel.deliver(
+                metrics, oracle, MessageKind.PUSH, targets,
+                senders=senders, round_index=r, alive=alive_arg, payload_words=2,
+                dead_targets=dead_targets,
+            )
+            if unmasked:
+                np.add.at(sw, targets, send)
+            else:
+                np.add.at(sw, targets[delivered], send[delivered])
+            # Free this round's batch before the next round draws its own.
+            del targets, delivered
+            if overlap and r + 1 < total_rounds:
+                pending = helper.submit(_extremes, s, w, est)
+            else:
+                # Under churn a dead node keeps its mass, so only the alive
+                # ids count; a crashed node holds (0, 0) and reads as NaN.
+                live = alive_idx if churn is not None and not everyone else None
+                convergence.append(_round_error(s, w, est, positive, live, exact, scale))
 
     if churn is not None:
         exact = float(values[alive].mean())
@@ -225,6 +273,47 @@ def _push_sum_vectorized(
         metrics=metrics,
         convergence=convergence,
     )
+
+
+def _extremes(
+    s: np.ndarray, w: np.ndarray, est: np.ndarray, live: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Smallest and largest non-NaN ``s / w`` (over the ``live`` ids if given).
+
+    Writes ``s / w`` into ``est``.  Allocates nothing when ``live`` is None,
+    so it can run on the helper thread.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(s, w, out=est)
+    if live is not None:
+        est = est[live]
+    return float(np.fmin.reduce(est)), float(np.fmax.reduce(est))
+
+
+def _round_error(
+    s: np.ndarray,
+    w: np.ndarray,
+    est: np.ndarray,
+    positive: np.ndarray,
+    live: np.ndarray | None,
+    exact: float,
+    scale: float,
+    extremes: tuple[float, float] | None = None,
+) -> float:
+    """``_max_error(_estimate(s, w))`` over the ``live`` ids (every id if None).
+
+    Taken from the ``extremes`` of ``s / w`` (computed here if not given);
+    a non-finite extreme or ``exact`` falls back to the full pass.  Nodes
+    with ``w == 0`` and ``s == 0`` read NaN here, and ``_estimate`` makes
+    them NaN, so ``fmin``/``fmax`` skip them as ``nanmax`` does.
+    """
+    lo, hi = extremes if extremes is not None else _extremes(s, w, est, live)
+    if math.isfinite(lo) and math.isfinite(hi) and math.isfinite(exact):
+        if exact == 0:
+            return max(abs(lo), abs(hi))
+        return max(hi - exact, exact - lo) / scale
+    _estimate(s, w, est, positive)
+    return _max_error(est if live is None else est[live], exact, scale)
 
 
 def _estimate(s: np.ndarray, w: np.ndarray, out: np.ndarray, positive: np.ndarray) -> np.ndarray:

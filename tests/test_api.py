@@ -75,6 +75,20 @@ class TestRoundTripProperty:
             direct
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_estimates_serialise_as_python_floats(self, dtype):
+        values = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, 1 / 3, -7.0, 2.0**60 + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            estimates = np.array(values).astype(dtype)
+        result = repro.api.RunResult(
+            spec=spec_for("push-sum"), rounds=1, messages=0, messages_lost=0, words=0,
+            messages_by_kind={}, messages_by_phase={}, rounds_by_phase={},
+            estimates=estimates, summary={}, wall_time_s=0.0,
+        )
+        listed = result.to_dict()["estimates"]
+        assert all(type(v) is float for v in listed)
+        assert json.dumps(listed) == json.dumps([float(v) for v in estimates])
+
     def test_words_alone_change_the_outcome(self):
         direct = repro.run(spec_for("drr-gossip"))
         doc = direct.to_dict()

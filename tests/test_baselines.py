@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines.uniform_gossip as uniform_gossip
 from repro.baselines import (
     default_push_rounds,
     efficient_gossip,
@@ -18,13 +23,14 @@ from repro.baselines import (
     push_rumor,
     push_sum,
 )
+from repro.baselines.uniform_gossip import _OVERLAP_MIN_N, _estimate, _max_error, _round_error
 from repro.core import Aggregate
 from repro.simulator import FailureModel
 from repro.simulator.failures import ChurnOracle, LossOracle
 from repro.simulator.message import MessageKind
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.rng import make_rng
-from repro.substrate import deliver_batch, sample_uniform
+from repro.substrate import VectorizedKernel, deliver_batch, sample_uniform
 from repro.topology import grid_graph, ring_graph
 
 
@@ -162,12 +168,13 @@ class TestPushSumReference:
     The engine checks estimates and accounting across backends but produces
     no convergence history; this reference also pins ``convergence``
     (including its ``exact == 0`` branch), ``exact``, the n = 1 and n = 2
-    edge cases, and an infinite input value.
+    edge cases, and an infinite input value.  At n = ``_OVERLAP_MIN_N`` (2^17)
+    the churn-free models take their error extremes on the helper thread.
     """
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["positive", "mixed-sign", "zero-mean", "non-finite"])
-    @pytest.mark.parametrize("n", [1, 2, 300, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 300, 4096, _OVERLAP_MIN_N])
     @pytest.mark.parametrize("model", list(REFERENCE_MODELS))
     def test_vectorized_matches_reference(self, model, n, kind):
         fm = REFERENCE_MODELS[model]
@@ -182,6 +189,167 @@ class TestPushSumReference:
         assert result.metrics.total_messages_lost == metrics.total_messages_lost
         if kind == "zero-mean" and not fm.crash_fraction:
             assert exact == 0.0
+
+
+def per_node_error(s, w, exact, live=None) -> float:
+    """The per-node pass that ``_round_error`` replaces."""
+    est = _estimate(s, w, np.empty(s.size), np.empty(s.size, dtype=bool))
+    return _max_error(est if live is None else est[live], exact, max(1e-300, abs(exact)))
+
+
+def round_error(s, w, exact, live=None) -> float:
+    n = s.size
+    return _round_error(
+        s, w, np.empty(n), np.empty(n, dtype=bool), live, exact, max(1e-300, abs(exact))
+    )
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestRoundError:
+    """``_round_error`` (the extremes of s/w) against the per-node pass, bit for bit."""
+
+    @pytest.mark.parametrize("exact", [3.75, -3e-301, 0.0])
+    def test_every_estimate_equal_to_exact(self, exact):
+        w = np.array([1.0, 0.5, 2.0, 0.25])
+        s = exact * w
+        assert same_bits(round_error(s, w, exact), per_node_error(s, w, exact))
+        assert same_bits(round_error(s, w, exact), 0.0)
+
+    def test_negative_zero_estimates_give_positive_zero(self):
+        s = np.array([-0.0, -0.0, -0.0])
+        w = np.array([1.0, 0.5, 3.0])
+        assert same_bits(per_node_error(s, w, 0.0), 0.0)
+        assert same_bits(round_error(s, w, 0.0), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("exact", [2.0, 0.0])
+    def test_non_finite_estimate(self, bad, exact):
+        s = np.array([1.0, bad, 3.0, 2.5])
+        w = np.ones(4)
+        assert same_bits(round_error(s, w, exact), per_node_error(s, w, exact))
+
+    @pytest.mark.parametrize("mass", [0.0, 5.0, -5.0])
+    def test_zero_weight_entry(self, mass):
+        # (0, 0) reads NaN and is skipped; (m, 0) reads +-inf and falls back
+        s = np.array([mass, 1.0, 2.0, 4.0])
+        w = np.array([0.0, 1.0, 1.0, 2.0])
+        assert same_bits(round_error(s, w, 1.5), per_node_error(s, w, 1.5))
+
+    def test_non_finite_exact(self):
+        s = np.array([1.0, 2.0, 3.0])
+        w = np.ones(3)
+        for exact in (np.inf, -np.inf, np.nan):
+            assert same_bits(round_error(s, w, exact), per_node_error(s, w, exact))
+
+    def test_live_ids_exclude_a_dead_node_that_holds_mass(self):
+        s = np.array([100.0, 1.0, 2.0, 3.0])
+        w = np.array([1.0, 1.0, 0.5, 2.0])
+        live = np.array([1, 2, 3])
+        assert same_bits(round_error(s, w, 2.0, live), per_node_error(s, w, 2.0, live))
+        assert round_error(s, w, 2.0, live) < round_error(s, w, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(width=64), min_size=1, max_size=12),
+        st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=12, max_size=12),
+        st.floats(),
+    )
+    def test_matches_the_per_node_pass(self, masses, weights, exact):
+        s = np.array(masses)
+        w = np.array(weights[: s.size])
+        assert same_bits(round_error(s, w, exact), per_node_error(s, w, exact))
+
+
+def outcome_bytes(result) -> tuple[bytes, bytes]:
+    return np.asarray(result.convergence).tobytes(), result.estimates.tobytes()
+
+
+class TestOverlapHelper:
+    """The helper thread serves churn-free runs from ``_OVERLAP_MIN_N`` nodes up."""
+
+    @pytest.mark.parametrize(
+        "n, failures, helper_calls",
+        [
+            (_OVERLAP_MIN_N - 1, FailureModel(), 0),
+            (_OVERLAP_MIN_N, FailureModel(), 4),
+            (_OVERLAP_MIN_N, FailureModel(crash_fraction=0.2), 4),
+            (_OVERLAP_MIN_N, FailureModel(churn_rate=0.01), 0),
+        ],
+        ids=["below", "at", "crash", "churn"],
+    )
+    def test_which_rounds_use_the_helper(self, monkeypatch, n, failures, helper_calls):
+        caller = threading.current_thread()
+        threads = len(threading.enumerate())
+        callers, running = [], []
+        extremes = uniform_gossip._extremes
+
+        def spy(*args):
+            callers.append(threading.current_thread())
+            running.append(len(threading.enumerate()))
+            return extremes(*args)
+
+        monkeypatch.setattr(uniform_gossip, "_extremes", spy)
+        values = np.random.default_rng(0).uniform(0, 1, n)
+        result = push_sum(values, rng=3, rounds=5, failure_model=failures)
+        # the last round's extremes never wait for a next draw
+        assert len(callers) == len(result.convergence) == 5
+        assert sum(t is not caller for t in callers) == helper_calls
+        # below the threshold, or under churn, no thread is started at all
+        assert max(running) == threads + (helper_calls > 0)
+
+    def test_a_slow_helper_changes_no_bit(self, monkeypatch):
+        values = reference_values("mixed-sign", _OVERLAP_MIN_N)
+        prompt = push_sum(values, rng=5, rounds=8, failure_model=FailureModel(crash_fraction=0.1))
+        caller = threading.current_thread()
+        extremes = uniform_gossip._extremes
+
+        def slow(*args):
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)  # the main thread runs ahead meanwhile
+            return extremes(*args)
+
+        monkeypatch.setattr(uniform_gossip, "_extremes", slow)
+        late = push_sum(values, rng=5, rounds=8, failure_model=FailureModel(crash_fraction=0.1))
+        assert outcome_bytes(late) == outcome_bytes(prompt)
+
+    def test_concurrent_runs_under_a_short_switch_interval(self):
+        # six threads on two cores: three runs, each with its own helper
+        values = reference_values("mixed-sign", _OVERLAP_MIN_N)
+        expected = push_sum(values, rng=9, rounds=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                runs = [pool.submit(push_sum, values, rng=9, rounds=6) for _ in range(3)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(outcome_bytes(result) == outcome_bytes(expected) for result in results)
+
+    def test_no_helper_thread_outlives_push_sum(self, monkeypatch):
+        values = np.random.default_rng(0).uniform(0, 1, _OVERLAP_MIN_N)
+        before = set(threading.enumerate())
+        push_sum(values, rng=3, rounds=6)
+        assert set(threading.enumerate()) == before
+
+        during = []
+        deliver = VectorizedKernel.deliver
+
+        def failing_deliver(*args, round_index, **kwargs):
+            during.append(len(threading.enumerate()))
+            if round_index == 3:
+                raise RuntimeError("link down in round 3")
+            return deliver(*args, round_index=round_index, **kwargs)
+
+        monkeypatch.setattr(VectorizedKernel, "deliver", staticmethod(failing_deliver))
+        with pytest.raises(RuntimeError, match="round 3"):
+            push_sum(values, rng=3, rounds=6)
+        assert set(threading.enumerate()) == before
+        assert during[2] == len(before) + 1  # the helper was running then
 
 
 class TestPushMax:
