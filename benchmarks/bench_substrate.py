@@ -10,13 +10,8 @@ vectorized Local-DRR over a 10^6-node sparse random graph must finish; and
 with ``--scale-large`` a 10^7-node ``drr_gossip_average`` run on
 ``vectorized`` must complete within ``--large-budget`` seconds.
 
-``--compiled-only`` (the ``bench-compiled`` CI job) asserts that a run at
-``--compiled-n`` has the same outcome on compiled as on vectorized, bit
-for bit, and requires the jitted probe exchange to beat the vectorized
-one by ``--compiled-min-ratio`` (default 2x).  Without numba the backend
-is not registered and the gate fails, naming the missing extra.
-``--scale-xl`` runs ``drr_gossip_average`` at 10^8 nodes on the
-compiled backend inside ``--xl-budget`` seconds.
+``--churn-only`` (the ``churn-smoke`` CI job) runs the mid-run churn
+scenario on both backends and the churn-off overhead gate.
 
 The telemetry overhead gate (``smoke_telemetry_overhead``) patches the
 instrumented substrate primitives back to their ``__wrapped__``
@@ -320,9 +315,8 @@ def smoke_churn_equivalence(n: int) -> bool:
     """A mid-run churn scenario is identical on every available backend.
 
     Runs push-sum and epoch-gossip-ave at ``n`` under loss + rate churn +
-    a scheduled crash/join, across every backend the host registers
-    (compiled joins automatically when numba is importable), and asserts
-    the full equivalence contract: ``same_outcome`` (rounds, message
+    a scheduled crash/join on every registered backend, and asserts the
+    full equivalence contract: ``same_outcome`` (rounds, message
     counters, estimates and the degradation section, NaN equal to NaN).
     """
     from repro.api import RunSpec, run
@@ -382,7 +376,7 @@ def smoke_churn_overhead(n: int, max_overhead_pct: float = 2.0, repeats: int = 5
     primitives are patched back to their ``__wrapped__`` originals, giving
     the hook-free hot path (the bar every PR since 5 has been measured
     against) in the same process.  The shipped path — churn support
-    compiled in but no churn configured — must cost < ``max_overhead_pct``
+    built in but no churn configured — must cost < ``max_overhead_pct``
     over that baseline, and must reproduce its outcome bit-for-bit: specs
     without churn keys take the ``alive=None`` fast paths and never hash a
     single churn fate.
@@ -451,121 +445,6 @@ def smoke_churn_overhead(n: int, max_overhead_pct: float = 2.0, repeats: int = 5
     return ok
 
 
-def smoke_compiled(n: int, min_ratio: float) -> bool:
-    """Compiled-backend gate: exact equivalence + a jitted probe-exchange win.
-
-    Asserts a lossy+crash ``drr-gossip`` average run at ``n`` has the same
-    outcome as on vectorized (``RunResult.same_outcome``: bit for bit, no
-    tolerance), then times the fused probe exchange (the DRR hot
-    primitive) on both kernels and requires a >= ``min_ratio`` speedup.
-    """
-    import repro
-    from repro import RunSpec
-    from repro.simulator.failures import FailureModel, LossOracle
-    from repro.simulator.metrics import MetricsCollector
-    from repro.substrate import BACKENDS, VectorizedKernel
-    from repro.substrate.compiled import NUMBA_REQUIREMENT
-
-    kernel = BACKENDS.get("compiled")
-    if kernel is None:
-        print(f"FAIL: compiled backend is not registered ({NUMBA_REQUIREMENT})")
-        return False
-
-    spec = RunSpec(
-        protocol="drr-gossip",
-        params={"n": n, "aggregate": "average", "workload": "uniform"},
-        failures=FailureModel(loss_probability=0.05, crash_fraction=0.02),
-        seed=1,
-    )
-    reference = repro.run(spec.with_backend("vectorized"))
-    result = repro.run(spec.with_backend("compiled"))
-    compiled_s = result.wall_time_s
-    record("compiled-smoke", protocol="drr-gossip-average", n=n,
-           backend="compiled", wall_s=compiled_s,
-           messages=result.messages, rounds=result.rounds)
-    ok = result.same_outcome(reference)
-    if not ok:
-        print("FAIL: compiled run's outcome differs from vectorized")
-    print(f"compiled smoke, n={n}: {compiled_s:.2f}s, equivalence "
-          f"{'OK' if ok else 'FAILED'}")
-
-    # probe-exchange micro-bench: one big lossy DRR probing round
-    size = max(n, 1_000_000)
-    rng = np.random.default_rng(1)
-    senders = rng.integers(0, size, size=size)
-    targets = rng.integers(0, size, size=size)
-    ranks = rng.permutation(size)
-    oracle = LossOracle(0.05, key=12345)
-
-    def probe(fn):
-        return fn(
-            MetricsCollector(), oracle, targets,
-            senders=senders, ranks=ranks, round_index=3, alive=None,
-        )
-
-    probe(kernel.probe_exchange)  # numba compile / warm-up
-    vec_s = min(_time(lambda: probe(VectorizedKernel.probe_exchange)) for _ in range(3))
-    comp_s = min(_time(lambda: probe(kernel.probe_exchange)) for _ in range(3))
-    if not np.array_equal(probe(VectorizedKernel.probe_exchange), probe(kernel.probe_exchange)):
-        print("FAIL: compiled probe exchange disagrees with vectorized")
-        ok = False
-    ratio = vec_s / max(comp_s, 1e-9)
-    record("probe-exchange-micro", protocol="drr-probe", n=size,
-           backend="vectorized", wall_s=vec_s)
-    record("probe-exchange-micro", protocol="drr-probe", n=size,
-           backend="compiled", wall_s=comp_s)
-    print(
-        f"probe-exchange micro, batch={size}: vectorized {vec_s * 1e3:.1f} ms, "
-        f"compiled {comp_s * 1e3:.1f} ms -> {ratio:.2f}x"
-    )
-    if ratio < min_ratio:
-        print(f"FAIL: compiled probe exchange {ratio:.2f}x below the required {min_ratio:g}x")
-        ok = False
-    else:
-        print(f"OK: compiled probe exchange wins by >= {min_ratio:g}x")
-    return ok
-
-
-def smoke_scale_xl(n: int, budget_s: float) -> bool:
-    """The n=10^8 tier: ``drr_gossip_average`` on the compiled backend.
-
-    Warmth matters at this size: a tiny run first pays numba's one-off
-    compile cost (cached on disk afterwards) so the timed run measures the
-    protocol, not the compiler.
-    """
-    from repro.substrate import BACKENDS
-    from repro.substrate.compiled import NUMBA_REQUIREMENT
-
-    if "compiled" not in BACKENDS:
-        print(f"FAIL: compiled backend is not registered ({NUMBA_REQUIREMENT})")
-        return False
-    warm = np.random.default_rng(0).uniform(0.0, 100.0, size=10_000)
-    drr_gossip_average(warm, rng=1, config=DRRGossipConfig(backend="compiled"))
-
-    values = np.random.default_rng(0).uniform(0.0, 100.0, size=n)
-    start = time.perf_counter()
-    result = drr_gossip_average(values, rng=1, config=DRRGossipConfig(backend="compiled"))
-    elapsed = time.perf_counter() - start
-    record("pipeline-scale-xl", protocol="drr-gossip-average", n=n,
-           backend="compiled", wall_s=elapsed,
-           messages=result.messages, rounds=result.rounds)
-    print(
-        f"drr_gossip_average, n={n}: compiled {elapsed:.1f}s, "
-        f"rounds={result.rounds}, messages={result.messages}, "
-        f"max_rel_error={result.max_relative_error:.2e}"
-    )
-    ok = True
-    if not (result.coverage == 1.0 and result.max_relative_error < 1e-3):
-        print("FAIL: xl-scale compiled run did not converge")
-        ok = False
-    if elapsed > budget_s:
-        print(f"FAIL: compiled n={n} took {elapsed:.1f}s (> {budget_s:g}s budget)")
-        ok = False
-    if ok:
-        print(f"OK: compiled backend completes n={n} in {elapsed:.1f}s (< {budget_s:g}s)")
-    return ok
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=100_000, help="nodes for the speedup comparison")
@@ -584,29 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--large-budget", type=float, default=540.0,
         help="vectorized wall-clock budget (s) for the 10^7 run (single-digit minutes)",
-    )
-    parser.add_argument(
-        "--scale-xl", action="store_true",
-        help="also run the 10^8-node compiled tier (single-digit-minutes budget; "
-        "requires the compiled backend and ~16 GB of RAM)",
-    )
-    parser.add_argument("--scale-xl-n", type=int, default=100_000_000)
-    parser.add_argument(
-        "--xl-budget", type=float, default=540.0,
-        help="compiled wall-clock budget (s) for the 10^8 run (single-digit minutes)",
-    )
-    parser.add_argument(
-        "--compiled-only", action="store_true",
-        help="run only the compiled-backend gate: equivalence smoke + jitted "
-        "probe-exchange speedup (the dedicated CI job)",
-    )
-    parser.add_argument(
-        "--compiled-n", type=int, default=100_000,
-        help="nodes for the compiled equivalence smoke",
-    )
-    parser.add_argument(
-        "--compiled-min-ratio", type=float, default=2.0,
-        help="required vectorized->compiled speedup on the probe-exchange micro-bench",
     )
     parser.add_argument("--chord-n", type=int, default=4096, help="nodes/lookups for the Chord batch check")
     parser.add_argument(
@@ -650,14 +506,6 @@ def main(argv: list[str] | None = None) -> int:
             path = append_bench_rows(BENCH_ROWS, args.json)
             print(f"recorded {len(BENCH_ROWS)} benchmark row(s) in {path}")
         return 0 if ok else 1
-    if args.compiled_only:
-        ok = smoke_compiled(args.compiled_n, args.compiled_min_ratio)
-        if args.scale_xl:
-            ok = smoke_scale_xl(args.scale_xl_n, args.xl_budget) and ok
-        if not args.no_json and BENCH_ROWS:
-            path = append_bench_rows(BENCH_ROWS, args.json)
-            print(f"recorded {len(BENCH_ROWS)} benchmark row(s) in {path}")
-        return 0 if ok else 1
     ok = smoke_speedup(args.n, args.rounds, args.min_speedup)
     ok = smoke_local_drr_speedup(args.n, args.min_speedup) and ok
     ok = smoke_chord_batch(args.chord_n) and ok
@@ -666,17 +514,11 @@ def main(argv: list[str] | None = None) -> int:
             args.telemetry_n if args.telemetry_n is not None else args.n,
             args.max_telemetry_overhead,
         ) and ok
-    from repro.substrate import BACKENDS as _backends
-
-    if "compiled" in _backends:
-        ok = smoke_compiled(args.compiled_n, args.compiled_min_ratio) and ok
     if args.scale:
         ok = smoke_scale(args.scale_n) and ok
         ok = smoke_local_drr_scale(args.scale_n) and ok
     if args.scale_large:
         ok = smoke_scale_large(args.scale_large_n, args.large_budget) and ok
-    if args.scale_xl:
-        ok = smoke_scale_xl(args.scale_xl_n, args.xl_budget) and ok
     if not args.no_json and BENCH_ROWS:
         path = append_bench_rows(BENCH_ROWS, args.json)
         print(f"recorded {len(BENCH_ROWS)} benchmark row(s) in {path}")

@@ -14,9 +14,8 @@ queue and appends one ``sweep_throughput`` row per way to
 The ``--jobs`` forked drains must reach ``--min-ratio`` (default 1.8)
 times the serial cells/sec — enforced only when the host has at least 2
 CPU cores; a single-core runner cannot exhibit a multiprocessing speedup,
-so there the ratio is measured and reported but does not fail the run
-(the same honesty rule as ``bench_substrate.py``'s compiled gate, which
-enforces its ratio only under real numba).  Queue integrity is always
+so there the ratio is measured and reported but does not fail the run.
+Queue integrity is always
 asserted: every queue row terminal ``done`` and claimed exactly once, and
 every cell with a result row.
 """

@@ -1,8 +1,7 @@
 """Baseline protocols the paper compares DRR-gossip against.
 
 Every baseline runs on the backend-selectable execution substrate: pass
-``backend="vectorized"`` (default, columnar batches), ``backend="compiled"``
-(columnar batches with numba-jitted primitives), or ``backend="engine"``
+``backend="vectorized"`` (default, columnar batches) or ``backend="engine"``
 (message-level simulation) to any of the entry points.
 """
 

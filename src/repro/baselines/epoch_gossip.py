@@ -45,7 +45,7 @@ from ..simulator.message import Message, MessageKind, Send
 from ..simulator.metrics import MetricsCollector
 from ..simulator.node import ProtocolNode, RoundContext
 from ..simulator.rng import make_rng
-from ..substrate import EngineKernel, VectorizedKernel, run_on
+from ..substrate import EngineKernel, VectorizedKernel, occurrence_index, run_on
 from ..topology.base import Topology
 
 __all__ = [
@@ -235,7 +235,7 @@ def _epoch_gossip_vectorized(
             arrived_to = targets[ok]
             # Push-pull split: receiver t answers its j-th arrived push with
             # S/2^(j+1) of its post-halving mass S and keeps S/2^k.
-            occ = kernel.occurrence_index(arrived_to)
+            occ = occurrence_index(arrived_to)
             reply_s = s[arrived_to] / (2.0 ** (occ + 1))
             reply_w = w[arrived_to] / (2.0 ** (occ + 1))
             arrivals = np.bincount(arrived_to, minlength=n)

@@ -239,7 +239,10 @@ def _push_sum_vectorized(
                 np.multiply(sw.view(np.float64), 0.5, out=halves)
                 sw -= send
             else:
-                np.take(sw, senders, out=send)
+                # mode="clip" gathers straight into ``send``; the default
+                # "raise" gathers into a temporary first.  Every alive id
+                # is in range, so clipping never changes a value.
+                np.take(sw, senders, out=send, mode="clip")
                 halves *= 0.5
                 sw[senders] -= send
             delivered = kernel.deliver(

@@ -138,7 +138,7 @@ def run_drr(
         Optional externally drawn ranks (used by ablation experiments that
         compare the [0,1] rank domain against the [1, n^3] integer domain).
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default) or ``"engine"``.
     tracer:
         Optional :class:`~repro.simulator.trace.Tracer` recording
         per-message events; engine-only (the columnar backends reject an
@@ -221,14 +221,14 @@ def _run_drr_vectorized(
         )
         finders = active[found]
         if finders.size:
-            chosen = np.asarray(targets[found], dtype=np.int64)
+            chosen = targets[found]
             parent[finders] = chosen
             connect_ok = kernel.deliver(
                 metrics, oracle, MessageKind.CONNECT, chosen,
                 senders=finders, round_index=rounds - 1, alive=alive_arg,
             )
             connect_delivered[finders] = connect_ok
-            active = kernel.compact_frontier(active, found)
+            active = active[~found]
 
     forest = Forest(parent=parent, rank=ranks, alive=alive)
     forest.validate()

@@ -76,9 +76,8 @@ class DRRGossipConfig:
     #: message loss / initial crash model.
     failure_model: FailureModel = field(default_factory=FailureModel)
     #: substrate backend executing every phase: ``"vectorized"`` (columnar
-    #: NumPy, the production hot path), ``"compiled"`` (its numba-jitted
-    #: variant) or ``"engine"`` (message-level simulation, the fidelity
-    #: reference).
+    #: NumPy, the production hot path) or ``"engine"`` (message-level
+    #: simulation, the fidelity reference).
     backend: str = "vectorized"
 
     def __post_init__(self) -> None:

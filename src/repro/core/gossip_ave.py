@@ -128,7 +128,7 @@ def run_gossip_ave(
         ``churn_base_round`` offsets this procedure's rounds in the oracle's
         identity space.  The ``alive`` mask is evolved in place.
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default) or ``"engine"``.
     """
     roots = np.asarray(roots, dtype=np.int64)
     local_sums = np.asarray(local_sums, dtype=float)

@@ -165,7 +165,7 @@ def run_gossip_max(
         procedure's rounds in the oracle's identity space (the pipeline runs
         several procedures under one churn clock).
     backend:
-        Substrate backend: ``"vectorized"`` (default), ``"compiled"``, or ``"engine"``.
+        Substrate backend: ``"vectorized"`` (default) or ``"engine"``.
     """
     roots = np.asarray(roots, dtype=np.int64)
     root_values = np.asarray(root_values, dtype=float)

@@ -136,9 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(available_backends()),
         default="vectorized",
-        help="execution substrate: columnar batches (vectorized), numba-jitted "
-        "primitives (compiled; needs the numba extra), or message-level "
-        "simulation (engine)",
+        help="execution substrate: columnar batches (vectorized) or "
+        "message-level simulation (engine)",
     )
     run.add_argument(
         "--telemetry",

@@ -47,8 +47,6 @@ __all__ = [
     "LossOracle",
     "kind_salt",
     "paper_delta_range",
-    "set_batch_hasher",
-    "set_churn_hasher",
 ]
 
 
@@ -367,23 +365,6 @@ def _xor_into(x: np.ndarray, value) -> None:
         np.bitwise_xor(x, _as_u64(value), out=x)
 
 
-#: optional compiled batch hasher installed by :mod:`repro.substrate.compiled`
-#: when numba is importable.  Signature matches :meth:`LossOracle._mix` plus
-#: the leading run key; must be bit-identical to the NumPy chain below (the
-#: test suite checks this, the loop jitted or, without numba, interpreted).
-_BATCH_HASHER = None
-
-#: batches below this stay on the NumPy chain — the jitted call's fixed
-#: overhead only pays off once the hash loop dominates.
-_BATCH_HASHER_MIN = 4096
-
-
-def set_batch_hasher(hasher) -> None:
-    """Install (or, with ``None``, remove) the accelerated batch hasher."""
-    global _BATCH_HASHER
-    _BATCH_HASHER = hasher
-
-
 class LossOracle:
     """Per-transmission loss decisions keyed by transmission identity.
 
@@ -438,14 +419,6 @@ class LossOracle:
             kind_value = kind_value.astype(np.uint64, copy=False)
         else:
             kind_value = np.uint64(kind_value)
-        if (
-            _BATCH_HASHER is not None
-            and isinstance(recipients, np.ndarray)
-            and recipients.size >= _BATCH_HASHER_MIN
-        ):
-            return _BATCH_HASHER(
-                self.key, kind_value, round_index, senders, recipients, nonces
-            )
         with np.errstate(over="ignore"):
             head = _splitmix64(np.uint64(self.key) ^ kind_value)
             head = _splitmix64(head ^ _as_u64(round_index))
@@ -526,19 +499,6 @@ class LossOracle:
 # --------------------------------------------------------------------------- #
 # identity-keyed mid-run churn
 # --------------------------------------------------------------------------- #
-
-#: optional compiled churn-mask hasher installed by
-#: :mod:`repro.substrate.compiled` when numba is importable.  Signature
-#: ``(key, salt, round_index, ids, threshold) -> bool mask``; must be
-#: bit-identical to the NumPy chain in :meth:`ChurnOracle._fates`.
-_CHURN_HASHER = None
-
-
-def set_churn_hasher(hasher) -> None:
-    """Install (or, with ``None``, remove) the accelerated churn-mask hasher."""
-    global _CHURN_HASHER
-    _CHURN_HASHER = hasher
-
 
 class ChurnOracle:
     """Per-round, per-node churn fates keyed by node identity.
@@ -635,8 +595,6 @@ class ChurnOracle:
         """Boolean fate mask for ``ids`` at ``round_index`` under ``threshold``."""
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
-        if _CHURN_HASHER is not None and ids.size >= _BATCH_HASHER_MIN:
-            return _CHURN_HASHER(self.key, salt, round_index, ids, threshold)
         with np.errstate(over="ignore"):
             x = _splitmix64(np.uint64(self.key) ^ salt)
             x = _splitmix64(x ^ _as_u64(round_index))

@@ -1,13 +1,9 @@
 """Backend-selectable execution substrate.
 
-One simulation kernel, three interchangeable backends:
+One simulation kernel, two interchangeable backends:
 
 * ``vectorized`` — columnar NumPy execution; an entire round's calls and
   replies are batched as arrays.  Scales to millions of nodes.
-* ``compiled`` — the columnar kernel with numba-jitted hot primitives
-  (:mod:`repro.substrate.compiled`).  Targets ``n`` up to ``10^8``;
-  requires the optional numba extra (``pip install .[compiled]``) and
-  deregisters itself with an explanatory error when numba is missing.
 * ``engine`` — per-node message-level execution on the
   :class:`~repro.simulator.engine.SynchronousEngine`.  The fidelity
   reference.
@@ -26,7 +22,6 @@ reliable *and* lossy networks (loss fates are identity-keyed through
 
 from .delivery import (
     RelayTable,
-    compact_frontier,
     deliver_batch,
     fold_pushes,
     occurrence_index,
@@ -52,22 +47,18 @@ from .kernel import (
     normalize_backend,
     run_on,
 )
-from .compiled import NUMBA_AVAILABLE, CompiledKernel
 
 __all__ = [
     "BACKENDS",
     "ChordLookupBatch",
     "ChordLookupNode",
-    "CompiledKernel",
     "DEFAULT_BACKEND",
     "EngineKernel",
     "Kernel",
-    "NUMBA_AVAILABLE",
     "RelayTable",
     "UNAVAILABLE_BACKENDS",
     "VectorizedKernel",
     "available_backends",
-    "compact_frontier",
     "deliver_batch",
     "fold_pushes",
     "get_kernel",

@@ -10,9 +10,7 @@ These functions are the vectorized counterpart of
   backends report identical ``messages`` *and* ``messages_lost`` on the
   same seeds.
 * :func:`probe_exchange` is the fused PROBE -> RANK exchange of one DRR
-  probing round (two deliveries plus the rank comparison in one pass, so
-  a backend can execute the whole round without materialising the
-  intermediate compactions — the "mask then scatter" fusion).
+  probing round (two deliveries plus the rank comparison behind one call).
 * :func:`relay_to_roots` is the two-hop "push to a uniform node, the node
   forwards to its root" relay that Gossip-max, Gossip-ave, and Data-spread
   all use; each procedure builds one :class:`RelayTable` and every relay
@@ -56,7 +54,6 @@ from ..simulator.metrics import MetricsCollector
 
 __all__ = [
     "RelayTable",
-    "compact_frontier",
     "deliver_batch",
     "fold_pushes",
     "occurrence_index",
@@ -152,8 +149,7 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     Phase III relay does not come through here: its forwarder ids are
     sparse (at n = 10^6 a median of about 38k ids spread over nearly the
     whole id range), so it peels over the n-sized scratch of its
-    :class:`RelayTable` instead, which needs no span limit.  (The compiled
-    kernel replaces this with a true single-pass counting loop.)
+    :class:`RelayTable` instead, which needs no span limit.
     """
     keys = np.asarray(keys)
     size = int(keys.size)
@@ -278,13 +274,9 @@ def probe_exchange(
     probe provokes a rank reply (RANK), and a sender *finds* its parent when
     the reply arrives and carries a strictly higher rank.  Charging order —
     the full PROBE batch, then the RANK batch of the arrived probes — is
-    preserved, so message accounting is identical to the engine's.
-
-    The fusion exists for the backends' benefit: the whole round is one
-    mask-then-compare pass over the batch (no ``senders[mask]``
-    compactions between the two deliveries), which the compiled kernel
-    runs as one parallel loop because every per-message fate and the rank
-    comparison depend only on that message's own identity.
+    preserved, so message accounting is identical to the engine's.  On a
+    reliable, crash-free network the round is one rank comparison, with no
+    compaction between the two charges.
     """
     targets = np.asarray(targets)
     count = int(targets.size)
@@ -412,16 +404,6 @@ def relay_to_roots(
         )
         receiver[send_idx[arrived]] = landing[hop_to[arrived]]
     return receiver
-
-
-def compact_frontier(active: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """Remove the dropped senders from a compacted frontier, keeping order.
-
-    ``active[~drop]`` spelled as a kernel primitive so backends can fuse the
-    mask inversion and the gather (the vectorized form materialises ``~drop``
-    every DRR round; the compiled kernel writes survivors in one pass).
-    """
-    return active[~drop]
 
 
 @instrumented("substrate.fold_pushes")

@@ -12,12 +12,6 @@ with a ``backend`` parameter; the function body dispatches through
     metrics charge.  This is the single-process hot path and scales to
     ``n`` in the millions.
 
-``compiled`` (:class:`~repro.substrate.compiled.CompiledKernel`)
-    The columnar kernel with numba-jitted hot primitives.  A subclass of
-    the vectorized kernel, so protocols pick it up through the same
-    dispatch with zero call-site changes; registered only where numba is
-    installed.
-
 ``engine`` (:class:`EngineKernel`)
     The message-level kernel.  Protocols run as per-node
     :class:`~repro.simulator.node.ProtocolNode` state machines driven by
@@ -50,10 +44,8 @@ from ..simulator.metrics import MetricsCollector
 from ..simulator.network import Network
 from ..simulator.node import ProtocolNode
 from .delivery import (
-    compact_frontier,
     deliver_batch,
     fold_pushes,
-    occurrence_index,
     probe_exchange,
     relay_to_roots,
     sample_uniform,
@@ -104,10 +96,6 @@ class VectorizedKernel(Kernel):
     relay_to_roots = staticmethod(relay_to_roots)
     #: uniform target sampling, draw-order compatible with RoundContext.random_node
     sample_uniform = staticmethod(sample_uniform)
-    #: per-(key) send ranks, matching the engine's per-node send numbering
-    occurrence_index = staticmethod(occurrence_index)
-    #: drop found senders from the compacted DRR frontier (order-preserving)
-    compact_frontier = staticmethod(compact_frontier)
     #: fused scatter-add folding a gossip round's pushes into the accumulators
     fold_pushes = staticmethod(fold_pushes)
 
@@ -187,15 +175,18 @@ BACKENDS: dict[str, Kernel] = {
 
 DEFAULT_BACKEND = VectorizedKernel.name
 
-#: backends that are known but cannot run here, mapped to the human-readable
-#: reason (``compiled`` without numba installed, or a removed backend that
-#: stored specs may still name).  :func:`normalize_backend` turns the reason
-#: into the error message, so a user selecting one learns what to pick
-#: instead rather than being told it does not exist.
+#: removed backends that stored specs may still name, mapped to the
+#: human-readable reason.  :func:`normalize_backend` turns the reason into the
+#: error message, so a user selecting one learns what to pick instead rather
+#: than being told it does not exist.
 UNAVAILABLE_BACKENDS: dict[str, str] = {
     "sharded": (
         "it was removed because it never ran faster than 'vectorized' when "
-        "measured; use 'vectorized', or 'compiled' for numba-jitted primitives"
+        "measured; use 'vectorized'"
+    ),
+    "compiled": (
+        "it was removed because its numba-jitted primitives never won a "
+        "measurement on a host without numba; use 'vectorized'"
     ),
 }
 

@@ -233,7 +233,7 @@ class TestTelemetry:
 # --------------------------------------------------------------------------- #
 class TestTelemetryNeutrality:
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
-    @pytest.mark.parametrize("backend", ["vectorized", "engine", "compiled"], indirect=True)
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
     @pytest.mark.parametrize("failures", FAILURE_MODELS, ids=["reliable", "lossy"])
     def test_same_seed_outcome_identical_with_telemetry_on(self, protocol, backend, failures):
         plain = repro.run(_spec_for(protocol, backend, failures))
@@ -295,7 +295,7 @@ class TestTelemetryNeutrality:
 # tracing stays engine-only
 # --------------------------------------------------------------------------- #
 class TestTracerEngineOnly:
-    @pytest.mark.parametrize("backend", ["vectorized", "compiled"], indirect=True)
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_columnar_backends_reject_an_enabled_tracer(self, backend):
         with pytest.raises(ConfigurationError, match="tracing is engine-only") as excinfo:
             run_drr(64, rng=1, backend=backend, tracer=Tracer())

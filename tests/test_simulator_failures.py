@@ -305,8 +305,7 @@ class TestChurnOracle:
 class TestChurnBackendIndependence:
     """Run-level property: fates, outcomes and degradation survive a backend change."""
 
-    # ``compiled`` joins even without numba: the fixture interprets its loops
-    @pytest.mark.parametrize("backend", sorted({*available_backends(), "compiled"}), indirect=True)
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_push_sum_identical_across_backends(self, backend):
         from repro.api import RunSpec, run
 

@@ -1,20 +1,21 @@
 """Backend-equivalence guarantees of the execution substrate.
 
 The substrate's contract (see ``repro/substrate/kernel.py``): the columnar
-``vectorized`` kernel, the numba-jitted ``compiled`` kernel (where numba is
-installed), and the message-level ``engine`` kernel consume the shared RNG
-stream in the same order, decide per-transmission loss through the identity-keyed loss oracle,
-charge messages through the same accounting conventions, and fold floats in
-the same order.  For every protocol the backends must therefore produce
-**identical** rounds, message counts (total, per kind, per phase, lost,
-words), and estimates for the same seed, bit for bit — on reliable *and*
-lossy networks (``FailureModel`` with loss probability > 0), with and
-without initial crashes, and under mid-run churn where the protocol
-supports it.
+``vectorized`` kernel and the message-level ``engine`` kernel consume the
+shared RNG stream in the same order, decide per-transmission loss through
+the identity-keyed loss oracle, charge messages through the same accounting
+conventions, and fold floats in the same order.  For every protocol the
+backends must therefore produce **identical** rounds, message counts (total,
+per kind, per phase, lost, words), and estimates for the same seed, bit for
+bit — on reliable *and* lossy networks (``FailureModel`` with loss
+probability > 0), with and without initial crashes, and under mid-run churn
+where the protocol supports it.
 
 Whole protocol runs are checked by one predicate, :meth:`RunResult.same_outcome`,
-over a spec-driven matrix (:class:`TestProtocolEquivalence`).  Phase-level
-tests compare their outputs exactly and their accounting with
+over a spec-driven matrix (:class:`TestProtocolEquivalence`): each row on
+``vectorized`` against the engine, the envelope a sweep stores for the row
+against the engine, and the row at a second seed on both backends.
+Phase-level tests compare their outputs exactly and their accounting with
 ``MetricsCollector.as_dict()``.
 """
 
@@ -24,10 +25,12 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import RunSpec
-from repro.api import get_protocol, protocol_names
+from repro.api import RunResult, get_protocol, protocol_names
 from repro.baselines import efficient_gossip, epoch_gossip_ave
 from repro.core import (
     Aggregate,
@@ -42,8 +45,11 @@ from repro.core import (
     run_local_drr,
 )
 from repro.core.drr_gossip import broadcast_root_addresses
+from repro.orchestration import ResultStore
+from repro.orchestration.runner import _execute_cell
+from repro.orchestration.worker import row_identity
 from repro.simulator import FailureModel, MetricsCollector
-from repro.simulator.failures import LossOracle
+from repro.simulator.failures import LossOracle, kind_salt
 from repro.simulator.network import Network
 from repro.simulator.message import Message, MessageKind
 from repro.simulator.node import RoundContext
@@ -52,6 +58,7 @@ from repro.substrate import (
     RelayTable,
     available_backends,
     deliver_batch,
+    fold_pushes,
     get_kernel,
     normalize_backend,
     occurrence_index,
@@ -93,11 +100,7 @@ FULL_CHURN = FailureModel(
 )
 
 #: The backends measured against the ``engine`` fidelity reference.
-#: ``compiled`` runs on every machine: jitted with numba installed, its loops
-#: interpreted as plain Python without it.  Parametrized tests get it through
-#: the indirect ``backend`` fixture, tests that loop over ALL_BACKENDS through
-#: the ``compiled_kernel`` fixture (both in ``tests/conftest.py``).
-FAST_BACKENDS = ["vectorized", "compiled"]
+FAST_BACKENDS = ["vectorized"]
 ALL_BACKENDS = ["engine", *FAST_BACKENDS]
 
 
@@ -113,12 +116,7 @@ def same_by_root(a: dict, b: dict) -> bool:
 # --------------------------------------------------------------------------- #
 class TestBackendRegistry:
     def test_available_backends(self):
-        from repro.substrate import NUMBA_AVAILABLE
-
-        expected = ("vectorized", "engine")
-        if NUMBA_AVAILABLE:
-            expected = ("vectorized", "compiled", "engine")
-        assert available_backends() == expected
+        assert available_backends() == ("vectorized", "engine")
 
     def test_normalize_accepts_names_and_kernels(self):
         assert normalize_backend(None) == "vectorized"
@@ -205,8 +203,6 @@ class TestDeliveryParity:
 
     def test_sample_salted_matches_per_kind_sampling(self):
         """The engine's chunked mixed-kind path equals per-kind sampling."""
-        from repro.simulator.failures import kind_salt
-
         oracle = LossOracle(0.35, key=4242)
         rng = np.random.default_rng(8)
         kinds = np.array(["probe", "rank", "gossip"])[rng.integers(0, 3, size=200)]
@@ -220,6 +216,9 @@ class TestDeliveryParity:
             assert chunked[i] == oracle.lost(
                 int(rounds[i]), kinds[i], int(senders[i]), int(recipients[i]), int(nonces[i])
             )
+
+    def test_kind_salt_is_stable_for_str_and_enum(self):
+        assert kind_salt(MessageKind.FORWARD) == kind_salt(str(MessageKind.FORWARD))
 
     def test_reliable_oracle_draws_nothing(self):
         fm = FailureModel()
@@ -273,6 +272,89 @@ class TestDeliveryParity:
     def test_occurrence_index(self):
         assert occurrence_index(np.array([5, 3, 5, 5, 3])).tolist() == [0, 0, 1, 2, 1]
         assert occurrence_index(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+# --------------------------------------------------------------------------- #
+# occurrence ranks against a naive reference
+# --------------------------------------------------------------------------- #
+def naive_occurrence_index(keys) -> np.ndarray:
+    """Reference: rank of each element among equal keys, in array order."""
+    seen: dict = {}
+    out = np.empty(len(keys), dtype=np.int64)
+    for i, key in enumerate(keys):
+        k = key.item() if hasattr(key, "item") else key
+        out[i] = seen.get(k, 0)
+        seen[k] = out[i] + 1
+    return out
+
+
+class TestOccurrenceIndex:
+    @given(
+        keys=st.lists(st.integers(min_value=-50, max_value=50), max_size=400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_dense_keys(self, keys):
+        arr = np.array(keys, dtype=np.int64)
+        assert np.array_equal(occurrence_index(arr), naive_occurrence_index(arr))
+
+    @given(
+        keys=st.lists(
+            st.integers(min_value=-(2**40), max_value=2**40), max_size=200
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_sparse_keys_hit_the_sorted_fallback(self, keys):
+        arr = np.array(keys, dtype=np.int64)
+        assert np.array_equal(occurrence_index(arr), naive_occurrence_index(arr))
+
+    def test_all_equal_keys(self):
+        # Adversarial depth: every element is a duplicate of one key (the
+        # peeling path would need `size` levels; must fall back, not crawl).
+        arr = np.full(5000, 7, dtype=np.int64)
+        assert np.array_equal(occurrence_index(arr), np.arange(5000))
+
+    def test_all_distinct_fast_path(self):
+        arr = np.random.default_rng(0).permutation(10_000)
+        assert np.array_equal(occurrence_index(arr), np.zeros(10_000, dtype=np.int64))
+
+    def test_empty_and_float_keys(self):
+        assert occurrence_index(np.array([], dtype=np.int64)).size == 0
+        floats = np.array([1.5, 1.5, 2.0, 1.5])
+        assert np.array_equal(occurrence_index(floats), [0, 1, 0, 2])
+
+    def test_relay_shaped_batch(self):
+        # balls-in-bins duplicates, the Phase III forwarder distribution
+        rng = np.random.default_rng(1)
+        arr = rng.integers(0, 4000, size=20_000)
+        assert np.array_equal(occurrence_index(arr), naive_occurrence_index(arr))
+
+
+# --------------------------------------------------------------------------- #
+# the gossip-ave fold
+# --------------------------------------------------------------------------- #
+class TestFoldPushes:
+    def test_fold_pushes_matches_bincount_fold(self):
+        rng = np.random.default_rng(4)
+        m, batch = 257, 4096
+        receiver = rng.integers(-1, m, size=batch)
+        send_s = rng.random(batch)
+        send_g = rng.random(batch)
+        s_ref, g_ref = rng.random(m), rng.random(m)
+        s_new, g_new = s_ref.copy(), g_ref.copy()
+        delivered = receiver >= 0
+        s_ref += np.bincount(receiver[delivered], weights=send_s[delivered], minlength=m)
+        g_ref += np.bincount(receiver[delivered], weights=send_g[delivered], minlength=m)
+        fold_pushes(receiver, send_s, send_g, s_new, g_new)
+        assert np.array_equal(s_new, s_ref)
+        assert np.array_equal(g_new, g_ref)
+
+    def test_fold_pushes_all_dropped_is_a_noop(self):
+        receiver = np.full(100, -1, dtype=np.int64)
+        s = np.random.default_rng(5).random(16)
+        g = s.copy()
+        before_s, before_g = s.copy(), g.copy()
+        fold_pushes(receiver, np.ones(100), np.ones(100), s, g)
+        assert np.array_equal(s, before_s) and np.array_equal(g, before_g)
 
 
 # --------------------------------------------------------------------------- #
@@ -387,7 +469,7 @@ class TestSparseRelay:
         [(False, False), (True, False), (True, True)],
         ids=["lossy", "lossy+crashes", "lossy+crashes+to-dead"],
     )
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_matches_per_message_reference(self, backend, crashes, dead_targets):
         n = self.N
         draw = np.random.default_rng(17)
@@ -456,7 +538,7 @@ def forest_inputs(request):
 
 
 class TestPhaseEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_drr_identical(self, seed, fm, backend):
@@ -469,7 +551,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
     def test_convergecast_identical(self, forest_inputs, op, backend):
         fm, drr, values, _ = forest_inputs
@@ -480,7 +562,7 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_broadcast_identical(self, forest_inputs, backend):
         fm, drr, _, _ = forest_inputs
         alive = drr.forest.alive
@@ -492,7 +574,6 @@ class TestPhaseEquivalence:
         assert fast.rounds == engine.rounds
         assert fast.metrics.as_dict() == engine.metrics.as_dict()
 
-    @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_max_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
@@ -514,7 +595,6 @@ class TestPhaseEquivalence:
             )
             assert collectors[backend].as_dict() == collectors["engine"].as_dict()
 
-    @pytest.mark.usefixtures("compiled_kernel")
     def test_gossip_ave_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
         alive = drr.forest.alive
@@ -541,7 +621,6 @@ class TestPhaseEquivalence:
             assert np.array_equal(fast.history, engine.history, equal_nan=True)
             assert collectors[backend].as_dict() == collectors["engine"].as_dict()
 
-    @pytest.mark.usefixtures("compiled_kernel")
     def test_data_spread_identical(self, forest_inputs):
         fm, drr, _, root_of = forest_inputs
         alive = drr.forest.alive
@@ -564,7 +643,7 @@ class TestPhaseEquivalence:
 # the topology kernel: Local-DRR forests and Chord lookups
 # --------------------------------------------------------------------------- #
 class TestTopologyKernelEquivalence:
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("family", ["grid", "regular4"])
     def test_local_drr_forest_identical(self, family, fm, backend):
@@ -599,7 +678,6 @@ class TestTopologyKernelEquivalence:
         assert batch.rounds == int(batch.hops.max())
         assert batch.messages == int(batch.hops.sum())
 
-    @pytest.mark.usefixtures("compiled_kernel")
     @pytest.mark.parametrize("count_reply", [False, True], ids=["one-way", "reply"])
     @pytest.mark.parametrize("delta", [0.0, 0.25], ids=["reliable", "lossy"])
     def test_chord_lookups_identical(self, delta, count_reply):
@@ -779,11 +857,37 @@ class TestProtocolEquivalence:
     def test_matrix_covers_every_registered_protocol(self):
         assert {spec.protocol for spec in MATRIX.values()} == set(protocol_names())
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("row", list(MATRIX))
     def test_backend_matches_engine(self, row, backend):
         fast = repro.run(MATRIX[row].with_backend(backend))
         assert fast.same_outcome(engine_outcome(row))
+
+    @pytest.mark.parametrize("row", list(MATRIX))
+    def test_stored_sweep_envelope_matches_engine(self, row):
+        """The envelope a sweep drain stores, read back, is the engine's outcome."""
+        spec_json = MATRIX[row].canonical_json()
+        payload = _execute_cell(spec_json)
+        assert payload["ok"], payload.get("error")
+        experiment, params, seed = row_identity(spec_json)
+        with ResultStore(":memory:") as store:
+            store.record_result(
+                experiment, params, seed, payload["result"],
+                spec_json=spec_json, result_json=payload["result_json"],
+            )
+            stored = store.get(experiment, params, seed)
+        assert RunResult.from_json(stored.result_json).same_outcome(engine_outcome(row))
+
+    @pytest.mark.parametrize("row", list(MATRIX))
+    def test_second_seed_matches_engine(self, row):
+        """Equivalence holds for every seed, not only the row's own.
+
+        A fate- or fold-order divergence shows only at seeds that draw its
+        rare event (a repeated FORWARD nonce, a node that loses every push).
+        """
+        spec = MATRIX[row].with_seed(MATRIX[row].seed + 1000)
+        fast = repro.run(spec)
+        assert fast.same_outcome(repro.run(spec.with_backend("engine")))
 
 
 # --------------------------------------------------------------------------- #
@@ -792,7 +896,7 @@ class TestProtocolEquivalence:
 class TestOutsideTheEnvelope:
     """Backend equivalence of protocol outputs that ``RunResult`` omits."""
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     def test_efficient_gossip_groups_identical(self, fm, backend):
         values = np.random.default_rng(3).uniform(0, 10, size=400)
@@ -800,7 +904,7 @@ class TestOutsideTheEnvelope:
         engine = efficient_gossip(values, Aggregate.AVERAGE, rng=12, failure_model=fm, backend="engine")
         assert fast.max_group_size == engine.max_group_size
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS, indirect=True)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("fm", FAILURE_MODELS, ids=FM_IDS)
     @pytest.mark.parametrize("graph", [False, True], ids=["complete", "grid"])
     def test_epoch_curves_identical_without_churn(self, graph, fm, backend):
@@ -851,7 +955,6 @@ class TestChurnEquivalence:
 # lossy networks: determinism and cross-delta common random numbers
 # --------------------------------------------------------------------------- #
 class TestLossyBehaviour:
-    @pytest.mark.usefixtures("compiled_kernel")
     def test_each_backend_deterministic_under_loss(self):
         fm = FailureModel(loss_probability=0.1)
         for backend in ALL_BACKENDS:
