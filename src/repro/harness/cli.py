@@ -43,7 +43,6 @@ Inspect and export what the store holds::
     drr-gossip results --markdown results/report.md
     drr-gossip results --failed
     drr-gossip results --telemetry
-    drr-gossip results --bench --plot
 
 Render figures purely from stored rows (no recomputation; needs matplotlib)::
 
@@ -68,7 +67,7 @@ from ..observability import (
     format_telemetry,
     write_events_jsonl,
 )
-from ..substrate import available_backends
+from ..substrate import available_backends, normalize_backend
 from ..orchestration import (
     ResultStore,
     SweepDefinition,
@@ -80,7 +79,7 @@ from ..orchestration import (
     print_progress,
 )
 from ..orchestration.store import DEFAULT_MAX_ATTEMPTS
-from ..simulator import FailureModel
+from ..simulator import ConfigurationError, FailureModel
 from . import experiments  # noqa: F401  (import registers the drivers)
 from .report import write_json, write_markdown_report, write_markdown_report_from_store
 from .workloads import workload_names
@@ -94,6 +93,24 @@ DEFAULT_STORE = "results/results.sqlite"
 #: Kept as a plain mapping for backwards compatibility with callers that did
 #: ``from repro.harness.cli import EXPERIMENTS``.
 EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
+
+
+def _backend(name: str) -> str:
+    """``--backend`` values: a canonical backend name, or an error naming why it is unavailable."""
+    try:
+        return normalize_backend(name)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_backend_option(parser: argparse.ArgumentParser, default: str | None, help: str) -> None:
+    parser.add_argument(
+        "--backend",
+        type=_backend,
+        default=default,
+        metavar="{" + ",".join(available_backends()) + "}",
+        help=help,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,12 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--crash", type=float, default=0.0, help="initial crash fraction")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--query", type=float, default=None, help="query value for the rank aggregate")
-    run.add_argument(
-        "--backend",
-        choices=list(available_backends()),
-        default="vectorized",
-        help="execution substrate: columnar batches (vectorized) or "
-        "message-level simulation (engine)",
+    _add_backend_option(
+        run,
+        "vectorized",
+        "execution substrate: columnar batches (vectorized) or message-level simulation (engine)",
     )
     run.add_argument(
         "--telemetry",
@@ -163,11 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--ns", type=int, nargs="+", default=None, help="network sizes to sweep")
         exp.add_argument("--json", type=str, default=None, help="write the result to this JSON path")
         if "backend" in spec.param_names:
-            exp.add_argument(
-                "--backend",
-                choices=list(available_backends()),
-                default=None,
-                help="execution substrate for this experiment (recorded in the result parameters)",
+            _add_backend_option(
+                exp,
+                None,
+                "execution substrate for this experiment (recorded in the result parameters)",
             )
 
     report = sub.add_parser("report", help="run every experiment and write a markdown report")
@@ -204,11 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         "needs a file-backed --store)",
     )
     sweep.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
-    sweep.add_argument(
-        "--backend",
-        choices=list(available_backends()),
-        default=None,
-        help="execution substrate for every backend-aware experiment in the sweep "
+    _add_backend_option(
+        sweep,
+        None,
+        "execution substrate for every backend-aware experiment in the sweep "
         "(recorded per row in the result store; default: each driver's default)",
     )
     sweep.add_argument(
@@ -248,49 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument("--json", type=str, default=None, help="export stored runs to this JSON path")
     results.add_argument("--markdown", type=str, default=None, help="write a markdown report from the store")
     results.add_argument(
-        "--bench",
-        action="store_true",
-        help="print the persisted benchmark trajectory (BENCH_substrate.json) instead of the store summary",
-    )
-    results.add_argument(
-        "--bench-file",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="trajectory file for --bench (default: BENCH_substrate.json in the current directory)",
-    )
-    results.add_argument(
-        "--bench-name",
-        type=str,
-        default=None,
-        metavar="NAME",
-        help="with --bench: restrict to rows of one bench (e.g. drr_gossip_scale)",
-    )
-    results.add_argument(
-        "--since",
-        type=str,
-        default=None,
-        metavar="SHA",
-        help="with --bench: drop rows recorded before the first row stamped with "
-        "this commit (short or full SHA)",
-    )
-    results.add_argument(
         "--telemetry",
         action="store_true",
         help="show stored per-run telemetry summaries",
-    )
-    results.add_argument(
-        "--plot",
-        action="store_true",
-        help="with --bench: render the perf trajectory (wall_s vs commit, one "
-        "figure per bench/protocol; needs matplotlib)",
-    )
-    results.add_argument(
-        "--plot-output",
-        type=str,
-        default="results/figures",
-        metavar="DIR",
-        help="output directory for --plot figures",
     )
     results.add_argument(
         "--queue",
@@ -575,52 +548,6 @@ def _run_plot(args: argparse.Namespace) -> int:
 
 
 def _run_results(args: argparse.Namespace) -> int:
-    if args.bench:
-        from .benchlog import (
-            DEFAULT_BENCH_FILE,
-            filter_bench_rows,
-            format_bench_table,
-            load_bench_rows,
-        )
-
-        bench_path = Path(args.bench_file) if args.bench_file else Path(DEFAULT_BENCH_FILE)
-        try:
-            rows = load_bench_rows(bench_path)
-            if rows:
-                rows = filter_bench_rows(
-                    rows, bench_name=args.bench_name, since_sha=args.since
-                )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if not rows:
-            print(
-                f"no benchmark rows at {bench_path} "
-                "(run `python benchmarks/bench_substrate.py` to record some; "
-                "--bench-name/--since narrow the table)",
-            )
-            return 0
-        print(format_bench_table(rows))
-        if args.plot:
-            from .plotting import PlottingUnavailableError, render_bench_plots
-
-            try:
-                written = render_bench_plots(rows, args.plot_output)
-            except PlottingUnavailableError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            if not written:
-                print("no plottable bench rows (need wall_s values)", file=sys.stderr)
-                return 1
-            for path in written:
-                print(f"wrote {path}")
-        return 0
-    if args.plot:
-        print("error: --plot requires --bench (the store path is `drr-gossip plot`)", file=sys.stderr)
-        return 2
-    if args.bench_name is not None or args.since is not None:
-        print("error: --bench-name/--since require --bench", file=sys.stderr)
-        return 2
     if not Path(args.store).exists():
         print(f"no result store at {args.store} (run `drr-gossip sweep` first)", file=sys.stderr)
         return 1

@@ -25,9 +25,7 @@ __all__ = [
     "PlottingUnavailableError",
     "collect_series",
     "numeric_columns",
-    "plan_bench_figures",
     "plan_figures",
-    "render_bench_plots",
     "render_plots",
 ]
 
@@ -155,91 +153,6 @@ def plan_figures(experiment: str, rows: Sequence[dict]) -> list[dict]:
                     }
                 )
     return plans
-
-
-def plan_bench_figures(rows: Sequence[dict]) -> list[dict]:
-    """Figure plans for the persisted benchmark trajectory (pure; no matplotlib).
-
-    ``rows`` is the ``BENCH_substrate.json`` list (file order = append
-    order = commit order).  One figure per ``(bench, protocol)``, one line
-    per backend and ``n``, wall seconds against commit position; x ticks
-    carry the short git SHAs.  Rows without a ``wall_s`` (e.g. pure gate
-    rows) are skipped, and repeated measurements of the same commit
-    average, matching :func:`collect_series`.
-    """
-    shas: list[str] = []
-    positions: dict[str, int] = {}
-    for row in rows:
-        sha = str(row.get("git_sha") or "?")
-        if sha not in positions:
-            positions[sha] = len(shas)
-            shas.append(sha)
-
-    buckets: dict[tuple[str, str], dict[str, dict[int, list[float]]]] = defaultdict(
-        lambda: defaultdict(lambda: defaultdict(list))
-    )
-    for row in rows:
-        try:
-            wall = float(row["wall_s"])
-        except (KeyError, TypeError, ValueError):
-            continue
-        figure = (str(row.get("bench", "bench")), str(row.get("protocol", "?")))
-        label = str(row.get("backend", "?"))
-        if row.get("n"):
-            label = f"{label} n={row['n']}"
-        buckets[figure][label][positions[str(row.get("git_sha") or "?")]].append(wall)
-
-    plans: list[dict] = []
-    for (bench, protocol), series_buckets in sorted(buckets.items()):
-        series: dict[str, tuple[list[float], list[float]]] = {}
-        for label, by_position in sorted(series_buckets.items()):
-            xs = sorted(by_position)
-            series[label] = (
-                [float(x) for x in xs],
-                [float(np.mean(by_position[x])) for x in xs],
-            )
-        plans.append(
-            {
-                "bench": bench,
-                "protocol": protocol,
-                "metric": "wall_s",
-                "xlabel": "commit",
-                "xticks": list(shas),
-                "series": series,
-            }
-        )
-    return plans
-
-
-def render_bench_plots(
-    rows: Sequence[dict],
-    output_dir: str | Path,
-    fmt: str = "png",
-) -> list[Path]:
-    """Render the perf trajectory figures (``drr-gossip results --bench --plot``)."""
-    plt = _import_matplotlib()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for plan in plan_bench_figures(rows):
-        fig, ax = plt.subplots(figsize=(6.4, 4.2))
-        for label, (xs, ys) in plan["series"].items():
-            ax.plot(xs, ys, marker="o", label=label)
-        ticks = plan["xticks"]
-        ax.set_xticks(range(len(ticks)))
-        ax.set_xticklabels(ticks, rotation=45, ha="right", fontsize=7)
-        ax.set_xlabel(plan["xlabel"])
-        ax.set_ylabel(plan["metric"])
-        ax.set_title(f"{plan['bench']}: {plan['protocol']}", fontsize=10)
-        if len(plan["series"]) > 1:
-            ax.legend(fontsize=8)
-        ax.grid(True, alpha=0.3)
-        fig.tight_layout()
-        path = output_dir / f"bench__{plan['bench']}__{plan['protocol']}.{fmt}"
-        fig.savefig(path, dpi=150)
-        plt.close(fig)
-        written.append(path)
-    return written
 
 
 def render_plots(

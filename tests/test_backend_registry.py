@@ -2,9 +2,9 @@
 
 Every registered backend name must survive ``RunSpec`` validation, JSON
 serialisation, and ``drr-gossip spec validate``; specs, spec files and
-pipeline configs written for a removed backend must fail with the reason
-instead of running on something else.  Also covers the persisted benchmark
-trajectory (``BENCH_substrate.json``) and its ``results --bench`` view.
+pipeline configs written for a removed backend, and the CLI's ``--backend``
+options naming one, must fail with the reason instead of running on
+something else.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.api import RunSpec, SpecValidationError, load_specs
 from repro.core import DRRGossipConfig
 from repro.harness.cli import main as cli_main
 from repro.simulator.errors import ConfigurationError
-from repro.substrate import BACKENDS
+from repro.substrate import BACKENDS, UNAVAILABLE_BACKENDS
 
 
 # --------------------------------------------------------------------------- #
@@ -80,6 +80,24 @@ class TestRemovedBackend:
         with pytest.raises(ConfigurationError, match="was removed"):
             DRRGossipConfig(backend=removed)
 
+    @pytest.mark.parametrize("removed", REMOVED)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--n", "64"],
+            ["sweep", "--experiments", "table1", "--store", ":memory:"],
+            ["table1", "--ns", "64"],
+        ],
+        ids=["run", "sweep", "table1"],
+    )
+    def test_cli_backend_option_naming_it_exits_with_the_reason(self, command, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*command, "--backend", removed])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --backend" in err
+        assert UNAVAILABLE_BACKENDS[removed] in err
+
     def test_spec_document_with_backend_options_is_rejected(self):
         doc = {
             "protocol": "drr",
@@ -89,44 +107,3 @@ class TestRemovedBackend:
         }
         with pytest.raises(SpecValidationError, match=r"unknown keys \['backend_options'\]"):
             RunSpec.from_dict(doc)
-
-
-# --------------------------------------------------------------------------- #
-# the persisted benchmark trajectory
-# --------------------------------------------------------------------------- #
-class TestBenchTrajectory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        from repro.harness.benchlog import append_bench_rows, format_bench_table, load_bench_rows
-
-        path = tmp_path / "BENCH_substrate.json"
-        append_bench_rows(
-            [{"bench": "smoke", "protocol": "drr", "n": 10, "backend": "vectorized", "wall_s": 0.5}],
-            path,
-        )
-        append_bench_rows(
-            [{"bench": "smoke", "protocol": "drr", "n": 10, "backend": "engine",
-              "wall_s": 0.25}],
-            path,
-        )
-        rows = load_bench_rows(path)
-        assert len(rows) == 2
-        assert all("timestamp" in row for row in rows)
-        table = format_bench_table(rows)
-        assert "vectorized" in table and "engine" in table
-
-    def test_results_bench_cli(self, tmp_path, capsys):
-        from repro.harness.benchlog import append_bench_rows
-
-        path = tmp_path / "BENCH_substrate.json"
-        append_bench_rows(
-            [{"bench": "smoke", "protocol": "drr", "n": 10, "backend": "vectorized", "wall_s": 0.5}],
-            path,
-        )
-        assert cli_main(["results", "--bench", "--bench-file", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "vectorized" in out and "wall_s" in out
-
-    def test_results_bench_cli_missing_file(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert cli_main(["results", "--bench", "--bench-file", str(missing)]) == 0
-        assert "no benchmark rows" in capsys.readouterr().out

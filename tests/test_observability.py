@@ -327,32 +327,43 @@ EVENT_REQUIRED_KEYS = {
 }
 
 
+def assert_events_follow_the_schema(events: list[dict]) -> None:
+    """Every event carries its kind's required keys; run, phase and span events are present."""
+    for event in events:
+        assert event["event"] in EVENT_REQUIRED_KEYS
+        missing = EVENT_REQUIRED_KEYS[event["event"]] - event.keys()
+        assert not missing, f"{event['event']} event missing {missing}"
+    assert {"run", "phase", "span"} <= {event["event"] for event in events}
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "engine"])
 class TestJsonlExport:
-    def _doc(self):
+    def _doc(self, backend):
         tel = Telemetry()
         result = repro.run(
-            RunSpec(protocol="drr-gossip", params={"n": 64, "aggregate": "average"}, seed=2),
+            RunSpec(
+                protocol="drr-gossip",
+                params={"n": 64, "aggregate": "average"},
+                backend=backend,
+                seed=2,
+            ),
             telemetry=tel,
         )
         assert result.telemetry is not None
         return result.telemetry
 
-    def test_events_cover_the_schema(self):
-        doc = self._doc()
-        events = list(events_from_telemetry(doc))
-        kinds = {event["event"] for event in events}
-        assert {"run", "phase", "round_samples", "span"} <= kinds
-        for event in events:
-            assert event["event"] in EVENT_REQUIRED_KEYS
-            missing = EVENT_REQUIRED_KEYS[event["event"]] - event.keys()
-            assert not missing, f"{event['event']} event missing {missing}"
+    def test_events_cover_the_schema(self, backend):
+        events = list(events_from_telemetry(self._doc(backend)))
+        assert_events_follow_the_schema(events)
+        assert "round_samples" in {event["event"] for event in events}
 
-    def test_write_and_append_jsonl(self, tmp_path):
-        doc = self._doc()
+    def test_write_and_append_jsonl(self, backend, tmp_path):
+        doc = self._doc(backend)
         path = tmp_path / "events.jsonl"
         write_events_jsonl(doc, path)
         first = [json.loads(line) for line in path.read_text().splitlines()]
         assert first[0]["event"] == "run"
+        assert_events_follow_the_schema(first)
         write_events_jsonl(doc, path, append=True)
         combined = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(combined) == 2 * len(first)
@@ -545,17 +556,19 @@ class TestSweepTelemetry:
 # CLI surfaces
 # --------------------------------------------------------------------------- #
 class TestCli:
-    def test_run_telemetry_prints_summary_and_writes_jsonl(self, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", ["vectorized", "engine"])
+    def test_run_telemetry_prints_summary_and_writes_jsonl(self, backend, tmp_path, capsys):
         from repro.harness.cli import main
 
         events = tmp_path / "events.jsonl"
-        rc = main(["run", "--n", "500", "--telemetry", str(events)])
+        rc = main(["run", "--n", "500", "--backend", backend, "--telemetry", str(events)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "telemetry        : wall" in out
         assert "phase drr" in out
         lines = [json.loads(line) for line in events.read_text().splitlines()]
         assert lines[0]["event"] == "run"
+        assert_events_follow_the_schema(lines)
 
     def test_run_spec_with_telemetry(self, tmp_path, capsys):
         from repro.harness.cli import main
@@ -605,58 +618,3 @@ class TestCli:
         assert "1 claim(s) in flight, 0 orphaned" in out
         (line,) = [line for line in out.splitlines() if line.endswith("w0")]
         assert line.split()[:4] == ["exp", "abc", "2", "1"]  # experiment, hash, seed, attempt
-
-    def test_results_plot_requires_bench(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        store_path = tmp_path / "s.sqlite"
-        with ResultStore(store_path):
-            pass
-        rc = main(["results", "--store", str(store_path), "--plot"])
-        assert rc == 2
-        assert "--bench" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------- #
-# bench trajectory figures (pure planning; rendering needs matplotlib)
-# --------------------------------------------------------------------------- #
-class TestBenchFigures:
-    ROWS = [
-        {"bench": "smoke", "protocol": "p", "backend": "vectorized", "n": 100,
-         "wall_s": 1.0, "git_sha": "aaa"},
-        {"bench": "smoke", "protocol": "p", "backend": "vectorized", "n": 100,
-         "wall_s": 3.0, "git_sha": "aaa"},
-        {"bench": "smoke", "protocol": "p", "backend": "engine",
-         "n": 100, "wall_s": 0.5, "git_sha": "bbb"},
-        {"bench": "smoke", "protocol": "q", "backend": "vectorized", "n": 100,
-         "wall_s": 2.0, "git_sha": "bbb"},
-        {"bench": "smoke", "protocol": "q", "backend": "vectorized", "n": 100,
-         "git_sha": "bbb"},  # no wall_s: skipped
-    ]
-
-    def test_plan_groups_by_bench_and_protocol(self):
-        from repro.harness.plotting import plan_bench_figures
-
-        plans = plan_bench_figures(self.ROWS)
-        assert [(p["bench"], p["protocol"]) for p in plans] == [("smoke", "p"), ("smoke", "q")]
-        p_plan = plans[0]
-        assert p_plan["xticks"] == ["aaa", "bbb"]
-        # same-commit repetitions average; one series per backend and n
-        assert p_plan["series"]["vectorized n=100"] == ([0.0], [2.0])
-        assert p_plan["series"]["engine n=100"] == ([1.0], [0.5])
-
-    def test_plan_empty_rows(self):
-        from repro.harness.plotting import plan_bench_figures
-
-        assert plan_bench_figures([]) == []
-
-    def test_render_requires_matplotlib_or_writes(self, tmp_path):
-        from repro.harness.plotting import PlottingUnavailableError, render_bench_plots
-
-        try:
-            written = render_bench_plots(self.ROWS, tmp_path)
-        except PlottingUnavailableError as exc:
-            assert "matplotlib" in str(exc)
-        else:
-            assert len(written) == 2
-            assert all(path.exists() for path in written)
