@@ -54,7 +54,6 @@ from .api import (
     load_specs,
     protocol_names,
     run,
-    run_many,
 )
 
 __version__ = "1.1.0"
@@ -88,6 +87,5 @@ __all__ = [
     "load_specs",
     "protocol_names",
     "run",
-    "run_many",
     "__version__",
 ]

@@ -35,9 +35,6 @@ class FitResult:
     r_squared: float
     residual_rms: float
 
-    def predict(self, shape_values: np.ndarray) -> np.ndarray:
-        return self.slope * shape_values + self.intercept
-
 
 #: Candidate growth shapes for normalised quantities (per-node messages,
 #: rounds, ...).  Keys are the names experiments report.

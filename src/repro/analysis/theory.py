@@ -1,10 +1,13 @@
 """The paper's theoretical predictions, as executable functions.
 
-Every experiment in EXPERIMENTS.md compares a measured quantity against the
-corresponding asymptotic bound.  Because the bounds are stated up to
-constants, the comparisons are done through *normalised ratios* (measured /
-predicted-shape) whose flatness across the ``n`` sweep is the reproduction
-criterion, and through fitted exponents (see :mod:`repro.analysis.fitting`).
+Every experiment driver (:mod:`repro.harness.experiments`) compares a
+measured quantity against the corresponding asymptotic bound; the
+paper-scale grid is ``examples/sweeps/paper.toml``, and ``drr-gossip
+results --markdown`` renders its tables.  Because the bounds are stated up
+to constants, the comparisons are done through *normalised ratios*
+(measured / predicted-shape) whose flatness across the ``n`` sweep is the
+reproduction criterion, and through fitted exponents (see
+:mod:`repro.analysis.fitting`).
 """
 
 from __future__ import annotations
@@ -21,18 +24,12 @@ __all__ = [
     "expected_max_tree_size",
     "drr_message_bound",
     "drr_round_bound",
-    "drr_gossip_message_bound",
-    "drr_gossip_round_bound",
     "uniform_gossip_message_bound",
-    "uniform_gossip_round_bound",
-    "efficient_gossip_message_bound",
-    "efficient_gossip_round_bound",
     "address_oblivious_lower_bound",
     "rumor_spreading_message_bound",
     "chord_drr_gossip_messages",
     "chord_uniform_gossip_messages",
     "paper_gossip_max_rounds",
-    "TABLE1_ROWS",
 ]
 
 
@@ -105,63 +102,10 @@ def drr_round_bound(n: int | np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # full protocols (Table 1)
 # --------------------------------------------------------------------------- #
-def drr_gossip_message_bound(n: int | np.ndarray) -> np.ndarray:
-    """DRR-gossip: ``O(n log log n)`` messages (Section 3.5)."""
-    return drr_message_bound(n)
-
-
-def drr_gossip_round_bound(n: int | np.ndarray) -> np.ndarray:
-    """DRR-gossip: ``O(log n)`` rounds (Section 3.5)."""
-    return log2n(n)
-
-
 def uniform_gossip_message_bound(n: int | np.ndarray) -> np.ndarray:
     """Kempe et al. uniform gossip: ``O(n log n)`` messages."""
     n = np.asarray(n, dtype=float)
     return n * log2n(n)
-
-
-def uniform_gossip_round_bound(n: int | np.ndarray) -> np.ndarray:
-    """Kempe et al. uniform gossip: ``O(log n)`` rounds."""
-    return log2n(n)
-
-
-def efficient_gossip_message_bound(n: int | np.ndarray) -> np.ndarray:
-    """Kashyap et al. efficient gossip: ``O(n log log n)`` messages."""
-    return drr_message_bound(n)
-
-
-def efficient_gossip_round_bound(n: int | np.ndarray) -> np.ndarray:
-    """Kashyap et al. efficient gossip: ``O(log n log log n)`` rounds."""
-    return log2n(n) * loglog2n(n)
-
-
-#: Table 1 of the paper, as data: algorithm -> (round bound, message bound,
-#: address-oblivious?).  The harness renders the analytical table next to the
-#: measured one.
-TABLE1_ROWS = {
-    "efficient gossip [Kashyap et al.]": (
-        "O(log n log log n)",
-        "O(n log log n)",
-        "no",
-        efficient_gossip_round_bound,
-        efficient_gossip_message_bound,
-    ),
-    "uniform gossip [Kempe et al.]": (
-        "O(log n)",
-        "O(n log n)",
-        "yes",
-        uniform_gossip_round_bound,
-        uniform_gossip_message_bound,
-    ),
-    "DRR-gossip [this paper]": (
-        "O(log n)",
-        "O(n log log n)",
-        "no",
-        drr_gossip_round_bound,
-        drr_gossip_message_bound,
-    ),
-}
 
 
 # --------------------------------------------------------------------------- #

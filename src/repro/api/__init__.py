@@ -17,7 +17,7 @@ the uniform :class:`RunResult` envelope.
 """
 
 from ..simulator.failures import FailureModel as FailureSpec  # spec-level alias
-from .dispatch import run, run_many
+from .dispatch import run
 from .errors import SpecValidationError
 from .protocols import (
     PROTOCOLS,
@@ -60,5 +60,4 @@ __all__ = [
     "read_spec_document",
     "register_protocol",
     "run",
-    "run_many",
 ]

@@ -20,7 +20,7 @@ when they are expressed as specs.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..observability.telemetry import NullTelemetry, Telemetry, use_telemetry
 from ..simulator.rng import make_rng
@@ -28,7 +28,7 @@ from .protocols import RunContext, get_protocol
 from .result import RunResult
 from .spec import RunSpec
 
-__all__ = ["run", "run_many"]
+__all__ = ["run"]
 
 
 def run(spec: RunSpec | Mapping, *, telemetry: NullTelemetry | None = None) -> RunResult:
@@ -81,12 +81,3 @@ def run(spec: RunSpec | Mapping, *, telemetry: NullTelemetry | None = None) -> R
         degradation=output.degradation,
     )
 
-
-def run_many(specs: Iterable[RunSpec | Mapping]) -> list[RunResult]:
-    """Execute several specs sequentially (each is independent by construction).
-
-    Parallel fan-out belongs to the orchestration layer
-    (:class:`~repro.orchestration.SweepRunner`), whose workers accept the
-    same serialised specs; this helper is for scripts and tests.
-    """
-    return [run(spec) for spec in specs]

@@ -80,12 +80,6 @@ class EpochGossipResult:
     #: live-node count at each epoch boundary
     epoch_survivors: list[int] = field(default_factory=list)
 
-    @property
-    def max_relative_error(self) -> float:
-        if self.exact == 0.0:
-            return float(np.nanmax(np.abs(self.estimates)))
-        return float(np.nanmax(np.abs(self.estimates - self.exact) / abs(self.exact)))
-
 
 def _epoch_stats(
     s: np.ndarray, w: np.ndarray, values: np.ndarray, alive: np.ndarray

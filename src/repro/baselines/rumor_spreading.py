@@ -349,9 +349,6 @@ class PushPullRumorNode(ProtocolNode):
         # stop condition; a node past its cooldown is individually done.
         return self.informed and self.informed_t >= 0
 
-    def result(self) -> bool:
-        return self.informed
-
 
 def _push_pull_engine(
     kernel: EngineKernel,

@@ -576,9 +576,6 @@ class PushMaxNode(ProtocolNode):
     def is_complete(self) -> bool:
         return self.rounds_done >= self.rounds
 
-    def result(self) -> float:
-        return self.value
-
 
 def _push_max_engine(
     kernel: EngineKernel,

@@ -525,9 +525,6 @@ class BroadcastNode(ProtocolNode):
         # the sense that it will never act again.
         return not self.received or not self.pending_children
 
-    def result(self) -> dict:
-        return {"received": self.received, "payload": self.payload}
-
 
 def _broadcast_engine(
     kernel: EngineKernel,

@@ -300,14 +300,6 @@ class DRRNode(ProtocolNode):
     def is_complete(self) -> bool:
         return self.found or self.probes_sent >= self.probe_budget
 
-    def result(self) -> dict:
-        return {
-            "parent": self.parent,
-            "children": tuple(sorted(self.children)),
-            "rank": self.rank,
-            "probes": self.probes_sent,
-        }
-
 
 def _run_drr_engine(
     kernel: EngineKernel,

@@ -86,9 +86,6 @@ class DRRGossipConfig:
     def with_failures(self, failure_model: FailureModel) -> "DRRGossipConfig":
         return dataclasses.replace(self, failure_model=failure_model)
 
-    def with_backend(self, backend: str) -> "DRRGossipConfig":
-        return dataclasses.replace(self, backend=normalize_backend(backend))
-
 
 @dataclass
 class DRRGossipResult:
@@ -566,7 +563,10 @@ def drr_gossip_sum(
     rng: np.random.Generator | int | None = None,
     config: DRRGossipConfig | None = None,
 ) -> DRRGossipResult:
-    """Compute the global Sum at every node."""
+    """Compute the global Sum at every node.
+
+    Exact only on a failure-free network, like :func:`drr_gossip_count`.
+    """
     return _pushsum_pipeline(values, Aggregate.SUM, rng, config)
 
 
@@ -575,7 +575,13 @@ def drr_gossip_count(
     rng: np.random.Generator | int | None = None,
     config: DRRGossipConfig | None = None,
 ) -> DRRGossipResult:
-    """Compute the network size (Count) at every node."""
+    """Compute the network size (Count) at every node.
+
+    Exact only on a failure-free network (no message loss, no crashes).
+    Under failures the estimate can miss by tens of percent: at n = 4096
+    over seeds 3-5, 5% message loss reads 39% low to 9% high, while
+    Average under the same failures stays within 2%.
+    """
     return _pushsum_pipeline(values, Aggregate.COUNT, rng, config)
 
 
@@ -587,7 +593,8 @@ def drr_gossip_rank(
 ) -> DRRGossipResult:
     """Compute the rank of ``query`` (number of values <= query) at every node.
 
-    ``query=None`` ranks the input median.
+    ``query=None`` ranks the input median.  Exact only on a failure-free
+    network, like :func:`drr_gossip_count`.
     """
     return _pushsum_pipeline(values, Aggregate.RANK, rng, config, query=query)
 

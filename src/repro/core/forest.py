@@ -174,9 +174,6 @@ class Forest:
             raise ValueError(f"node {root} is not a root")
         return np.flatnonzero(self.tree_id == root)
 
-    def size_of(self, root: int) -> int:
-        return self.tree_sizes[int(root)]
-
     def largest_root(self) -> int:
         """Root of the largest tree; ties broken by smaller node id.
 

@@ -417,9 +417,6 @@ class GossipMaxRootNode(ProtocolNode):
     def is_complete(self) -> bool:
         return self.rounds_done >= self.gossip_rounds + self.sampling_rounds
 
-    def result(self) -> float:
-        return self.value
-
 
 def _gossip_max_engine(
     kernel: EngineKernel,

@@ -217,9 +217,6 @@ class LocalDRRNode(ProtocolNode):
     def is_complete(self) -> bool:
         return self._rounds_seen >= 1
 
-    def result(self) -> dict:
-        return {"parent": self.parent, "children": tuple(sorted(self.children))}
-
 
 def _local_drr_engine(
     kernel: EngineKernel,

@@ -6,6 +6,7 @@ from .experiments import (
     ExperimentResult,
     run_ablation,
     run_chord_comparison,
+    run_churn_degradation,
     run_end_to_end_accuracy,
     run_forest_statistics,
     run_gossip_ave_convergence,
@@ -31,6 +32,7 @@ __all__ = [
     "ExperimentResult",
     "run_ablation",
     "run_chord_comparison",
+    "run_churn_degradation",
     "run_end_to_end_accuracy",
     "run_forest_statistics",
     "run_gossip_ave_convergence",

@@ -2,8 +2,9 @@
 
 The CLI is a thin veneer over :mod:`repro.harness.experiments` and the
 orchestration subsystem (:mod:`repro.orchestration`); it exists so a
-downstream user can regenerate any table of EXPERIMENTS.md — or run a
-paper-scale parameter sweep — without writing Python.  The package does not
+downstream user can regenerate the paper's tables (the sweep in
+``examples/sweeps/paper.toml``, rendered by ``drr-gossip results
+--markdown``) without writing Python.  The package does not
 need to be installed: ``python -m repro <command>`` behaves identically to
 the ``drr-gossip`` entry point.
 
@@ -23,30 +24,24 @@ Regenerate the Table 1 measurement at small scale::
 
     drr-gossip table1 --ns 256 512 1024 --reps 2
 
-Run every experiment and write a markdown report::
-
-    drr-gossip report --output results/
-
 Run a parameter sweep in parallel, persisting every cell to SQLite (an
-immediate re-run skips all completed cells)::
+immediate re-run skips all completed cells); without ``--config`` or
+``--experiments`` it runs every registered experiment at its defaults::
 
     drr-gossip sweep --experiments table1 forest --ns 256 512 --reps 3 --jobs 4
-    drr-gossip sweep --config sweeps/quick.toml --jobs 4
+    drr-gossip sweep --config examples/sweeps/quick.toml --jobs 4
 
 Record where the wall clock goes (phase/primitive telemetry), with a live
 heartbeat line and a JSONL event export::
 
     drr-gossip run --n 100000 --telemetry events.jsonl --heartbeat 5
 
-Inspect and export what the store holds::
+Inspect and export what the store holds (``--markdown`` writes every
+stored experiment's table into one report)::
 
     drr-gossip results --markdown results/report.md
     drr-gossip results --failed
     drr-gossip results --telemetry
-
-Render figures purely from stored rows (no recomputation; needs matplotlib)::
-
-    drr-gossip plot --store results/results.sqlite --output results/figures
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ from ..orchestration import (
 from ..orchestration.store import DEFAULT_MAX_ATTEMPTS
 from ..simulator import ConfigurationError, FailureModel
 from . import experiments  # noqa: F401  (import registers the drivers)
-from .report import write_json, write_markdown_report, write_markdown_report_from_store
+from .report import write_json, write_markdown_report_from_store
 from .workloads import workload_names
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -184,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "execution substrate for this experiment (recorded in the result parameters)",
             )
 
-    report = sub.add_parser("report", help="run every experiment and write a markdown report")
-    report.add_argument("--output", type=str, default="results", help="output directory")
-    report.add_argument("--quick", action="store_true", help="use small sweeps (CI-sized)")
-    report.add_argument("--seed", type=int, default=1)
-
     sweep = sub.add_parser(
         "sweep",
         help="run a parameter sweep in parallel, persisting every cell to the result store",
@@ -234,15 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="claims per cell before it is marked failed: a cell whose drain dies "
         "(or that kills it) is claimed again until then",
     )
-
-    plot = sub.add_parser(
-        "plot",
-        help="render figures from stored sweep rows (no recomputation; needs matplotlib)",
-    )
-    plot.add_argument("--store", type=str, default=DEFAULT_STORE, help="SQLite result store path")
-    plot.add_argument("--experiment", type=str, default=None, help="restrict to one experiment")
-    plot.add_argument("--output", type=str, default="results/figures", help="output directory")
-    plot.add_argument("--format", dest="fmt", choices=["png", "svg", "pdf"], default="png")
 
     spec = sub.add_parser("spec", help="inspect and validate declarative spec/sweep files")
     spec_sub = spec.add_subparsers(dest="spec_command", required=True)
@@ -350,32 +331,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
     if args.json:
         path = write_json(result, args.json)
         print(f"wrote {path}")
-    return 0
-
-
-def _run_report(args: argparse.Namespace) -> int:
-    output = Path(args.output)
-    quick = args.quick
-    results = []
-    plans = {
-        "table1": {"ns": (256, 512, 1024), "repetitions": 2} if quick else {},
-        "forest": {"ns": (256, 512, 1024, 2048), "repetitions": 3} if quick else {},
-        "gossip-max": {"ns": (256, 1024), "repetitions": 3} if quick else {},
-        "gossip-ave": {"ns": (256, 1024), "repetitions": 2} if quick else {},
-        "end-to-end": {"ns": (256,), "repetitions": 2} if quick else {},
-        "local-drr": {"ns": (256, 1024), "repetitions": 2} if quick else {},
-        "chord": {"ns": (128, 256), "repetitions": 2} if quick else {},
-        "lower-bound": {"ns": (128, 256, 512), "repetitions": 2} if quick else {},
-        "phase-breakdown": {"ns": (256, 1024), "repetitions": 2} if quick else {},
-        "ablation": {"n": 1024, "repetitions": 2} if quick else {},
-    }
-    for name, kwargs in plans.items():
-        print(f"running {name} ...", flush=True)
-        result = EXPERIMENTS[name](seed=args.seed, **kwargs)
-        write_json(result, output / f"{result.experiment}.json")
-        results.append(result)
-    path = write_markdown_report(results, output / "report.md")
-    print(f"wrote {path}")
     return 0
 
 
@@ -527,26 +482,6 @@ def _run_spec_tools(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _run_plot(args: argparse.Namespace) -> int:
-    from .plotting import PlottingUnavailableError, render_plots
-
-    if not Path(args.store).exists():
-        print(f"no result store at {args.store} (run `drr-gossip sweep` first)", file=sys.stderr)
-        return 1
-    with ResultStore(args.store) as store:
-        try:
-            written = render_plots(store, args.output, experiment=args.experiment, fmt=args.fmt)
-        except PlottingUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if not written:
-        print("no completed rows to plot (check --experiment / run a sweep first)", file=sys.stderr)
-        return 1
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 def _run_results(args: argparse.Namespace) -> int:
     if not Path(args.store).exists():
         print(f"no result store at {args.store} (run `drr-gossip sweep` first)", file=sys.stderr)
@@ -595,14 +530,10 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.verbose - args.quiet)
     if args.command == "run":
         return _run_single(args)
-    if args.command == "report":
-        return _run_report(args)
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "spec":
         return _run_spec_tools(args)
-    if args.command == "plot":
-        return _run_plot(args)
     if args.command == "results":
         return _run_results(args)
     if args.command in EXPERIMENTS:

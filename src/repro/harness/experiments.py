@@ -1,4 +1,7 @@
-"""Experiment drivers: one function per table/figure of EXPERIMENTS.md.
+"""Experiment drivers: one function per table/figure of the paper.
+
+The paper-scale grid over all of them is ``examples/sweeps/paper.toml``;
+``drr-gossip results --markdown`` renders the stored rows as tables.
 
 Every driver returns an :class:`ExperimentResult` holding the raw rows (a
 list of plain dicts so they serialise to JSON/CSV without ceremony), the

@@ -1,9 +1,9 @@
 """Serialisation of experiment results (JSON / CSV / markdown).
 
-The benchmark harness writes one JSON file per experiment plus an aggregate
-markdown report; EXPERIMENTS.md is generated from the same renderer so the
-numbers in the documentation can always be regenerated with one command
-(``drr-gossip report``).
+An experiment subcommand writes its result as JSON (``--json``); the
+markdown report renders every experiment stored by a sweep, so the paper's
+tables regenerate from two commands: ``drr-gossip sweep --config
+examples/sweeps/paper.toml``, then ``drr-gossip results --markdown``.
 """
 
 from __future__ import annotations

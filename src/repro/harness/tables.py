@@ -58,7 +58,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render a GitHub-flavoured markdown table (used by EXPERIMENTS.md)."""
+    """Render a GitHub-flavoured markdown table (used by ``drr-gossip results --markdown``)."""
     str_rows = _stringify_rows(rows)
     headers = [str(h) for h in headers]
     lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]

@@ -334,8 +334,9 @@ def instrumented(name: str) -> Callable:
 
     When telemetry is disabled the wrapper is one global read, one attribute
     test, and the delegated call; the undecorated function stays reachable
-    as ``__wrapped__`` so ``benchmarks/bench_substrate.py`` can measure that
-    residue against a hook-free run and enforce the <2% disabled-path gate.
+    as ``__wrapped__`` so ``hook_free()`` in ``benchmarks/gates.py`` can
+    measure that residue against a hook-free run and enforce the <2%
+    disabled-path gate.
     """
 
     def decorate(fn: Callable) -> Callable:

@@ -33,7 +33,6 @@ from .registry import (
     ExperimentRegistry,
     ExperimentSpec,
     ParamSpec,
-    experiment_names,
     get_experiment,
     load_builtin_experiments,
     register_experiment,
@@ -82,7 +81,6 @@ __all__ = [
     "ExperimentRegistry",
     "ExperimentSpec",
     "ParamSpec",
-    "experiment_names",
     "get_experiment",
     "load_builtin_experiments",
     "register_experiment",

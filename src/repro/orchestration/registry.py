@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "register_experiment",
     "get_experiment",
-    "experiment_names",
     "load_builtin_experiments",
 ]
 
@@ -186,9 +185,6 @@ class ExperimentRegistry:
             known = ", ".join(sorted(self._specs)) or "none registered"
             raise KeyError(f"unknown experiment {name!r} (known: {known})") from None
 
-    def names(self) -> list[str]:
-        return sorted(self._specs)
-
     def __contains__(self, name: object) -> bool:
         return name in self._specs
 
@@ -222,8 +218,3 @@ def load_builtin_experiments() -> ExperimentRegistry:
 def get_experiment(name: str) -> ExperimentSpec:
     """Resolve ``name`` against the default registry, loading builtins first."""
     return load_builtin_experiments().get(name)
-
-
-def experiment_names() -> list[str]:
-    """Names of all registered experiments (builtins included)."""
-    return load_builtin_experiments().names()

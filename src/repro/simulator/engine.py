@@ -90,12 +90,6 @@ class EngineResult:
     #: has no churn oracle; the initial mask is then still current).
     final_alive: np.ndarray | None = None
 
-    def results_by_node(self) -> dict[int, object]:
-        return {node.node_id: node.result() for node in self.nodes}
-
-    def node(self, node_id: int) -> ProtocolNode:
-        return self.nodes[node_id]
-
 
 class SynchronousEngine:
     """Drives a protocol to completion over a network."""
@@ -136,7 +130,6 @@ class SynchronousEngine:
             n=self.network.n,
             rng=self.rng,
             alive=self.network.alive,
-            _neighbor_fn=self.network.neighbor_fn,
         )
 
     def _collect_sends(

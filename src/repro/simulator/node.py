@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -49,22 +48,12 @@ class RoundContext:
     alive:
         Boolean array of length ``n``; ``alive[i]`` is False for initially
         crashed nodes.
-    neighbors:
-        ``neighbors(i)`` returns the ids a node may contact directly.  On the
-        complete graph this is every other node; on sparse topologies it is
-        the adjacency list (Section 4 model).
     """
 
     round_index: int
     n: int
     rng: np.random.Generator
     alive: np.ndarray
-    _neighbor_fn: Any = None
-
-    def neighbors(self, node_id: int) -> Sequence[int]:
-        if self._neighbor_fn is None:
-            raise RuntimeError("this context has no topology attached")
-        return self._neighbor_fn(node_id)
 
     def random_node(self, exclude: int | None = None) -> int:
         """Sample a node uniformly at random from all ``n`` nodes.
@@ -120,13 +109,6 @@ class ProtocolNode(abc.ABC):
     @abc.abstractmethod
     def is_complete(self) -> bool:
         """Return True once the node has finished its part of the protocol."""
-
-    # ------------------------------------------------------------------ #
-    # results
-    # ------------------------------------------------------------------ #
-    def result(self) -> Any:
-        """Protocol-specific output of this node (aggregate estimate, ...)."""
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(node_id={self.node_id}, complete={self.is_complete()})"

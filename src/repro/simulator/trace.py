@@ -87,16 +87,6 @@ class Tracer(NullTracer):
     def __len__(self) -> int:
         return len(self._events)
 
-    def by_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self._events if e.message.kind == str(kind)]
-
-    def involving(self, node_id: int) -> list[TraceEvent]:
-        return [
-            e
-            for e in self._events
-            if e.message.sender == node_id or e.message.recipient == node_id
-        ]
-
     def sent_by(self, node_id: int) -> list[TraceEvent]:
         return [e for e in self._events if e.message.sender == node_id]
 

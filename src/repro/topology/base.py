@@ -10,9 +10,8 @@ Storage is columnar: the adjacency lives in CSR form (``indptr`` /
 ``indices`` int64 arrays, neighbour lists sorted ascending).  That is what
 lets the vectorized topology kernel run Local-DRR at ``n = 10^6`` — a
 round's worth of per-edge transmissions is two flat arrays, not a million
-Python tuples.  The tuple-based views (:meth:`neighbors`,
-:attr:`adjacency`) are kept for the message-level engine and for tests;
-they are materialised on demand.
+Python tuples.  The tuple view :meth:`neighbors` is kept for the
+message-level engine and for tests; it is materialised per call.
 """
 
 from __future__ import annotations
@@ -27,28 +26,12 @@ __all__ = ["Topology"]
 class Topology:
     """An undirected simple graph over node ids ``0 .. n-1`` (CSR-backed)."""
 
-    __slots__ = ("name", "_indptr", "_indices", "_adjacency")
+    __slots__ = ("name", "_indptr", "_indices")
 
-    def __init__(self, name: str, adjacency: Sequence[Sequence[int]] | None = None, *,
-                 indptr: np.ndarray | None = None, indices: np.ndarray | None = None) -> None:
+    def __init__(self, name: str, *, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.name = name
-        self._adjacency: tuple[tuple[int, ...], ...] | None = None
-        if adjacency is not None:
-            if indptr is not None or indices is not None:
-                raise ValueError("pass either adjacency or indptr/indices, not both")
-            degrees = np.fromiter((len(neigh) for neigh in adjacency), dtype=np.int64,
-                                  count=len(adjacency))
-            self._indptr = np.concatenate([[0], np.cumsum(degrees)])
-            self._indices = (
-                np.concatenate([np.sort(np.asarray(neigh, dtype=np.int64)) for neigh in adjacency])
-                if len(adjacency) and degrees.sum()
-                else np.zeros(0, dtype=np.int64)
-            )
-        else:
-            if indptr is None or indices is None:
-                raise ValueError("need adjacency or indptr/indices")
-            self._indptr = np.asarray(indptr, dtype=np.int64)
-            self._indices = np.asarray(indices, dtype=np.int64)
+        self._indptr = np.asarray(indptr, dtype=np.int64)
+        self._indices = np.asarray(indices, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -136,16 +119,6 @@ class Topology:
         exactly the order in which engine nodes enumerate their neighbours.
         """
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees()), self._indices
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Tuple-of-tuples view of the adjacency (materialised on demand)."""
-        if self._adjacency is None:
-            self._adjacency = tuple(
-                tuple(int(x) for x in self._indices[self._indptr[i]:self._indptr[i + 1]])
-                for i in range(self.n)
-            )
-        return self._adjacency
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         return tuple(

@@ -103,9 +103,6 @@ class ChordNetwork:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def finger_table(self, node_index: int) -> np.ndarray:
-        return self.fingers[node_index]
-
     def neighbors(self, node_index: int) -> tuple[int, ...]:
         """Distinct overlay neighbours: fingers plus predecessor (undirected view)."""
         neigh = set(int(f) for f in self.fingers[node_index])

@@ -44,16 +44,6 @@ class TestTheory:
         n = 2**14
         assert theory.drr_message_bound(n) < theory.uniform_gossip_message_bound(n)
 
-    def test_table1_rows_structure(self):
-        assert set(theory.TABLE1_ROWS) == {
-            "efficient gossip [Kashyap et al.]",
-            "uniform gossip [Kempe et al.]",
-            "DRR-gossip [this paper]",
-        }
-        for name, row in theory.TABLE1_ROWS.items():
-            assert len(row) == 5
-            assert row[2] in ("yes", "no")
-
     def test_paper_gossip_max_rounds(self):
         assert theory.paper_gossip_max_rounds(1024) >= 8 * math.log2(1024)
         assert theory.paper_gossip_max_rounds(1024, delta=0.1) > theory.paper_gossip_max_rounds(1024)

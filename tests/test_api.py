@@ -11,6 +11,7 @@ other is ``tests/test_substrate.py``'s matrix, on the same spec table.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -135,6 +136,19 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError, match="either 'n'"):
             repro.run(RunSpec(protocol="push-sum"))
 
+    def test_static_protocol_rejects_churn_naming_the_capable_ones(self):
+        with pytest.raises(SpecValidationError, match=re.escape(
+            "(churn-capable protocols: drr-gossip, epoch-gossip-ave, push-max, push-sum)"
+        )):
+            RunSpec(protocol="drr", params={"n": 8}, failures={"churn_rate": 0.01})
+
+    def test_unknown_aggregate_rejected_with_valid_names(self):
+        spec = RunSpec(protocol="drr-gossip", params={"n": 8, "aggregate": "median"})
+        with pytest.raises(SpecValidationError, match=re.escape(
+            "unknown aggregate 'median' (valid: max, min, sum, count, average, rank)"
+        )):
+            repro.run(spec)
+
     def test_params_are_normalised_for_round_trip_equality(self):
         from repro.core import Aggregate
 
@@ -153,6 +167,30 @@ class TestSpecValidation:
     def test_adapter_schema_derived_from_signature(self):
         spec = get_protocol("push-sum")
         assert set(spec.param_names) == {"n", "workload", "values", "rounds", "epsilon"}
+
+
+class TestLoadSpec:
+    SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+
+    def test_load_spec_runs_what_run_spec_runs(self, monkeypatch):
+        """``average.toml``'s comment: ``repro.run(repro.load_spec(...))`` is ``drr-gossip run --spec``."""
+        from repro.harness import cli
+
+        path = self.SPECS / "average.toml"
+        via_cli = []
+
+        def recording_run(spec, **kwargs):
+            via_cli.append(repro.run(spec, **kwargs))
+            return via_cli[-1]
+
+        monkeypatch.setattr(cli, "run_spec_fn", recording_run)
+        assert cli.main(["run", "--spec", str(path)]) == 0
+        (expected,) = via_cli
+        assert repro.run(repro.load_spec(path)).same_outcome(expected)
+
+    def test_load_spec_rejects_a_multi_run_file(self):
+        with pytest.raises(SpecValidationError, match="expected exactly one run spec, found 4"):
+            repro.load_spec(self.SPECS / "baseline_suite.toml")
 
 
 class TestSpecEquivalenceWithDirectCalls:

@@ -14,6 +14,7 @@ from repro.harness import (
     format_table,
     make_values,
     run_ablation,
+    run_churn_degradation,
     run_forest_statistics,
     run_lower_bound_experiment,
     run_table1,
@@ -118,6 +119,21 @@ class TestExperimentDrivers:
         assert single["trees"] > paper["trees"]
         assert single["messages_per_node"] < paper["messages_per_node"]
 
+    def test_churn_degradation_rows(self):
+        n = 64
+        result = run_churn_degradation(n=n, churn_rates=(0.0, 0.02), repetitions=1, join_rate=0.01)
+        protocols = ("drr-gossip", "push-sum", "epoch-gossip-ave")
+        assert [(row["churn_rate"], row["protocol"]) for row in result.rows] == [
+            (rate, protocol) for rate in (0.0, 0.02) for protocol in protocols
+        ]
+        for row in result.rows:
+            if row["churn_rate"] == 0.0:
+                assert row["survivors_mean"] == n
+                assert row["messages_to_dead_frac"] == 0
+            else:
+                assert row["survivors_mean"] < n
+                assert row["messages_to_dead_frac"] > 0
+
     def test_experiment_result_helpers(self):
         result = run_ablation(n=128, repetitions=1, seed=9)
         d = result.as_dict()
@@ -196,76 +212,3 @@ class TestCLI:
         code = main(["ablation", "--ns", "128", "--reps", "1"])
         assert code == 0
         assert "probe budget" in capsys.readouterr().out
-
-
-class TestPlotting:
-    """Result-store-driven plots: data shaping is matplotlib-free."""
-
-    ROWS = [
-        {"algorithm": "drr-gossip", "n": 256, "rep": 0, "rounds": 30, "messages_per_node": 8.0},
-        {"algorithm": "drr-gossip", "n": 256, "rep": 1, "rounds": 34, "messages_per_node": 10.0},
-        {"algorithm": "drr-gossip", "n": 512, "rep": 0, "rounds": 40, "messages_per_node": 9.0},
-        {"algorithm": "uniform-gossip", "n": 256, "rep": 0, "rounds": 28, "messages_per_node": 22.0},
-        {"algorithm": "uniform-gossip", "n": 512, "rep": 0, "rounds": 31, "messages_per_node": 25.0},
-    ]
-
-    def test_collect_series_groups_sorts_and_averages(self):
-        from repro.harness.plotting import collect_series
-
-        series = collect_series(self.ROWS, "n", "rounds", group_by="algorithm")
-        assert set(series) == {"drr-gossip", "uniform-gossip"}
-        xs, ys = series["drr-gossip"]
-        assert xs == [256.0, 512.0]
-        assert ys == [32.0, 40.0]  # repetitions averaged
-
-    def test_collect_series_skips_incomplete_rows(self):
-        from repro.harness.plotting import collect_series
-
-        rows = [{"n": 10, "y": 1.0}, {"n": 20}, {"y": 3.0}, {"n": 30, "y": "not-a-number"}]
-        series = collect_series(rows, "n", "y")
-        assert series == {"all": ([10.0], [1.0])}
-
-    def test_plan_figures_one_per_metric(self):
-        from repro.harness.plotting import plan_figures
-
-        plans = plan_figures("E1-table1", self.ROWS)
-        metrics = {plan["metric"] for plan in plans}
-        assert metrics == {"rounds", "messages_per_node"}
-        for plan in plans:
-            assert set(plan["series"]) == {"drr-gossip", "uniform-gossip"}
-
-    def test_plan_figures_without_n_uses_categorical_axis(self):
-        from repro.harness.plotting import plan_figures
-
-        rows = [{"variant": "a", "trees": 3.0}, {"variant": "b", "trees": 5.0}]
-        plans = plan_figures("E12-ablation", rows)
-        assert plans and plans[0]["xlabel"] == "variant"
-        assert plans[0]["bars"] == (["a", "b"], [3.0, 5.0])
-
-    def test_plot_cli_reports_missing_store(self, tmp_path, capsys):
-        code = main(["plot", "--store", str(tmp_path / "missing.sqlite")])
-        assert code == 1
-        assert "no result store" in capsys.readouterr().err
-
-    def test_plot_cli_renders_or_explains_missing_matplotlib(self, tmp_path, capsys):
-        """End to end against a real store; tolerates matplotlib's absence
-        (the satellite requirement: optional import, clear error)."""
-        from repro.orchestration import ResultStore
-        from repro.harness.experiments import run_forest_statistics
-
-        store_path = tmp_path / "store.sqlite"
-        with ResultStore(store_path) as store:
-            result = run_forest_statistics(ns=(64, 128), repetitions=1, seed=5)
-            store.record_result("forest", {"ns": [64, 128], "backend": "vectorized"}, 5, result)
-        code = main(["plot", "--store", str(store_path), "--output", str(tmp_path / "figs")])
-        captured = capsys.readouterr()
-        try:
-            import matplotlib  # noqa: F401
-        except ImportError:
-            assert code == 1
-            assert "matplotlib is required" in captured.err
-            assert "pip install matplotlib" in captured.err
-        else:
-            assert code == 0
-            written = list((tmp_path / "figs").iterdir())
-            assert written and all(path.suffix == ".png" for path in written)

@@ -184,6 +184,23 @@ class TestResultStore:
             assert stored.spec_hash == address
             assert cell_spec_hash(stored.spec_json) == address
 
+    def test_numpy_rows_read_back_as_python_values(self, tmp_path):
+        import numpy as np
+
+        from repro.harness.experiments import ExperimentResult
+
+        row = {"count": np.int64(7), "mean": np.float64(0.25), "half": np.float32(0.5),
+               "curve": np.array([1, 2, 3])}
+        result = ExperimentResult(experiment="np", description="numpy row", headers=list(row),
+                                  rows=[row], seed=1)
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            store.record_result("np", {"n": 1}, 1, result)
+            (stored,) = store.query(experiment="np")
+        (back,) = stored.rows
+        assert back == {"count": 7, "mean": 0.25, "half": 0.5, "curve": [1, 2, 3]}
+        assert type(back["count"]) is int and type(back["mean"]) is float
+        assert type(back["half"]) is float and type(back["curve"]) is list
+
     def test_invalid_store_arguments_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="busy_timeout_s"):
             ResultStore(tmp_path / "r.sqlite", busy_timeout_s=-1)
@@ -412,6 +429,67 @@ class TestSweepCLI:
         # ablation block says repetitions=1 and table1 inherits the sweep
         # default of 2, but --reps 1 forces one seed per grid point each.
         assert "2 cells" in out
+
+    def test_sweep_config_backend_pins_only_backend_aware_plans(self, tmp_path, monkeypatch):
+        from repro.harness.cli import main
+
+        def backendless(n: int = 64, repetitions: int = 1, seed: int = 0):
+            return run_ablation(n=n, repetitions=repetitions, seed=seed)
+
+        monkeypatch.setitem(
+            DEFAULT_REGISTRY._specs, "backendless", ExperimentSpec.from_callable("backendless", backendless)
+        )
+        config = tmp_path / "s.toml"
+        config.write_text(
+            '[sweep]\nname = "b"\nseed = 4\n'
+            '[[experiment]]\nname = "ablation"\n[experiment.grid]\nn = [64]\n'
+            '[[experiment]]\nname = "backendless"\n[experiment.grid]\nn = [64]\n'
+        )
+        store = tmp_path / "s.sqlite"
+        assert main(["sweep", "--config", str(config), "--store", str(store), "--backend", "engine"]) == 0
+        with ResultStore(store) as conn:
+            (pinned,) = conn.query(experiment="ablation")
+            (unpinned,) = conn.query(experiment="backendless")
+        assert pinned.params == {"n": 64, "backend": "engine"} and pinned.backend == "engine"
+        assert unpinned.params == {"n": 64} and unpinned.backend is None
+
+    def test_sweep_spec_backend_overrides_every_run(self, tmp_path):
+        from repro.api import RunSpec
+        from repro.harness.cli import main
+
+        specs = tmp_path / "runs.toml"
+        specs.write_text(
+            '[[run]]\nprotocol = "drr-gossip"\nbackend = "vectorized"\nseed = 1\n[run.params]\nn = 64\n'
+            '[[run]]\nprotocol = "push-sum"\nseed = 2\n[run.params]\nn = 64\n'
+        )
+        store = tmp_path / "s.sqlite"
+        argv = ["sweep", "--spec", str(specs), "--store", str(store), "--backend", "engine", "--reps", "2"]
+        assert main(argv) == 0
+        with ResultStore(store) as conn:
+            rows = conn.query()
+        assert sorted(row.experiment for row in rows) == ["run:drr-gossip"] * 2 + ["run:push-sum"] * 2
+        assert len({(row.experiment, row.seed) for row in rows}) == 4
+        for row in rows:
+            assert row.backend == "engine" and row.params["backend"] == "engine"
+            assert RunSpec.from_json(row.spec_json).backend == "engine"
+
+    def test_sweep_config_reps_override_file_repetitions(self, tmp_path):
+        """``--reps`` beats the sweep-level default and each experiment's own count."""
+        from repro.harness.cli import main
+
+        config = tmp_path / "s.toml"
+        config.write_text(
+            '[sweep]\nname = "r"\nseed = 4\nrepetitions = 3\n'
+            '[[experiment]]\nname = "ablation"\nrepetitions = 2\n[experiment.grid]\nn = [64, 128]\n'
+            '[[experiment]]\nname = "forest"\n[experiment.grid]\nns = [64]\n'
+        )
+        store = tmp_path / "s.sqlite"
+        assert main(["sweep", "--config", str(config), "--store", str(store), "--reps", "1"]) == 0
+        with ResultStore(store) as conn:
+            ablation = conn.query(experiment="ablation")
+            forest = conn.query(experiment="forest")
+        assert sorted(row.params["n"] for row in ablation) == [64, 128]
+        assert [row.params["ns"] for row in forest] == [[64]]
 
     def test_sweep_cli_rejects_bad_config_cleanly(self, tmp_path, capsys):
         from repro.harness.cli import main
