@@ -31,8 +31,8 @@ same structure and the same asymptotic accounting:
   among leaders, broadcast back), all ``O(n)`` messages.
 
 The measured rows reproduce Kashyap et al.'s complexity *shape* -- which is
-what Table 1 compares -- not their exact constants.  DESIGN.md lists this as
-substitution S1.
+what Table 1 compares -- not their exact constants: this module substitutes
+for their protocol rather than transcribing it.
 
 Backends
 --------

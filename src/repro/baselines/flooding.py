@@ -168,7 +168,6 @@ def _flood_max_engine(
         metrics=metrics,
         failure_model=failure_model,
         alive=np.ones(n, dtype=bool),
-        neighbor_fn=topology.neighbors,
         loss_oracle=oracle,
         max_substeps=2,
         max_rounds=max_rounds,

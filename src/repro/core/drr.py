@@ -11,7 +11,8 @@ the execution kernel:
 
 * ``"vectorized"`` -- the columnar kernel: each probing round is one batch
   of targets / losses / rank comparisons over all still-searching nodes.
-  Used by the large-``n`` scaling sweeps (Theorems 2-4, E2-E4 in DESIGN.md).
+  Used by the large-``n`` scaling sweeps (Theorems 2-4: the ``forest``
+  experiment, E2-E4).
 * ``"engine"`` -- :class:`DRRNode` state machines on the message-level
   simulator; probes, rank replies, and connection messages are individual
   messages.  Used by the fidelity and failure-injection tests.
@@ -25,7 +26,7 @@ Message accounting (both backends): each probe is one PROBE message plus one
 RANK reply (if the probe arrived), and each successful attachment sends one
 CONNECT message.  Total messages are therefore ~2x the number of probes,
 which keeps the ``O(n log log n)`` shape of Theorem 4 (the paper charges one
-message per probe; the factor of two is explicitly called out in DESIGN.md).
+message per probe, so measured totals carry a constant factor of two).
 """
 
 from __future__ import annotations

@@ -236,7 +236,6 @@ def _local_drr_engine(
         metrics=metrics,
         failure_model=failure_model,
         alive=alive,
-        neighbor_fn=topology.neighbors,
         loss_oracle=oracle,
         max_substeps=2,
         max_rounds=4,

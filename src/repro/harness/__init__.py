@@ -2,7 +2,6 @@
 
 from .experiments import (
     DEFAULT_NS,
-    EXPERIMENT_DRIVERS,
     ExperimentResult,
     run_ablation,
     run_chord_comparison,
@@ -16,19 +15,12 @@ from .experiments import (
     run_phase_breakdown,
     run_table1,
 )
-from .report import (
-    load_json,
-    write_csv,
-    write_json,
-    write_markdown_report,
-    write_markdown_report_from_store,
-)
-from .tables import format_float, format_markdown_table, format_table
+from .report import write_markdown_report, write_markdown_report_from_store
+from .tables import format_float, format_markdown_table
 from .workloads import WORKLOADS, make_values, workload_names
 
 __all__ = [
     "DEFAULT_NS",
-    "EXPERIMENT_DRIVERS",
     "ExperimentResult",
     "run_ablation",
     "run_chord_comparison",
@@ -41,14 +33,10 @@ __all__ = [
     "run_lower_bound_experiment",
     "run_phase_breakdown",
     "run_table1",
-    "load_json",
-    "write_csv",
-    "write_json",
     "write_markdown_report",
     "write_markdown_report_from_store",
     "format_float",
     "format_markdown_table",
-    "format_table",
     "WORKLOADS",
     "make_values",
     "workload_names",

@@ -1,6 +1,6 @@
 """Command-line interface: ``drr-gossip <command>`` (or ``python -m repro``).
 
-The CLI is a thin veneer over :mod:`repro.harness.experiments` and the
+The CLI is a thin veneer over the run API (:mod:`repro.api`) and the
 orchestration subsystem (:mod:`repro.orchestration`); it exists so a
 downstream user can regenerate the paper's tables (the sweep in
 ``examples/sweeps/paper.toml``, rendered by ``drr-gossip results
@@ -20,13 +20,17 @@ Run any protocol from a declarative spec file, and inspect/validate specs::
     drr-gossip spec show examples/specs/average.toml
     drr-gossip spec validate examples/specs/*.toml examples/sweeps/*.toml
 
-Regenerate the Table 1 measurement at small scale::
-
-    drr-gossip table1 --ns 256 512 1024 --reps 2
-
 Run a parameter sweep in parallel, persisting every cell to SQLite (an
 immediate re-run skips all completed cells); without ``--config`` or
-``--experiments`` it runs every registered experiment at its defaults::
+``--experiments`` it runs every registered experiment at its defaults.
+Regenerate the Table 1 measurement at small scale, then render it::
+
+    drr-gossip sweep --experiments table1 --ns 256 512 1024 --reps 2
+    drr-gossip results --markdown results/report.md
+
+``--ns`` reaches the experiments that take a size vector; any other driver
+argument (ablation's ``n``, a driver's own ``repetitions``) goes in a sweep
+file's grid::
 
     drr-gossip sweep --experiments table1 forest --ns 256 512 --reps 3 --jobs 4
     drr-gossip sweep --config examples/sweeps/quick.toml --jobs 4
@@ -73,21 +77,14 @@ from ..orchestration import (
     load_sweep,
     print_progress,
 )
-from ..orchestration.store import DEFAULT_MAX_ATTEMPTS
 from ..simulator import ConfigurationError, FailureModel
-from . import experiments  # noqa: F401  (import registers the drivers)
-from .report import write_json, write_markdown_report_from_store
+from .report import write_markdown_report_from_store
 from .workloads import workload_names
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
+__all__ = ["main", "build_parser"]
 
 #: Default location of the sweep result store.
 DEFAULT_STORE = "results/results.sqlite"
-
-#: experiment name -> driver callable, backed by the orchestration registry.
-#: Kept as a plain mapping for backwards compatibility with callers that did
-#: ``from repro.harness.cli import EXPERIMENTS``.
-EXPERIMENTS = {spec.name: spec.driver for spec in load_builtin_experiments()}
 
 
 def _backend(name: str) -> str:
@@ -166,19 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a live [heartbeat] progress line to stderr every SECS seconds",
     )
 
-    for spec in load_builtin_experiments():
-        exp = sub.add_parser(spec.name, help=spec.description)
-        exp.add_argument("--seed", type=int, default=None)
-        exp.add_argument("--reps", type=int, default=None, help="repetitions per configuration")
-        exp.add_argument("--ns", type=int, nargs="+", default=None, help="network sizes to sweep")
-        exp.add_argument("--json", type=str, default=None, help="write the result to this JSON path")
-        if "backend" in spec.param_names:
-            _add_backend_option(
-                exp,
-                None,
-                "execution substrate for this experiment (recorded in the result parameters)",
-            )
-
     sweep = sub.add_parser(
         "sweep",
         help="run a parameter sweep in parallel, persisting every cell to the result store",
@@ -197,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="NAME",
-        help="experiments to sweep when no --config is given (default: all registered)",
+        help="experiments to sweep when no --config is given (default: all of "
+        + ", ".join(spec.name for spec in load_builtin_experiments())
+        + ")",
     )
     sweep.add_argument("--ns", type=int, nargs="+", default=None, help="network-size vector for experiments that take one")
     sweep.add_argument("--reps", type=int, default=None, help="repetitions (seeds) per grid point")
@@ -218,11 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-skip",
         action="store_true",
         help="re-execute cells even when the store already has their results",
-    )
-    sweep.add_argument(
-        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-        help="claims per cell before it is marked failed: a cell whose drain dies "
-        "(or that kills it) is claimed again until then",
     )
 
     spec = sub.add_parser("spec", help="inspect and validate declarative spec/sweep files")
@@ -310,30 +291,6 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(name: str, args: argparse.Namespace) -> int:
-    fn = EXPERIMENTS[name]
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.reps is not None:
-        kwargs["repetitions"] = args.reps
-    if getattr(args, "backend", None) is not None:
-        kwargs["backend"] = args.backend
-    if args.ns is not None:
-        if name == "ablation":
-            kwargs["n"] = args.ns[0]
-        else:
-            kwargs["ns"] = tuple(args.ns)
-    result = fn(**kwargs)
-    print(result.table())
-    for note in result.notes:
-        print(f"note: {note}")
-    if args.json:
-        path = write_json(result, args.json)
-        print(f"wrote {path}")
-    return 0
-
-
 def _apply_backend(definition: SweepDefinition, backend: str) -> SweepDefinition:
     """Pin the substrate backend on every backend-aware plan of a sweep."""
     registry = load_builtin_experiments()
@@ -406,7 +363,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             store,
             jobs=args.jobs,
             skip_completed=not args.no_skip,
-            max_attempts=args.max_attempts,
             progress=print_progress,
         )
         report = runner.run_cells(cells, name=name)
@@ -536,8 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_spec_tools(args)
     if args.command == "results":
         return _run_results(args)
-    if args.command in EXPERIMENTS:
-        return _run_experiment(args.command, args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

@@ -4,10 +4,11 @@ The paper-scale grid over all of them is ``examples/sweeps/paper.toml``;
 ``drr-gossip results --markdown`` renders the stored rows as tables.
 
 Every driver returns an :class:`ExperimentResult` holding the raw rows (a
-list of plain dicts so they serialise to JSON/CSV without ceremony), the
-table headers, and enough metadata (seed, parameters) to replay the run.
-The CLI, the sweep registry and the claim tests (``tests/test_claims.py``)
-call these functions; the heavy lifting stays importable and unit-testable.
+list of plain dicts so they serialise to JSON without ceremony), the table
+headers, and enough metadata (seed, parameters) to replay the run.  Each
+driver registers itself under its experiment name with
+``@register_experiment``; sweeps run it by that name, and the claim tests
+(``tests/test_claims.py``) call it directly with an exact seed.
 
 Protocol executions go through the declarative run API: a driver builds a
 :class:`~repro.api.RunSpec` per (configuration, repetition) — with a seed
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,17 +43,16 @@ from ..core import (
     run_local_drr,
 )
 from ..core.drr_gossip import broadcast_root_addresses  # reused forwarding-table builder
-from ..orchestration import registry
+from ..orchestration.registry import register_experiment
 from ..simulator import FailureModel, MetricsCollector
 from ..simulator.rng import RngStream, derive_seed
 from ..substrate import run_chord_lookups
 from ..topology import ChordNetwork
-from .tables import format_markdown_table, format_table
+from .tables import format_markdown_table
 from .workloads import make_values
 
 __all__ = [
     "ExperimentResult",
-    "EXPERIMENT_DRIVERS",
     "run_table1",
     "run_forest_statistics",
     "run_gossip_max_convergence",
@@ -84,21 +84,8 @@ class ExperimentResult:
     parameters: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
-    def table(self) -> str:
-        return format_table(self.headers, [[row.get(h, "") for h in self.headers] for row in self.rows], title=self.description)
-
     def markdown(self) -> str:
         return format_markdown_table(self.headers, [[row.get(h, "") for h in self.headers] for row in self.rows])
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "description": self.description,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "notes": self.notes,
-        }
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
@@ -107,6 +94,7 @@ class ExperimentResult:
 # --------------------------------------------------------------------------- #
 # E1: Table 1
 # --------------------------------------------------------------------------- #
+@register_experiment("table1")
 def run_table1(
     ns: Sequence[int] = DEFAULT_NS,
     repetitions: int = 3,
@@ -230,6 +218,7 @@ def run_table1(
 # --------------------------------------------------------------------------- #
 # E2-E4: forest statistics and DRR complexity (Theorems 2-4)
 # --------------------------------------------------------------------------- #
+@register_experiment("forest")
 def run_forest_statistics(
     ns: Sequence[int] = DEFAULT_NS,
     repetitions: int = 5,
@@ -289,6 +278,7 @@ def run_forest_statistics(
 # --------------------------------------------------------------------------- #
 # E5: Gossip-max convergence (Theorems 5-6)
 # --------------------------------------------------------------------------- #
+@register_experiment("gossip-max")
 def run_gossip_max_convergence(
     ns: Sequence[int] = (256, 1024, 4096),
     deltas: Sequence[float] = (0.0, 0.05, 0.1),
@@ -352,6 +342,7 @@ def run_gossip_max_convergence(
 # --------------------------------------------------------------------------- #
 # E6: Gossip-ave convergence (Theorems 7 & 10)
 # --------------------------------------------------------------------------- #
+@register_experiment("gossip-ave")
 def run_gossip_ave_convergence(
     ns: Sequence[int] = (256, 1024, 4096),
     workloads: Sequence[str] = ("uniform", "bimodal", "signed", "zero-mean"),
@@ -422,6 +413,7 @@ def run_gossip_ave_convergence(
 # --------------------------------------------------------------------------- #
 # E7: end-to-end accuracy of every aggregate
 # --------------------------------------------------------------------------- #
+@register_experiment("end-to-end")
 def run_end_to_end_accuracy(
     ns: Sequence[int] = (256, 1024),
     repetitions: int = 3,
@@ -473,6 +465,7 @@ def run_end_to_end_accuracy(
 # --------------------------------------------------------------------------- #
 # E8: Local-DRR on sparse graphs (Theorems 11 & 13)
 # --------------------------------------------------------------------------- #
+@register_experiment("local-drr")
 def run_local_drr_statistics(
     ns: Sequence[int] = (256, 1024, 4096),
     families: Sequence[str] = ("ring", "grid", "regular4", "hypercube", "erdos-renyi"),
@@ -521,6 +514,7 @@ def run_local_drr_statistics(
 # --------------------------------------------------------------------------- #
 # E9: DRR-gossip vs uniform gossip on Chord (Theorem 14 / Section 4)
 # --------------------------------------------------------------------------- #
+@register_experiment("chord")
 def run_chord_comparison(
     ns: Sequence[int] = (128, 256, 512, 1024),
     repetitions: int = 3,
@@ -616,6 +610,7 @@ def run_chord_comparison(
 # --------------------------------------------------------------------------- #
 # E10: address-oblivious lower bound (Theorem 15)
 # --------------------------------------------------------------------------- #
+@register_experiment("lower-bound")
 def run_lower_bound_experiment(
     ns: Sequence[int] = (128, 256, 512, 1024),
     repetitions: int = 3,
@@ -686,6 +681,7 @@ def run_lower_bound_experiment(
 # --------------------------------------------------------------------------- #
 # E11: per-phase message breakdown (Section 3.5 accounting)
 # --------------------------------------------------------------------------- #
+@register_experiment("phase-breakdown")
 def run_phase_breakdown(
     ns: Sequence[int] = (256, 1024, 4096),
     repetitions: int = 3,
@@ -729,6 +725,7 @@ def run_phase_breakdown(
 # --------------------------------------------------------------------------- #
 # E12: ablations of the design choices
 # --------------------------------------------------------------------------- #
+@register_experiment("ablation")
 def run_ablation(
     n: int = 2048,
     repetitions: int = 3,
@@ -801,6 +798,7 @@ def run_ablation(
 # --------------------------------------------------------------------------- #
 # E13: degradation under mid-run churn
 # --------------------------------------------------------------------------- #
+@register_experiment("churn-degradation")
 def run_churn_degradation(
     n: int = 1024,
     churn_rates: Sequence[float] = (0.0, 0.002, 0.005, 0.01, 0.02),
@@ -880,28 +878,3 @@ def run_churn_degradation(
             "backend": backend,
         },
     )
-
-
-# --------------------------------------------------------------------------- #
-# registry wiring
-# --------------------------------------------------------------------------- #
-#: CLI/sweep name -> driver.  Importing this module registers every driver on
-#: the default orchestration registry, which is what lets sweep workers (and
-#: the CLI) resolve drivers by name alone.
-EXPERIMENT_DRIVERS: dict[str, Callable[..., ExperimentResult]] = {
-    "table1": run_table1,
-    "forest": run_forest_statistics,
-    "gossip-max": run_gossip_max_convergence,
-    "gossip-ave": run_gossip_ave_convergence,
-    "end-to-end": run_end_to_end_accuracy,
-    "local-drr": run_local_drr_statistics,
-    "chord": run_chord_comparison,
-    "lower-bound": run_lower_bound_experiment,
-    "phase-breakdown": run_phase_breakdown,
-    "ablation": run_ablation,
-    "churn-degradation": run_churn_degradation,
-}
-
-for _name, _driver in EXPERIMENT_DRIVERS.items():
-    if _name not in registry.DEFAULT_REGISTRY:
-        registry.register_experiment(_name, _driver)

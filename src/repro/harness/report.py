@@ -1,52 +1,19 @@
-"""Serialisation of experiment results (JSON / CSV / markdown).
+"""Markdown reports of experiment results.
 
-An experiment subcommand writes its result as JSON (``--json``); the
-markdown report renders every experiment stored by a sweep, so the paper's
+The report renders every experiment stored by a sweep, so the paper's
 tables regenerate from two commands: ``drr-gossip sweep --config
 examples/sweeps/paper.toml``, then ``drr-gossip results --markdown``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable
 
 from .experiments import ExperimentResult
 
-__all__ = [
-    "write_json",
-    "write_csv",
-    "write_markdown_report",
-    "write_markdown_report_from_store",
-    "load_json",
-]
-
-
-def write_json(result: ExperimentResult, path: str | Path) -> Path:
-    """Write one experiment result to a JSON file and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result.as_dict(), indent=2, default=float) + "\n")
-    return path
-
-
-def load_json(path: str | Path) -> dict:
-    """Load a previously written experiment result."""
-    return json.loads(Path(path).read_text())
-
-
-def write_csv(result: ExperimentResult, path: str | Path) -> Path:
-    """Write the experiment rows to a CSV file with the experiment's headers."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=result.headers, extrasaction="ignore")
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(row)
-    return path
+__all__ = ["write_markdown_report", "write_markdown_report_from_store"]
 
 
 def write_markdown_report(results: Iterable[ExperimentResult], path: str | Path, title: str = "Experiment report") -> Path:

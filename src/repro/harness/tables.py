@@ -1,6 +1,6 @@
-"""Plain-text and markdown table rendering for experiment reports.
+"""Markdown table rendering for experiment reports.
 
-The harness prints tables in the same spirit as the paper's Table 1: one row
+The harness renders tables in the same spirit as the paper's Table 1: one row
 per algorithm (or per network size), columns for time and message complexity,
 plus measured-to-predicted ratios.  The renderer is dependency-free.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_float"]
+__all__ = ["format_markdown_table", "format_float"]
 
 
 def format_float(value: float, digits: int = 3) -> str:
@@ -34,27 +34,6 @@ def _stringify_rows(rows: Iterable[Sequence[object]]) -> list[list[str]]:
     for row in rows:
         out.append([cell if isinstance(cell, str) else format_float(cell) for cell in row])
     return out
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str | None = None) -> str:
-    """Render an aligned plain-text table."""
-    str_rows = _stringify_rows(rows)
-    headers = [str(h) for h in headers]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError("every row must have exactly one cell per header")
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    sep = "-+-".join("-" * w for w in widths)
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in str_rows:
-        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -21,7 +21,7 @@ Typical use::
         ResultStore, SweepDefinition, SweepRunner, load_sweep,
     )
 
-    definition = load_sweep("sweeps/quick.toml")
+    definition = load_sweep("examples/sweeps/quick.toml")
     with ResultStore("results/results.sqlite") as store:
         report = SweepRunner(store, jobs=4).run(definition)
     print(report.summary())

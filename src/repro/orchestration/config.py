@@ -4,7 +4,7 @@ A sweep file names a master seed, a repetition count, and one block per
 experiment with an optional parameter grid, so paper-scale grids live in
 versioned files instead of one-off argparse invocations::
 
-    # sweeps/quick.toml
+    # examples/sweeps/quick.toml
     [sweep]
     name = "quick"
     seed = 1
@@ -128,15 +128,27 @@ class SweepDefinition:
         ``grid`` (if given) is applied to every experiment, dropping entries
         a given experiment does not accept — this is what lets
         ``drr-gossip sweep --experiments table1 ablation --ns 64 128`` work
-        even though ``ablation`` takes ``n`` rather than ``ns``.
+        even though ``ablation`` takes ``n`` rather than ``ns``.  An entry
+        that no named experiment accepts is an error, not a silent no-op.
         """
         from .registry import get_experiment
 
-        plans = []
-        for exp_name in experiments:
-            spec = get_experiment(exp_name)
-            subgrid = {k: v for k, v in (grid or {}).items() if k in spec.param_names}
-            plans.append(ExperimentPlan(experiment=exp_name, grid=subgrid))
+        specs = [get_experiment(exp_name) for exp_name in experiments]
+        grid = grid or {}
+        for key in grid:
+            if not any(key in spec.param_names for spec in specs):
+                takes = "; ".join(f"{spec.name} takes {', '.join(spec.param_names)}" for spec in specs)
+                raise ValueError(
+                    f"--{key} reaches none of the named experiments ({takes}); "
+                    "put their grid in a --config sweep file (see examples/sweeps/quick.toml)"
+                )
+        plans = [
+            ExperimentPlan(
+                experiment=spec.name,
+                grid={k: v for k, v in grid.items() if k in spec.param_names},
+            )
+            for spec in specs
+        ]
         return cls(name=name, plans=tuple(plans), seed=seed, repetitions=repetitions)
 
 

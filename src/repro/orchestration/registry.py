@@ -1,16 +1,17 @@
 """Declarative experiment registry.
 
-The registry is the single source of truth for "what experiments exist":
-the CLI builds its subcommands from it, the sweep runner resolves drivers
-through it (including inside worker processes, where callables cannot be
-pickled by name), and the report writer uses its descriptions.
+The registry is the one map from experiment names to drivers: sweep
+definitions and ``drr-gossip sweep --experiments`` name experiments through
+it, and the sweep runner resolves drivers through it (including inside
+queue drains, where a cell carries only the experiment's name).
 
 An :class:`ExperimentSpec` couples a name with a driver callable and a
 typed parameter specification derived from the driver's signature, so a
 sweep definition can be validated and grid-expanded *before* any cell
-runs.  Drivers register themselves at import time (see
-:mod:`repro.harness.experiments`); :func:`load_builtin_experiments`
-triggers that import lazily so this module stays dependency-free.
+runs.  Drivers register themselves where they are defined, with
+``@register_experiment(name)`` (see :mod:`repro.harness.experiments`);
+:func:`load_builtin_experiments` triggers that import lazily so this module
+stays dependency-free.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ class ExperimentSpec:
 
     name: str
     driver: Callable[..., Any]
-    description: str
     params: tuple[ParamSpec, ...] = ()
 
     @classmethod
-    def from_callable(cls, name: str, driver: Callable[..., Any], description: str | None = None) -> "ExperimentSpec":
+    def from_callable(cls, name: str, driver: Callable[..., Any]) -> "ExperimentSpec":
         """Derive the parameter spec from the driver's signature.
 
         Every keyword parameter with a default (except ``seed``, which the
@@ -102,10 +102,7 @@ class ExperimentSpec:
                     is_sequence=isinstance(param.default, (list, tuple)),
                 )
             )
-        if description is None:
-            doc = inspect.getdoc(driver) or name
-            description = doc.splitlines()[0]
-        return cls(name=name, driver=driver, description=description, params=tuple(params))
+        return cls(name=name, driver=driver, params=tuple(params))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -164,19 +161,16 @@ class ExperimentRegistry:
     def __init__(self) -> None:
         self._specs: dict[str, ExperimentSpec] = {}
 
-    def register(self, name: str, driver: Callable[..., Any] | None = None, *, description: str | None = None):
-        """Register a driver under ``name``; usable directly or as a decorator."""
+    def register(self, name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+        """Decorator: register the decorated driver under ``name``."""
 
         def _register(fn: Callable[..., Any]) -> Callable[..., Any]:
             if name in self._specs and self._specs[name].driver is not fn:
                 raise ValueError(f"experiment {name!r} is already registered")
-            self._specs[name] = ExperimentSpec.from_callable(name, fn, description)
+            self._specs[name] = ExperimentSpec.from_callable(name, fn)
             return fn
 
-        if driver is None:
-            return _register
-        _register(driver)
-        return driver
+        return _register
 
     def get(self, name: str) -> ExperimentSpec:
         try:
@@ -185,23 +179,17 @@ class ExperimentRegistry:
             known = ", ".join(sorted(self._specs)) or "none registered"
             raise KeyError(f"unknown experiment {name!r} (known: {known})") from None
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._specs
-
     def __iter__(self) -> Iterator[ExperimentSpec]:
         return iter(self._specs.values())
 
-    def __len__(self) -> int:
-        return len(self._specs)
 
-
-#: The process-wide registry the CLI, runner, and benchmarks share.
+#: The process-wide registry the CLI and the sweep runner share.
 DEFAULT_REGISTRY = ExperimentRegistry()
 
 
-def register_experiment(name: str, driver: Callable[..., Any] | None = None, *, description: str | None = None):
-    """Register an experiment on the default registry (decorator-friendly)."""
-    return DEFAULT_REGISTRY.register(name, driver, description=description)
+def register_experiment(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Decorator: register the decorated driver on the default registry as ``name``."""
+    return DEFAULT_REGISTRY.register(name)
 
 
 def load_builtin_experiments() -> ExperimentRegistry:

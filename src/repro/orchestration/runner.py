@@ -51,7 +51,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..observability.logs import get_logger
 from ..simulator.rng import RngStream, derive_seed
 from .config import SweepDefinition
-from .registry import ExperimentRegistry, load_builtin_experiments
+from .registry import load_builtin_experiments
 from .store import (
     DEFAULT_MAX_ATTEMPTS,
     QueuedCell,
@@ -164,17 +164,14 @@ class SweepReport:
         )
 
 
-def expand_cells(
-    definition: SweepDefinition,
-    registry: ExperimentRegistry | None = None,
-) -> list[SweepCell]:
+def expand_cells(definition: SweepDefinition) -> list[SweepCell]:
     """Expand a sweep definition into its full, deterministic cell list.
 
     Cell seeds depend only on (master seed, experiment, param hash, rep), so
     adding an experiment to a sweep file never changes the seeds — and hence
     the stored results — of the existing ones.
     """
-    registry = registry if registry is not None else load_builtin_experiments()
+    registry = load_builtin_experiments()
     stream = RngStream(definition.seed)
     cells: list[SweepCell] = []
     for plan in definition.plans:
@@ -305,27 +302,20 @@ class SweepRunner:
         *,
         jobs: int = 1,
         skip_completed: bool = True,
-        registry: ExperimentRegistry | None = None,
         progress: Callable[[CellOutcome, int, int], None] | None = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.store = store
         self.jobs = jobs
         self.skip_completed = skip_completed
-        self.registry = registry
         self.progress = progress
-        #: claims per cell before it is marked failed
-        self.max_attempts = int(max_attempts)
         #: duplicate cells (identical serialised spec) keyed by the spec of
         #: their executed representative; rebuilt on every enqueue call
         self._dupes: dict[str, list[SweepCell]] = {}
 
     def run(self, definition: SweepDefinition) -> SweepReport:
-        return self.run_cells(expand_cells(definition, self.registry), name=definition.name)
+        return self.run_cells(expand_cells(definition), name=definition.name)
 
     def run_cells(self, cells: Sequence[SweepCell], name: str = "cells") -> SweepReport:
         """Execute an explicit cell list (sweep definitions and spec files both land here)."""
@@ -379,7 +369,7 @@ class SweepRunner:
         return QueueWorker(
             store,
             worker_id=worker_id,
-            max_attempts=self.max_attempts,
+            max_attempts=DEFAULT_MAX_ATTEMPTS,
             skip_completed=self.skip_completed,
             progress=progress,
         )

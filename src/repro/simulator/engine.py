@@ -163,7 +163,7 @@ class SynchronousEngine:
         self, messages: list[Message], ctx: RoundContext, substep: int
     ) -> list[Message]:
         """Deliver a batch and gather the replies it provokes."""
-        arrived = self.network.deliver(messages, self.metrics, self.rng)
+        arrived = self.network.deliver(messages, self.metrics)
         if self.tracer.enabled:
             arrived_set = {id(m) for m in arrived}
             for message in messages:

@@ -67,8 +67,8 @@ class MetricsCollector:
 
     A collector always has a *current phase*; protocols switch phases with
     :meth:`begin_phase` (e.g. ``"drr"``, ``"convergecast"``, ``"gossip"``),
-    and the per-phase breakdown is what the Section 3.5 experiment (E11 in
-    DESIGN.md) reports.
+    and the per-phase breakdown is what the Section 3.5 experiment
+    (``phase-breakdown``, E11) reports.
     """
 
     DEFAULT_PHASE = "default"
@@ -217,9 +217,9 @@ class MetricsCollector:
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's counts into this one, phase by phase.
 
-        Used by composite protocols (DRR-gossip-ave runs Gossip-max,
-        Gossip-ave and Data-spread back to back) so the final result exposes
-        one coherent breakdown.
+        Each phase of ``other`` lands in this collector's phase of the same
+        name (created if missing), with rounds, messages, losses, words and
+        per-kind counts summed.
         """
         for phase in other.phases():
             mine = self._ensure_phase(phase.name)

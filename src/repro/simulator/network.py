@@ -1,15 +1,16 @@
-"""The network: node population, topology view, and message delivery.
+"""The network: node population, failures, and message delivery.
 
 ``Network`` owns the things that exist independently of any one protocol:
-which nodes exist, which of them crashed before round 1, which pairs may
-communicate directly, and the failure model applied to every transmission.
-The :class:`~repro.simulator.engine.SynchronousEngine` drives protocols on
-top of it.
+which nodes exist, which of them crashed before round 1, and the failure
+model applied to every transmission.  Who may contact whom is the nodes'
+own business: a node on a sparse topology receives its neighbours when it
+is built.  The :class:`~repro.simulator.engine.SynchronousEngine` drives
+protocols on top of it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ __all__ = ["Network"]
 
 
 class Network:
-    """A population of ``n`` nodes with a topology and a failure model.
+    """A population of ``n`` nodes with a failure model.
 
     Parameters
     ----------
@@ -31,11 +32,6 @@ class Network:
     failure_model:
         The :class:`FailureModel` applied to every transmission; defaults to
         a perfectly reliable network.
-    neighbor_fn:
-        Optional callable mapping a node id to the sequence of ids it can
-        contact directly.  ``None`` means the complete graph (the model of
-        Sections 2-3); Section 4 experiments pass an adjacency lookup from
-        :mod:`repro.topology`.
     rng:
         Generator used to sample initial crashes and message losses.
     alive:
@@ -69,7 +65,6 @@ class Network:
         self,
         n: int,
         failure_model: FailureModel | None = None,
-        neighbor_fn: Callable[[int], Sequence[int]] | None = None,
         rng: np.random.Generator | None = None,
         alive: np.ndarray | None = None,
         loss_oracle: LossOracle | None = None,
@@ -81,7 +76,6 @@ class Network:
             raise ConfigurationError(f"network needs at least one node, got n={n}")
         self.n = int(n)
         self.failure_model = failure_model or FailureModel()
-        self.neighbor_fn = neighbor_fn
         self._rng = rng if rng is not None else np.random.default_rng()
         if alive is not None:
             alive = np.asarray(alive, dtype=bool)
@@ -149,30 +143,12 @@ class Network:
             raise UnknownNodeError(node_id)
 
     # ------------------------------------------------------------------ #
-    # topology
-    # ------------------------------------------------------------------ #
-    @property
-    def is_complete_graph(self) -> bool:
-        return self.neighbor_fn is None
-
-    def neighbors(self, node_id: int) -> Sequence[int]:
-        """Nodes that ``node_id`` can contact directly."""
-        self._check_id(node_id)
-        if self.neighbor_fn is None:
-            # Complete graph: everyone except yourself.  Materialising the
-            # list is only done on demand; protocols on the complete graph
-            # normally use RoundContext.random_node instead.
-            return [i for i in range(self.n) if i != node_id]
-        return self.neighbor_fn(node_id)
-
-    # ------------------------------------------------------------------ #
     # delivery
     # ------------------------------------------------------------------ #
     def deliver(
         self,
         messages: Sequence[Message],
         metrics: MetricsCollector,
-        rng: np.random.Generator | None = None,
     ) -> list[Message]:
         """Apply the failure model to a batch of messages.
 
@@ -186,15 +162,13 @@ class Network:
         identity (round, kind, sender, recipient, nonce), so the fate of a
         message is independent of its position in the batch -- the property
         that keeps the engine exactly equivalent to the columnar backend on
-        lossy networks.  ``rng`` is accepted for signature compatibility but
-        no longer consumed here.
+        lossy networks.
 
         Fates for the whole batch are hashed in one vectorised
         :meth:`LossOracle.sample_salted` call (one chunk per delivery batch
         rather than one Python-level hash per message); accounting is
         charged per ``(kind, payload_words)`` group with identical totals.
         """
-        del rng  # loss fates are identity-keyed, not stream-drawn
         count = len(messages)
         if count == 0:
             return []
@@ -242,8 +216,7 @@ class Network:
         return [m for m, dead in zip(messages, undeliverable) if not dead]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        topo = "complete" if self.is_complete_graph else "sparse"
         return (
-            f"Network(n={self.n}, topology={topo}, alive={self.alive_count}, "
+            f"Network(n={self.n}, alive={self.alive_count}, "
             f"failures={self.failure_model.describe()})"
         )

@@ -113,7 +113,6 @@ class EngineKernel(Kernel):
         metrics: MetricsCollector,
         failure_model: FailureModel | None = None,
         alive: np.ndarray | None = None,
-        neighbor_fn: Callable[[int], Sequence[int]] | None = None,
         loss_oracle: LossOracle | None = None,
         loss_base_round: int = 0,
         churn_oracle: ChurnOracle | None = None,
@@ -142,7 +141,6 @@ class EngineKernel(Kernel):
         network = Network(
             len(nodes),
             failure_model=failure_model or FailureModel(),
-            neighbor_fn=neighbor_fn,
             rng=rng,
             alive=alive,
             loss_oracle=loss_oracle,

@@ -477,7 +477,6 @@ def _chord_lookups_engine(
         metrics=metrics,
         failure_model=failure_model,
         alive=np.ones(chord.n, dtype=bool),
-        neighbor_fn=lambda node_id: chord.neighbors(node_id),
         loss_oracle=oracle,
         max_substeps=2,
         max_rounds=chord.m + chord.n + 1,

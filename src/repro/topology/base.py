@@ -213,9 +213,5 @@ class Topology:
         graph.add_edges_from(self.edges())
         return graph
 
-    def neighbor_fn(self):
-        """Return the lookup callable the simulator's ``Network`` expects."""
-        return self.neighbors
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Topology(name={self.name!r}, n={self.n}, edges={self.edge_count})"

@@ -143,9 +143,9 @@ def erdos_renyi_graph(n: int, p: float, rng: np.random.Generator) -> Topology:
     return Topology.from_edge_arrays("erdos-renyi", n, upper[0][mask], upper[1][mask])
 
 
-#: Registry used by the CLI and the sweep drivers.  Values are callables
-#: ``(n, rng) -> Topology``; parameters beyond n use sensible defaults tied
-#: to the experiments in DESIGN.md.
+#: The graph families a :class:`~repro.api.TopologySpec` can name (run specs,
+#: and through them the ``local-drr`` experiment).  Values are callables
+#: ``(n, rng) -> Topology``; parameters beyond n have fixed defaults.
 GRAPH_FAMILIES = {
     "complete": lambda n, rng: complete_graph(n),
     "ring": lambda n, rng: ring_graph(n),

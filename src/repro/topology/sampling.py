@@ -4,8 +4,10 @@ Assumption (2) of Theorem 14 requires "a routing protocol which allows any
 node to communicate with a random node in the network in O(T) rounds and
 using O(M) messages whp".  On Chord the paper cites King et al.'s sampler
 (T = M = O(log n)); on general graphs the standard tool is a random walk of
-length proportional to the mixing time.  This module implements both so the
-sparse-network experiments can *measure* (T, M) instead of hard-coding them.
+length proportional to the mixing time.  This module implements both, so
+(T, M) can be measured instead of assumed; ``examples/p2p_chord.py``
+measures the Chord sampler's.  No experiment driver uses it: the ``chord``
+experiment measures routing cost with batched lookups instead.
 """
 
 from __future__ import annotations

@@ -86,9 +86,8 @@ class TestRemovedBackend:
         [
             ["run", "--n", "64"],
             ["sweep", "--experiments", "table1", "--store", ":memory:"],
-            ["table1", "--ns", "64"],
         ],
-        ids=["run", "sweep", "table1"],
+        ids=["run", "sweep"],
     )
     def test_cli_backend_option_naming_it_exits_with_the_reason(self, command, removed, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,28 +3,31 @@
 from __future__ import annotations
 
 import json
+import logging
+import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.harness import (
     ExperimentResult,
     format_float,
     format_markdown_table,
-    format_table,
     make_values,
     run_ablation,
     run_churn_degradation,
-    run_forest_statistics,
     run_lower_bound_experiment,
     run_table1,
     workload_names,
-    write_csv,
-    write_json,
     write_markdown_report,
 )
-from repro.harness import load_json
-from repro.harness.cli import EXPERIMENTS, build_parser, main
+from repro.harness.cli import build_parser, main
+from repro.orchestration import DEFAULT_REGISTRY, ResultStore
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestWorkloads:
@@ -60,16 +63,7 @@ class TestTables:
         assert format_float(float("inf")) == "inf"
         assert format_float("text") == "text"
 
-    def test_format_table_alignment(self):
-        out = format_table(["a", "bbb"], [[1, 2.5], [10, 3]], title="T")
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "bbb" in lines[1]
-        assert len(lines) == 5
-
     def test_row_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_table(["a"], [[1, 2]])
         with pytest.raises(ValueError):
             format_markdown_table(["a"], [[1, 2]])
 
@@ -87,7 +81,7 @@ class TestExperimentDrivers:
         assert algos == {"drr-gossip", "uniform-gossip", "efficient-gossip"}
         assert len(result.rows) == 6
         assert result.notes  # shape fits recorded
-        assert "drr-gossip" in result.table()
+        assert "drr-gossip" in result.markdown()
 
     def test_table1_uniform_gossip_uses_more_messages_at_scale(self):
         from repro.core import Aggregate
@@ -136,34 +130,55 @@ class TestExperimentDrivers:
 
     def test_experiment_result_helpers(self):
         result = run_ablation(n=128, repetitions=1, seed=9)
-        d = result.as_dict()
-        assert d["experiment"] == "E12-ablation"
+        assert result.experiment == "E12-ablation"
         assert result.markdown().startswith("|")
         assert len(result.column("trees")) == len(result.rows)
 
 
 class TestReports:
-    def test_json_csv_markdown_round_trip(self, tmp_path):
+    def test_markdown_report_has_a_section_per_result(self, tmp_path):
         result = run_ablation(n=128, repetitions=1, seed=10)
-        jpath = write_json(result, tmp_path / "out.json")
-        cpath = write_csv(result, tmp_path / "out.csv")
-        mpath = write_markdown_report([result], tmp_path / "report.md")
-        loaded = load_json(jpath)
-        assert loaded["experiment"] == "E12-ablation"
-        assert cpath.read_text().splitlines()[0].startswith("variant")
-        assert "E12-ablation" in mpath.read_text()
+        text = write_markdown_report([result], tmp_path / "report.md").read_text()
+        assert "## E12-ablation" in text
+        assert "| variant |" in text
 
-    def test_json_is_valid(self, tmp_path):
-        result = run_forest_statistics(ns=(128,), repetitions=1, seed=11)
-        path = write_json(result, tmp_path / "forest.json")
-        json.loads(path.read_text())
+
+@pytest.fixture
+def repro_log_level():
+    """``main`` sets the ``repro`` logger's level; put it back afterwards."""
+    logger = logging.getLogger("repro")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
+
+
+@pytest.fixture(scope="module")
+def mixed_store(tmp_path_factory):
+    """A store with one ok ``table1`` cell (run by ``sweep``) and one failed ``ablation`` cell."""
+    path = tmp_path_factory.mktemp("store") / "s.sqlite"
+    assert main(["sweep", "--experiments", "table1", "--ns", "64", "128", "--store", str(path)]) == 0
+    with ResultStore(path) as store:
+        store.record_failure("ablation", {"n": 64}, 5, "Traceback (most recent call last):\nRuntimeError: boom")
+    return str(path)
 
 
 class TestCLI:
-    def test_parser_lists_all_experiments(self):
-        parser = build_parser()
-        assert parser is not None
-        assert set(EXPERIMENTS) >= {"table1", "forest", "chord", "lower-bound", "ablation"}
+    def test_experiments_are_not_subcommands(self, capsys):
+        """An experiment runs through ``sweep``; its name is no command of its own."""
+        names = [spec.name for spec in DEFAULT_REGISTRY]
+        assert "table1" in names
+        for name in names:
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args([name, "--help"])
+            assert exited.value.code == 2
+        capsys.readouterr()
+
+    def test_quiet_and_verbose_set_the_repro_log_level(self, tmp_path, repro_log_level):
+        missing = str(tmp_path / "missing.sqlite")
+        assert main(["-q", "results", "--store", missing]) == 1
+        assert repro_log_level.level == logging.ERROR
+        assert main(["-v", "results", "--store", missing]) == 1
+        assert repro_log_level.level == logging.INFO
 
     def test_run_command(self, capsys):
         code = main(["run", "--n", "128", "--aggregate", "max", "--seed", "3"])
@@ -174,7 +189,6 @@ class TestCLI:
 
     def test_run_flags_run_the_spec_they_describe(self, capsys):
         """The flags are a spec: same outcome as ``repro.run`` of it."""
-        import repro
         from repro import RunSpec
         from repro.simulator import FailureModel
 
@@ -201,14 +215,58 @@ class TestCLI:
         code = main(["run", "--n", "64", "--aggregate", "rank", "--query", "50", "--seed", "3"])
         assert code == 0
 
-    def test_experiment_command_with_json(self, tmp_path, capsys):
-        code = main(["forest", "--ns", "64", "128", "--reps", "1", "--json", str(tmp_path / "f.json")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert (tmp_path / "f.json").exists()
-        assert "trees_mean" in out
+    def test_run_heartbeat_must_be_positive(self):
+        with pytest.raises(SystemExit, match="heartbeat interval must be positive"):
+            main(["run", "--n", "64", "--heartbeat", "0"])
 
-    def test_ablation_command(self, capsys):
-        code = main(["ablation", "--ns", "128", "--reps", "1"])
-        assert code == 0
-        assert "probe budget" in capsys.readouterr().out
+    def test_run_heartbeat_thread_ends_with_the_run(self, capsys):
+        assert main(["run", "--n", "64", "--heartbeat", "0.01"]) == 0
+        assert "repro-heartbeat" not in {thread.name for thread in threading.enumerate()}
+        capsys.readouterr()
+
+    def test_spec_show_prints_the_spec_hash(self, capsys):
+        path = EXAMPLES / "specs" / "average.toml"
+        assert main(["spec", "show", str(path)]) == 0
+        (shown,) = re.findall(r"spec_hash=(\w+)", capsys.readouterr().out)
+        assert shown == repro.load_spec(path).spec_hash()
+
+    def test_sweep_no_skip_reruns_every_cell(self, tmp_path, capsys):
+        store = str(tmp_path / "s.sqlite")
+        argv = ["sweep", "--experiments", "table1", "--ns", "64", "--reps", "2", "--store", store]
+        assert main(argv) == 0
+        assert "2 executed, 0 skipped" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "0 executed, 2 skipped" in capsys.readouterr().out
+        assert main([*argv, "--no-skip"]) == 0
+        assert "2 executed, 0 skipped" in capsys.readouterr().out
+
+    def test_results_markdown_renders_the_swept_table(self, mixed_store, tmp_path, capsys):
+        report = tmp_path / "report.md"
+        assert main(["results", "--store", mixed_store, "--markdown", str(report)]) == 0
+        text = report.read_text()
+        assert "## table1" in text
+        assert "| drr-gossip |" in text
+        capsys.readouterr()
+
+    def test_results_failed_prints_the_traceback(self, mixed_store, capsys):
+        assert main(["results", "--store", mixed_store]) == 0
+        assert "RuntimeError: boom" not in capsys.readouterr().out
+        assert main(["results", "--store", mixed_store, "--failed"]) == 0
+        out = capsys.readouterr().out
+        assert "FAILED ablation" in out
+        assert "RuntimeError: boom" in out
+
+    def test_results_json_holds_every_row(self, mixed_store, tmp_path, capsys):
+        path = tmp_path / "runs.json"
+        assert main(["results", "--store", mixed_store, "--json", str(path)]) == 0
+        rows = json.loads(path.read_text())
+        assert sorted((row["experiment"], row["status"]) for row in rows) == [
+            ("ablation", "failed"),
+            ("table1", "ok"),
+        ]
+        capsys.readouterr()
+
+    def test_results_experiment_filters_the_summary(self, mixed_store, capsys):
+        assert main(["results", "--store", mixed_store, "--experiment", "table1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["table1"]

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.harness.experiments import EXPERIMENT_DRIVERS, run_ablation
+from repro import harness
+from repro.harness.experiments import run_ablation
 from repro.orchestration import (
     DEFAULT_REGISTRY,
     ExperimentPlan,
@@ -20,6 +21,7 @@ from repro.orchestration import (
     cell_spec_json,
     expand_cells,
     get_experiment,
+    load_builtin_experiments,
     load_sweep,
     param_hash,
 )
@@ -31,10 +33,12 @@ from repro.simulator.rng import derive_seed
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_drivers_all_registered(self):
-        for name in EXPERIMENT_DRIVERS:
-            spec = get_experiment(name)
-            assert spec.driver is EXPERIMENT_DRIVERS[name]
-            assert spec.description
+        """Every driver the harness exports is registered once."""
+        exported = {name for name in harness.__all__ if name.startswith("run_")}
+        specs = list(load_builtin_experiments())
+        assert sorted(spec.driver.__name__ for spec in specs) == sorted(exported)
+        for spec in specs:
+            assert spec.driver is getattr(harness, spec.driver.__name__)
 
     def test_unknown_experiment_lists_known_names(self):
         with pytest.raises(KeyError, match="table1"):
@@ -52,15 +56,15 @@ class TestRegistry:
             return n
 
         with pytest.raises(TypeError, match="without default"):
-            registry.register("bad", bad_driver)
+            registry.register("bad")(bad_driver)
 
     def test_duplicate_registration_rejected(self):
         registry = ExperimentRegistry()
-        registry.register("x", run_ablation)
+        registry.register("x")(run_ablation)
         with pytest.raises(ValueError, match="already registered"):
-            registry.register("x", lambda seed=1: None)
+            registry.register("x")(lambda seed=1: None)
         # re-registering the same driver is idempotent, not an error
-        registry.register("x", run_ablation)
+        registry.register("x")(run_ablation)
 
     def test_grid_expansion_scalar_vs_sequence(self):
         spec = get_experiment("table1")
@@ -86,12 +90,6 @@ class TestRegistry:
         cells = spec.expand_grid({"delta": [0]})
         assert cells == [{"delta": 0.0}]
         assert isinstance(cells[0]["delta"], float)
-
-    def test_cli_experiments_mapping_backed_by_registry(self):
-        from repro.harness.cli import EXPERIMENTS
-
-        assert set(EXPERIMENTS) == set(EXPERIMENT_DRIVERS)
-        assert len(DEFAULT_REGISTRY) >= len(EXPERIMENT_DRIVERS)
 
 
 # --------------------------------------------------------------------------- #
@@ -397,7 +395,7 @@ class TestSweepCLI:
 
         store = str(tmp_path / "results.sqlite")
         argv = [
-            "sweep", "--experiments", "ablation", "--ns", "64",
+            "sweep", "--experiments", "ablation",
             "--reps", "2", "--seed", "11", "--jobs", "1", "--store", store,
         ]
         assert main(argv) == 0
@@ -513,6 +511,20 @@ class TestSweepCLI:
         assert main(["sweep", "--experiments", "ablation", "--jobs", "0", "--store", store]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "s.sqlite").exists()  # no store created on bad flags
+
+    def test_sweep_ns_that_no_named_experiment_takes_is_rejected(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        store = tmp_path / "s.sqlite"
+        assert main(["sweep", "--experiments", "ablation", "--ns", "64", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert "--ns reaches none of the named experiments" in err
+        assert "ablation takes n, repetitions, backend" in err
+        assert "--config" in err
+        assert not store.exists()
+        # one experiment that takes it is enough: the others run at their defaults
+        definition = SweepDefinition.from_experiments(["table1", "ablation"], grid={"ns": (64, 128)})
+        assert [dict(plan.grid) for plan in definition.plans] == [{"ns": (64, 128)}, {}]
 
     def test_results_without_store_errors(self, tmp_path, capsys):
         from repro.harness.cli import main

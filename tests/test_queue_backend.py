@@ -1072,8 +1072,6 @@ class TestQueueBackendRunner:
         with ResultStore(tmp_path / "r.sqlite") as store:
             with pytest.raises(ValueError, match="jobs"):
                 SweepRunner(store, jobs=0)
-            with pytest.raises(ValueError, match="max_attempts"):
-                SweepRunner(store, max_attempts=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -1241,7 +1239,7 @@ class TestQueueCLI:
     def test_sweep_with_forked_drains(self, tmp_path, capsys):
         store = str(tmp_path / "r.sqlite")
         assert main([
-            "sweep", "--experiments", "ablation", "--ns", "64", "--reps", "2",
+            "sweep", "--experiments", "ablation", "--reps", "2",
             "--seed", "11", "--store", store, "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out

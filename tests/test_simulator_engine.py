@@ -79,11 +79,6 @@ class TestNetwork:
         with pytest.raises(ConfigurationError):
             Network(0)
 
-    def test_complete_graph_neighbors(self):
-        net = Network(4, rng=np.random.default_rng(0))
-        assert net.neighbors(1) == [0, 2, 3]
-        assert net.is_complete_graph
-
     def test_unknown_node_rejected(self):
         net = Network(4, rng=np.random.default_rng(0))
         with pytest.raises(UnknownNodeError):

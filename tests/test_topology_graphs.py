@@ -52,11 +52,6 @@ class TestTopologyBase:
         assert back.edge_count == topo.edge_count
         assert back.n == topo.n
 
-    def test_neighbor_fn_is_callable(self):
-        topo = ring_graph(5)
-        fn = topo.neighbor_fn()
-        assert fn(0) == (1, 4)
-
 
 class TestGenerators:
     def test_complete_graph(self):
