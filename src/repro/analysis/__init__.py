@@ -1,18 +1,7 @@
-"""Analysis toolkit: theory predictions, scaling fits, statistics, lower bound."""
+"""Analysis toolkit: theory predictions, scaling fits, the Theorem 15 lower bound."""
 
 from .fitting import CANDIDATE_SHAPES, FitResult, best_shape, fit_shape, power_law_exponent
-from .lower_bound import (
-    AdversarialSpreadResult,
-    adversarial_push_max_messages,
-    knowledge_spread_after,
-)
-from .statistics import (
-    SummaryStats,
-    bootstrap_mean_ci,
-    summarize,
-    whp_satisfied,
-    wilson_interval,
-)
+from .lower_bound import AdversarialSpreadResult, adversarial_push_max_messages
 from . import theory
 
 __all__ = [
@@ -23,11 +12,5 @@ __all__ = [
     "power_law_exponent",
     "AdversarialSpreadResult",
     "adversarial_push_max_messages",
-    "knowledge_spread_after",
-    "SummaryStats",
-    "bootstrap_mean_ci",
-    "summarize",
-    "whp_satisfied",
-    "wilson_interval",
     "theory",
 ]

@@ -38,7 +38,7 @@ import numpy as np
 from ..simulator.rng import make_rng
 from ..substrate.delivery import occurrence_index
 
-__all__ = ["AdversarialSpreadResult", "adversarial_push_max_messages", "knowledge_spread_after"]
+__all__ = ["AdversarialSpreadResult", "adversarial_push_max_messages"]
 
 
 def _push_round(knowledge: np.ndarray, targets: np.ndarray) -> None:
@@ -128,23 +128,3 @@ def adversarial_push_max_messages(
         curve=curve,
     )
 
-
-def knowledge_spread_after(
-    n: int,
-    rounds: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Fraction of nodes knowing each origin's value after ``rounds`` of push.
-
-    Helper used by tests of the stage/typical-value machinery: returns the
-    per-origin knowledge fractions so one can verify the proof's qualitative
-    claim that after ``o(log n)`` rounds (hence ``o(n log n)`` messages) many
-    values remain "typical" (known to very few nodes).
-    """
-    if n <= 1:
-        raise ValueError("n must be at least 2")
-    rng = make_rng(rng)
-    knowledge = np.eye(n, dtype=bool)
-    for _ in range(rounds):
-        _push_round(knowledge, rng.integers(0, n, size=n))
-    return knowledge.mean(axis=0)

@@ -29,7 +29,6 @@ __all__ = [
     "rumor_spreading_message_bound",
     "chord_drr_gossip_messages",
     "chord_uniform_gossip_messages",
-    "paper_gossip_max_rounds",
 ]
 
 
@@ -134,21 +133,3 @@ def chord_uniform_gossip_messages(n: int | np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return n * log2n(n) ** 2
 
-
-def paper_gossip_max_rounds(n: int, delta: float = 0.0, c: float = 0.5) -> int:
-    """The paper-exact round budget of Theorem 5.
-
-    ``8 log n / (1 - rho) + log_beta n`` where ``rho <= 2 delta`` and
-    ``beta = 1 + (1 - c')(1 - rho)/2`` with ``c' = 2c``.  Used by the
-    ablation experiment that contrasts the paper's constants with the
-    practical defaults in :mod:`repro.core.gossip_max`.
-    """
-    if not (0.0 < c < 0.5 + 1e-9):
-        raise ValueError("c must lie in (0, 0.5]")
-    rho = min(0.999, 2.0 * delta)
-    c_prime = 2.0 * c
-    beta = 1.0 + 0.5 * (1.0 - c_prime) * (1.0 - rho)
-    log_n = math.log2(max(2, n))
-    first = 8.0 * log_n / max(1e-9, 1.0 - rho)
-    second = math.log(max(2, n)) / math.log(beta) if beta > 1.0 else 8.0 * log_n
-    return int(math.ceil(first + second))

@@ -8,15 +8,14 @@ The three-line flow::
 
 A :class:`RunSpec` carries everything a run needs — protocol name and
 parameters, an optional :class:`TopologySpec`, the
-:class:`~repro.simulator.failures.FailureModel` (the spec-level
-``FailureSpec``), the substrate backend, and the seed — and round-trips
+:class:`~repro.simulator.failures.FailureModel`, the substrate backend, and
+the seed — and round-trips
 through JSON/TOML, so the same value that configures a local call can be
 stored in the result database or shipped to a worker on another host.
 :func:`run` validates the spec against the protocol registry and returns
 the uniform :class:`RunResult` envelope.
 """
 
-from ..simulator.failures import FailureModel as FailureSpec  # spec-level alias
 from .dispatch import run
 from .errors import SpecValidationError
 from .protocols import (
@@ -41,7 +40,6 @@ from .spec import (
 )
 
 __all__ = [
-    "FailureSpec",
     "PROTOCOLS",
     "ProtocolOutput",
     "ProtocolParam",

@@ -209,9 +209,9 @@ class RunSpec:
             raise SpecValidationError(str(exc)) from exc
         object.__setattr__(self, "seed", _coerce_int(self.seed, "'seed'"))
         object.__setattr__(self, "telemetry", bool(self.telemetry))
-        if isinstance(self.topology, Mapping):
+        if self.topology is not None and not isinstance(self.topology, TopologySpec):
             object.__setattr__(self, "topology", TopologySpec.from_dict(self.topology))
-        if isinstance(self.failures, Mapping):
+        if not isinstance(self.failures, FailureModel):
             try:
                 object.__setattr__(self, "failures", FailureModel.from_spec(self.failures))
             except Exception as exc:
@@ -405,9 +405,7 @@ def read_spec_document(path: str | Path):
             return json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SpecValidationError(f"{path}: invalid JSON: {exc}") from exc
-    raise SpecValidationError(
-        f"unsupported spec file type {path.suffix!r} (use .toml or .json)"
-    )
+    raise SpecValidationError(f"{path}: unsupported file type {path.suffix!r} (use .toml or .json)")
 
 
 def parse_spec_document(data, origin: str) -> list[RunSpec]:

@@ -78,15 +78,6 @@ class EfficientGossipResult:
     max_group_size: int
 
     @property
-    def max_relative_error(self) -> float:
-        finite = np.isfinite(self.estimates)
-        if not finite.any():
-            return float("inf")
-        if self.exact == 0.0:
-            return float(np.max(np.abs(self.estimates[finite])))
-        return float(np.max(np.abs(self.estimates[finite] - self.exact) / abs(self.exact)))
-
-    @property
     def all_correct(self) -> bool:
         finite = np.isfinite(self.estimates)
         return bool(finite.any()) and bool(np.all(self.estimates[finite] == self.exact))
@@ -304,7 +295,7 @@ def efficient_gossip(
         raise ValueError("values must be non-empty")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     engine = normalize_backend(backend) == "engine"
     kernel = get_kernel(backend)
 

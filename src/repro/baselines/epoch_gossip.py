@@ -75,7 +75,8 @@ class EpochGossipResult:
     epochs: int
     epoch_rounds: int
     #: max relative error over live nodes vs the survivor mean, one entry
-    #: per epoch boundary -- the degradation curve the churn experiments plot
+    #: per epoch boundary -- the degradation curve a run's ``degradation``
+    #: section reports
     epoch_errors: list[float] = field(default_factory=list)
     #: live-node count at each epoch boundary
     epoch_survivors: list[int] = field(default_factory=list)
@@ -149,7 +150,7 @@ def epoch_gossip_ave(
         raise ValueError(f"topology has {topology.n} nodes, values has {n}")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("epoch-gossip-ave")
 
     alive = ~failure_model.sample_crashes(n, rng)

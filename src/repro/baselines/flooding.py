@@ -62,7 +62,7 @@ def flood_max(
         raise ValueError(f"values must have shape ({n},)")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("flooding")
     max_rounds = max_rounds if max_rounds is not None else 2 * n
     oracle = LossOracle.for_run(failure_model, rng)

@@ -51,10 +51,6 @@ class RumorResult:
     metrics: MetricsCollector
     informed: np.ndarray
 
-    @property
-    def everyone_informed(self) -> bool:
-        return bool(self.informed.all())
-
 
 # --------------------------------------------------------------------------- #
 # plain push
@@ -73,7 +69,7 @@ def push_rumor(
         raise ValueError("n must be positive")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("push-rumor")
     total_rounds = rounds if rounds is not None else int(math.ceil(2 * math.log2(max(2, n)) + 8))
     oracle = LossOracle.for_run(failure_model, rng)
@@ -207,7 +203,7 @@ def push_pull_rumor(
         raise ValueError("n must be positive")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("push-pull-rumor")
 
     log_n = max(1.0, math.log2(max(2, n)))

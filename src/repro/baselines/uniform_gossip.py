@@ -109,7 +109,7 @@ class UniformGossipResult:
     messages: int
     metrics: MetricsCollector
     #: per-round fraction of nodes holding the exact answer (push-max) or the
-    #: per-round maximum relative error (push-sum); used by convergence plots
+    #: per-round maximum relative error (push-sum); vectorized backend only
     convergence: list[float] = field(default_factory=list)
 
     @property
@@ -158,7 +158,7 @@ def push_sum(
         raise ValueError("values must be non-empty")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("push-sum")
 
     alive = ~failure_model.sample_crashes(n, rng)
@@ -454,10 +454,10 @@ def push_max(
 ) -> UniformGossipResult:
     """Address-oblivious push-max: every node pushes its running maximum.
 
-    ``stop_when_converged`` is used by the lower-bound experiment, which
-    wants the number of messages spent until every node knows the maximum
-    (an oracle stopping rule that only *under*-counts what a real protocol
-    would need, making the measured lower bound conservative).
+    ``stop_when_converged`` (the ``push-max`` protocol parameter of the
+    same name) stops once every node knows the maximum: an oracle stopping
+    rule that counts the messages spent until then, which only *under*-counts
+    what a real protocol would need.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -465,7 +465,7 @@ def push_max(
         raise ValueError("values must be non-empty")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("push-max")
 
     alive = ~failure_model.sample_crashes(n, rng)

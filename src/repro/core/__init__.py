@@ -4,7 +4,6 @@ from .aggregates import (
     AGGREGATE_SPECS,
     Aggregate,
     AggregateSpec,
-    estimate_error,
     exact_aggregate,
     relative_error,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "AGGREGATE_SPECS",
     "Aggregate",
     "AggregateSpec",
-    "estimate_error",
     "exact_aggregate",
     "relative_error",
     "BroadcastResult",

@@ -24,7 +24,6 @@ __all__ = [
     "Aggregate",
     "exact_aggregate",
     "relative_error",
-    "estimate_error",
     "AggregateSpec",
     "AGGREGATE_SPECS",
 ]
@@ -57,15 +56,10 @@ class AggregateSpec:
         The aggregate.
     exact_fn:
         Centralised reference computation over the full value vector.
-    is_exact:
-        True when the protocol is expected to return the value exactly
-        (Max/Min/Count/Sum-via-convergecast/Rank); False when it converges
-        with bounded relative error (Average, push-sum style Sum).
     """
 
     kind: Aggregate
     exact_fn: Callable[[np.ndarray], float]
-    is_exact: bool
 
 
 def _count(values: np.ndarray) -> float:
@@ -73,12 +67,12 @@ def _count(values: np.ndarray) -> float:
 
 
 AGGREGATE_SPECS: dict[Aggregate, AggregateSpec] = {
-    Aggregate.MAX: AggregateSpec(Aggregate.MAX, lambda v: float(np.max(v)), True),
-    Aggregate.MIN: AggregateSpec(Aggregate.MIN, lambda v: float(np.min(v)), True),
-    Aggregate.SUM: AggregateSpec(Aggregate.SUM, lambda v: float(np.sum(v)), False),
-    Aggregate.COUNT: AggregateSpec(Aggregate.COUNT, _count, False),
-    Aggregate.AVERAGE: AggregateSpec(Aggregate.AVERAGE, lambda v: float(np.mean(v)), False),
-    Aggregate.RANK: AggregateSpec(Aggregate.RANK, lambda v: float(np.sum(v <= 0.0)), True),
+    Aggregate.MAX: AggregateSpec(Aggregate.MAX, lambda v: float(np.max(v))),
+    Aggregate.MIN: AggregateSpec(Aggregate.MIN, lambda v: float(np.min(v))),
+    Aggregate.SUM: AggregateSpec(Aggregate.SUM, lambda v: float(np.sum(v))),
+    Aggregate.COUNT: AggregateSpec(Aggregate.COUNT, _count),
+    Aggregate.AVERAGE: AggregateSpec(Aggregate.AVERAGE, lambda v: float(np.mean(v))),
+    Aggregate.RANK: AggregateSpec(Aggregate.RANK, lambda v: float(np.sum(v <= 0.0))),
 }
 
 
@@ -112,17 +106,3 @@ def relative_error(estimate: float, truth: float, absolute_fallback: bool = True
         return abs(estimate)
     return float("inf") if estimate != 0.0 else 0.0
 
-
-def estimate_error(kind: Aggregate, estimates: np.ndarray, values: np.ndarray, query: float | None = None) -> np.ndarray:
-    """Per-node error of a vector of estimates against the exact aggregate.
-
-    Exact aggregates report ``0.0`` where correct and ``1.0`` where wrong
-    (so the mean is the fraction of wrong nodes); convergent aggregates
-    report the relative error at each node.
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    truth = exact_aggregate(kind, values, query=query)
-    spec = AGGREGATE_SPECS[Aggregate(kind)]
-    if spec.is_exact:
-        return (estimates != truth).astype(float)
-    return np.array([relative_error(float(e), truth) for e in estimates])

@@ -173,7 +173,7 @@ def run_convergecast(
         raise ValueError(f"unknown convergecast op {op!r}")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("convergecast")
     oracle = LossOracle.for_run(failure_model, rng)
 
@@ -407,7 +407,7 @@ def run_broadcast(
     forest = drr.forest
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=forest.n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase(phase_name)
     oracle = LossOracle.for_run(failure_model, rng)
     keys = np.fromiter(root_payload, dtype=np.int64, count=len(root_payload))

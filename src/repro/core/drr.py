@@ -115,7 +115,6 @@ def run_drr(
     metrics: MetricsCollector | None = None,
     ranks: np.ndarray | None = None,
     backend: str = "vectorized",
-    tracer=None,
 ) -> DRRResult:
     """Run DRR over ``n`` nodes and return the ranking forest.
 
@@ -140,10 +139,6 @@ def run_drr(
         compare the [0,1] rank domain against the [1, n^3] integer domain).
     backend:
         Substrate backend: ``"vectorized"`` (default) or ``"engine"``.
-    tracer:
-        Optional :class:`~repro.simulator.trace.Tracer` recording
-        per-message events; engine-only (the columnar backends reject an
-        enabled tracer at dispatch).
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -152,7 +147,7 @@ def run_drr(
     budget = probe_budget if probe_budget is not None else default_probe_budget(n)
     if budget < 1:
         raise ValueError("probe budget must be at least 1")
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("drr")
 
     # Shared preamble: crash sampling, rank drawing, and loss-oracle key
@@ -175,10 +170,8 @@ def run_drr(
             kernel, n, rng, budget, failure_model, oracle, alive, ranks, metrics
         ),
         engine=lambda kernel: _run_drr_engine(
-            kernel, n, rng, budget, failure_model, oracle, alive, ranks, metrics,
-            tracer=tracer,
+            kernel, n, rng, budget, failure_model, oracle, alive, ranks, metrics
         ),
-        tracer=tracer,
     )
 
 
@@ -312,7 +305,6 @@ def _run_drr_engine(
     alive: np.ndarray,
     ranks: np.ndarray,
     metrics: MetricsCollector,
-    tracer=None,
 ) -> DRRResult:
     nodes = [DRRNode(i, float(ranks[i]), budget) for i in range(n)]
     # Four sub-steps so the full probe -> rank -> connect exchange completes
@@ -327,7 +319,6 @@ def _run_drr_engine(
         loss_oracle=oracle,
         max_substeps=4,
         max_rounds=budget + 4,
-        tracer=tracer,
     )
 
     parent = np.full(n, -1, dtype=np.int64)

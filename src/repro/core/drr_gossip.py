@@ -347,7 +347,7 @@ def _extremum_pipeline(
         raise ValueError("values must be non-empty")
     rng = make_rng(rng)
     config = config or DRRGossipConfig()
-    metrics = MetricsCollector(n=n)
+    metrics = MetricsCollector()
     churn = _pipeline_churn(config, rng)
     work_values = -values if negate else values
 
@@ -444,7 +444,7 @@ def _pushsum_pipeline(
         raise ValueError("values must be non-empty")
     rng = make_rng(rng)
     config = config or DRRGossipConfig()
-    metrics = MetricsCollector(n=n)
+    metrics = MetricsCollector()
     churn = _pipeline_churn(config, rng)
 
     if aggregate == Aggregate.RANK:

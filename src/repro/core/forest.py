@@ -3,7 +3,7 @@
 Both ranking schemes produce the same object: every node either points to a
 parent of strictly higher rank or is a root, so the parent pointers form a
 forest of disjoint trees.  :class:`Forest` stores the parent array together
-with the ranks, derives children lists / tree ids / sizes / heights, and
+with the ranks, derives tree ids / depths / sizes / heights, and
 validates the structural invariants that the analysis of Theorems 2-4 and
 11-13 relies on:
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -99,18 +98,6 @@ class Forest:
 
     def is_root(self, node_id: int) -> bool:
         return self.parent[node_id] == NO_PARENT
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Children lists, index-aligned with node ids."""
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for child, par in enumerate(self.parent):
-            if par != NO_PARENT:
-                kids[par].append(child)
-        return tuple(tuple(c) for c in kids)
-
-    def is_leaf(self, node_id: int) -> bool:
-        return self.parent[node_id] != NO_PARENT and not self.children[node_id]
 
     # ------------------------------------------------------------------ #
     # derived structure
@@ -216,11 +203,6 @@ class Forest:
             depth[unassigned[reached]] = level
             unassigned = unassigned[~reached]
         return depth
-
-    def leaves(self) -> Iterator[int]:
-        for node in range(self.n):
-            if self.is_leaf(node):
-                yield node
 
     # ------------------------------------------------------------------ #
     # validation

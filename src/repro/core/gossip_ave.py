@@ -70,7 +70,7 @@ class GossipAveResult:
         Count estimates: see :mod:`repro.core.drr_gossip`).
     history:
         Per-round estimate of the traced root (empty when not requested);
-        the E6 experiment uses this to plot convergence.
+        the E6 experiment reads its convergence round off it.
     rounds:
         Rounds executed.
     """
@@ -151,7 +151,7 @@ def run_gossip_ave(
 
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase(phase_name)
     if alive is None:
         alive = np.ones(n, dtype=bool)

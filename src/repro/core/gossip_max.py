@@ -57,11 +57,11 @@ __all__ = [
 def default_gossip_rounds(n: int, loss_probability: float = 0.0) -> int:
     """Round budget for the gossip procedure.
 
-    Theorem 5 uses ``8 log n / (1 - rho) + log_beta n`` rounds; a budget of
-    ``2 log2 n`` plus slack, inflated by the two-hop delivery probability,
+    Theorem 5 uses ``8 log n / (1 - rho) + log_beta n`` rounds, where
+    ``rho = 1 - (1 - delta)^2`` is the loss probability of a two-hop relay;
+    a budget of ``1.5 log2 n + 5``, inflated by ``1 / (1 - rho)``,
     reproduces the whp behaviour at the network sizes the experiments use
-    while keeping the constant factors closer to practice.  The paper-exact
-    constant is available through ``repro.analysis.theory``.
+    while keeping the constant factors closer to practice.
     """
     rho = 1.0 - (1.0 - loss_probability) ** 2
     base = 1.5 * math.log2(max(2, n)) + 5.0
@@ -178,7 +178,7 @@ def run_gossip_max(
 
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase(phase_name)
     if alive is None:
         alive = np.ones(n, dtype=bool)

@@ -85,7 +85,7 @@ def run_local_drr(
     n = topology.n
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase("local-drr")
 
     # Shared preamble: crash sampling, rank drawing, and loss-oracle key

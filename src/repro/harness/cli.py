@@ -95,6 +95,17 @@ def _backend(name: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _heartbeat_interval(text: str) -> float:
+    """``--heartbeat`` values: a positive number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"heartbeat interval must be positive, got {seconds:g}")
+    return seconds
+
+
 def _add_backend_option(parser: argparse.ArgumentParser, default: str | None, help: str) -> None:
     parser.add_argument(
         "--backend",
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--heartbeat",
-        type=float,
+        type=_heartbeat_interval,
         default=None,
         metavar="SECS",
         help="print a live [heartbeat] progress line to stderr every SECS seconds",
@@ -242,10 +253,7 @@ def _heartbeat_for(args: argparse.Namespace, telemetry, label: str):
 
     if args.heartbeat is None:
         return contextlib.nullcontext()
-    try:
-        return Heartbeat(telemetry, interval_s=args.heartbeat, label=label)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    return Heartbeat(telemetry, interval_s=args.heartbeat, label=label)
 
 
 def _export_events(telemetry_doc: dict, target: str, append: bool) -> None:

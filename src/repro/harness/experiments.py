@@ -299,7 +299,7 @@ def run_gossip_max_convergence(
                 drr = run_drr(n, rng=rng, failure_model=failure_model, backend=backend)
                 roots = drr.forest.roots
                 cov = run_convergecast(drr, values, op="max", failure_model=failure_model, rng=rng, backend=backend)
-                metrics = MetricsCollector(n=n)
+                metrics = MetricsCollector()
                 root_of = broadcast_root_addresses(
                     drr, roots, rng, DRRGossipConfig(failure_model=failure_model, backend=backend), metrics
                 )
@@ -362,7 +362,7 @@ def run_gossip_ave_convergence(
                 drr = run_drr(n, rng=rng, backend=backend)
                 roots = drr.forest.roots
                 cov = run_convergecast(drr, values, op="sum", rng=rng, backend=backend)
-                metrics = MetricsCollector(n=n)
+                metrics = MetricsCollector()
                 root_of = broadcast_root_addresses(drr, roots, rng, DRRGossipConfig(backend=backend), metrics)
                 largest = drr.forest.largest_root()
                 ave = run_gossip_ave(

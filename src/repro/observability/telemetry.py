@@ -1,4 +1,4 @@
-"""Run telemetry: phase/round wall-time spans, counters, and gauges.
+"""Run telemetry: phase, round and primitive wall-time spans.
 
 :class:`MetricsCollector` measures *counts* — rounds, messages, words — which
 is what the paper's complexity claims are stated in.  This module measures
@@ -17,7 +17,7 @@ Design rules
   reachable via ``__wrapped__`` so the benchmark gate can measure the
   disabled-path overhead honestly.
 * **No effect on outcomes.**  A :class:`Telemetry` only ever reads clocks
-  and counters — it never touches the RNG stream, the loss oracle, or the
+  and the peak RSS — it never touches the RNG stream, the loss oracle, or the
   metrics collector, so same-seed results are bit-identical with telemetry
   on or off (``tests/test_observability.py`` asserts this for every
   protocol on the ``vectorized`` and ``engine`` backends).
@@ -141,12 +141,6 @@ class NullTelemetry:
     def span(self, name: str):
         return _NULL_CONTEXT
 
-    def count(self, name: str, increment: int = 1) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
     def finish(self) -> None:
         pass
 
@@ -170,7 +164,7 @@ class Telemetry(NullTelemetry):
       collector, so phase wall times and per-round durations come for free
       on every backend);
     * the instrumented substrate primitives (`substrate.deliver`,
-      `substrate.probe_exchange`, `substrate.relay`, ...), which record
+      `substrate.probe_exchange`, `substrate.relay_to_roots`, ...), which record
       per-primitive spans.
     """
 
@@ -186,8 +180,6 @@ class Telemetry(NullTelemetry):
         self._phase_order: list[str] = []
         self._rounds: dict[str, RoundSampler] = {}
         self._spans: dict[str, list] = {}  # name -> [count, total, min, max]
-        self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._wall: float | None = None
         self._peak_rss: int | None = None
 
@@ -226,7 +218,7 @@ class Telemetry(NullTelemetry):
         self._last_tick = now
 
     # ------------------------------------------------------------------ #
-    # spans, counters, gauges
+    # spans
     # ------------------------------------------------------------------ #
     def add_span(self, name: str, seconds: float) -> None:
         stats = self._spans.get(name)
@@ -247,13 +239,6 @@ class Telemetry(NullTelemetry):
             yield self
         finally:
             self.add_span(name, _perf_counter() - start)
-
-    def count(self, name: str, increment: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + int(increment)
-
-    def gauge_max(self, name: str, value: float) -> None:
-        if value > self._gauges.get(name, float("-inf")):
-            self._gauges[name] = value
 
     # ------------------------------------------------------------------ #
     # lifecycle / export
@@ -299,10 +284,6 @@ class Telemetry(NullTelemetry):
                 name: {"count": c, "total_s": t, "min_s": lo, "max_s": hi}
                 for name, (c, t, lo, hi) in sorted(self._spans.items())
             }
-        if self._counters:
-            doc["counters"] = dict(sorted(self._counters.items()))
-        if self._gauges:
-            doc["gauges"] = dict(sorted(self._gauges.items()))
         return doc
 
 
@@ -365,7 +346,7 @@ def events_from_telemetry(doc: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
     Operates on the serialised document (not the live object) so events can
     be exported from a fresh run, a ``RunResult``, or a stored
     ``telemetry_json`` row alike.  Event types: ``run``, ``phase``,
-    ``round_samples``, ``span``, ``counter``, ``gauge``.
+    ``round_samples``, ``span``.
     """
     run_event: dict[str, Any] = {"event": "run", "wall_s": doc.get("wall_s")}
     if "peak_rss_bytes" in doc:
@@ -392,10 +373,6 @@ def events_from_telemetry(doc: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
             }
     for name, span in doc.get("spans", {}).items():
         yield {"event": "span", "name": name, **span}
-    for name, value in doc.get("counters", {}).items():
-        yield {"event": "counter", "name": name, "value": value}
-    for name, value in doc.get("gauges", {}).items():
-        yield {"event": "gauge", "name": name, "value": value}
 
 
 def write_events_jsonl(doc: Mapping[str, Any], path: str | Path, append: bool = False) -> Path:
@@ -431,8 +408,4 @@ def format_telemetry(doc: Mapping[str, Any]) -> str:
             lines.append(
                 f"  span  {name:<28} {span.get('total_s', 0.0):8.3f}s x{span.get('count', 0)}"
             )
-    for name, value in doc.get("counters", {}).items():
-        lines.append(f"  count {name:<28} {value}")
-    for name, value in doc.get("gauges", {}).items():
-        lines.append(f"  gauge {name:<28} {value:g}")
     return "\n".join(lines)

@@ -29,11 +29,11 @@ a list of lists as multiple candidates.
 
 from __future__ import annotations
 
-import json
-import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+from ..api.spec import read_spec_document
 
 __all__ = ["ExperimentPlan", "SweepDefinition", "load_sweep"]
 
@@ -154,12 +154,4 @@ class SweepDefinition:
 
 def load_sweep(path: str | Path) -> SweepDefinition:
     """Load a sweep definition from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    if path.suffix.lower() == ".toml":
-        with path.open("rb") as handle:
-            data = tomllib.load(handle)
-    elif path.suffix.lower() == ".json":
-        data = json.loads(path.read_text())
-    else:
-        raise ValueError(f"unsupported sweep file type {path.suffix!r} (use .toml or .json)")
-    return SweepDefinition.from_dict(data, name=path.stem)
+    return SweepDefinition.from_dict(read_spec_document(path), name=Path(path).stem)

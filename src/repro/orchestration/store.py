@@ -827,14 +827,6 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # querying
     # ------------------------------------------------------------------ #
-    def is_completed(self, experiment: str, params: Mapping[str, Any], seed: int) -> bool:
-        """True when the cell already has a successful row (failures retry)."""
-        row = self._conn.execute(
-            "SELECT 1 FROM runs WHERE experiment = ? AND param_hash = ? AND seed = ? AND status = 'ok'",
-            (experiment, param_hash(params), int(seed)),
-        ).fetchone()
-        return row is not None
-
     def get_by_spec_hash(self, spec_hash: str) -> StoredRun | None:
         """Content-addressed lookup: the stored run for one spec digest.
 
@@ -847,13 +839,6 @@ class ResultStore:
             "SELECT * FROM runs WHERE spec_hash = ? ORDER BY id LIMIT 1", (str(spec_hash),)
         ).fetchone()
         return self._decode(row) if row is not None else None
-
-    def queue_cell_by_spec_hash(self, spec_hash: str) -> QueuedCell | None:
-        """The queue row for one spec digest (None when never enqueued)."""
-        row = self._conn.execute(
-            "SELECT * FROM queue WHERE spec_hash = ? ORDER BY id LIMIT 1", (str(spec_hash),)
-        ).fetchone()
-        return self._decode_queue_row(row) if row is not None else None
 
     def completed_cells(self) -> set[tuple[str, str, int]]:
         """All ``(experiment, param_hash, seed)`` keys with a successful row."""
@@ -876,13 +861,6 @@ class ResultStore:
             f"SELECT * FROM runs {where} ORDER BY experiment, param_hash, seed", args
         ).fetchall()
         return [self._decode(row) for row in rows]
-
-    def get(self, experiment: str, params: Mapping[str, Any], seed: int) -> StoredRun | None:
-        row = self._conn.execute(
-            "SELECT * FROM runs WHERE experiment = ? AND param_hash = ? AND seed = ?",
-            (experiment, param_hash(params), int(seed)),
-        ).fetchone()
-        return self._decode(row) if row is not None else None
 
     def results(self, experiment: str | None = None) -> list:
         """Successful runs rebuilt as ExperimentResult objects."""

@@ -7,9 +7,8 @@ This package is the substrate every protocol in the reproduction runs on:
 * :mod:`~repro.simulator.network` -- node population, topology view, delivery;
 * :mod:`~repro.simulator.failures` -- the paper's crash + lossy-link model;
 * :mod:`~repro.simulator.engine` -- the synchronous round loop;
-* :mod:`~repro.simulator.metrics` -- message/round/bit counters per phase;
-* :mod:`~repro.simulator.rng` -- reproducible randomness;
-* :mod:`~repro.simulator.trace` -- optional per-message tracing.
+* :mod:`~repro.simulator.metrics` -- message/round/word counters per phase;
+* :mod:`~repro.simulator.rng` -- reproducible randomness.
 """
 
 from .engine import EngineConfig, EngineResult, SynchronousEngine, default_round_limit
@@ -25,8 +24,7 @@ from .message import Message, MessageKind, Send
 from .metrics import MetricsCollector, PhaseMetrics
 from .network import Network
 from .node import PassiveNode, ProtocolNode, RoundContext
-from .rng import RngStream, derive_seed, make_rng, spawn
-from .trace import NullTracer, TraceEvent, Tracer
+from .rng import RngStream, derive_seed, make_rng
 
 __all__ = [
     "EngineConfig",
@@ -52,8 +50,4 @@ __all__ = [
     "RngStream",
     "derive_seed",
     "make_rng",
-    "spawn",
-    "NullTracer",
-    "TraceEvent",
-    "Tracer",
 ]

@@ -36,7 +36,6 @@ from .message import Message, Send
 from .metrics import MetricsCollector
 from .network import Network
 from .node import ProtocolNode, RoundContext
-from .trace import NullTracer, TraceEvent, Tracer
 
 __all__ = ["EngineConfig", "EngineResult", "SynchronousEngine", "default_round_limit"]
 
@@ -101,7 +100,6 @@ class SynchronousEngine:
         rng: np.random.Generator,
         metrics: MetricsCollector | None = None,
         config: EngineConfig | None = None,
-        tracer: Tracer | NullTracer | None = None,
     ) -> None:
         if len(nodes) != network.n:
             raise ConfigurationError(
@@ -116,11 +114,8 @@ class SynchronousEngine:
         self.network = network
         self.nodes = list(nodes)
         self.rng = rng
-        self.metrics = metrics if metrics is not None else MetricsCollector(n=network.n)
+        self.metrics = metrics if metrics is not None else MetricsCollector()
         self.config = config or EngineConfig()
-        # An empty Tracer is falsy (len() == 0), so test against None rather
-        # than truthiness.
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._pending: list[Message] = []
 
     # ------------------------------------------------------------------ #
@@ -159,22 +154,9 @@ class SynchronousEngine:
             messages.append(send.to_message(sender.node_id).stamped(round_index))
         return messages
 
-    def _deliver(
-        self, messages: list[Message], ctx: RoundContext, substep: int
-    ) -> list[Message]:
+    def _deliver(self, messages: list[Message], ctx: RoundContext) -> list[Message]:
         """Deliver a batch and gather the replies it provokes."""
         arrived = self.network.deliver(messages, self.metrics)
-        if self.tracer.enabled:
-            arrived_set = {id(m) for m in arrived}
-            for message in messages:
-                self.tracer.record(
-                    TraceEvent(
-                        round_index=ctx.round_index,
-                        substep=substep,
-                        message=message,
-                        delivered=id(message) in arrived_set,
-                    )
-                )
         by_recipient: dict[int, list[Message]] = {}
         for message in arrived:
             by_recipient.setdefault(message.recipient, []).append(message)
@@ -222,7 +204,7 @@ class SynchronousEngine:
             outgoing: list[Message] = []
             if self._pending:
                 carried, self._pending = self._pending, []
-                outgoing.extend(self._deliver(carried, ctx, substep=0))
+                outgoing.extend(self._deliver(carried, ctx))
 
             for node_id in alive_ids:
                 node = self.nodes[node_id]
@@ -233,7 +215,7 @@ class SynchronousEngine:
 
             substep = 1
             while outgoing and substep < self.config.max_substeps:
-                outgoing = self._deliver(outgoing, ctx, substep)
+                outgoing = self._deliver(outgoing, ctx)
                 substep += 1
             # Whatever is left spills into the next round.
             self._pending = outgoing

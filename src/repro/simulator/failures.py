@@ -189,15 +189,6 @@ class FailureModel:
             event == "join" for _round, _ids, event in self.churn_schedule
         )
 
-    def two_hop_loss_probability(self) -> float:
-        """Loss probability ``rho`` of a two-hop relay (Theorem 5).
-
-        A Phase-III gossip message reaches a root through at most two hops
-        (call a random node, that node forwards to its root); the relay
-        fails if either hop fails, so ``rho = 1 - (1 - delta)^2 <= 2 delta``.
-        """
-        return 1.0 - (1.0 - self.loss_probability) ** 2
-
     def sample_crashes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Return a boolean array marking the initially crashed nodes."""
         if n <= 0:
@@ -208,20 +199,6 @@ class FailureModel:
         if count > 0:
             crashed[rng.choice(n, size=count, replace=False)] = True
         return crashed
-
-    def sample_losses(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised loss sampling for fast-path implementations.
-
-        The zero-size path is explicit: ``count == 0`` (an empty frontier,
-        a round in which nobody transmits) returns an empty mask without
-        touching ``rng``, so callers that hit the edge case consume exactly
-        zero draws on every backend.
-        """
-        if count < 0:
-            raise ConfigurationError("count must be non-negative")
-        if count == 0 or self.loss_probability == 0.0:
-            return np.zeros(count, dtype=bool)
-        return rng.random(count) < self.loss_probability
 
     def describe(self) -> str:
         churn = ""
@@ -244,7 +221,7 @@ class FailureModel:
         )
 
     # ------------------------------------------------------------------ #
-    # spec serialisation (the run API's FailureSpec form)
+    # spec serialisation (the form a RunSpec's ``failures`` takes)
     # ------------------------------------------------------------------ #
     def to_spec(self) -> dict:
         """JSON-representable form used inside :class:`repro.api.RunSpec`.

@@ -4,9 +4,9 @@ The paper limits message length to ``O(log n + log s)`` bits, where ``s`` is
 the range of the node values (Section 2).  We model that budget explicitly:
 every :class:`Message` carries ``payload_words``, the number of
 machine-word-sized fields it transports (a node address, a value, a weight,
-a tree size, ...).  The metrics collector converts words into the paper's
-bit budget so experiments can check that no protocol silently cheats by
-shipping whole value vectors around.
+a tree size, ...).  The metrics collector sums the words of every
+transmission (``RunResult.words``), so a protocol that ships whole value
+vectors around shows in its word count.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Message:
         this repository only ever store numbers and node ids here, keeping
         the ``O(log n + log s)`` bound honest.
     payload_words:
-        Number of word-sized fields the message carries, used for bit
+        Number of word-sized fields the message carries, used for word
         accounting.  Defaults to the number of payload entries.
     round_sent:
         The engine stamps the round in which the message was handed over for

@@ -1,4 +1,4 @@
-"""Message, bit, and round accounting.
+"""Message, word, and round accounting.
 
 The paper's headline claims are complexity statements -- ``O(log n)`` rounds
 and ``O(n log log n)`` messages for DRR-gossip versus ``O(n log n)`` messages
@@ -14,19 +14,17 @@ Accounting conventions
   Gossip-max inquiry answered by a value) therefore counts as **two**
   messages.  This matches Karp et al.'s accounting where both transmissions
   of a push-pull exchange are charged.
-* *Bits* are ``payload_words * word_bits`` with ``word_bits = ceil(log2 n) +
-  value_bits``; the engine fills in ``n`` so tests can assert that every
-  protocol respects the ``O(log n + log s)`` per-message budget.
+* *Words* are the payload width of a message (``payload_words``: an
+  address, a value, a weight, ...); the collector sums them per phase, and
+  :class:`~repro.api.RunResult` reports the total as ``words``.
 * *Rounds* count engine rounds.  Sub-steps within a round (the reply half of
   a call) do not increase the round counter.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..observability import telemetry as _telemetry
 
@@ -44,22 +42,8 @@ class PhaseMetrics:
     words: int = 0
     messages_by_kind: Counter = field(default_factory=Counter)
     #: transmissions addressed to a node that was dead when they arrived
-    #: (churn runs only; a subset of the undeliverable count).  Kept out of
-    #: :meth:`as_dict` when zero so churn-free results serialise unchanged.
+    #: (churn runs only; a subset of the undeliverable count)
     messages_to_dead: int = 0
-
-    def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "messages_lost": self.messages_lost,
-            "words": self.words,
-            "messages_by_kind": dict(self.messages_by_kind),
-        }
-        if self.messages_to_dead:
-            out["messages_to_dead"] = self.messages_to_dead
-        return out
 
 
 class MetricsCollector:
@@ -73,11 +57,7 @@ class MetricsCollector:
 
     DEFAULT_PHASE = "default"
 
-    def __init__(self, n: int | None = None, value_bits: int = 32) -> None:
-        if n is not None and n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        self.n = n
-        self.value_bits = value_bits
+    def __init__(self) -> None:
         self._phases: dict[str, PhaseMetrics] = {}
         self._phase_order: list[str] = []
         self._current = self._ensure_phase(self.DEFAULT_PHASE)
@@ -98,14 +78,6 @@ class MetricsCollector:
         if tel.enabled:
             tel.phase_begin(name)
 
-    @property
-    def current_phase(self) -> str:
-        return self._current.name
-
-    def phases(self) -> Iterator[PhaseMetrics]:
-        for name in self._phase_order:
-            yield self._phases[name]
-
     def phase(self, name: str) -> PhaseMetrics:
         if name not in self._phases:
             raise KeyError(f"unknown phase {name!r}; known: {self._phase_order}")
@@ -122,29 +94,16 @@ class MetricsCollector:
         if tel.enabled:
             tel.round_tick()
 
-    def record_message(self, kind: str, payload_words: int = 1, lost: bool = False) -> None:
-        """Record one attempted transmission.
-
-        Lost messages count toward the message complexity (the sender spent
-        the transmission) but are tracked separately so experiments can
-        report loss rates.
-        """
-        phase = self._current
-        phase.messages += 1
-        phase.words += max(0, payload_words)
-        phase.messages_by_kind[str(kind)] += 1
-        if lost:
-            phase.messages_lost += 1
-
     def record_messages(self, kind: str, count: int, payload_words: int = 1, lost: int = 0) -> None:
         """Bulk-record ``count`` identical transmissions (columnar paths use this).
 
-        ``lost`` of the ``count`` attempts never arrived; like in
-        :meth:`record_message` they still count toward the message
-        complexity but are tracked separately.  The vectorized substrate
-        charges whole per-round batches through this method with the same
-        lost-message semantics the engine applies per message, which is what
-        keeps the two backends' accounting identical.
+        ``lost`` of the ``count`` attempts never arrived; they still count
+        toward the message complexity (the sender spent the transmission)
+        but are tracked separately so experiments can report loss rates.
+        The vectorized substrate charges whole per-round batches through
+        this method and the engine charges each delivery batch per
+        ``(kind, payload_words)`` group, which is what keeps the two
+        backends' accounting identical.
         """
         if count < 0:
             raise ValueError("message count cannot be negative")
@@ -190,15 +149,6 @@ class MetricsCollector:
     def total_messages_to_dead(self) -> int:
         return sum(p.messages_to_dead for p in self._phases.values())
 
-    @property
-    def total_bits(self) -> int:
-        """Total bits under the paper's O(log n + log s) per-word model."""
-        if self.n is None:
-            word_bits = 64
-        else:
-            word_bits = max(1, math.ceil(math.log2(max(2, self.n)))) + self.value_bits
-        return self.total_words * word_bits
-
     def messages_by_kind(self) -> Counter:
         total: Counter = Counter()
         for phase in self._phases.values():
@@ -210,35 +160,6 @@ class MetricsCollector:
 
     def rounds_by_phase(self) -> dict[str, int]:
         return {name: self._phases[name].rounds for name in self._phase_order}
-
-    # ------------------------------------------------------------------ #
-    # merging / export
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's counts into this one, phase by phase.
-
-        Each phase of ``other`` lands in this collector's phase of the same
-        name (created if missing), with rounds, messages, losses, words and
-        per-kind counts summed.
-        """
-        for phase in other.phases():
-            mine = self._ensure_phase(phase.name)
-            mine.rounds += phase.rounds
-            mine.messages += phase.messages
-            mine.messages_lost += phase.messages_lost
-            mine.words += phase.words
-            mine.messages_by_kind.update(phase.messages_by_kind)
-            mine.messages_to_dead += phase.messages_to_dead
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "total_rounds": self.total_rounds,
-            "total_messages": self.total_messages,
-            "total_messages_lost": self.total_messages_lost,
-            "total_words": self.total_words,
-            "phases": [p.as_dict() for p in self.phases()],
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

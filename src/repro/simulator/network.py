@@ -10,7 +10,7 @@ protocols on top of it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,28 +119,6 @@ class Network:
     @property
     def alive_count(self) -> int:
         return int(self.alive.sum())
-
-    def is_alive(self, node_id: int) -> bool:
-        self._check_id(node_id)
-        return bool(self.alive[node_id])
-
-    def crash(self, node_ids: Iterable[int]) -> None:
-        """Mark nodes as crashed (used by tests and failure-injection suites).
-
-        The paper's model only allows crashes *before* the algorithm starts;
-        the engine therefore refuses to run if this is called mid-execution,
-        but exposing it keeps the failure-injection tests honest about what
-        the protocols do and do not tolerate.
-        """
-        for node_id in node_ids:
-            self._check_id(node_id)
-            self.alive[node_id] = False
-        if not self.alive.any():
-            raise ConfigurationError("cannot crash every node in the network")
-
-    def _check_id(self, node_id: int) -> None:
-        if not (0 <= node_id < self.n):
-            raise UnknownNodeError(node_id)
 
     # ------------------------------------------------------------------ #
     # delivery

@@ -3,9 +3,9 @@
 Every experiment in the repository draws all of its randomness from a single
 :class:`numpy.random.Generator` created here.  Experiments record the seed in
 their result objects, so any run can be replayed bit-for-bit.  Independent
-streams (one per protocol phase, or one per repetition of a sweep) are
-derived with :func:`spawn` which uses NumPy's ``SeedSequence`` spawning so
-streams never overlap.
+streams (one per repetition or cell of a sweep, one per labelled use inside
+a run) are derived with :func:`derive_seed`, a process-stable hash of the
+seed and the labels, or handed out by :class:`RngStream`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "derive_seed", "RngStream"]
+__all__ = ["make_rng", "derive_seed", "RngStream"]
 
 #: Seed used when the caller does not provide one.  Fixed (rather than
 #: entropy-based) so that "I just ran the quickstart" is reproducible.
@@ -35,22 +35,6 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent child generators.
-
-    Uses the generator's bit-generator seed sequence when available, and
-    falls back to drawing child seeds when the generator was constructed
-    without one (which NumPy permits but is rare in this code base).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seed_seq = getattr(rng.bit_generator, "seed_seq", None)
-    if seed_seq is not None:
-        return [np.random.default_rng(child) for child in seed_seq.spawn(count)]
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def _stable_label_hash(label: str) -> int:

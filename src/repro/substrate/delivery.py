@@ -303,7 +303,7 @@ def probe_exchange(
     return found
 
 
-@instrumented("substrate.relay")
+@instrumented("substrate.relay_to_roots")
 def relay_to_roots(
     metrics: MetricsCollector,
     oracle: LossOracle,

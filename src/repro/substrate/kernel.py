@@ -122,7 +122,6 @@ class EngineKernel(Kernel):
         strict: bool = True,
         enforce_call_budget: bool = True,
         stop_condition: Callable[[Sequence[ProtocolNode], int], bool] | None = None,
-        tracer=None,
     ) -> EngineResult:
         """Drive ``nodes`` to completion, wiring up network and config.
 
@@ -153,7 +152,6 @@ class EngineKernel(Kernel):
             nodes=list(nodes),
             rng=rng,
             metrics=metrics,
-            tracer=tracer,
             config=EngineConfig(
                 max_rounds=max_rounds,
                 max_substeps=max_substeps,
@@ -226,7 +224,6 @@ def run_on(
     *,
     vectorized: Callable[[VectorizedKernel], T],
     engine: Callable[[EngineKernel], T],
-    tracer=None,
 ) -> T:
     """Dispatch one protocol run to the selected kernel.
 
@@ -234,21 +231,8 @@ def run_on(
     protocol; the pair is this repository's concrete form of the
     protocol-over-kernel interface.  Both callables receive their kernel so
     all delivery / engine plumbing goes through the shared primitives.
-
-    ``tracer`` (a :class:`~repro.simulator.trace.Tracer`) records
-    per-message events and only exists on the message-level engine;
-    requesting it on a columnar kernel is rejected here rather than
-    silently recording nothing (which is what used to happen).
     """
     kernel = get_kernel(backend)
     if isinstance(kernel, EngineKernel):
         return engine(kernel)
-    if tracer is not None and getattr(tracer, "enabled", False):
-        raise ConfigurationError(
-            f"tracing is engine-only: backend {kernel.name!r} executes rounds "
-            "columnarly and never materialises per-message events. "
-            "Run with backend='engine' for a message trace, or use telemetry "
-            "(RunSpec.telemetry / repro.observability) for per-phase and "
-            "per-primitive timing on the columnar backends."
-        )
     return vectorized(kernel)

@@ -178,7 +178,7 @@ def run_chord_lookups(
         raise ValueError("source index out of range")
     rng = make_rng(rng)
     failure_model = failure_model or FailureModel()
-    metrics = metrics if metrics is not None else MetricsCollector(n=chord.n)
+    metrics = metrics if metrics is not None else MetricsCollector()
     metrics.begin_phase(phase_name)
     oracle = LossOracle.for_run(failure_model, rng)
     if sources.size == 0:

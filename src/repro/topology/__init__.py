@@ -1,4 +1,4 @@
-"""Topology substrate: graph families, Chord DHT, and peer sampling."""
+"""Topology substrate: graph families, the Chord DHT, and its peer sampler."""
 
 from .base import Topology
 from .chord import ChordNetwork, LookupResult
@@ -12,7 +12,7 @@ from .graphs import (
     random_regular_graph,
     ring_graph,
 )
-from .sampling import ChordSampler, RandomWalkSampler, SampleCost, uniformity_l1_error
+from .sampling import ChordSampler, SampleCost
 
 __all__ = [
     "Topology",
@@ -27,7 +27,5 @@ __all__ = [
     "random_regular_graph",
     "ring_graph",
     "ChordSampler",
-    "RandomWalkSampler",
     "SampleCost",
-    "uniformity_l1_error",
 ]

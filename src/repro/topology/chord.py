@@ -182,42 +182,9 @@ class ChordNetwork:
         by arc length; with uniformly placed identifiers the weights are
         exchangeable, and the cost (the quantity Theorem 14 needs: ``T``
         rounds, ``M`` messages per sample) is the greedy-routing cost.
-        Experiments that need *exactly* uniform samples re-draw with
-        rejection using :meth:`sample_uniform_peer`.
         """
         target = int(rng.integers(0, self.ring_size))
         return self.lookup(source, target)
-
-    def sample_uniform_peer(self, source: int, rng: np.random.Generator) -> tuple[int, int, int]:
-        """Exactly uniform peer sample with routing-cost accounting.
-
-        Implements the standard rejection trick on top of identifier routing
-        (accept the owner with probability proportional to the inverse of its
-        arc length, normalised by the maximum arc).  Returns
-        ``(peer_index, total_hops, total_messages)``.
-        """
-        # arcs[j] = length of the identifier arc *owned by* node j, i.e. the
-        # gap between its predecessor's identifier and its own (the owner of
-        # a random identifier is its successor on the ring).
-        arcs = np.diff(
-            np.concatenate([[self.identifiers[-1] - self.ring_size], self.identifiers])
-        )
-        total_hops = 0
-        total_messages = 0
-        # Expected number of attempts is max_arc / mean_arc = O(log n) whp,
-        # but typically a small constant; cap attempts defensively.
-        for _ in range(64 * self.m):
-            result = self.sample_random_peer(source, rng)
-            total_hops += result.hops
-            total_messages += result.messages
-            # Accept with probability min_arc / arc(owner): the owner of a
-            # random identifier is hit with probability proportional to its
-            # arc, so this rejection step makes the accepted peer exactly
-            # uniform over nodes.
-            threshold = float(arcs.min()) / float(arcs[result.owner])
-            if rng.random() < threshold:
-                return result.owner, total_hops, total_messages
-        return result.owner, total_hops, total_messages  # pragma: no cover - defensive
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChordNetwork(n={self.n}, m={self.m}, avg_degree={self.average_degree():.1f})"

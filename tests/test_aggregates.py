@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.aggregates import (
     AGGREGATE_SPECS,
     Aggregate,
-    estimate_error,
     exact_aggregate,
     relative_error,
 )
@@ -58,21 +57,6 @@ class TestRelativeError:
     def test_zero_truth_without_fallback(self):
         assert relative_error(0.05, 0.0, absolute_fallback=False) == float("inf")
         assert relative_error(0.0, 0.0, absolute_fallback=False) == 0.0
-
-
-class TestEstimateError:
-    def test_exact_aggregate_scores_zero_one(self):
-        v = np.array([1.0, 2.0, 3.0])
-        estimates = np.array([3.0, 3.0, 2.0])
-        err = estimate_error(Aggregate.MAX, estimates, v)
-        assert err.tolist() == [0.0, 0.0, 1.0]
-
-    def test_convergent_aggregate_scores_relative(self):
-        v = np.array([1.0, 3.0])
-        estimates = np.array([2.2, 2.0])
-        err = estimate_error(Aggregate.AVERAGE, estimates, v)
-        assert err[0] == pytest.approx(0.1)
-        assert err[1] == pytest.approx(0.0)
 
 
 class TestProperties:

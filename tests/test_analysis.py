@@ -1,4 +1,4 @@
-"""Tests for the analysis toolkit: theory, fitting, statistics, lower bound."""
+"""Tests for the analysis toolkit: theory, fitting, lower bound."""
 
 from __future__ import annotations
 
@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 from repro.analysis import (
     adversarial_push_max_messages,
     best_shape,
-    bootstrap_mean_ci,
     fit_shape,
-    knowledge_spread_after,
     power_law_exponent,
-    summarize,
     theory,
-    whp_satisfied,
-    wilson_interval,
 )
+from repro.analysis.lower_bound import _push_round
 
 
 class TestTheory:
@@ -43,12 +39,6 @@ class TestTheory:
     def test_drr_bound_smaller_than_uniform_bound(self):
         n = 2**14
         assert theory.drr_message_bound(n) < theory.uniform_gossip_message_bound(n)
-
-    def test_paper_gossip_max_rounds(self):
-        assert theory.paper_gossip_max_rounds(1024) >= 8 * math.log2(1024)
-        assert theory.paper_gossip_max_rounds(1024, delta=0.1) > theory.paper_gossip_max_rounds(1024)
-        with pytest.raises(ValueError):
-            theory.paper_gossip_max_rounds(1024, c=0.9)
 
 
 class TestFitting:
@@ -94,66 +84,18 @@ class TestFitting:
         assert fit.slope == pytest.approx(slope, rel=1e-6, abs=1e-6)
 
 
-class TestStatistics:
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.median == pytest.approx(2.5)
-        assert stats.count == 4
-        assert "mean" in stats.as_dict()
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_wilson_interval_contains_point_estimate(self):
-        lo, hi = wilson_interval(90, 100)
-        assert lo < 0.9 < hi
-        assert 0.0 <= lo <= hi <= 1.0
-
-    def test_wilson_interval_zero_failures_not_degenerate(self):
-        lo, hi = wilson_interval(20, 20)
-        assert lo < 1.0
-        assert hi == 1.0
-
-    def test_wilson_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            wilson_interval(5, 0)
-        with pytest.raises(ValueError):
-            wilson_interval(10, 5)
-
-    def test_whp_satisfied(self):
-        assert whp_satisfied(100, 100, target=0.9)
-        assert not whp_satisfied(5, 10, target=0.9)
-
-    def test_bootstrap_ci_covers_mean(self, rng):
-        samples = rng.normal(10.0, 1.0, size=200)
-        lo, hi = bootstrap_mean_ci(samples, rng)
-        assert lo < samples.mean() < hi
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([], rng)
-
-
 class TestLowerBound:
-    def test_knowledge_spread_after_zero_rounds(self):
-        spread = knowledge_spread_after(32, 0, rng=1)
-        assert np.allclose(spread, 1.0 / 32)
-
-    def test_knowledge_spread_matches_ufunc_at_reference(self):
+    def test_push_round_matches_ufunc_at_reference(self):
         # reference push round: one ufunc.at over the pre-round snapshot
         n, rounds = 200, 12
         rng = np.random.default_rng(7)
         knowledge = np.eye(n, dtype=bool)
+        reference = knowledge.copy()
         for _ in range(rounds):
-            np.logical_or.at(knowledge, rng.integers(0, n, size=n), knowledge.copy())
-        assert np.array_equal(knowledge_spread_after(n, rounds, rng=7), knowledge.mean(axis=0))
-
-    def test_knowledge_grows_with_rounds(self):
-        early = knowledge_spread_after(64, 2, rng=2).min()
-        late = knowledge_spread_after(64, 10, rng=2).min()
-        assert late >= early
+            targets = rng.integers(0, n, size=n)
+            np.logical_or.at(reference, targets, reference.copy())
+            _push_round(knowledge, targets)
+        assert np.array_equal(knowledge, reference)
 
     def test_adversarial_messages_exceed_half_n_log_n(self):
         n = 256
@@ -172,5 +114,3 @@ class TestLowerBound:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             adversarial_push_max_messages(1)
-        with pytest.raises(ValueError):
-            knowledge_spread_after(1, 3)

@@ -168,6 +168,35 @@ class TestSpecValidation:
         spec = get_protocol("push-sum")
         assert set(spec.param_names) == {"n", "workload", "values", "rounds", "epsilon"}
 
+    def test_registration_rejects_unknown_topology_and_churn_modes(self):
+        from repro.api import register_protocol
+
+        with pytest.raises(ValueError, match="topology must be 'forbidden'"):
+            register_protocol("mesh-gossip", topology="mesh")
+        with pytest.raises(ValueError, match="churn must be 'none', 'crashes', or 'full'"):
+            register_protocol("mesh-gossip", churn="sometimes")
+        assert "mesh-gossip" not in protocol_names()
+
+    def test_registration_rejects_an_adapter_parameter_without_default(self):
+        from repro.api import register_protocol
+
+        def adapter(ctx, n):
+            raise AssertionError("never run")
+
+        with pytest.raises(TypeError, match=re.escape("parameter without default ('n')")):
+            register_protocol("no-default")(adapter)
+        assert "no-default" not in protocol_names()
+
+    def test_registering_a_second_adapter_under_a_taken_name_rejected(self):
+        from repro.api import register_protocol
+
+        def adapter(ctx, n=8):
+            raise AssertionError("never run")
+
+        with pytest.raises(ValueError, match="protocol 'push-sum' is already registered"):
+            register_protocol("push-sum")(adapter)
+        assert get_protocol("push-sum").runner is not adapter
+
 
 class TestLoadSpec:
     SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
@@ -191,6 +220,127 @@ class TestLoadSpec:
     def test_load_spec_rejects_a_multi_run_file(self):
         with pytest.raises(SpecValidationError, match="expected exactly one run spec, found 4"):
             repro.load_spec(self.SPECS / "baseline_suite.toml")
+
+    def test_malformed_json_file_is_named(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"protocol": "drr",')
+        with pytest.raises(SpecValidationError, match=re.escape(f"{path}: invalid JSON")):
+            load_specs(path)
+
+
+class TestMalformedSpecs:
+    """Each way a hand-written spec goes wrong is a SpecValidationError naming it."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(["drr"], "a run spec must be a table/object, got ['drr']", id="spec-not-a-table"),
+            pytest.param({"params": {"n": 8}}, "a run spec needs a 'protocol' name", id="no-protocol"),
+            pytest.param({"protocol": "drr", "params": [8]}, "'params' must be a table/object", id="params-not-a-table"),
+            pytest.param({"protocol": "drr", "seed": "abc"}, "'seed' must be an integer, got 'abc'", id="seed-not-an-integer"),
+            pytest.param(
+                {"protocol": "drr", "failures": {"delta": 0.1}},
+                "invalid 'failures' section: failure spec has unknown keys ['delta']",
+                id="failures-unknown-key",
+            ),
+            pytest.param(
+                {"protocol": "drr", "failures": "none"},
+                "invalid 'failures' section: failure spec must be a mapping, got 'none'",
+                id="failures-not-a-table",
+            ),
+            pytest.param({"protocol": "drr", "backend": "warp"}, "unknown substrate backend 'warp'", id="unknown-backend"),
+            pytest.param(
+                {"protocol": "local-drr", "topology": "ring"},
+                "topology must be a table/object, got 'ring'",
+                id="topology-not-a-table",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "ring"}},
+                "topology needs 'family' and 'n'",
+                id="topology-without-n",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "ring", "n": "eight"}},
+                "topology 'n' must be an integer, got 'eight'",
+                id="topology-n-not-an-integer",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "ring", "n": 0}},
+                "topology n must be positive, got 0",
+                id="topology-n-zero",
+            ),
+            pytest.param(
+                {"protocol": "chord-lookups", "topology": {"family": "chord", "n": 1}},
+                "a chord topology needs n >= 2",
+                id="chord-of-one-node",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "explicit", "n": 3, "edges": [[0, 1]], "weights": [1]}},
+                "explicit topology accepts only 'edges'/'name', got 'weights'",
+                id="explicit-extra-key",
+            ),
+            pytest.param(
+                {"protocol": "chord-lookups", "topology": {"family": "chord", "n": 8, "k": 3}},
+                "chord topology accepts only 'm', got 'k'",
+                id="chord-extra-key",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "ring", "n": 8, "m": 3}},
+                "topology family 'ring' takes no extra parameters, got 'm'",
+                id="generated-family-extra-key",
+            ),
+            pytest.param(
+                {"protocol": "local-drr", "topology": {"family": "explicit", "n": 3}},
+                "explicit topology needs an 'edges' list",
+                id="explicit-without-edges",
+            ),
+        ],
+    )
+    def test_run_spec_document_rejected(self, doc, message):
+        with pytest.raises(SpecValidationError, match=re.escape(message)):
+            RunSpec.from_dict(doc)
+
+    def test_topology_params_must_be_a_mapping(self):
+        with pytest.raises(SpecValidationError, match="topology params must be a mapping"):
+            TopologySpec(family="ring", n=8, params=["m"])
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(
+                {"run": {"protocol": "drr"}, "name": "x"},
+                "f.toml: unknown top-level keys ['name'] next to 'run(s)'",
+                id="key-beside-run",
+            ),
+            pytest.param(42, "f.toml: expected a run spec object or list, got int", id="scalar-document"),
+            pytest.param([], "f.toml: spec file defines no runs", id="empty-list"),
+            pytest.param({"runs": []}, "f.toml: spec file defines no runs", id="empty-runs"),
+            pytest.param(
+                [{"protocol": "drr"}, {"params": {}}],
+                "f.toml (run #2): a run spec needs a 'protocol' name",
+                id="bad-run-is-numbered",
+            ),
+        ],
+    )
+    def test_spec_document_shape_rejected(self, data, message):
+        from repro.api import parse_spec_document
+
+        with pytest.raises(SpecValidationError, match=re.escape(message)):
+            parse_spec_document(data, "f.toml")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            pytest.param({"values": [[1, 2], [3, 4]]}, "'values' must be a non-empty flat list of numbers", id="nested-values"),
+            pytest.param({"values": []}, "'values' must be a non-empty flat list of numbers", id="empty-values"),
+            pytest.param({"values": ["a"]}, "'values' must be a flat list of numbers:", id="non-numeric-values"),
+            pytest.param({"n": "many"}, "'n' must be an integer, got 'many'", id="n-not-an-integer"),
+            pytest.param({"n": 8, "workload": "zipf"}, "unknown workload 'zipf'; known: ['bimodal'", id="unknown-workload"),
+        ],
+    )
+    def test_input_vector_rejected_at_run(self, params, message):
+        with pytest.raises(SpecValidationError, match=re.escape(message)):
+            repro.run(RunSpec(protocol="push-sum", params=params))
 
 
 class TestSpecEquivalenceWithDirectCalls:

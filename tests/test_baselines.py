@@ -84,7 +84,7 @@ def reference_push_sum(values: np.ndarray, seed: int, failure_model: FailureMode
     values = np.asarray(values, dtype=float)
     n = values.size
     rng = make_rng(seed)
-    metrics = MetricsCollector(n=n)
+    metrics = MetricsCollector()
     metrics.begin_phase("push-sum")
     alive = ~failure_model.sample_crashes(n, rng)
     oracle = LossOracle.for_run(failure_model, rng)
@@ -374,7 +374,8 @@ class TestEfficientGossip:
     def test_average_accuracy(self, rng):
         values = rng.uniform(0, 100, size=2048)
         result = efficient_gossip(values, Aggregate.AVERAGE, rng=8)
-        assert result.max_relative_error < 0.01
+        learned = result.estimates[np.isfinite(result.estimates)]
+        assert learned.size and np.max(np.abs(learned - result.exact)) < 0.01 * abs(result.exact)
 
     def test_max_and_min_exact_for_learned_nodes(self, rng):
         values = rng.uniform(0, 100, size=1024)
@@ -409,13 +410,13 @@ class TestEfficientGossip:
 class TestRumorSpreading:
     def test_push_rumor_informs_everyone(self):
         result = push_rumor(2048, rng=13)
-        assert result.everyone_informed
+        assert result.informed_fraction == 1.0
 
     def test_push_pull_informs_everyone_with_fewer_messages(self):
         n = 4096
         push_only = push_rumor(n, rng=14)
         push_pull = push_pull_rumor(n, rng=14)
-        assert push_pull.everyone_informed
+        assert push_pull.informed_fraction == 1.0
         assert push_pull.messages < push_only.messages
 
     def test_push_pull_messages_per_node_grow_slowly(self):

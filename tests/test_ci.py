@@ -1,9 +1,10 @@
 """CI and the docs stay in step with the code.
 
 CI runs every gate of ``benchmarks/gates.py``, so none drops out silently,
-every CLI command the docs name is one the parser accepts, and every value
-the CLI can set is set by a test or a CI step.  The files are read as
-text: CI does not install PyYAML.
+every CLI command the docs name is one the parser accepts, every value
+the CLI can set is set by a test or a CI step, and every name a module
+exports in ``__all__`` exists.  The files are read as text: CI does not
+install PyYAML.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -30,6 +32,23 @@ def _gate_names() -> list[str]:
     gates = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gates)
     return list(gates.GATES)
+
+
+def test_every_all_entry_resolves_once():
+    """A deletion that leaves its name in an ``__all__`` fails here.
+
+    Importing the package does not notice one; ``from module import *`` would.
+    """
+    import repro
+
+    problems = []
+    modules = ["repro"] + [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        exported = list(getattr(module, "__all__", ()))
+        problems += [f"{module_name}: {name} repeated" for name in set(exported) if exported.count(name) > 1]
+        problems += [f"{module_name}: {name} missing" for name in exported if not hasattr(module, name)]
+    assert problems == []
 
 
 def test_the_gate_matrix_lists_exactly_the_gate_names():

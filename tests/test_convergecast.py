@@ -136,7 +136,7 @@ class TestEngineParity:
         assert fast.local_value == engine.local_value
         assert fast.local_weight == engine.local_weight
         assert fast.rounds == engine.rounds
-        assert fast.metrics.as_dict() == engine.metrics.as_dict()
+        assert vars(fast.metrics) == vars(engine.metrics)
 
     def test_broadcast_engine_matches_fast_on_reliable_network(self):
         drr = run_drr(128, rng=22)

@@ -33,9 +33,6 @@ class TestBasicStructure:
         f = make_forest([-1, 0, 0, 1])
         assert f.root_count == 1
         assert f.roots.tolist() == [0]
-        assert f.children[0] == (1, 2)
-        assert f.is_leaf(3)
-        assert not f.is_leaf(1)
 
     def test_tree_id_assignment(self):
         f = make_forest([-1, 0, -1, 2, 3])
@@ -78,10 +75,6 @@ class TestBasicStructure:
         assert f.tree_members(2).tolist() == [2, 3, 4]
         with pytest.raises(ValueError):
             f.tree_members(1)
-
-    def test_leaves_iteration(self):
-        f = make_forest([-1, 0, 0, 1])
-        assert sorted(f.leaves()) == [2, 3]
 
     def test_summary_fields(self):
         f = make_forest([-1, 0, 0])
@@ -187,7 +180,7 @@ def _assert_breadth_first_index(forest: Forest) -> None:
         assert (np.diff(ups) >= 0).all()
         for p in np.unique(ups):
             run = order[lo:hi][ups == p]
-            assert run.tolist() == list(forest.children[order[p]])
+            assert run.tolist() == np.flatnonzero(forest.parent == order[p]).tolist()
     # a node's tree is its parent's tree
     has_parent = forest.parent >= 0
     assert np.array_equal(forest.tree_id[has_parent], forest.tree_id[forest.parent[has_parent]])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from repro.core import (
     run_gossip_max,
 )
 from repro.core.drr_gossip import DRRGossipConfig, broadcast_root_addresses
+from repro.core.gossip_ave import default_ave_rounds
+from repro.core.gossip_max import default_gossip_rounds, default_sampling_rounds
 from repro.simulator import FailureModel, MetricsCollector
 
 
@@ -27,7 +31,7 @@ def make_phase3_inputs(n=512, seed=31, delta=0.0, value_scale=100.0):
     roots = drr.forest.roots
     cov_max = run_convergecast(drr, values, op="max", failure_model=fm, rng=rng)
     cov_sum = run_convergecast(drr, values, op="sum", failure_model=fm, rng=rng)
-    metrics = MetricsCollector(n=n)
+    metrics = MetricsCollector()
     root_of = broadcast_root_addresses(drr, roots, rng, DRRGossipConfig(failure_model=fm), metrics)
     return dict(
         n=n,
@@ -40,6 +44,22 @@ def make_phase3_inputs(n=512, seed=31, delta=0.0, value_scale=100.0):
         cov_sum=cov_sum,
         root_of=root_of,
     )
+
+
+class TestRoundBudgets:
+    @pytest.mark.parametrize(
+        "budget", [default_gossip_rounds, default_sampling_rounds, default_ave_rounds]
+    )
+    def test_budget_inflates_by_the_two_hop_relay_loss(self, budget):
+        """Theorem 5's ``1 / (1 - rho)`` factor, with ``rho = 1 - (1 - delta)^2``."""
+        n = 1024
+        reliable = budget(n, loss_probability=0.0)
+        for delta in (0.05, 0.1, 0.3):
+            rho = 1.0 - (1.0 - delta) ** 2
+            lossy = budget(n, loss_probability=delta)
+            assert (reliable - 1) / (1.0 - rho) < lossy <= math.ceil(reliable / (1.0 - rho))
+        # a one-hop factor 1 / (1 - delta) would undershoot
+        assert budget(n, loss_probability=0.3) > math.ceil(reliable / 0.7)
 
 
 class TestGossipMax:
@@ -70,7 +90,7 @@ class TestGossipMax:
 
     def test_message_count_linear_in_n(self):
         ctx = make_phase3_inputs(n=1024)
-        metrics = MetricsCollector(n=1024)
+        metrics = MetricsCollector()
         run_gossip_max(
             roots=ctx["roots"],
             root_values=ctx["cov_max"].value_vector(ctx["roots"]),

@@ -48,6 +48,19 @@ class TestWorkloads:
     def test_constant_workload(self, rng):
         assert np.unique(make_values("constant", 10, rng)).size == 1
 
+    @pytest.mark.parametrize(
+        "name, holds",
+        [
+            pytest.param("uniform", lambda v: v.min() >= 0.0 and v.max() < 100.0, id="uniform-in-0-100"),
+            pytest.param("normal", lambda v: abs(v.mean() - 20.0) < 1.0 and abs(v.std() - 5.0) < 1.0, id="normal-around-20"),
+            pytest.param("bimodal", lambda v: not ((v > 30.0) & (v < 70.0)).any() and 0.4 < (v < 50.0).mean() < 0.6, id="bimodal-two-clusters"),
+            pytest.param("signed", lambda v: 0.4 < (v < 0.0).mean() < 0.6, id="signed-mixed-signs"),
+            pytest.param("heavy-tail", lambda v: v.min() >= 10.0 and v.max() > 20.0 * np.median(v), id="heavy-tail-pareto"),
+        ],
+    )
+    def test_workload_has_its_documented_shape(self, rng, name, holds):
+        assert holds(make_values(name, 2000, rng))
+
     def test_unknown_workload_rejected(self, rng):
         with pytest.raises(ValueError):
             make_values("nope", 10, rng)
@@ -215,9 +228,46 @@ class TestCLI:
         code = main(["run", "--n", "64", "--aggregate", "rank", "--query", "50", "--seed", "3"])
         assert code == 0
 
-    def test_run_heartbeat_must_be_positive(self):
-        with pytest.raises(SystemExit, match="heartbeat interval must be positive"):
+    def test_run_heartbeat_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "--n", "64", "--heartbeat", "0"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "heartbeat interval must be positive" in err
+        assert "spec" not in out  # rejected before anything runs
+
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            ("-1", "heartbeat interval must be positive, got -1"),
+            ("nan", "heartbeat interval must be positive, got nan"),
+            ("soon", "invalid float value: 'soon'"),
+        ],
+        ids=["negative", "nan", "text"],
+    )
+    def test_run_heartbeat_rejects_a_bad_interval_before_running(self, capsys, interval, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--n", "64", "--heartbeat", interval])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "spec" not in out
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ('topology = "ring"', "topology must be a table/object, got 'ring'"),
+            ('failures = "none"', "failure spec must be a mapping, got 'none'"),
+        ],
+        ids=["topology", "failures"],
+    )
+    def test_run_spec_with_a_scalar_section_exits_2(self, tmp_path, capsys, section, message):
+        path = tmp_path / "scalar.toml"
+        path.write_text(f'protocol = "local-drr"\n{section}\n')
+        assert main(["run", "--spec", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: {path}: " in err and message in err
+        assert "spec" not in out
 
     def test_run_heartbeat_thread_ends_with_the_run(self, capsys):
         assert main(["run", "--n", "64", "--heartbeat", "0.01"]) == 0

@@ -21,7 +21,6 @@ import pytest
 import repro
 from repro import RunSpec
 from repro.api import RunResult
-from repro.core import run_drr
 from repro.observability import (
     NULL_TELEMETRY,
     Heartbeat,
@@ -39,8 +38,6 @@ from repro.observability import (
 )
 from repro.orchestration import ResultStore, SweepRunner, cells_from_run_specs
 from repro.simulator import FailureModel
-from repro.simulator.errors import ConfigurationError
-from repro.simulator.trace import Tracer
 
 from test_api import FAILURE_MODELS, PROTOCOL_SPECS
 
@@ -117,11 +114,10 @@ class TestTelemetry:
         assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
         with NULL_TELEMETRY.span("anything"):
             pass
-        NULL_TELEMETRY.count("x")
         NULL_TELEMETRY.round_tick()
         NULL_TELEMETRY.finish()
 
-    def test_phases_rounds_spans_counters_gauges(self):
+    def test_phases_rounds_and_spans(self):
         tel = Telemetry()
         tel.phase_begin("alpha")
         tel.round_tick()
@@ -131,10 +127,6 @@ class TestTelemetry:
         with tel.span("prim"):
             pass
         tel.add_span("prim", 0.5)
-        tel.count("widgets")
-        tel.count("widgets", 2)
-        tel.gauge_max("arena", 10)
-        tel.gauge_max("arena", 5)  # lower value must not win
         doc = tel.as_dict()
         assert list(doc["phases"]) == ["alpha", "beta"]
         # 3 ticks in a phase = 2 measured inter-tick durations
@@ -142,8 +134,6 @@ class TestTelemetry:
         assert doc["phases"]["beta"]["rounds"] == {"count": 0}
         assert doc["spans"]["prim"]["count"] == 2
         assert doc["spans"]["prim"]["max_s"] >= 0.5
-        assert doc["counters"] == {"widgets": 3}
-        assert doc["gauges"] == {"arena": 10}
         assert doc["wall_s"] > 0.0
         assert doc.get("peak_rss_bytes", 1) > 0
 
@@ -203,11 +193,11 @@ class TestTelemetry:
     def test_format_telemetry_summary(self):
         tel = Telemetry()
         tel.phase_begin("drr")
-        tel.count("worker.cells", 4)
+        tel.add_span("substrate.deliver", 0.25)
         text = format_telemetry(tel.as_dict())
         assert "telemetry" in text
         assert "phase drr" in text
-        assert "worker.cells" in text
+        assert "span  substrate.deliver" in text
         assert format_telemetry({}) == "(no telemetry recorded)"
 
     @pytest.mark.parametrize("aggregate", ["average", "max"])
@@ -292,29 +282,6 @@ class TestTelemetryNeutrality:
 
 
 # --------------------------------------------------------------------------- #
-# tracing stays engine-only
-# --------------------------------------------------------------------------- #
-class TestTracerEngineOnly:
-    @pytest.mark.parametrize("backend", ["vectorized"])
-    def test_columnar_backends_reject_an_enabled_tracer(self, backend):
-        with pytest.raises(ConfigurationError, match="tracing is engine-only") as excinfo:
-            run_drr(64, rng=1, backend=backend, tracer=Tracer())
-        # the error points at telemetry as the columnar alternative
-        assert "telemetry" in str(excinfo.value)
-
-    def test_disabled_tracer_is_accepted_everywhere(self):
-        from repro.simulator.trace import NullTracer
-
-        result = run_drr(64, rng=1, backend="vectorized", tracer=NullTracer())
-        assert result.rounds > 0
-
-    def test_engine_backend_still_traces(self):
-        tracer = Tracer()
-        run_drr(64, rng=1, backend="engine", tracer=tracer)
-        assert len(list(tracer.events())) > 0
-
-
-# --------------------------------------------------------------------------- #
 # JSONL event export
 # --------------------------------------------------------------------------- #
 EVENT_REQUIRED_KEYS = {
@@ -322,8 +289,6 @@ EVENT_REQUIRED_KEYS = {
     "phase": {"name", "wall_s", "rounds"},
     "round_samples": {"phase", "count", "mean_s", "min_s", "max_s", "samples_s"},
     "span": {"name", "count", "total_s"},
-    "counter": {"name", "value"},
-    "gauge": {"name", "value"},
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -121,29 +122,30 @@ class TestResultStore:
         result = run_ablation(n=64, repetitions=1, seed=3)
         with ResultStore(tmp_path / "r.sqlite") as store:
             store.record_result("ablation", {"n": 64, "repetitions": 1}, 3, result, 0.5)
-            run = store.get("ablation", {"repetitions": 1, "n": 64}, 3)
-            assert run is not None and run.ok
+            (run,) = store.query("ablation")
+            assert run.param_hash == param_hash({"repetitions": 1, "n": 64})
+            assert run.ok
             rebuilt = run.to_result()
             assert rebuilt.rows == result.rows
             assert rebuilt.headers == result.headers
             assert rebuilt.seed == 3
 
-    def test_is_completed_only_for_success(self, tmp_path):
+    def test_success_over_a_failure_completes_the_cell(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
             store.record_failure("ablation", {"n": 64}, 3, "boom")
-            assert not store.is_completed("ablation", {"n": 64}, 3)
+            assert store.completed_cells() == set()
             result = run_ablation(n=64, repetitions=1, seed=3)
             store.record_result("ablation", {"n": 64}, 3, result)
-            assert store.is_completed("ablation", {"n": 64}, 3)
+            assert store.completed_cells() == {("ablation", param_hash({"n": 64}), 3)}
             assert len(store) == 1  # upsert, not duplicate
 
     def test_failure_then_success_clears_error(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
             store.record_failure("ablation", {"n": 64}, 3, "traceback here")
-            run = store.get("ablation", {"n": 64}, 3)
+            (run,) = store.query()
             assert run.status == "failed" and "traceback" in run.error
             store.record_result("ablation", {"n": 64}, 3, run_ablation(n=64, repetitions=1, seed=3))
-            run = store.get("ablation", {"n": 64}, 3)
+            (run,) = store.query()
             assert run.ok and run.error is None and run.rows
 
     def test_export_json_and_summary(self, tmp_path):
@@ -162,7 +164,7 @@ class TestResultStore:
         with ResultStore(path) as store:
             store.record_result("ablation", {"n": 64}, 3, run_ablation(n=64, repetitions=1, seed=3))
         with ResultStore(path) as store:
-            assert store.is_completed("ablation", {"n": 64}, 3)
+            assert store.completed_cells() == {("ablation", param_hash({"n": 64}), 3)}
 
     def test_completed_cells_lists_only_successful_rows(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
@@ -281,6 +283,65 @@ class TestSweepConfig:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="no experiments"):
             SweepDefinition(name="empty", plans=())
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(
+                {"sweep": ["x"], "experiment": [{"name": "ablation"}]},
+                "[sweep] must be a table/object",
+                id="sweep-not-a-table",
+            ),
+            pytest.param(
+                {"experiment": [{"grid": {"n": 64}}]},
+                "experiment block must be a table with a 'name' key",
+                id="block-without-name",
+            ),
+            pytest.param(
+                {"experiment": ["ablation"]},
+                "experiment block must be a table with a 'name' key, got 'ablation'",
+                id="block-not-a-table",
+            ),
+            pytest.param(
+                {"experiment": [{"name": "ablation", "grid": [64]}]},
+                "experiment 'ablation': grid must be a table/object",
+                id="grid-not-a-table",
+            ),
+            pytest.param(
+                {"sweep": {"repetitions": 0}, "experiment": [{"name": "ablation"}]},
+                "sweep 'sweep': repetitions must be >= 1",
+                id="zero-sweep-repetitions",
+            ),
+        ],
+    )
+    def test_malformed_sweep_document_rejected(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepDefinition.from_dict(data)
+
+    def test_block_repetitions_below_one_rejected_when_expanded(self):
+        definition = SweepDefinition.from_dict(
+            {"experiment": [{"name": "ablation", "repetitions": 0}]}
+        )
+        with pytest.raises(ValueError, match="experiment 'ablation': repetitions must be >= 1"):
+            expand_cells(definition)
+
+    def test_empty_grid_entry_rejected_when_expanded(self):
+        definition = SweepDefinition.from_dict(
+            {"experiment": [{"name": "ablation", "grid": {"n": []}}]}
+        )
+        with pytest.raises(ValueError, match="grid entry for 'n' is empty"):
+            expand_cells(definition)
+
+    def test_single_experiment_table_and_experiments_key_accepted(self):
+        one = SweepDefinition.from_dict({"experiment": {"name": "ablation", "grid": {"n": 64}}})
+        alias = SweepDefinition.from_dict({"experiments": [{"name": "ablation", "grid": {"n": 64}}]})
+        assert one.plans == alias.plans == (ExperimentPlan(experiment="ablation", grid={"n": 64}),)
+
+    def test_load_sweep_names_a_malformed_json_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"sweep": ')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: invalid JSON")):
+            load_sweep(path)
 
     def test_cell_seeds_deterministic_and_distinct(self):
         cells_a = expand_cells(_tiny_definition())
@@ -498,6 +559,17 @@ class TestSweepCLI:
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown experiment 'tabel1'" in captured.err
+        assert not (tmp_path / "s.sqlite").exists()
+
+    def test_sweep_cli_names_a_malformed_config_file(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        for name, error in (("broken.toml", "invalid TOML"), ("broken.yaml", "unsupported file type")):
+            config = tmp_path / name
+            config.write_text('[sweep\nname = "x"\n')
+            code = main(["sweep", "--config", str(config), "--store", str(tmp_path / "s.sqlite")])
+            assert code == 2
+            assert f"{config}: {error}" in capsys.readouterr().err
         assert not (tmp_path / "s.sqlite").exists()
 
     def test_sweep_cli_rejects_conflicting_and_invalid_flags(self, tmp_path, capsys):

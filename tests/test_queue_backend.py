@@ -552,17 +552,16 @@ class TestSpecHashStore:
         assert traced.key == plain.key
         assert cell_spec_hash(traced.spec_json()) == spec.spec_hash()
 
-    def test_enqueued_spec_is_found_by_its_run_spec_hash(self, tmp_path):
+    def test_enqueued_spec_carries_its_run_spec_hash(self, tmp_path):
         spec = RunSpec(protocol="drr-gossip", params={"n": 64}, seed=3)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            assert store.queue_cell_by_spec_hash(spec.spec_hash()) is None
+            assert store.queue_cells() == []
             _enqueue(store, cells_from_run_specs([spec]))
-            row = store.queue_cell_by_spec_hash(spec.spec_hash())
-            assert row is not None
+            (row,) = store.queue_cells()
+            assert row.spec_hash == spec.spec_hash()
             assert (row.state, row.attempt) == ("pending", 0)
-            # nothing has run yet, and an unknown digest misses both lookups
+            # nothing has run yet, and an unknown digest misses too
             assert store.get_by_spec_hash(spec.spec_hash()) is None
-            assert store.queue_cell_by_spec_hash("ab" * 8) is None
             assert store.get_by_spec_hash("ab" * 8) is None
 
     def test_failure_upsert_drops_the_replayable_result(self, tmp_path):
@@ -631,8 +630,8 @@ class TestSpecHashStore:
             found = store.get_by_spec_hash(digest)
             assert found is not None
             assert found.spec_hash == digest
-            row = store.queue_cell_by_spec_hash(digest)
-            assert row is not None
+            (row,) = store.queue_cells()
+            assert row.spec_hash == digest
             assert row.key == cell.key
 
 
@@ -649,9 +648,7 @@ class TestQueueWorker:
             assert report.executed == len(cells)
             assert report.failed == 0
             assert store.queue_depth()["done"] == len(cells)
-            for cell in cells:
-                run = store.get(cell.experiment, cell.params, cell.seed)
-                assert run is not None and run.ok
+            assert store.completed_cells() == {cell.key for cell in cells}
 
     def test_cached_claim_skips_execution(self, tmp_path):
         cells = expand_cells(_tiny_definition(reps=1))[:1]
@@ -1040,11 +1037,11 @@ class TestQueueBackendRunner:
             claim = store.claim_cell("crasher")
             experiment, params, seed = row_identity(claim.spec_json)
             store.record_failure(experiment, params, seed, "boom", spec_json=claim.spec_json)
-            assert store.queue_cell_by_spec_hash(spec.spec_hash()).state == "failed"
+            assert [row.state for row in store.queue_cells()] == ["failed"]
             report = SweepRunner(store, jobs=1).run_cells(cells)
             assert (report.executed, report.failed) == (1, 0)
-            row = store.queue_cell_by_spec_hash(spec.spec_hash())
-            assert (row.state, row.attempt) == ("done", 1)
+            (row,) = store.queue_cells()
+            assert (row.spec_hash, row.state, row.attempt) == (spec.spec_hash(), "done", 1)
             stored = store.get_by_spec_hash(spec.spec_hash())
             assert stored.ok and stored.error is None
             assert RunResult.from_dict(json.loads(stored.result_json)).same_outcome(run(spec))
@@ -1108,9 +1105,7 @@ class TestSweepProcesses:
             # every cell executed exactly once: terminal state reached on
             # the first (and only) claim, by whichever sweep's drain won it
             assert all((row.state, row.attempt) == ("done", 1) for row in rows)
-            for cell in cells:
-                run = store.get(cell.experiment, cell.params, cell.seed)
-                assert run is not None and run.ok
+            assert store.completed_cells() == {cell.key for cell in cells}
         assert _owner_locks(path) == []
 
     def test_sigterm_mid_cell_hands_the_claim_back(self, tmp_path):

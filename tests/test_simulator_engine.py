@@ -17,7 +17,6 @@ from repro.simulator import (
     RoundLimitExceeded,
     Send,
     SynchronousEngine,
-    Tracer,
     UnknownNodeError,
     default_round_limit,
 )
@@ -82,23 +81,16 @@ class TestNetwork:
     def test_unknown_node_rejected(self):
         net = Network(4, rng=np.random.default_rng(0))
         with pytest.raises(UnknownNodeError):
-            net.is_alive(9)
+            net.deliver([Message(0, 9, "data")], MetricsCollector())
 
-    def test_crash_marks_nodes_dead(self):
-        net = Network(4, rng=np.random.default_rng(0))
-        net.crash([1, 2])
-        assert not net.is_alive(1)
+    def test_alive_mask_marks_nodes_dead(self):
+        net = Network(4, rng=np.random.default_rng(0), alive=np.array([True, False, False, True]))
+        assert not net.alive[1]
         assert net.alive_count == 2
 
-    def test_cannot_crash_everyone(self):
-        net = Network(2, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            net.crash([0, 1])
-
     def test_deliver_counts_all_and_drops_to_dead(self):
-        net = Network(3, rng=np.random.default_rng(0))
-        net.crash([2])
-        metrics = MetricsCollector(n=3)
+        net = Network(3, rng=np.random.default_rng(0), alive=np.array([True, True, False]))
+        metrics = MetricsCollector()
         msgs = [Message(0, 1, "data"), Message(0, 2, "data")]
         delivered = net.deliver(msgs, metrics)
         assert metrics.total_messages == 2
@@ -229,27 +221,3 @@ class TestSubsteps:
         # The ACK is carried over and delivered at the start of round 2.
         assert nodes[0].acks == 1
         assert result.rounds >= 2
-
-
-class TestTracer:
-    def test_tracer_records_deliveries(self):
-        rng = np.random.default_rng(0)
-        network = Network(3, rng=rng)
-        nodes = [OneShotSender(i, 3) for i in range(3)]
-        tracer = Tracer()
-        engine = SynchronousEngine(network, nodes, rng, tracer=tracer)
-        engine.run()
-        assert len(tracer) == 3
-        assert all(e.delivered for e in tracer.events())
-        assert len(tracer.sent_by(0)) == 1
-        assert len(tracer.received_by(1)) == 1
-        assert "data" in tracer.events().__next__().describe()
-
-    def test_tracer_predicate_filters(self):
-        rng = np.random.default_rng(0)
-        network = Network(3, rng=rng)
-        nodes = [OneShotSender(i, 3) for i in range(3)]
-        tracer = Tracer(predicate=lambda e: e.message.sender == 0)
-        engine = SynchronousEngine(network, nodes, rng, tracer=tracer)
-        engine.run()
-        assert len(tracer) == 1

@@ -34,15 +34,6 @@ class TestValidation:
 
 
 class TestSampling:
-    def test_no_loss_when_delta_zero(self, rng):
-        fm = FailureModel()
-        assert not fm.sample_losses(1000, rng).any()
-
-    def test_loss_rate_close_to_delta(self, rng):
-        fm = FailureModel(loss_probability=0.25)
-        losses = fm.sample_losses(20000, rng)
-        assert abs(losses.mean() - 0.25) < 0.02
-
     def test_crash_count_matches_fraction(self, rng):
         fm = FailureModel(crash_fraction=0.2)
         crashed = fm.sample_crashes(1000, rng)
@@ -52,22 +43,6 @@ class TestSampling:
         fm = FailureModel(crash_fraction=0.99)
         crashed = fm.sample_crashes(3, rng)
         assert crashed.sum() <= 2
-
-    def test_sample_losses_negative_count_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            FailureModel().sample_losses(-1, rng)
-
-    @pytest.mark.parametrize("delta", [0.0, 0.5])
-    def test_sample_losses_zero_count_consumes_no_draws(self, delta):
-        """The empty-frontier edge case: both backends must consume exactly
-        zero RNG draws when a round has nothing to transmit."""
-        fm = FailureModel(loss_probability=delta)
-        rng = np.random.default_rng(42)
-        state = rng.bit_generator.state
-        losses = fm.sample_losses(0, rng)
-        assert losses.shape == (0,)
-        assert losses.dtype == bool
-        assert rng.bit_generator.state == state
 
     def test_sample_crashes_requires_positive_n(self, rng):
         with pytest.raises(ConfigurationError):
@@ -149,6 +124,46 @@ class TestLossOracle:
         recipients = np.tile(np.arange(100), 200)
         lost = oracle.sample(0, "data", senders, recipients)
         assert abs(float(lost.mean()) - 0.25) < 0.02
+
+    def test_mixed_kind_loss_rate_close_to_delta(self):
+        """The engine's mixed-kind batch path thins at the same rate."""
+        oracle = LossOracle(0.25, key=31337)
+        draw = np.random.default_rng(4)
+        size = 20000
+        salts = np.array([kind_salt(k) for k in ("probe", "rank", "gossip")], dtype=np.uint64)
+        lost = oracle.sample_salted(
+            draw.integers(0, 8, size=size), salts[draw.integers(0, 3, size=size)],
+            draw.integers(0, 500, size=size), draw.integers(0, 500, size=size),
+            np.arange(size),
+        )
+        assert abs(float(lost.mean()) - 0.25) < 0.02
+
+    def test_reliable_oracle_loses_nothing_on_the_scalar_and_mixed_kind_paths(self):
+        oracle = LossOracle.for_run(FailureModel(), np.random.default_rng(5))
+        recipients = np.arange(1000)
+        salts = np.full(recipients.size, kind_salt("data"), dtype=np.uint64)
+        assert not oracle.sample_salted(np.full(recipients.size, 3), salts, 7, recipients).any()
+        assert not any(oracle.lost(3, "data", 7, int(r)) for r in recipients[:100])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_empty_batch_is_an_empty_mask(self, delta):
+        """A round with nothing to transmit gets an empty boolean mask on both paths."""
+        oracle = LossOracle(delta, key=5)
+        empty = np.array([], dtype=np.int64)
+        for lost in (
+            oracle.sample(0, "data", 0, empty),
+            oracle.sample_salted(empty, empty.astype(np.uint64), empty, empty),
+        ):
+            assert lost.shape == (0,)
+            assert lost.dtype == bool
+
+    def test_lossy_for_run_draws_no_variates(self):
+        """The run key hashes the generator state, so delta moves no protocol draw."""
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        oracle = LossOracle.for_run(FailureModel(loss_probability=0.3), rng)
+        assert not oracle.reliable
+        assert rng.bit_generator.state == state
 
     def test_keys_decorrelate_runs(self):
         recipients = np.arange(64)
@@ -325,13 +340,6 @@ class TestChurnBackendIndependence:
 
 
 class TestDerivedQuantities:
-    def test_two_hop_loss_probability(self):
-        fm = FailureModel(loss_probability=0.1)
-        assert fm.two_hop_loss_probability() == pytest.approx(1 - 0.9**2)
-
-    def test_two_hop_loss_is_zero_for_reliable(self):
-        assert FailureModel().two_hop_loss_probability() == 0.0
-
     def test_paper_delta_range(self):
         low, high = paper_delta_range(1024)
         assert low == pytest.approx(1.0 / 10.0)

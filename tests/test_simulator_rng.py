@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulator.rng import RngStream, derive_seed, make_rng, spawn
+from repro.simulator.rng import RngStream, derive_seed, make_rng
 
 
 class TestMakeRng:
@@ -18,20 +18,6 @@ class TestMakeRng:
 
     def test_none_uses_default_seed(self):
         assert make_rng(None).integers(0, 10**9) == make_rng(None).integers(0, 10**9)
-
-
-class TestSpawn:
-    def test_spawn_count(self, rng):
-        children = spawn(rng, 5)
-        assert len(children) == 5
-
-    def test_spawned_streams_differ(self, rng):
-        a, b = spawn(rng, 2)
-        assert a.integers(0, 2**31) != b.integers(0, 2**31)
-
-    def test_negative_count_rejected(self, rng):
-        with pytest.raises(ValueError):
-            spawn(rng, -1)
 
 
 class TestDeriveSeed:

@@ -15,8 +15,8 @@ Whole protocol runs are checked by one predicate, :meth:`RunResult.same_outcome`
 over a spec-driven matrix (:class:`TestProtocolEquivalence`): each row on
 ``vectorized`` against the engine, the envelope a sweep stores for the row
 against the engine, and the row at a second seed on both backends.
-Phase-level tests compare their outputs exactly and their accounting with
-``MetricsCollector.as_dict()``.
+Phase-level tests compare their outputs exactly and their collectors'
+whole state (``vars``: every phase's counters, in phase order).
 """
 
 from __future__ import annotations
@@ -163,14 +163,14 @@ class TestDeliveryParity:
         senders = draw.integers(0, n, size=count)
         targets = draw.integers(0, n, size=count)
 
-        batch_metrics = MetricsCollector(n=n)
+        batch_metrics = MetricsCollector()
         batch = deliver_batch(
             batch_metrics, oracle, "data", targets,
             senders=senders, round_index=3, alive=np.ones(n, dtype=bool),
         )
         assert batch.any() and not batch.all()  # delta=0.3 over 40 messages
 
-        engine_metrics = MetricsCollector(n=n)
+        engine_metrics = MetricsCollector()
         network = Network(
             n, failure_model=fm, rng=np.random.default_rng(123),
             alive=np.ones(n, dtype=bool), loss_oracle=oracle,
@@ -232,7 +232,7 @@ class TestDeliveryParity:
     def test_dead_recipients_charged_as_lost(self):
         oracle = LossOracle(0.0)
         alive = np.array([True, False, True])
-        metrics = MetricsCollector(n=3)
+        metrics = MetricsCollector()
         delivered = deliver_batch(
             metrics, oracle, "data", np.array([0, 1, 2]),
             senders=np.array([2, 0, 1]), round_index=0, alive=alive,
@@ -244,7 +244,7 @@ class TestDeliveryParity:
     def test_reliable_fast_path_charges_identically(self):
         """alive=None + reliable oracle: same counts, all delivered."""
         oracle = LossOracle(0.0)
-        metrics = MetricsCollector(n=8)
+        metrics = MetricsCollector()
         delivered = deliver_batch(
             metrics, oracle, "data", np.arange(8), senders=0, round_index=0,
             payload_words=3,
@@ -254,14 +254,9 @@ class TestDeliveryParity:
         assert metrics.total_words == 24
         assert metrics.total_messages_lost == 0
 
-    def test_zero_size_batch_consumes_no_rng(self):
-        """The empty-frontier edge case: zero messages, zero draws, zero charge."""
-        fm = FailureModel(loss_probability=0.5)
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
-        assert fm.sample_losses(0, rng).shape == (0,)
-        assert rng.bit_generator.state == state
-        metrics = MetricsCollector(n=4)
+    def test_zero_size_batch_charges_nothing(self):
+        """The empty-frontier edge case: zero messages, zero charge."""
+        metrics = MetricsCollector()
         delivered = deliver_batch(
             metrics, LossOracle(0.5, key=1), "data", np.zeros(0, dtype=np.int64),
             senders=np.zeros(0, dtype=np.int64), round_index=0,
@@ -495,7 +490,7 @@ class TestSparseRelay:
 
         depths = []
         for round_index, targets in ((4, uniform), (5, skewed)):
-            metrics = MetricsCollector(n=n)
+            metrics = MetricsCollector()
             got = kernel.relay_to_roots(
                 metrics, oracle, targets, senders=roots, round_index=round_index,
                 kind=MessageKind.GOSSIP, table=table, alive=alive, payload_words=2,
@@ -505,13 +500,13 @@ class TestSparseRelay:
                 oracle, round_index, MessageKind.GOSSIP, roots, targets, roots,
                 root_of, alive,
             )
-            expected = MetricsCollector(n=n)
+            expected = MetricsCollector()
             for kind, count, lost in charges:
                 expected.record_messages(kind, count, payload_words=2, lost=lost)
             if dead_targets:
                 expected.record_dead_targets(to_dead)
             assert np.array_equal(got, receiver)
-            assert metrics.as_dict() == expected.as_dict()
+            assert vars(metrics) == vars(expected)
             depths.append(depth)
         assert 2 <= depths[0] <= _PEEL_MAX_DEPTH < depths[1]
 
@@ -527,7 +522,7 @@ def make_forest_inputs(fm: FailureModel):
         np.array([r for r in drr.forest.roots], dtype=np.int64),
         np.random.default_rng(2),
         DRRGossipConfig(failure_model=fm),
-        MetricsCollector(n=256),
+        MetricsCollector(),
     )
     return drr, values, root_of
 
@@ -549,7 +544,7 @@ class TestPhaseEquivalence:
         assert np.array_equal(fast.probes, engine.probes)
         assert np.array_equal(fast.connect_delivered, engine.connect_delivered)
         assert fast.rounds == engine.rounds
-        assert fast.metrics.as_dict() == engine.metrics.as_dict()
+        assert vars(fast.metrics) == vars(engine.metrics)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("op", ["max", "min", "sum"])
@@ -560,7 +555,7 @@ class TestPhaseEquivalence:
         assert same_by_root(fast.local_value, engine.local_value)
         assert fast.local_weight == engine.local_weight
         assert fast.rounds == engine.rounds
-        assert fast.metrics.as_dict() == engine.metrics.as_dict()
+        assert vars(fast.metrics) == vars(engine.metrics)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_broadcast_identical(self, forest_inputs, backend):
@@ -572,7 +567,7 @@ class TestPhaseEquivalence:
         assert np.array_equal(fast.received, engine.received)
         assert np.array_equal(fast.payload, engine.payload, equal_nan=True)
         assert fast.rounds == engine.rounds
-        assert fast.metrics.as_dict() == engine.metrics.as_dict()
+        assert vars(fast.metrics) == vars(engine.metrics)
 
     def test_gossip_max_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
@@ -581,7 +576,7 @@ class TestPhaseEquivalence:
         cov = run_convergecast(drr, values, op="max", failure_model=fm, rng=1)
         results, collectors = {}, {}
         for backend in ALL_BACKENDS:
-            metrics = MetricsCollector(n=256)
+            metrics = MetricsCollector()
             results[backend] = run_gossip_max(
                 roots, cov.value_vector(roots), root_of, 256,
                 failure_model=fm, rng=7, metrics=metrics, alive=alive, backend=backend,
@@ -593,7 +588,7 @@ class TestPhaseEquivalence:
                 results[backend].after_gossip_fraction
                 == results["engine"].after_gossip_fraction
             )
-            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
+            assert vars(collectors[backend]) == vars(collectors["engine"])
 
     def test_gossip_ave_identical(self, forest_inputs):
         fm, drr, values, root_of = forest_inputs
@@ -603,7 +598,7 @@ class TestPhaseEquivalence:
         largest = drr.forest.largest_root()
         results, collectors = {}, {}
         for backend in ALL_BACKENDS:
-            metrics = MetricsCollector(n=256)
+            metrics = MetricsCollector()
             results[backend] = run_gossip_ave(
                 roots,
                 cov.value_vector(roots),
@@ -619,7 +614,7 @@ class TestPhaseEquivalence:
             assert same_by_root(fast.sums, engine.sums)
             assert same_by_root(fast.weights, engine.weights)
             assert np.array_equal(fast.history, engine.history, equal_nan=True)
-            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
+            assert vars(collectors[backend]) == vars(collectors["engine"])
 
     def test_data_spread_identical(self, forest_inputs):
         fm, drr, _, root_of = forest_inputs
@@ -628,7 +623,7 @@ class TestPhaseEquivalence:
         spreader = int(drr.forest.largest_root())
         results, collectors = {}, {}
         for backend in ALL_BACKENDS:
-            metrics = MetricsCollector(n=256)
+            metrics = MetricsCollector()
             results[backend] = run_data_spread(
                 roots, spreader, 42.5, root_of, 256,
                 failure_model=fm, rng=13, metrics=metrics, alive=alive, backend=backend,
@@ -636,7 +631,7 @@ class TestPhaseEquivalence:
             collectors[backend] = metrics
         for backend in FAST_BACKENDS:
             assert same_by_root(results[backend].estimates, results["engine"].estimates)
-            assert collectors[backend].as_dict() == collectors["engine"].as_dict()
+            assert vars(collectors[backend]) == vars(collectors["engine"])
 
 
 # --------------------------------------------------------------------------- #
@@ -702,7 +697,7 @@ class TestTopologyKernelEquivalence:
             assert np.array_equal(fast.delivered, engine.delivered)
             assert np.array_equal(fast.replied, engine.replied)
             assert fast.rounds == engine.rounds
-            assert fast.metrics.as_dict() == engine.metrics.as_dict()
+            assert vars(fast.metrics) == vars(engine.metrics)
         if delta == 0.0:
             assert engine.delivered.all()
         else:
@@ -875,7 +870,7 @@ class TestProtocolEquivalence:
                 experiment, params, seed, payload["result"],
                 spec_json=spec_json, result_json=payload["result_json"],
             )
-            stored = store.get(experiment, params, seed)
+            (stored,) = store.query()
         assert RunResult.from_json(stored.result_json).same_outcome(engine_outcome(row))
 
     @pytest.mark.parametrize("row", list(MATRIX))

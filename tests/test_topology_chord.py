@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.topology import ChordNetwork, ChordSampler, RandomWalkSampler, ring_graph, uniformity_l1_error
+from repro.topology import ChordNetwork, ChordSampler
 
 
 class TestChordConstruction:
@@ -80,29 +80,3 @@ class TestSamplers:
         costs = [sampler.sample(0, rng) for _ in range(50)]
         assert all(c.messages <= 3 * math.log2(128) for c in costs)
         assert all(0 <= c.peer < 128 for c in costs)
-
-    def test_chord_uniform_peer_close_to_uniform(self, rng):
-        chord = ChordNetwork(32, rng)
-        peers = np.array([chord.sample_uniform_peer(0, rng)[0] for _ in range(1500)])
-        assert uniformity_l1_error(peers, 32) < 0.5
-
-    def test_random_walk_sampler_on_ring(self, rng):
-        topo = ring_graph(32)
-        sampler = RandomWalkSampler(topo, walk_length=200)
-        cost = sampler.sample(0, rng)
-        assert cost.rounds == 200
-        assert cost.messages == 200
-        assert 0 <= cost.peer < 32
-
-    def test_random_walk_requires_connected_graph(self, rng):
-        from repro.topology import Topology
-
-        disconnected = Topology.from_edges("x", 4, [(0, 1)])
-        with pytest.raises(ValueError):
-            RandomWalkSampler(disconnected)
-
-    def test_uniformity_error_metric(self):
-        perfect = np.repeat(np.arange(8), 100)
-        assert uniformity_l1_error(perfect, 8) == pytest.approx(0.0)
-        skewed = np.zeros(800, dtype=int)
-        assert uniformity_l1_error(skewed, 8) > 1.0
